@@ -223,6 +223,17 @@ class _MonotoneTable:
     shared-node drift falls under ``tol``; inverted pointwise by
     bracketing in the table and 64 fixed bisection steps, so repeated
     builds with identical inputs give bitwise-identical results.
+
+    Each table remembers its inversions, keyed by the ``z0`` passed in:
+    a grid repeats each height parameter along a whole grid line, so all
+    but the first inversion of each are lookups.  ``z0`` only enters comparisons
+    with floats, so equal keys get identical results, and a hit returns
+    exactly the float bisection would.  The memo holds at most
+    ``len(self.nodes)`` entries and is cleared when full.  Concurrent
+    callers need no lock: each key only ever receives the one value that
+    deterministic bisection computes, so a racing write or clear loses
+    at most a lookup, never a result.  Out-of-range values raise and are
+    never stored.
     """
 
     def __init__(self, integrand, lo: float, hi: float, tol: float = 1e-10, n0: int = 2048):
@@ -242,6 +253,7 @@ class _MonotoneTable:
                 raise RuntimeError("quadrature refinement did not converge")
         self.nodes = nodes
         self.zs = zs
+        self._inverted: dict[float, float] = {}
 
     def _build(self, n: int):
         lo, hi, s = self.lo, self.hi, self.integrand
@@ -261,11 +273,15 @@ class _MonotoneTable:
 
     def invert(self, z0: float) -> float:
         """The t with z(t) = z0, for z0 inside the tabulated range."""
+        memo = self._inverted
+        t = memo.get(z0)
+        if t is not None:
+            return t
         zs, nodes, s = self.zs, self.nodes, self.integrand
         if not (zs[0] - 1e-9 <= z0 <= zs[-1] + 1e-9):
             raise ValueError(f"height parameter {z0!r} is outside the tabulated range")
-        z0 = min(max(z0, zs[0]), zs[-1])
-        i = min(max(bisect.bisect_right(zs, z0) - 1, 0), len(nodes) - 2)
+        zc = min(max(z0, zs[0]), zs[-1])
+        i = min(max(bisect.bisect_right(zs, zc) - 1, 0), len(nodes) - 2)
         t_i = nodes[i]
         s_i = s(t_i)
         base = zs[i]
@@ -273,11 +289,15 @@ class _MonotoneTable:
         for _ in range(64):
             m = 0.5 * (a + b)
             zm = base + (m - t_i) / 6.0 * (s_i + 4.0 * s(0.5 * (t_i + m)) + s(m))
-            if zm < z0:
+            if zm < zc:
                 a = m
             else:
                 b = m
-        return 0.5 * (a + b)
+        t = 0.5 * (a + b)
+        if len(memo) >= len(nodes):
+            memo.clear()
+        memo[z0] = t
+        return t
 
 
 def build_integral_family(

@@ -224,7 +224,7 @@ def _cmd_ode_check(args) -> int:
         "tolerance": args.tol,
         "pass": passed,
     }
-    print(json.dumps(payload, indent=2))
+    print(json.dumps(payload, indent=2, allow_nan=False))
     return 0 if passed else 1
 
 

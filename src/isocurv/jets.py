@@ -8,8 +8,10 @@ second-order Leibniz and chain rules, so curvature formulas evaluated on
 jets carry no truncation error; the only noise left is float64 rounding.
 
 The mixed partial is stored once: symmetry of second partials is
-structural, not checked.  Jets are immutable values, so evaluating the
-same field at many points concurrently is safe.
+structural, not checked.  Jets are immutable by convention: no code
+assigns a component after construction, every operation returns a new
+jet.  That is what keeps evaluating the same field at many points
+concurrently safe, since threads share jets but never write to them.
 
 Fields are ordinary callables built from jet arithmetic: a two-variable
 field maps two jets to a jet (plain numbers are accepted and treated as
@@ -21,7 +23,6 @@ derivatives with respect to those coordinates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 __all__ = [
     "Jet2",
@@ -62,10 +63,14 @@ class BranchDomainError(ArithmeticError):
 
 
 def _as_jet(x):
-    """Coerce a plain number to a constant jet; pass jets through."""
+    """Coerce a plain number to a constant jet; pass jets through.
+
+    ``bool`` is an ``int`` subclass but not a real number here: a flag
+    reaching jet arithmetic is a caller's mistake, not the constant 1.
+    """
     if isinstance(x, Jet2):
         return x
-    if isinstance(x, (int, float)):
+    if isinstance(x, (int, float)) and not isinstance(x, bool):
         return Jet2(float(x))
     return None
 
@@ -77,16 +82,46 @@ def _req(x, fn: str) -> "Jet2":
     return j
 
 
-@dataclass(frozen=True, slots=True)
 class Jet2:
-    """Value and partial derivatives (through second order) at one point."""
+    """Value and partial derivatives (through second order) at one point.
 
-    v: float
-    dx: float = 0.0
-    dy: float = 0.0
-    dxx: float = 0.0
-    dxy: float = 0.0
-    dyy: float = 0.0
+    A plain ``__slots__`` class rather than a frozen dataclass, whose
+    ``__init__`` routes every field through ``object.__setattr__``:
+    constructing a jet is the unit of cost of every jet operation.
+    """
+
+    __slots__ = ("v", "dx", "dy", "dxx", "dxy", "dyy")
+    __match_args__ = __slots__
+
+    def __init__(
+        self,
+        v: float,
+        dx: float = 0.0,
+        dy: float = 0.0,
+        dxx: float = 0.0,
+        dxy: float = 0.0,
+        dyy: float = 0.0,
+    ) -> None:
+        self.v = v
+        self.dx = dx
+        self.dy = dy
+        self.dxx = dxx
+        self.dxy = dxy
+        self.dyy = dyy
+
+    def __repr__(self) -> str:
+        return (
+            f"Jet2(v={self.v!r}, dx={self.dx!r}, dy={self.dy!r}, "
+            f"dxx={self.dxx!r}, dxy={self.dxy!r}, dyy={self.dyy!r})"
+        )
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.components() == other.components()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.components())
 
     def components(self) -> tuple[float, float, float, float, float, float]:
         return (self.v, self.dx, self.dy, self.dxx, self.dxy, self.dyy)
@@ -162,7 +197,7 @@ class Jet2:
         return o.__mul__(_reciprocal(self))
 
     def __pow__(self, exponent):
-        if isinstance(exponent, (int, float)):
+        if isinstance(exponent, (int, float)) and not isinstance(exponent, bool):
             return power(self, exponent)
         return NotImplemented
 

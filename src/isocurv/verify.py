@@ -128,7 +128,7 @@ class VerificationReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
+        return json.dumps(self.to_dict(), indent=2, allow_nan=False)
 
 
 def sample_grid(surface, domain: Rect | None = None, n: int = 21, subject: str = "") -> GridRun:
@@ -171,6 +171,7 @@ def check_constancy(
     Sums run left to right over the grid order, so the report is
     deterministic.  Fewer than 4 included samples is an error: a claim
     of constancy over a grid needs more than a corner's worth of data.
+    So is a non-finite sample: ``max`` would silently skip a NaN.
     """
     if isinstance(samples, GridRun):
         values = samples.values(quantity)
@@ -190,6 +191,9 @@ def check_constancy(
         raise ValueError(
             f"constancy check needs at least 4 included samples, got {len(values)}"
         )
+    for i, v in enumerate(values):
+        if not math.isfinite(v):
+            raise ValueError(f"constancy check got a non-finite sample at index {i}: {v!r}")
     mean = sum(values) / len(values)
     center = mean if target is None else target
     max_dev = max(abs(v - center) for v in values)
@@ -337,7 +341,8 @@ def finite_difference_check(
 
     Returns max over the five derivative components of
     |jet - fd| / (1 + |jet|).  When a domain is given, the point must
-    sit at least 2h inside it so the stencil stays evaluable.
+    sit at least 2h inside it so the stencil stays evaluable.  A
+    non-finite gap raises ValueError instead of being skipped.
     """
     if domain is not None and not domain.contains(point, margin=2.0 * h):
         raise ValueError(
@@ -369,7 +374,12 @@ def finite_difference_check(
     worst = 0.0
     for name, approx in fd.items():
         exact = getattr(jet, name)
-        worst = max(worst, abs(exact - approx) / (1.0 + abs(exact)))
+        gap = abs(exact - approx) / (1.0 + abs(exact))
+        if not math.isfinite(gap):
+            raise ValueError(
+                f"finite-difference gap in {name} at {point!r} is not finite: {gap!r}"
+            )
+        worst = max(worst, gap)
     return worst
 
 
@@ -420,7 +430,8 @@ def ode_crosscheck(
     exponential family, (1+a^2)*f'' + 2*a*c1*f' + c1^2*f = 0.
     ``afs2-cmc``: the slope equation f'' = 2*H0*c1^2*(f')^3 behind the
     constant-H family with a constant first factor.  Initial conditions
-    come from the closed form at the range start.
+    come from the closed form at the range start.  A non-finite gap
+    raises ValueError instead of being skipped.
     """
     if ode not in _ODE_DEFAULTS:
         known = ", ".join(sorted(_ODE_DEFAULTS))
@@ -466,7 +477,10 @@ def ode_crosscheck(
     worst = 0.0
     for t, y in path:
         exact = jets.eval_profile(closed, t).v
-        worst = max(worst, abs(y[0] - exact))
+        gap = abs(y[0] - exact)
+        if not math.isfinite(gap):
+            raise ValueError(f"{ode} gap at t = {t!r} is not finite: {gap!r}")
+        worst = max(worst, gap)
     return worst
 
 
@@ -516,7 +530,7 @@ class ProbeReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
+        return json.dumps(self.to_dict(), indent=2, allow_nan=False)
 
 
 _PROBE_KINDS = ("afs2-minimal", "afs2-constant-K")

@@ -8,6 +8,7 @@ from isocurv import jets
 from isocurv.catalog import (
     ParameterError,
     UnknownFamilyError,
+    _MonotoneTable,
     build_family,
     build_integral_family,
     cmc_slope_profile,
@@ -202,6 +203,51 @@ def test_integral_family_rejects_negative_radicand():
 def test_integral_family_requires_positive_profile_range():
     with pytest.raises(ParameterError):
         build_integral_family(K0=-1.0, c1=1.0, c2=1.0, f2_range=(-0.5, 2.0))
+
+
+class _CountingIntegrand:
+    def __init__(self, fn):
+        self.fn = fn
+        self.calls = 0
+
+    def __call__(self, t):
+        self.calls += 1
+        return self.fn(t)
+
+
+def test_table_inversion_is_remembered_and_bit_identical():
+    integrand = _CountingIntegrand(lambda t: math.sqrt(1.0 / t + 1.0))
+    table = _MonotoneTable(integrand, 0.5, 2.5)
+    z0 = 0.37 * table.z_end
+    first = table.invert(z0)
+    integrand.calls = 0
+    again = table.invert(z0)
+    assert integrand.calls == 0, f"a repeated inversion called the integrand {integrand.calls} times"
+    fresh = _MonotoneTable(lambda t: math.sqrt(1.0 / t + 1.0), 0.5, 2.5).invert(z0)
+    for got in (first, again):
+        assert got == fresh and repr(got) == repr(fresh), f"{got!r} != fresh {fresh!r}"
+
+
+def test_table_memo_is_bounded_by_its_nodes():
+    table = _MonotoneTable(lambda t: 1.0, 0.0, 1.0, n0=8)
+    fresh = _MonotoneTable(lambda t: 1.0, 0.0, 1.0, n0=8)
+    bound = len(table.nodes)
+    for k in range(3 * bound + 1):
+        z0 = table.z_end * k / (3 * bound)
+        got = table.invert(z0)
+        assert len(table._inverted) <= bound, f"memo grew to {len(table._inverted)} > {bound}"
+        want = fresh.invert(z0)
+        fresh._inverted.clear()
+        assert got == want and repr(got) == repr(want), f"at {z0!r}: {got!r} != {want!r}"
+    assert table.invert(table.z_end) == fresh.invert(table.z_end)
+
+
+def test_table_rejects_out_of_range_without_storing():
+    table = _MonotoneTable(lambda t: 1.0, 0.0, 1.0, n0=8)
+    for z0 in (-1.0, table.z_end + 1.0, float("nan")):
+        with pytest.raises(ValueError):
+            table.invert(z0)
+    assert not table._inverted
 
 
 def test_builds_are_deterministic():

@@ -176,6 +176,15 @@ def test_ode_check_passes_by_default(capsys):
     assert payload["pass"] is True and payload["max_error"] <= 1e-6
 
 
+def test_ode_check_never_prints_non_finite_json(capsys):
+    # c1 = 1e100 overflows the integration to an infinite gap.
+    code, out, err = run_cli(
+        capsys, "ode-check", "--ode", "afs1-minimal", "--param", "c1=1e100"
+    )
+    assert code == 2 and "Infinity" not in out, f"exit {code}, stdout {out!r}"
+    assert err.startswith("error:"), f"stderr {err!r}"
+
+
 def test_ode_check_with_explicit_range_and_steps(capsys):
     code, out, err = run_cli(
         capsys,

@@ -86,6 +86,34 @@ def test_operator_coercion_with_plain_numbers():
     )
 
 
+def test_bool_is_not_a_real_number():
+    x = jets.coord1(1.0)
+    with pytest.raises(TypeError):
+        jets.exp(True)
+    with pytest.raises(TypeError):
+        Jet2(1.0) * True
+    with pytest.raises(TypeError):
+        False + x
+    with pytest.raises(TypeError):
+        x ** True
+    with pytest.raises(TypeError):
+        jets.eval_field(lambda a, b: True, 0.0, 0.0)
+
+
+def test_jet_equality_hash_and_repr():
+    a = Jet2(1.0, 2.0, dyy=-0.0)
+    assert a == Jet2(1.0, 2.0, 0.0, 0.0, 0.0, -0.0)
+    assert a != Jet2(1.0, 2.0, dxy=3.0)
+    assert a != a.components(), "a jet never equals a plain tuple"
+    assert hash(a) == hash((1.0, 2.0, 0.0, 0.0, 0.0, -0.0))
+    table = {a: "first", Jet2(5.0): "second"}
+    assert table[Jet2(1.0, 2.0)] == "first" and table[jets.const(5.0)] == "second"
+    assert repr(a) == "Jet2(v=1.0, dx=2.0, dy=0.0, dxx=0.0, dxy=0.0, dyy=-0.0)"
+    assert repr(Jet2(1, 2.5, float("nan"), float("inf"), -1e-300, 3)) == (
+        "Jet2(v=1, dx=2.5, dy=nan, dxx=inf, dxy=-1e-300, dyy=3)"
+    )
+
+
 def _random_jet(rng: SplitMix64) -> Jet2:
     return Jet2(*(rng.uniform(-2.0, 2.0) for _ in range(6)))
 

@@ -1,5 +1,6 @@
 """Unit tests for the verification layer: grids, reports, and cross-checks."""
 
+import dataclasses
 import json
 import math
 
@@ -46,6 +47,24 @@ def test_constancy_against_explicit_target():
 def test_constancy_needs_enough_samples():
     with pytest.raises(ValueError):
         check_constancy([1.0, 1.1], tol=1e-3)
+
+
+def test_constancy_refuses_a_non_finite_sample():
+    # max() drops a NaN that is not first, so this once passed with deviation 0.
+    with pytest.raises(ValueError, match=r"index 2: nan"):
+        check_constancy([1.0, 1.0, float("nan"), 1.0, 1.0], target=1.0)
+    with pytest.raises(ValueError, match=r"index 4: -inf"):
+        check_constancy([1.0, 1.0, 1.0, 1.0, float("-inf")])
+
+
+def test_reports_never_serialize_nan():
+    report = check_constancy([1.0, 1.0, 1.0, 1.0], target=float("nan"))
+    with pytest.raises(ValueError):
+        report.to_json()
+    probe = probe_instances("afs2-minimal", [])
+    probe = dataclasses.replace(probe, min_stat=float("nan"))
+    with pytest.raises(ValueError):
+        probe.to_json()
 
 
 def test_unit_relative_difference():
@@ -182,6 +201,13 @@ def test_fd_check_respects_domain_margin():
         )
 
 
+def test_fd_check_refuses_a_nan_at_one_stencil_point():
+    # Only the east stencil points see the NaN; the gap once read finite.
+    nan = float("nan")
+    with pytest.raises(ValueError, match="not finite"):
+        finite_difference_check(lambda x, y: x * (nan if x.v > 1.00005 else 1.0), (1.0, 1.0))
+
+
 # ODE cross-checks -------------------------------------------------------
 
 
@@ -206,6 +232,13 @@ def test_ode_crosscheck_guards_the_radicand():
     # H0 = c1 = c2 = 1 keeps the slope finite only while 1 - 4t > 0.
     with pytest.raises(ValueError):
         ode_crosscheck("afs2-cmc", trange=(0.0, 1.0))
+
+
+def test_ode_crosscheck_refuses_a_non_finite_gap():
+    # c1^2 overflows, the integration turns to NaN, and max() once
+    # reported a gap of 0.
+    with pytest.raises(ValueError, match="not finite"):
+        ode_crosscheck("afs1-minimal", params={"c1": 1e200})
 
 
 # nonexistence probes ----------------------------------------------------
