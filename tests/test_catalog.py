@@ -69,6 +69,104 @@ def test_constraint_violations_name_the_constraint():
         )
 
 
+_SHEAR_FAMILIES = (
+    "AFS1.flat.scale",
+    "AFS1.flat.exp",
+    "AFS1.flat.pow",
+    "AFS1.K.saddle",
+    "AFS1.min.plane",
+    "AFS1.min.osc",
+    "AFS1.min.osc.printed",
+    "AFS1.cmc.parabolic",
+    "AFS1.cmc.shear",
+    "AFS2.flat.scale",
+    "AFS2.flat.exp",
+    "AFS2.flat.pow",
+    "AFS2.cmc.sqrt",
+    "AFS2.cmc.f1const",
+)
+_FN_TEXT = "constraint violated: fn must be one of 'quadratic', 'exp', 'sin'"
+_Z_TEXT = "(the height would not depend on z)"
+
+#: Exact ParameterError texts: the family id, ": ", then the text given here.
+_PARAMETER_ERRORS = [
+    (fid, {"a": 0.0}, "constraint violated: a != 0") for fid in _SHEAR_FAMILIES
+] + [
+    ("AFS1.flat.scale", {"c1": 0.0}, "constraint violated: c1 != 0"),
+    ("AFS1.flat.scale", {"fn": "cubic"}, _FN_TEXT),
+    ("AFS1.flat.exp", {"c1": 0.0}, "constraint violated: c1 != 0"),
+    ("AFS1.flat.pow", {"c1": 0.0}, "constraint violated: c1 != 0"),
+    ("AFS1.flat.pow", {"c2": 1.0}, "constraint violated: c2 != 1"),
+    ("AFS1.K.saddle", {"K0": 0.0}, "constraint violated: K0 != 0"),
+    ("AFS1.min.osc", {"c1": 0.0}, "constraint violated: c1 != 0"),
+    ("AFS1.min.osc.printed", {"c1": 0.0}, "constraint violated: c1 != 0"),
+    ("AFS1.cmc.parabolic", {"H0": 0.0}, "constraint violated: H0 != 0"),
+    ("AFS1.cmc.shear", {"H0": 0.0}, "constraint violated: H0 != 0"),
+    ("AFS2.flat.scale", {"c1": 0.0}, "constraint violated: c1 != 0"),
+    ("AFS2.flat.scale", {"fn": "cubic"}, _FN_TEXT),
+    ("AFS2.flat.exp", {"c1": 0.0}, "constraint violated: c1 != 0"),
+    (
+        "AFS2.flat.exp",
+        {"c2": 1.0, "c3": -1.0},
+        "constraint violated: a*c2 + c3 != 0 (the graph is admissible nowhere otherwise)",
+    ),
+    ("AFS2.flat.pow", {"c1": 0.0}, "constraint violated: c1 != 0"),
+    ("AFS2.flat.pow", {"c2": 1.0}, "constraint violated: c2 != 1"),
+    ("AFS2.cmc.sqrt", {"H0": 0.0}, "constraint violated: H0 != 0"),
+    ("AFS2.cmc.sqrt", {"c1": 0.0}, "constraint violated: c1 != 0"),
+    ("AFS2.cmc.f1const", {"H0": 0.0}, "constraint violated: H0 != 0"),
+    ("AFS2.cmc.f1const", {"c1": 0.0}, "constraint violated: c1 != 0"),
+    ("FS1.flat.scale", {"c1": 0.0}, "constraint violated: c1 != 0"),
+    ("FS1.flat.scale", {"fn": "cubic"}, _FN_TEXT),
+    ("FS1.flat.exp", {"c1": 0.0}, "constraint violated: c1 != 0"),
+    ("FS1.flat.pow", {"c1": 0.0}, "constraint violated: c1 != 0"),
+    ("FS1.flat.pow", {"c2": 1.0}, "constraint violated: c2 != 1"),
+    ("FS1.min.xy", {"c1": 0.0}, "constraint violated: c1 != 0"),
+    ("FS1.min.exp-trig", {"c2": 0.0}, "constraint violated: c2 != 0"),
+    ("FS1.K.saddle", {"K0": 0.0}, "constraint violated: K0 != 0"),
+    ("FS1.cmc.parab", {"H0": 0.0}, "constraint violated: H0 != 0"),
+    ("FS1.cmc.parab", {"c1": 0.0}, "constraint violated: c1 != 0"),
+    ("FS2.flat.scale", {"c1": 0.0}, "constraint violated: c1 != 0"),
+    ("FS2.flat.scale", {"fn": "cubic"}, _FN_TEXT),
+    ("FS2.flat.exp", {"c1": 0.0}, "constraint violated: c1 != 0"),
+    ("FS2.flat.exp", {"c3": 0.0}, f"constraint violated: c3 != 0 {_Z_TEXT}"),
+    ("FS2.flat.pow", {"c1": 0.0}, "constraint violated: c1 != 0"),
+    ("FS2.flat.pow", {"c2": 1.0}, "constraint violated: c2 != 1"),
+    ("FS2.flat.pow", {"c2": 0.0}, f"constraint violated: c2 != 0 {_Z_TEXT}"),
+    ("FS2.min.tan", {"c1": 0.0}, "constraint violated: c1 != 0"),
+    ("FS2.min.ratio", {"c1": 0.0}, "constraint violated: c1 != 0"),
+    ("FS2.min.ratio.printed", {"c1": 0.0}, "constraint violated: c1 != 0"),
+    ("FS2.K.hyperbolic", {"K0": 0.0}, "constraint violated: K0 != 0"),
+    ("FS2.K.hyperbolic", {"sign": "up"}, "constraint violated: sign must be +1 or -1"),
+    ("FS2.K.integral", {"K0": 0.0}, "constraint violated: K0 != 0"),
+    ("FS2.K.integral", {"c1": 0.0}, "constraint violated: c1 != 0"),
+    ("FS2.K.integral", {"f2_lo": 0.0}, "constraint violated: f2_lo > 0"),
+    ("FS2.K.integral", {"f2_hi": 0.5}, "constraint violated: f2_hi > f2_lo"),
+    (
+        "FS2.K.integral",
+        {"K0": 1.0, "c2": 0.0},
+        "constraint violated: radicand c2/t - K0/c1^2 must stay >= 1e-06 on the profile range",
+    ),
+    ("FS2.cmc.sqrt", {"H0": 0.0}, "constraint violated: H0 != 0"),
+    ("FS2.cmc.sqrt", {"sign": "up"}, "constraint violated: sign must be +1 or -1"),
+    (
+        "AFS2.flat.pow",
+        {"c2": 0.5, "a": 0.8},
+        "constraint violated: regularity must stay >= 0.001 in magnitude on the default "
+        "domain (observed minimum 4.44e-16)",
+    ),
+    ("FS1.min.xy", {"c9": 1.0}, "unknown parameter 'c9' (expected: c1)"),
+    ("FS1.flat.scale", {"fn": 3.0}, "parameter 'fn' must be a profile name"),
+]
+
+
+@pytest.mark.parametrize("fid, params, text", _PARAMETER_ERRORS)
+def test_parameter_error_texts_are_exact(fid, params, text):
+    with pytest.raises(ParameterError) as err:
+        build_family(fid, **params)
+    assert str(err.value) == f"{fid}: {text}"
+
+
 def test_unknown_profile_name_raises():
     with pytest.raises(ParameterError):
         build_family("FS1.flat.scale", fn="cubic")

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 from isocurv.cli import main
 
@@ -19,6 +20,15 @@ def test_list_prints_every_family(capsys):
     rows = [line for line in out.splitlines() if line.startswith(("AFS", "FS"))]
     assert len(rows) >= 24, f"only {len(rows)} family rows"
     assert any("as-printed" in row for row in rows), "retained forms are not flagged"
+
+
+def test_list_output_is_pinned(capsys):
+    # tests/data/isocurv_list.txt is the exact stdout recorded before the
+    # catalog became a table of families run by one builder.
+    expected = (Path(__file__).parent / "data" / "isocurv_list.txt").read_text(encoding="utf-8")
+    code, out, err = run_cli(capsys, "list")
+    assert code == 0 and not err
+    assert out == expected
 
 
 def test_verify_parabolic_family(capsys, tmp_path):
