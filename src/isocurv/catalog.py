@@ -17,6 +17,20 @@ silently passing; the registry notes say what the discrepancy is.
 Naming scheme for ids: ``<ansatz>.<behavior>.<shape>`` where the ansatz
 is AFS1/AFS2 (sheared product, a != 0) or FS1/FS2 (plain product,
 a = 0), and 1/2 distinguishes the z-graph from the x-graph ansatz.
+
+To add a family, add one ``_register(FamilySpec(...))`` row to the
+registry below: the defaults in ``params``, ``kind`` (TYPE1 or TYPE2),
+``factors`` and ``domain`` as functions of the merged parameters that
+return the profile pair (f1, f2) and the default chart rectangle (the
+unit square when omitted), and ``constraints`` as ``(text, predicate)``
+pairs checked in order.
+``FamilySpec.builder`` runs every product family and adds two rules of
+its own: a family whose parameters include the shear ``a`` requires
+a != 0 before any constraint, and a type-2 surface is rejected when its
+regularity comes within ``_REG_FLOOR`` of zero on the default domain.
+A plain family is the sheared one without ``a``, so FS and AFS twins
+share their factor constructors.  FS2.K.integral, whose profile comes
+from quadrature, builds through ``build_integral_family`` instead.
 """
 
 from __future__ import annotations
@@ -47,6 +61,7 @@ __all__ = [
     "family_ids",
     "get_family",
     "build_family",
+    "build_with_profile",
     "expected_profile",
     "quantity_for_claim",
 ]
@@ -93,14 +108,36 @@ class CurvatureProfile:
 
 @dataclass(frozen=True)
 class FamilySpec:
+    """A registered family as data; the module docstring describes its fields."""
+
     id: str
     formula: str
     claim: str
     params: dict
-    builder: Callable[[dict], object] = field(repr=False)
+    kind: str
+    factors: Callable[[dict], tuple[Profile, Profile]] | None = field(repr=False)
+    domain: Callable[[dict], Rect] = field(default=lambda p: _UNIT, repr=False)
+    constraints: tuple[tuple[str, Callable[[dict], bool]], ...] = field(default=(), repr=False)
     as_printed: bool = False
     has_derived_constant: bool = True
     notes: str = ""
+
+    def builder(self, p: dict) -> AffineFactorable:
+        """The surface for merged parameters ``p``.
+
+        A family with a shear parameter requires a != 0 first, then each
+        constraint in order; a type-2 surface must also keep its
+        regularity away from zero on the default domain.
+        """
+        if "a" in self.params:
+            _require(p["a"] != 0.0, self.id, "a != 0")
+        for text, holds in self.constraints:
+            _require(holds(p), self.id, text)
+        f1, f2 = self.factors(p)
+        s = AffineFactorable(self.kind, f1, f2, p.get("a", 0.0), self.domain(p), self.id)
+        if self.kind == TYPE2:
+            _check_regularity(s, self.id)
+        return s
 
 
 def quantity_for_claim(claim: str) -> str:
@@ -119,15 +156,9 @@ def _require(ok: bool, family_id: str, constraint: str) -> None:
 
 def _normalized_sign(value, family_id: str) -> float:
     if isinstance(value, str):
-        text = value.strip()
-        if text in ("+", "+1", "1"):
-            return 1.0
-        if text in ("-", "-1"):
-            return -1.0
-        raise ParameterError(f"{family_id}: constraint violated: sign must be +1 or -1")
+        value = {"+": 1.0, "+1": 1.0, "1": 1.0, "-": -1.0, "-1": -1.0}.get(value.strip(), 0.0)
     v = float(value)
-    if v not in (1.0, -1.0):
-        raise ParameterError(f"{family_id}: constraint violated: sign must be +1 or -1")
+    _require(v in (1.0, -1.0), family_id, "sign must be +1 or -1")
     return v
 
 
@@ -173,10 +204,8 @@ def minimal_oscillation_profile(
     factor; that variant circulates in closed-form tables but does not
     solve the oscillator, so the resulting surface is not minimal.
     """
-    if c1 == 0.0:
-        raise ParameterError("minimal_oscillation_profile: constraint violated: c1 != 0")
-    if a == 0.0:
-        raise ParameterError("minimal_oscillation_profile: constraint violated: a != 0")
+    _require(c1 != 0.0, "minimal_oscillation_profile", "c1 != 0")
+    _require(a != 0.0, "minimal_oscillation_profile", "a != 0")
     rate = a * c1 / (1.0 + a * a)
     freq = c1 / (1.0 + a * a)
 
@@ -200,10 +229,8 @@ def cmc_slope_profile(H0: float, c1: float, c2: float = 1.0, c3: float = 0.0) ->
     Closed form: f2(t) = (-2/q) * sqrt(c2 - q*t) + c3 with q = 4*H0*c1^2,
     valid where the radicand is positive.
     """
-    if H0 == 0.0:
-        raise ParameterError("cmc_slope_profile: constraint violated: H0 != 0")
-    if c1 == 0.0:
-        raise ParameterError("cmc_slope_profile: constraint violated: c1 != 0")
+    _require(H0 != 0.0, "cmc_slope_profile", "H0 != 0")
+    _require(c1 != 0.0, "cmc_slope_profile", "c1 != 0")
     q = 4.0 * H0 * c1 * c1
 
     def profile(t: Jet2) -> Jet2:
@@ -350,9 +377,10 @@ def build_integral_family(
 
 
 # ---------------------------------------------------------------------------
-# family builders
+# factors, domains and constraints of the registered families
 
 _UNIT = Rect((0.0, 1.0), (0.0, 1.0))
+_BOX = Rect((0.5, 1.5), (0.5, 1.5))
 
 
 def _positive_box(kind: str, a: float) -> Rect:
@@ -367,7 +395,7 @@ def _positive_box(kind: str, a: float) -> Rect:
     return Rect((0.5 + s, 1.5 + s), (0.5, 1.5))
 
 
-def _check_regularity(s: AffineFactorable, family_id: str, n: int = 9) -> AffineFactorable:
+def _check_regularity(s: AffineFactorable, family_id: str, n: int = 9) -> None:
     """Reject parameter choices whose default domain crosses regularity zero."""
     values = [regularity(s, p) for p in s.domain.grid(n)]
     low = min(abs(v) for v in values)
@@ -377,443 +405,84 @@ def _check_regularity(s: AffineFactorable, family_id: str, n: int = 9) -> Affine
             f"{family_id}: constraint violated: regularity must stay >= {_REG_FLOOR:g} "
             f"in magnitude on the default domain (observed minimum {low:.3g})"
         )
-    return s
 
 
-def _scale_domain(fn: str, kind: str, a: float) -> Rect:
-    """Default domain for the arbitrary-profile scaling families."""
-    if fn == "quadratic":
+def _scale_domain(p: dict) -> Rect:
+    """Default domain of AFS2.flat.scale, whose arbitrary profile is sheared."""
+    if p["fn"] == "quadratic":
         # 1 + t^2 has zero slope at t = 0, so keep the profile argument
         # away from the origin where the graph needs a nonzero slope.
-        return _positive_box(kind, a)
-    if fn == "exp":
-        return Rect((0.0, 1.0), (0.0, 1.0))
+        return _positive_box(TYPE2, p["a"])
+    if p["fn"] == "exp":
+        return _UNIT
     # sin: keep |argument| < pi/2 so the slope cos stays away from zero.
-    h = 0.25 / max(1.0, abs(a))
+    h = 0.25 / max(1.0, abs(p["a"]))
     return Rect((-h, h), (-h, h))
 
 
-def _build_afs1_flat_scale(p: dict) -> AffineFactorable:
-    fid = "AFS1.flat.scale"
-    _require(p["a"] != 0.0, fid, "a != 0")
-    _require(p["c1"] != 0.0, fid, "c1 != 0")
-    _require(p["fn"] in ARBITRARY_PROFILES, fid, "fn must be one of 'quadratic', 'exp', 'sin'")
-    return AffineFactorable(
-        TYPE1, _const_profile(p["c1"]), ARBITRARY_PROFILES[p["fn"]], p["a"], _UNIT, fid
-    )
+#: Default z-ranges of FS2.flat.scale, whose arbitrary profile takes z alone.
+_FS2_SCALE_Z = {"quadratic": (0.5, 1.5), "exp": (0.0, 1.0), "sin": (-0.25, 0.25)}
 
 
-def _build_afs1_flat_exp(p: dict) -> AffineFactorable:
-    fid = "AFS1.flat.exp"
-    _require(p["a"] != 0.0, fid, "a != 0")
-    _require(p["c1"] != 0.0, fid, "c1 != 0")
-    return AffineFactorable(
-        TYPE1,
-        _scaled_exp_profile(p["c1"], p["c2"]),
-        _scaled_exp_profile(1.0, p["c3"]),
-        p["a"],
-        _UNIT,
-        fid,
-    )
-
-
-def _build_afs1_flat_pow(p: dict) -> AffineFactorable:
-    fid = "AFS1.flat.pow"
-    _require(p["a"] != 0.0, fid, "a != 0")
-    _require(p["c1"] != 0.0, fid, "c1 != 0")
-    _require(p["c2"] != 1.0, fid, "c2 != 1")
-    e1 = 1.0 / (1.0 - p["c2"])
-    e2 = p["c2"] / (p["c2"] - 1.0)
-    return AffineFactorable(
-        TYPE1,
-        _scaled_power_profile(p["c1"], e1),
-        _scaled_power_profile(1.0, e2),
-        p["a"],
-        _positive_box(TYPE1, p["a"]),
-        fid,
-    )
-
-
-def _build_afs1_k_saddle(p: dict) -> AffineFactorable:
-    fid = "AFS1.K.saddle"
-    _require(p["a"] != 0.0, fid, "a != 0")
-    _require(p["K0"] != 0.0, fid, "K0 != 0")
-    return AffineFactorable(
-        TYPE1,
-        _linear_profile(math.sqrt(abs(p["K0"]))),
-        _linear_profile(1.0),
-        p["a"],
-        _UNIT,
-        fid,
-    )
-
-
-def _build_afs1_min_plane(p: dict) -> AffineFactorable:
-    fid = "AFS1.min.plane"
-    _require(p["a"] != 0.0, fid, "a != 0")
-    return AffineFactorable(
-        TYPE1,
-        _const_profile(p["c1"]),
-        _linear_profile(p["c2"], p["c3"]),
-        p["a"],
-        _UNIT,
-        fid,
-    )
-
-
-def _build_afs1_min_osc(p: dict, printed: bool) -> AffineFactorable:
-    fid = "AFS1.min.osc.printed" if printed else "AFS1.min.osc"
-    _require(p["a"] != 0.0, fid, "a != 0")
-    _require(p["c1"] != 0.0, fid, "c1 != 0")
-    return AffineFactorable(
-        TYPE1,
-        _scaled_exp_profile(1.0, p["c1"]),
-        minimal_oscillation_profile(p["c1"], p["a"], p["c2"], p["c3"], printed_form=printed),
-        p["a"],
-        _UNIT,
-        fid,
-    )
-
-
-def _build_afs1_cmc_parabolic(p: dict) -> AffineFactorable:
-    fid = "AFS1.cmc.parabolic"
-    _require(p["a"] != 0.0, fid, "a != 0")
-    _require(p["H0"] != 0.0, fid, "H0 != 0")
-    scale = p["H0"] / (1.0 + p["a"] * p["a"])
-    return AffineFactorable(
-        TYPE1, _const_profile(1.0), _quadratic_monomial(scale), p["a"], _UNIT, fid
-    )
-
-
-def _build_afs1_cmc_shear(p: dict) -> AffineFactorable:
-    fid = "AFS1.cmc.shear"
-    _require(p["a"] != 0.0, fid, "a != 0")
-    _require(p["H0"] != 0.0, fid, "H0 != 0")
-    return AffineFactorable(
-        TYPE1,
-        _linear_profile(p["H0"] / p["a"]),
-        _linear_profile(1.0),
-        p["a"],
-        _UNIT,
-        fid,
-    )
-
-
-def _build_afs2_flat_scale(p: dict) -> AffineFactorable:
-    fid = "AFS2.flat.scale"
-    _require(p["a"] != 0.0, fid, "a != 0")
-    _require(p["c1"] != 0.0, fid, "c1 != 0")
-    _require(p["fn"] in ARBITRARY_PROFILES, fid, "fn must be one of 'quadratic', 'exp', 'sin'")
-    s = AffineFactorable(
-        TYPE2,
-        ARBITRARY_PROFILES[p["fn"]],
-        _const_profile(p["c1"]),
-        p["a"],
-        _scale_domain(p["fn"], TYPE2, p["a"]),
-        fid,
-    )
-    return _check_regularity(s, fid)
-
-
-def _build_afs2_flat_exp(p: dict) -> AffineFactorable:
-    fid = "AFS2.flat.exp"
-    _require(p["a"] != 0.0, fid, "a != 0")
-    _require(p["c1"] != 0.0, fid, "c1 != 0")
-    _require(
-        p["a"] * p["c2"] + p["c3"] != 0.0,
-        fid,
-        "a*c2 + c3 != 0 (the graph is admissible nowhere otherwise)",
-    )
-    s = AffineFactorable(
-        TYPE2,
-        _scaled_exp_profile(p["c1"], p["c2"]),
-        _scaled_exp_profile(1.0, p["c3"]),
-        p["a"],
-        Rect((0.0, 1.0), (0.0, 1.0)),
-        fid,
-    )
-    return _check_regularity(s, fid)
-
-
-def _build_afs2_flat_pow(p: dict) -> AffineFactorable:
-    fid = "AFS2.flat.pow"
-    _require(p["a"] != 0.0, fid, "a != 0")
-    _require(p["c1"] != 0.0, fid, "c1 != 0")
-    _require(p["c2"] != 1.0, fid, "c2 != 1")
-    e1 = 1.0 / (1.0 - p["c2"])
-    e2 = p["c2"] / (p["c2"] - 1.0)
-    s = AffineFactorable(
-        TYPE2,
-        _scaled_power_profile(p["c1"], e1),
-        _scaled_power_profile(1.0, e2),
-        p["a"],
-        _positive_box(TYPE2, p["a"]),
-        fid,
-    )
-    return _check_regularity(s, fid)
-
-
-def _build_afs2_cmc_sqrt(p: dict) -> AffineFactorable:
-    fid = "AFS2.cmc.sqrt"
-    _require(p["a"] != 0.0, fid, "a != 0")
-    _require(p["H0"] != 0.0, fid, "H0 != 0")
-    _require(p["c1"] != 0.0, fid, "c1 != 0")
-    scale = p["c1"] / math.sqrt(abs(p["H0"]))
-    s = AffineFactorable(
-        TYPE2,
-        _scaled_power_profile(scale, 0.5),
-        _const_profile(1.0),
-        p["a"],
-        _positive_box(TYPE2, p["a"]),
-        fid,
-    )
-    return _check_regularity(s, fid)
-
-
-def _build_afs2_cmc_f1const(p: dict) -> AffineFactorable:
-    fid = "AFS2.cmc.f1const"
-    _require(p["a"] != 0.0, fid, "a != 0")
-    _require(p["H0"] != 0.0, fid, "H0 != 0")
-    _require(p["c1"] != 0.0, fid, "c1 != 0")
-    q = 4.0 * p["H0"] * p["c1"] * p["c1"]
+def _f1const_domain(p: dict) -> Rect:
     # Anchor the z-range where the radicand c2 - q*z runs from 1 up to
     # 1 + |q|, so the slope profile is smooth on the whole default box.
+    q = 4.0 * p["H0"] * p["c1"] * p["c1"]
     z_anchor = (p["c2"] - 1.0) / q
     if q > 0.0:
-        zdom = (z_anchor - 1.0, z_anchor)
-    else:
-        zdom = (z_anchor, z_anchor + 1.0)
-    s = AffineFactorable(
-        TYPE2,
-        _const_profile(p["c1"]),
-        cmc_slope_profile(p["H0"], p["c1"], p["c2"], p["c3"]),
-        p["a"],
-        Rect((0.0, 1.0), zdom),
-        fid,
-    )
-    return _check_regularity(s, fid)
+        return Rect((0.0, 1.0), (z_anchor - 1.0, z_anchor))
+    return Rect((0.0, 1.0), (z_anchor, z_anchor + 1.0))
 
 
-def _build_fs1_flat_scale(p: dict) -> AffineFactorable:
-    fid = "FS1.flat.scale"
-    _require(p["c1"] != 0.0, fid, "c1 != 0")
-    _require(p["fn"] in ARBITRARY_PROFILES, fid, "fn must be one of 'quadratic', 'exp', 'sin'")
-    return AffineFactorable(
-        TYPE1, _const_profile(p["c1"]), ARBITRARY_PROFILES[p["fn"]], 0.0, _UNIT, fid
-    )
+def _cylinder_factors(p: dict) -> tuple[Profile, Profile]:
+    """The constant c1 next to an arbitrary profile named by ``fn``."""
+    return _const_profile(p["c1"]), ARBITRARY_PROFILES[p["fn"]]
 
 
-def _build_fs1_flat_exp(p: dict) -> AffineFactorable:
-    fid = "FS1.flat.exp"
-    _require(p["c1"] != 0.0, fid, "c1 != 0")
-    return AffineFactorable(
-        TYPE1,
-        _scaled_exp_profile(p["c1"], p["c2"]),
-        _scaled_exp_profile(1.0, p["c3"]),
-        0.0,
-        _UNIT,
-        fid,
-    )
+def _exp_factors(p: dict) -> tuple[Profile, Profile]:
+    return _scaled_exp_profile(p["c1"], p["c2"]), _scaled_exp_profile(1.0, p["c3"])
 
 
-def _build_fs1_flat_pow(p: dict) -> AffineFactorable:
-    fid = "FS1.flat.pow"
-    _require(p["c1"] != 0.0, fid, "c1 != 0")
-    _require(p["c2"] != 1.0, fid, "c2 != 1")
+def _pow_factors(p: dict) -> tuple[Profile, Profile]:
+    """Powers whose exponents sum to 1, the flatness balance."""
     e1 = 1.0 / (1.0 - p["c2"])
     e2 = p["c2"] / (p["c2"] - 1.0)
-    return AffineFactorable(
-        TYPE1,
-        _scaled_power_profile(p["c1"], e1),
-        _scaled_power_profile(1.0, e2),
-        0.0,
-        Rect((0.5, 1.5), (0.5, 1.5)),
-        fid,
-    )
+    return _scaled_power_profile(p["c1"], e1), _scaled_power_profile(1.0, e2)
 
 
-def _build_fs1_min_xy(p: dict) -> AffineFactorable:
-    fid = "FS1.min.xy"
-    _require(p["c1"] != 0.0, fid, "c1 != 0")
-    return AffineFactorable(
-        TYPE1, _linear_profile(p["c1"]), _linear_profile(1.0), 0.0, _UNIT, fid
-    )
+def _saddle_factors(p: dict) -> tuple[Profile, Profile]:
+    return _linear_profile(math.sqrt(abs(p["K0"]))), _linear_profile(1.0)
 
 
-def _build_fs1_min_exp_trig(p: dict) -> AffineFactorable:
-    fid = "FS1.min.exp-trig"
-    _require(p["c2"] != 0.0, fid, "c2 != 0")
+def _osc_factors(p: dict, printed: bool = False) -> tuple[Profile, Profile]:
+    f2 = minimal_oscillation_profile(p["c1"], p["a"], p["c2"], p["c3"], printed_form=printed)
+    return _scaled_exp_profile(1.0, p["c1"]), f2
 
+
+def _exp_trig_factors(p: dict) -> tuple[Profile, Profile]:
     def hyperbolic(t: Jet2, _c1=p["c1"], _c2=p["c2"], _c3=p["c3"]) -> Jet2:
         return _c1 * jets.exp(_c2 * t) + _c3 * jets.exp(-_c2 * t)
 
     def oscillation(t: Jet2, _c2=p["c2"], _c4=p["c4"], _c5=p["c5"]) -> Jet2:
         return _c4 * jets.cos(_c2 * t) + _c5 * jets.sin(_c2 * t)
 
-    return AffineFactorable(TYPE1, hyperbolic, oscillation, 0.0, _UNIT, fid)
+    return hyperbolic, oscillation
 
 
-def _build_fs1_k_saddle(p: dict) -> AffineFactorable:
-    fid = "FS1.K.saddle"
-    _require(p["K0"] != 0.0, fid, "K0 != 0")
-    return AffineFactorable(
-        TYPE1,
-        _linear_profile(math.sqrt(abs(p["K0"]))),
-        _linear_profile(1.0),
-        0.0,
-        _UNIT,
-        fid,
-    )
+def _nonzero(name: str) -> tuple[str, Callable[[dict], bool]]:
+    return (f"{name} != 0", lambda p: p[name] != 0.0)
 
 
-def _build_fs1_cmc_parab(p: dict) -> AffineFactorable:
-    fid = "FS1.cmc.parab"
-    _require(p["H0"] != 0.0, fid, "H0 != 0")
-    _require(p["c1"] != 0.0, fid, "c1 != 0")
-    return AffineFactorable(
-        TYPE1,
-        _const_profile(1.0),
-        _quadratic_monomial(p["H0"] / p["c1"]),
-        0.0,
-        _UNIT,
-        fid,
-    )
+_KNOWN_FN = (
+    "fn must be one of 'quadratic', 'exp', 'sin'",
+    lambda p: p["fn"] in ARBITRARY_PROFILES,
+)
+_C2_NOT_ONE = ("c2 != 1", lambda p: p["c2"] != 1.0)
 
 
-def _build_fs2_flat_scale(p: dict) -> AffineFactorable:
-    fid = "FS2.flat.scale"
-    _require(p["c1"] != 0.0, fid, "c1 != 0")
-    _require(p["fn"] in ARBITRARY_PROFILES, fid, "fn must be one of 'quadratic', 'exp', 'sin'")
-    if p["fn"] == "quadratic":
-        domain = Rect((0.0, 1.0), (0.5, 1.5))
-    elif p["fn"] == "exp":
-        domain = Rect((0.0, 1.0), (0.0, 1.0))
-    else:
-        domain = Rect((0.0, 1.0), (-0.25, 0.25))
-    s = AffineFactorable(
-        TYPE2, _const_profile(p["c1"]), ARBITRARY_PROFILES[p["fn"]], 0.0, domain, fid
-    )
-    return _check_regularity(s, fid)
-
-
-def _build_fs2_flat_exp(p: dict) -> AffineFactorable:
-    fid = "FS2.flat.exp"
-    _require(p["c1"] != 0.0, fid, "c1 != 0")
-    _require(p["c3"] != 0.0, fid, "c3 != 0 (the height would not depend on z)")
-    s = AffineFactorable(
-        TYPE2,
-        _scaled_exp_profile(p["c1"], p["c2"]),
-        _scaled_exp_profile(1.0, p["c3"]),
-        0.0,
-        Rect((0.0, 1.0), (0.0, 1.0)),
-        fid,
-    )
-    return _check_regularity(s, fid)
-
-
-def _build_fs2_flat_pow(p: dict) -> AffineFactorable:
-    fid = "FS2.flat.pow"
-    _require(p["c1"] != 0.0, fid, "c1 != 0")
-    _require(p["c2"] != 1.0, fid, "c2 != 1")
-    _require(p["c2"] != 0.0, fid, "c2 != 0 (the height would not depend on z)")
-    e1 = 1.0 / (1.0 - p["c2"])
-    e2 = p["c2"] / (p["c2"] - 1.0)
-    s = AffineFactorable(
-        TYPE2,
-        _scaled_power_profile(p["c1"], e1),
-        _scaled_power_profile(1.0, e2),
-        0.0,
-        Rect((0.5, 1.5), (0.5, 1.5)),
-        fid,
-    )
-    return _check_regularity(s, fid)
-
-
-def _build_fs2_min_tan(p: dict) -> AffineFactorable:
-    fid = "FS2.min.tan"
-    _require(p["c1"] != 0.0, fid, "c1 != 0")
-
-    def tangent(t: Jet2, _c=p["c1"]) -> Jet2:
-        return jets.tan(_c * t)
-
-    half = 1.2 / abs(p["c1"])
-    s = AffineFactorable(
-        TYPE2,
-        _linear_profile(1.0),
-        tangent,
-        0.0,
-        Rect((0.5, 1.5), (-half, half)),
-        fid,
-    )
-    return _check_regularity(s, fid)
-
-
-def _build_fs2_min_ratio(p: dict) -> AffineFactorable:
-    fid = "FS2.min.ratio"
-    _require(p["c1"] != 0.0, fid, "c1 != 0")
-    s = AffineFactorable(
-        TYPE2,
-        _scaled_power_profile(p["c1"], -1.0),
-        _linear_profile(1.0),
-        0.0,
-        Rect((0.5, 1.5), (0.5, 1.5)),
-        fid,
-    )
-    return _check_regularity(s, fid)
-
-
-def _build_fs2_min_ratio_printed(p: dict) -> AffineFactorable:
-    fid = "FS2.min.ratio.printed"
-    _require(p["c1"] != 0.0, fid, "c1 != 0")
-    s = AffineFactorable(
-        TYPE2,
-        _linear_profile(p["c1"]),
-        _scaled_power_profile(1.0, -1.0),
-        0.0,
-        Rect((0.5, 1.5), (0.5, 1.5)),
-        fid,
-    )
-    return _check_regularity(s, fid)
-
-
-def _build_fs2_k_hyperbolic(p: dict) -> AffineFactorable:
-    fid = "FS2.K.hyperbolic"
-    _require(p["K0"] != 0.0, fid, "K0 != 0")
-    sign = _normalized_sign(p["sign"], fid)
-    scale = sign / math.sqrt(abs(p["K0"]))
-    s = AffineFactorable(
-        TYPE2,
-        _scaled_power_profile(scale, -1.0),
-        _linear_profile(1.0),
-        0.0,
-        Rect((0.5, 1.5), (0.5, 1.5)),
-        fid,
-    )
-    return _check_regularity(s, fid)
-
-
-def _build_fs2_k_integral(p: dict) -> SurfaceChart:
-    return build_integral_family(p["K0"], p["c1"], p["c2"], (p["f2_lo"], p["f2_hi"]))
-
-
-def _build_fs2_cmc_sqrt(p: dict) -> AffineFactorable:
-    fid = "FS2.cmc.sqrt"
-    _require(p["H0"] != 0.0, fid, "H0 != 0")
-    sign = _normalized_sign(p["sign"], fid)
-
-    def sqrt_profile(t: Jet2, _h=p["H0"]) -> Jet2:
-        return jets.sqrt((-1.0 / _h) * t)
-
-    zdom = (-1.5, -0.5) if p["H0"] > 0 else (0.5, 1.5)
-    s = AffineFactorable(
-        TYPE2,
-        _const_profile(sign),
-        sqrt_profile,
-        0.0,
-        Rect((0.0, 1.0), zdom),
-        fid,
-    )
-    return _check_regularity(s, fid)
+class _IntegralFamilySpec(FamilySpec):
+    def builder(self, p: dict) -> SurfaceChart:
+        return build_integral_family(p["K0"], p["c1"], p["c2"], (p["f2_lo"], p["f2_hi"]))
 
 
 # ---------------------------------------------------------------------------
@@ -831,7 +500,9 @@ _register(FamilySpec(
     formula="z = c1*f2(y + a*x)",
     claim=CLAIM_FLAT,
     params={"c1": 1.0, "a": 1.0, "fn": "quadratic"},
-    builder=_build_afs1_flat_scale,
+    kind=TYPE1,
+    factors=_cylinder_factors,
+    constraints=(_nonzero("c1"), _KNOWN_FN),
     notes="a constant first factor kills both flatness terms, any profile works",
 ))
 _register(FamilySpec(
@@ -839,7 +510,9 @@ _register(FamilySpec(
     formula="z = c1*exp(c2*x + c3*(y + a*x))",
     claim=CLAIM_FLAT,
     params={"c1": 1.0, "c2": 1.0, "c3": 1.0, "a": 1.0},
-    builder=_build_afs1_flat_exp,
+    kind=TYPE1,
+    factors=_exp_factors,
+    constraints=(_nonzero("c1"),),
     notes="exponential factors satisfy the flatness balance identically",
 ))
 _register(FamilySpec(
@@ -847,7 +520,10 @@ _register(FamilySpec(
     formula="z = c1*x^(1/(1-c2))*(y + a*x)^(c2/(c2-1))",
     claim=CLAIM_FLAT,
     params={"c1": 1.0, "c2": 2.0, "a": 1.0},
-    builder=_build_afs1_flat_pow,
+    kind=TYPE1,
+    factors=_pow_factors,
+    domain=lambda p: _positive_box(TYPE1, p["a"]),
+    constraints=(_nonzero("c1"), _C2_NOT_ONE),
     notes="the two exponents sum to 1, which is exactly the flatness balance",
 ))
 _register(FamilySpec(
@@ -855,7 +531,9 @@ _register(FamilySpec(
     formula="z = sqrt(|K0|)*x*(y + a*x)",
     claim=CLAIM_CONST_K,
     params={"K0": -1.0, "a": 1.0},
-    builder=_build_afs1_k_saddle,
+    kind=TYPE1,
+    factors=_saddle_factors,
+    constraints=(_nonzero("K0"),),
     notes="the attained constant is -|K0|; a positive prescribed K0 is not realized",
 ))
 _register(FamilySpec(
@@ -863,7 +541,8 @@ _register(FamilySpec(
     formula="z = c1*(c2*(y + a*x) + c3)",
     claim=CLAIM_MINIMAL,
     params={"c1": 1.0, "c2": 1.0, "c3": 0.0, "a": 1.0},
-    builder=_build_afs1_min_plane,
+    kind=TYPE1,
+    factors=lambda p: (_const_profile(p["c1"]), _linear_profile(p["c2"], p["c3"])),
     notes="a graph plane, the trivial minimal case",
 ))
 _register(FamilySpec(
@@ -871,7 +550,9 @@ _register(FamilySpec(
     formula="z = exp(c1*x)*exp(-a*c1*u/(1+a^2))*(c2*cos(c1*u/(1+a^2)) + c3*sin(c1*u/(1+a^2))), u = y + a*x",
     claim=CLAIM_MINIMAL,
     params={"c1": 1.0, "a": 1.0, "c2": 1.0, "c3": 0.0},
-    builder=lambda p: _build_afs1_min_osc(p, printed=False),
+    kind=TYPE1,
+    factors=_osc_factors,
+    constraints=(_nonzero("c1"),),
     notes="second factor solves (1+a^2)*f2'' + 2*a*c1*f2' + c1^2*f2 = 0, decay rate included",
 ))
 _register(FamilySpec(
@@ -879,7 +560,9 @@ _register(FamilySpec(
     formula="z = exp(c1*x)*(c2*cos(c1*u/(1+a^2)) + c3*sin(c1*u/(1+a^2))), u = y + a*x",
     claim=CLAIM_MINIMAL,
     params={"c1": 1.0, "a": 1.0, "c2": 1.0, "c3": 0.0},
-    builder=lambda p: _build_afs1_min_osc(p, printed=True),
+    kind=TYPE1,
+    factors=lambda p: _osc_factors(p, printed=True),
+    constraints=(_nonzero("c1"),),
     as_printed=True,
     has_derived_constant=False,
     notes="circulating form without the decay factor; it does not solve the "
@@ -890,7 +573,11 @@ _register(FamilySpec(
     formula="z = H0/(1+a^2)*(y + a*x)^2",
     claim=CLAIM_CONST_H,
     params={"H0": 1.0, "a": 1.0},
-    builder=_build_afs1_cmc_parabolic,
+    kind=TYPE1,
+    factors=lambda p: (
+        _const_profile(1.0), _quadratic_monomial(p["H0"] / (1.0 + p["a"] * p["a"]))
+    ),
+    constraints=(_nonzero("H0"),),
     notes="a parabolic cylinder over the sheared direction",
 ))
 _register(FamilySpec(
@@ -898,7 +585,9 @@ _register(FamilySpec(
     formula="z = H0/a*x*(y + a*x)",
     claim=CLAIM_CONST_H,
     params={"H0": 1.0, "a": 1.0},
-    builder=_build_afs1_cmc_shear,
+    kind=TYPE1,
+    factors=lambda p: (_linear_profile(p["H0"] / p["a"]), _linear_profile(1.0)),
+    constraints=(_nonzero("H0"),),
     notes="the cross term alone carries the mean curvature when a != 0",
 ))
 _register(FamilySpec(
@@ -906,7 +595,10 @@ _register(FamilySpec(
     formula="x = c1*f1(y + a*z)",
     claim=CLAIM_FLAT,
     params={"c1": 1.0, "a": 1.0, "fn": "quadratic"},
-    builder=_build_afs2_flat_scale,
+    kind=TYPE2,
+    factors=lambda p: (ARBITRARY_PROFILES[p["fn"]], _const_profile(p["c1"])),
+    domain=_scale_domain,
+    constraints=(_nonzero("c1"), _KNOWN_FN),
     notes="a constant second factor; needs a nonzero profile slope for admissibility",
 ))
 _register(FamilySpec(
@@ -914,7 +606,15 @@ _register(FamilySpec(
     formula="x = c1*exp(c2*(y + a*z) + c3*z)",
     claim=CLAIM_FLAT,
     params={"c1": 1.0, "c2": 1.0, "c3": 1.0, "a": 1.0},
-    builder=_build_afs2_flat_exp,
+    kind=TYPE2,
+    factors=_exp_factors,
+    constraints=(
+        _nonzero("c1"),
+        (
+            "a*c2 + c3 != 0 (the graph is admissible nowhere otherwise)",
+            lambda p: p["a"] * p["c2"] + p["c3"] != 0.0,
+        ),
+    ),
     notes="admissible exactly when a*c2 + c3 != 0",
 ))
 _register(FamilySpec(
@@ -922,7 +622,10 @@ _register(FamilySpec(
     formula="x = c1*(y + a*z)^(1/(1-c2))*z^(c2/(c2-1))",
     claim=CLAIM_FLAT,
     params={"c1": 1.0, "c2": 2.0, "a": 1.0},
-    builder=_build_afs2_flat_pow,
+    kind=TYPE2,
+    factors=_pow_factors,
+    domain=lambda p: _positive_box(TYPE2, p["a"]),
+    constraints=(_nonzero("c1"), _C2_NOT_ONE),
     notes="exponents sum to 1; the default domain must stay clear of the "
     "regularity zero line, which the builder checks",
 ))
@@ -931,7 +634,12 @@ _register(FamilySpec(
     formula="x = c1/sqrt(|H0|)*sqrt(y + a*z)",
     claim=CLAIM_CONST_H,
     params={"H0": 1.0, "c1": 1.0, "a": 1.0},
-    builder=_build_afs2_cmc_sqrt,
+    kind=TYPE2,
+    factors=lambda p: (
+        _scaled_power_profile(p["c1"] / math.sqrt(abs(p["H0"])), 0.5), _const_profile(1.0)
+    ),
+    domain=lambda p: _positive_box(TYPE2, p["a"]),
+    constraints=(_nonzero("H0"), _nonzero("c1")),
     as_printed=True,
     notes="direct differentiation gives the constant -|H0|/(a*c1^2), not the "
     "prescribed H0; verification targets the derived constant and flags the difference",
@@ -941,7 +649,12 @@ _register(FamilySpec(
     formula="x = c1*f2(z) with f2'' = 2*H0*c1^2*(f2')^3",
     claim=CLAIM_CONST_H,
     params={"H0": 1.0, "c1": 1.0, "c2": 1.0, "c3": 0.0, "a": 1.0},
-    builder=_build_afs2_cmc_f1const,
+    kind=TYPE2,
+    factors=lambda p: (
+        _const_profile(p["c1"]), cmc_slope_profile(p["H0"], p["c1"], p["c2"], p["c3"])
+    ),
+    domain=_f1const_domain,
+    constraints=(_nonzero("H0"), _nonzero("c1")),
     notes="constant first factor; the slope equation integrates to a square root "
     "profile and meets H0 exactly",
 ))
@@ -950,7 +663,9 @@ _register(FamilySpec(
     formula="z = c1*f2(y)",
     claim=CLAIM_FLAT,
     params={"c1": 1.0, "fn": "quadratic"},
-    builder=_build_fs1_flat_scale,
+    kind=TYPE1,
+    factors=_cylinder_factors,
+    constraints=(_nonzero("c1"), _KNOWN_FN),
     notes="cylinder over an arbitrary profile",
 ))
 _register(FamilySpec(
@@ -958,7 +673,9 @@ _register(FamilySpec(
     formula="z = c1*exp(c2*x + c3*y)",
     claim=CLAIM_FLAT,
     params={"c1": 1.0, "c2": 1.0, "c3": 1.0},
-    builder=_build_fs1_flat_exp,
+    kind=TYPE1,
+    factors=_exp_factors,
+    constraints=(_nonzero("c1"),),
     notes="plain product of exponentials",
 ))
 _register(FamilySpec(
@@ -966,7 +683,10 @@ _register(FamilySpec(
     formula="z = c1*x^(1/(1-c2))*y^(c2/(c2-1))",
     claim=CLAIM_FLAT,
     params={"c1": 1.0, "c2": 2.0},
-    builder=_build_fs1_flat_pow,
+    kind=TYPE1,
+    factors=_pow_factors,
+    domain=lambda p: _BOX,
+    constraints=(_nonzero("c1"), _C2_NOT_ONE),
     notes="power product with exponents summing to 1",
 ))
 _register(FamilySpec(
@@ -974,7 +694,9 @@ _register(FamilySpec(
     formula="z = c1*x*y",
     claim=CLAIM_MINIMAL,
     params={"c1": 1.0},
-    builder=_build_fs1_min_xy,
+    kind=TYPE1,
+    factors=lambda p: (_linear_profile(p["c1"]), _linear_profile(1.0)),
+    constraints=(_nonzero("c1"),),
     notes="the basic saddle; both pure second derivatives vanish",
 ))
 _register(FamilySpec(
@@ -982,7 +704,9 @@ _register(FamilySpec(
     formula="z = (c1*exp(c2*x) + c3*exp(-c2*x))*(c4*cos(c2*y) + c5*sin(c2*y))",
     claim=CLAIM_MINIMAL,
     params={"c1": 1.0, "c2": 1.0, "c3": 1.0, "c4": 1.0, "c5": 0.0},
-    builder=_build_fs1_min_exp_trig,
+    kind=TYPE1,
+    factors=_exp_trig_factors,
+    constraints=(_nonzero("c2"),),
     notes="f1'' = c2^2*f1 against f2'' = -c2^2*f2 cancels the mean curvature exactly",
 ))
 _register(FamilySpec(
@@ -990,7 +714,9 @@ _register(FamilySpec(
     formula="z = sqrt(|K0|)*x*y",
     claim=CLAIM_CONST_K,
     params={"K0": -1.0},
-    builder=_build_fs1_k_saddle,
+    kind=TYPE1,
+    factors=_saddle_factors,
+    constraints=(_nonzero("K0"),),
     notes="the attained constant is -|K0|; a positive prescribed K0 is not realized",
 ))
 _register(FamilySpec(
@@ -998,7 +724,9 @@ _register(FamilySpec(
     formula="z = H0/c1*y^2",
     claim=CLAIM_CONST_H,
     params={"H0": 1.0, "c1": 1.0},
-    builder=_build_fs1_cmc_parab,
+    kind=TYPE1,
+    factors=lambda p: (_const_profile(1.0), _quadratic_monomial(p["H0"] / p["c1"])),
+    constraints=(_nonzero("H0"), _nonzero("c1")),
     notes="the attained constant is H0/c1; with c1 = 1 it equals the prescribed H0",
 ))
 _register(FamilySpec(
@@ -1006,7 +734,10 @@ _register(FamilySpec(
     formula="x = c1*f2(z)",
     claim=CLAIM_FLAT,
     params={"c1": 1.0, "fn": "quadratic"},
-    builder=_build_fs2_flat_scale,
+    kind=TYPE2,
+    factors=_cylinder_factors,
+    domain=lambda p: Rect((0.0, 1.0), _FS2_SCALE_Z[p["fn"]]),
+    constraints=(_nonzero("c1"), _KNOWN_FN),
     notes="with a = 0 the arbitrary factor must depend on z, else the graph "
     "is admissible nowhere",
 ))
@@ -1015,7 +746,12 @@ _register(FamilySpec(
     formula="x = c1*exp(c2*y + c3*z)",
     claim=CLAIM_FLAT,
     params={"c1": 1.0, "c2": 1.0, "c3": 1.0},
-    builder=_build_fs2_flat_exp,
+    kind=TYPE2,
+    factors=_exp_factors,
+    constraints=(
+        _nonzero("c1"),
+        ("c3 != 0 (the height would not depend on z)", lambda p: p["c3"] != 0.0),
+    ),
     notes="admissible exactly when c3 != 0",
 ))
 _register(FamilySpec(
@@ -1023,7 +759,14 @@ _register(FamilySpec(
     formula="x = c1*y^(1/(1-c2))*z^(c2/(c2-1))",
     claim=CLAIM_FLAT,
     params={"c1": 1.0, "c2": 2.0},
-    builder=_build_fs2_flat_pow,
+    kind=TYPE2,
+    factors=_pow_factors,
+    domain=lambda p: _BOX,
+    constraints=(
+        _nonzero("c1"),
+        _C2_NOT_ONE,
+        ("c2 != 0 (the height would not depend on z)", lambda p: p["c2"] != 0.0),
+    ),
     notes="power product on the x-graph side; c2 = 0 would drop the z dependence",
 ))
 _register(FamilySpec(
@@ -1031,7 +774,10 @@ _register(FamilySpec(
     formula="x = y*tan(c1*z)",
     claim=CLAIM_MINIMAL,
     params={"c1": 1.0},
-    builder=_build_fs2_min_tan,
+    kind=TYPE2,
+    factors=lambda p: (_linear_profile(1.0), lambda t, _c=p["c1"]: jets.tan(_c * t)),
+    domain=lambda p: Rect((0.5, 1.5), (-1.2 / abs(p["c1"]), 1.2 / abs(p["c1"]))),
+    constraints=(_nonzero("c1"),),
     notes="the helicoidal-style minimal x-graph; default domain keeps |c1*z| <= 1.2",
 ))
 _register(FamilySpec(
@@ -1039,7 +785,10 @@ _register(FamilySpec(
     formula="x = c1*z/y",
     claim=CLAIM_MINIMAL,
     params={"c1": 1.0},
-    builder=_build_fs2_min_ratio,
+    kind=TYPE2,
+    factors=lambda p: (_scaled_power_profile(p["c1"], -1.0), _linear_profile(1.0)),
+    domain=lambda p: _BOX,
+    constraints=(_nonzero("c1"),),
     notes="z over y is the minimal orientation of the ratio surface; it also has "
     "constant Gaussian curvature -1/c1^2",
 ))
@@ -1048,7 +797,10 @@ _register(FamilySpec(
     formula="x = c1*y/z",
     claim=CLAIM_MINIMAL,
     params={"c1": 1.0},
-    builder=_build_fs2_min_ratio_printed,
+    kind=TYPE2,
+    factors=lambda p: (_linear_profile(p["c1"]), _scaled_power_profile(1.0, -1.0)),
+    domain=lambda p: _BOX,
+    constraints=(_nonzero("c1"),),
     as_printed=True,
     has_derived_constant=False,
     notes="circulating transposed form; direct differentiation gives "
@@ -1059,16 +811,22 @@ _register(FamilySpec(
     formula="x = sign*z/(sqrt(|K0|)*y)",
     claim=CLAIM_CONST_K,
     params={"K0": -1.0, "sign": 1.0},
-    builder=_build_fs2_k_hyperbolic,
+    kind=TYPE2,
+    factors=lambda p: (
+        _scaled_power_profile(p["sign"] / math.sqrt(abs(p["K0"])), -1.0), _linear_profile(1.0)
+    ),
+    domain=lambda p: _BOX,
+    constraints=(_nonzero("K0"),),
     notes="the attained constant is -|K0| for either sign; a positive prescribed "
     "K0 is not realized",
 ))
-_register(FamilySpec(
+_register(_IntegralFamilySpec(
     id="FS2.K.integral",
     formula="x = c1*f2(z)/y, z = integral of sqrt(c2/f2 - K0/c1^2) df2",
     claim=CLAIM_CONST_K,
     params={"K0": -1.0, "c1": 1.0, "c2": 1.0, "f2_lo": 0.5, "f2_hi": 2.5},
-    builder=_build_fs2_k_integral,
+    kind=TYPE2,
+    factors=None,
     notes="quadrature-backed profile; the attained constant is K0/c1^4, equal to "
     "the prescribed K0 when c1 = 1",
 ))
@@ -1077,7 +835,12 @@ _register(FamilySpec(
     formula="x = sign*sqrt(-z/H0)",
     claim=CLAIM_CONST_H,
     params={"H0": 1.0, "sign": 1.0},
-    builder=_build_fs2_cmc_sqrt,
+    kind=TYPE2,
+    factors=lambda p: (
+        _const_profile(p["sign"]), lambda t, _h=p["H0"]: jets.sqrt((-1.0 / _h) * t)
+    ),
+    domain=lambda p: Rect((0.0, 1.0), (-1.5, -0.5) if p["H0"] > 0 else (0.5, 1.5)),
+    constraints=(_nonzero("H0"),),
     notes="meets the prescribed H0 exactly for either sign; the default domain "
     "sits on the side where -z/H0 > 0",
 ))
@@ -1120,6 +883,10 @@ def _merged_params(spec: FamilySpec, overrides: dict) -> dict:
                 raise ParameterError(
                     f"{spec.id}: parameter {name!r} must be a real number, got {value!r}"
                 ) from None
+            if not math.isfinite(merged[name]):
+                raise ParameterError(
+                    f"{spec.id}: parameter {name!r} must be finite, got {merged[name]!r}"
+                )
     return merged
 
 
@@ -1134,15 +901,7 @@ def build_family(family_id: str, **params):
     return spec.builder(_merged_params(spec, params))
 
 
-def expected_profile(family_id: str, **params) -> CurvatureProfile:
-    """Claimed constant next to the directly derived one.
-
-    The derived value is the claim quantity evaluated by forward-mode
-    differentiation at the center of the default domain; constancy over
-    grids is the verifier's job, not this function's.
-    """
-    spec = get_family(family_id)
-    merged = _merged_params(spec, params)
+def _profile(spec: FamilySpec, merged: dict, surface) -> CurvatureProfile:
     if spec.claim == CLAIM_CONST_K:
         claimed = merged["K0"]
     elif spec.claim == CLAIM_CONST_H:
@@ -1151,8 +910,27 @@ def expected_profile(family_id: str, **params) -> CurvatureProfile:
         claimed = 0.0
     if not spec.has_derived_constant:
         return CurvatureProfile(spec.claim, claimed, None)
-    surface = spec.builder(merged)
     pair = surface.curvatures(surface.domain.center())
-    quantity = quantity_for_claim(spec.claim)
-    derived = pair.K if quantity == "K" else pair.H
-    return CurvatureProfile(spec.claim, claimed, derived)
+    return CurvatureProfile(spec.claim, claimed, getattr(pair, quantity_for_claim(spec.claim)))
+
+
+def build_with_profile(family_id: str, **params) -> tuple[object, CurvatureProfile]:
+    """``build_family`` and ``expected_profile`` together, from a single build."""
+    spec = get_family(family_id)
+    merged = _merged_params(spec, params)
+    surface = spec.builder(merged)
+    return surface, _profile(spec, merged, surface)
+
+
+def expected_profile(family_id: str, **params) -> CurvatureProfile:
+    """Claimed constant next to the directly derived one.
+
+    The derived value is the claim quantity evaluated by forward-mode
+    differentiation at the center of the default domain; constancy over
+    grids is the verifier's job, not this function's.  A family without
+    a derived constant is not built.
+    """
+    spec = get_family(family_id)
+    merged = _merged_params(spec, params)
+    surface = spec.builder(merged) if spec.has_derived_constant else None
+    return _profile(spec, merged, surface)

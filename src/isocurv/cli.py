@@ -109,8 +109,7 @@ def _cmd_list(args) -> int:
 def _cmd_verify(args) -> int:
     params = _parse_params(args.param)
     spec = catalog.get_family(args.family)
-    surface = catalog.build_family(args.family, **params)
-    profile = catalog.expected_profile(args.family, **params)
+    surface, profile = catalog.build_with_profile(args.family, **params)
     quantity = catalog.quantity_for_claim(profile.claim)
     domain = None
     if args.domain:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 from . import jets
@@ -187,28 +187,41 @@ def check_constancy(
         excluded = ()
         if subject is None:
             subject = "value sequence"
-    if len(values) < 4:
-        raise ValueError(
-            f"constancy check needs at least 4 included samples, got {len(values)}"
-        )
-    for i, v in enumerate(values):
-        if not math.isfinite(v):
-            raise ValueError(f"constancy check got a non-finite sample at index {i}: {v!r}")
-    mean = sum(values) / len(values)
-    center = mean if target is None else target
-    max_dev = max(abs(v - center) for v in values)
-    return VerificationReport(
+    return _reduce(
+        values,
+        target,
+        "constancy check",
+        "included samples",
         subject=subject,
         domain=domain,
         grid=grid,
         quantity=quantity,
         target=target,
-        max_abs_deviation=max_dev,
-        mean=mean,
         tolerance=tol,
-        passed=max_dev <= tol,
         excluded_points=excluded,
         notes=notes,
+    )
+
+
+def _reduce(
+    values: list[float], center: float | None, check: str, unit: str, **report
+) -> VerificationReport:
+    """A report with the mean of the values and their max |v - center|.
+
+    ``center`` None measures against the mean.  Fewer than 4 values, or
+    a non-finite one (``max`` would silently skip a NaN), is an error.
+    """
+    if len(values) < 4:
+        raise ValueError(f"{check} needs at least 4 {unit}, got {len(values)}")
+    for i, v in enumerate(values):
+        if not math.isfinite(v):
+            raise ValueError(f"{check} got a non-finite sample at index {i}: {v!r}")
+    mean = sum(values) / len(values)
+    if center is None:
+        center = mean
+    max_dev = max([abs(v - center) for v in values])
+    return VerificationReport(
+        max_abs_deviation=max_dev, mean=mean, passed=max_dev <= report["tolerance"], **report
     )
 
 
@@ -256,22 +269,17 @@ def cross_validate(
             unit_relative_difference(special.H, generic.H),
         )
         deviations.append(dev)
-    if len(deviations) < 4:
-        raise ValueError(
-            f"cross-validation needs at least 4 usable points, got {len(deviations)}"
-        )
-    max_dev = max(deviations)
-    mean = sum(deviations) / len(deviations)
-    return VerificationReport(
+    return _reduce(
+        deviations,
+        0.0,
+        "cross-validation",
+        "usable points",
         subject=instance.label or "cross-validation",
         domain=instance.domain,
         grid=len(deviations),
         quantity="discrepancy",
         target=None,
-        max_abs_deviation=max_dev,
-        mean=mean,
         tolerance=tol,
-        passed=max_dev <= tol,
         excluded_points=tuple(excluded),
         notes=f"specialized route vs generic chart route at {len(deviations)} random points",
     )
@@ -310,22 +318,17 @@ def motion_invariance_check(
             excluded.append((p, str(err)))
             continue
         deviations.append(max(abs(before.K - after.K), abs(before.H - after.H)))
-    if len(deviations) < 4:
-        raise ValueError(
-            f"motion invariance check needs at least 4 usable points, got {len(deviations)}"
-        )
-    max_dev = max(deviations)
-    mean = sum(deviations) / len(deviations)
-    return VerificationReport(
+    return _reduce(
+        deviations,
+        0.0,
+        "motion invariance check",
+        "usable points",
         subject=subject or "motion invariance",
         domain=domain,
         grid=n,
         quantity="discrepancy",
         target=None,
-        max_abs_deviation=max_dev,
-        mean=mean,
         tolerance=tol,
-        passed=max_dev <= tol,
         excluded_points=tuple(excluded),
         notes=motion.describe(),
     )
@@ -614,13 +617,4 @@ def probe_nonexistence(
         raise ValueError(f"unknown probe kind {kind!r} (known: {', '.join(_PROBE_KINDS)})")
     instances = draw_nonplanar_type2(count, seed)
     report = probe_instances(kind, instances, n=n, floor=floor)
-    return ProbeReport(
-        kind=report.kind,
-        count=report.count,
-        seed=seed,
-        grid=report.grid,
-        floor=report.floor,
-        counterexamples=report.counterexamples,
-        min_stat=report.min_stat,
-        instances=report.instances,
-    )
+    return replace(report, seed=seed)

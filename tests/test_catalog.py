@@ -167,6 +167,13 @@ def test_parameter_error_texts_are_exact(fid, params, text):
     assert str(err.value) == f"{fid}: {text}"
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_parameter_raises(value):
+    with pytest.raises(ParameterError) as err:
+        build_family("FS1.min.xy", c1=value)
+    assert str(err.value) == f"FS1.min.xy: parameter 'c1' must be finite, got {value!r}"
+
+
 def test_unknown_profile_name_raises():
     with pytest.raises(ParameterError):
         build_family("FS1.flat.scale", fn="cubic")

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+from isocurv import catalog
 from isocurv.cli import main
 
 
@@ -62,6 +63,41 @@ def test_verify_as_printed_family_fails_but_reports(capsys, tmp_path):
     payload = json.loads(out_path.read_text())
     assert payload["pass"] is False
     assert payload["max_abs_deviation"] > 0.01
+
+
+def test_verify_builds_the_family_once(capsys, monkeypatch):
+    builds = []
+    for cls in {type(spec) for spec in catalog.REGISTRY.values()}:
+        def counting(self, p, _builder=vars(cls)["builder"]):
+            builds.append(self.id)
+            return _builder(self, p)
+
+        monkeypatch.setattr(cls, "builder", counting)
+    families = ["AFS1.K.saddle", "AFS1.min.osc.printed", "FS2.K.integral"]
+    for fid in families:
+        code, out, err = run_cli(capsys, "verify", "--family", fid, "--grid", "5")
+        assert code in (0, 1) and json.loads(out)["subject"] == fid, f"{fid}: {err}"
+    assert builds == families, f"builds: {builds}"
+    # A family without a derived constant has no profile to build for.
+    catalog.expected_profile("FS2.min.ratio.printed")
+    assert builds == families
+
+
+def test_non_finite_parameters_exit_2(capsys, tmp_path):
+    out_path = tmp_path / "grid.csv"
+    for value in ("nan", "inf"):
+        message = f"error: FS1.min.xy: parameter 'c1' must be finite, got {value}\n"
+        code, out, err = run_cli(
+            capsys, "verify", "--family", "FS1.min.xy", "--param", f"c1={value}"
+        )
+        assert (code, out, err) == (2, "", message)
+        code, out, err = run_cli(
+            capsys,
+            "grid", "--family", "FS1.min.xy", "--param", f"c1={value}",
+            "--format", "csv", "--out", str(out_path),
+        )
+        assert (code, out, err) == (2, "", message)
+        assert not out_path.exists()
 
 
 def test_verify_unknown_family(capsys):

@@ -8,7 +8,7 @@ import pytest
 
 from isocurv import jets
 from isocurv.catalog import build_family
-from isocurv.factorable import TYPE2, is_planar, random_instance
+from isocurv.factorable import TYPE1, TYPE2, is_planar, random_instance
 from isocurv.geometry import Motion, Rect, SurfaceChart, X_OVER_YZ, Z_OVER_XY
 from isocurv.rng import SplitMix64
 from isocurv.verify import (
@@ -161,6 +161,18 @@ def test_cross_validate_skips_low_regularity_points():
         cross_validate(flatliner, n_points=20, seed=1)
 
 
+def test_cross_validate_refuses_a_non_finite_discrepancy():
+    # Both routes yield NaN curvatures wherever y > 0.5; max() dropped
+    # them, so this once passed on the finite half of the draws.
+    from isocurv.factorable import AffineFactorable
+
+    poisoned = AffineFactorable(
+        TYPE1, lambda t: t, lambda t: t * t * (math.nan if t.v > 0.5 else 1.0), 0.0, UNIT
+    )
+    with pytest.raises(ValueError, match=r"cross-validation got a non-finite sample .*: nan"):
+        cross_validate(poisoned, n_points=40, seed=2)
+
+
 # motion invariance ------------------------------------------------------
 
 
@@ -170,6 +182,14 @@ def test_motion_invariance_on_a_class_member():
     report = motion_invariance_check(surface, motion, n=5, tol=1e-9)
     assert report.passed, f"curvature drifted by {report.max_abs_deviation}"
     assert "angle=" in report.notes
+
+
+def test_motion_invariance_refuses_a_non_finite_drift():
+    # NaN heights for x > 0.5 once gave passed=True, deviation 0.0, mean nan.
+    chart = SurfaceChart(Z_OVER_XY, lambda x, y: x * y * (math.nan if x.v > 0.5 else 1.0), UNIT)
+    motion = Motion(0.3, 0.1, 0.2, 0.4, 0.5, 0.6)
+    with pytest.raises(ValueError, match=r"motion invariance check got a non-finite sample"):
+        motion_invariance_check(chart, motion, n=11)
 
 
 # finite differences -----------------------------------------------------
