@@ -10,7 +10,8 @@ Verbs:
 * ``ode-check``       closed-form profiles vs Runge-Kutta integration
 
 Exit codes: 0 success (and verification passed), 1 a check ran and
-failed (reports are still written), 2 usage or parameter errors.
+failed (reports are still written), 2 usage or parameter errors,
+including a size option outside :data:`SIZE_LIMITS`.
 """
 
 from __future__ import annotations
@@ -25,7 +26,19 @@ from .factorable import TYPE1, TYPE2, AffineFactorable, as_chart, random_instanc
 from .geometry import Rect, SurfaceChart
 from .rng import SplitMix64
 
-__all__ = ["main"]
+__all__ = ["main", "SIZE_LIMITS"]
+
+#: Inclusive bounds on the size options, checked before any work starts.
+#: ``Rect.grid`` and the profile memo of ``sample_grid`` hold grid²
+#: entries, ``cross-validate`` keeps a value per point and ``ode-check``
+#: one per step, so every size has a cap; the lower bounds refuse runs
+#: that would check nothing and then report a pass.
+SIZE_LIMITS = {
+    "grid": (2, 1001),
+    "count": (1, 10_000),
+    "points": (1, 100_000),
+    "steps": (1, 100_000),
+}
 
 
 def _error_text(err: BaseException) -> str:
@@ -81,6 +94,13 @@ def _parse_domain(text: str, axes: tuple[str, str]) -> Rect:
             )
         intervals.append(_parse_interval(rng.strip(), f"--domain axis {expected}"))
     return Rect(intervals[0], intervals[1])
+
+
+def _check_sizes(args) -> None:
+    for name, (lo, hi) in SIZE_LIMITS.items():
+        value = getattr(args, name, None)
+        if value is not None and not lo <= value <= hi:
+            raise ParameterError(f"--{name} must be between {lo} and {hi}, got {value}")
 
 
 def _write_out(path: str, text: str) -> None:
@@ -295,6 +315,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        _check_sizes(args)
         return args.handler(args)
     except (UnknownFamilyError, ParameterError, ValueError) as err:
         print(f"error: {_error_text(err)}", file=sys.stderr)

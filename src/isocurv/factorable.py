@@ -31,6 +31,7 @@ cross-checked numerically (see ``isocurv.verify.cross_validate``).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -74,6 +75,12 @@ class AffineFactorable:
     ``shear`` is the constant a of the affine substitution; a = 0 gives
     the plain factorable case.  ``domain`` is the chart rectangle:
     (x, y) ranges for type-1, (y, z) ranges for type-2.
+
+    The profiles must be pure functions of their argument: the same
+    float in, the same jet (or the same exception) out, with no hidden
+    state.  Grid sampling and cross-validation evaluate each profile
+    once per distinct argument and reuse the jet, which is only the
+    same computation when that holds.
     """
 
     kind: str
@@ -93,22 +100,48 @@ class AffineFactorable:
             return (p[0], p[1] + self.shear * p[0])
         return (p[0] + self.shear * p[1], p[1])
 
-    def curvatures(self, p: tuple[float, float]) -> CurvaturePair:
+    def curvatures(self, p: tuple[float, float], *, memo: dict | None = None) -> CurvaturePair:
         if self.kind == TYPE1:
-            return afs1_curvatures(self, p)
-        return afs2_curvatures(self, p)
+            return afs1_curvatures(self, p, memo=memo)
+        return afs2_curvatures(self, p, memo=memo)
 
 
-def _profile_jets(s: AffineFactorable, p: tuple[float, float]):
+def _profile_jets(s: AffineFactorable, p: tuple[float, float], memo: dict | None):
+    """The jets of both profiles at their shifted arguments for point p.
+
+    With a ``memo`` (a dict the caller owns), each profile is evaluated
+    once per distinct argument and the jet is reused after that.  The
+    key is (profile, u), and (profile, u, sign) for a zero u, because
+    0.0 == -0.0 as dict keys while a profile may tell them apart.  An
+    evaluation that raises stores nothing, so it raises again, with the
+    same text, the next time that argument comes up.
+    """
     u1, u2 = s.profile_arguments(p)
-    return jets.eval_profile(s.factor1, u1), jets.eval_profile(s.factor2, u2)
+    f1, f2 = s.factor1, s.factor2
+    if memo is None:
+        return jets.eval_profile(f1, u1), jets.eval_profile(f2, u2)
+    k1 = (f1, u1) if u1 else (f1, u1, math.copysign(1.0, u1))
+    j1 = memo.get(k1)
+    if j1 is None:
+        j1 = memo[k1] = jets.eval_profile(f1, u1)
+    k2 = (f2, u2) if u2 else (f2, u2, math.copysign(1.0, u2))
+    j2 = memo.get(k2)
+    if j2 is None:
+        j2 = memo[k2] = jets.eval_profile(f2, u2)
+    return j1, j2
 
 
-def afs1_curvatures(s: AffineFactorable, p: tuple[float, float]) -> CurvaturePair:
-    """Closed-form curvatures of a type-1 surface at p = (x, y)."""
+def afs1_curvatures(
+    s: AffineFactorable, p: tuple[float, float], *, memo: dict | None = None
+) -> CurvaturePair:
+    """Closed-form curvatures of a type-1 surface at p = (x, y).
+
+    ``memo`` is an optional caller-owned dict of profile jets (see
+    :func:`_profile_jets`); the result is the same with or without it.
+    """
     if s.kind != TYPE1:
         raise ValueError(f"afs1_curvatures needs a {TYPE1} surface, got {s.kind}")
-    j1, j2 = _profile_jets(s, p)
+    j1, j2 = _profile_jets(s, p, memo)
     f1, d1, dd1 = j1.v, j1.dx, j1.dxx
     f2, d2, dd2 = j2.v, j2.dx, j2.dxx
     a = s.shear
@@ -118,17 +151,22 @@ def afs1_curvatures(s: AffineFactorable, p: tuple[float, float]) -> CurvaturePai
 
 
 def afs2_curvatures(
-    s: AffineFactorable, p: tuple[float, float], eps: float = ADMISSIBILITY_EPS
+    s: AffineFactorable,
+    p: tuple[float, float],
+    eps: float = ADMISSIBILITY_EPS,
+    *,
+    memo: dict | None = None,
 ) -> CurvaturePair:
     """Closed-form curvatures of a type-2 surface at p = (y, z).
 
     Requires the regularity value to stay at or above ``eps`` in
     magnitude; the denominators keep their signs (reg^3 is signed, so H
     matches the signed graph formula of the x = w(y, z) chart).
+    ``memo`` is as for :func:`afs1_curvatures`.
     """
     if s.kind != TYPE2:
         raise ValueError(f"afs2_curvatures needs a {TYPE2} surface, got {s.kind}")
-    j1, j2 = _profile_jets(s, p)
+    j1, j2 = _profile_jets(s, p, memo)
     f1, d1, dd1 = j1.v, j1.dx, j1.dxx
     f2, d2, dd2 = j2.v, j2.dx, j2.dxx
     a = s.shear
@@ -152,15 +190,19 @@ def afs2_curvatures(
     return CurvaturePair(K, H)
 
 
-def regularity(s: AffineFactorable, p: tuple[float, float]) -> float:
+def regularity(
+    s: AffineFactorable, p: tuple[float, float], *, memo: dict | None = None
+) -> float:
     """The type-2 admissibility value a*f1'*f2 + f1*f2' at p = (y, z).
 
     Type-1 graphs are admissible everywhere, so asking for their
-    regularity value is a usage error.
+    regularity value is a usage error.  Passing the ``memo`` that a
+    following :func:`afs2_curvatures` call gets lets both share one
+    evaluation of the profiles.
     """
     if s.kind != TYPE2:
         raise ValueError("regularity is a type-2 notion; type-1 graphs are always admissible")
-    j1, j2 = _profile_jets(s, p)
+    j1, j2 = _profile_jets(s, p, memo)
     return s.shear * j1.dx * j2.v + j1.v * j2.dx
 
 

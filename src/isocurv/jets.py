@@ -13,6 +13,18 @@ assigns a component after construction, every operation returns a new
 jet.  That is what keeps evaluating the same field at many points
 concurrently safe, since threads share jets but never write to them.
 
+Mixing a jet with a plain ``float`` or ``int`` c takes a fast path that
+builds no constant jet, and it is exact: every component comes out bit
+for bit as the jet-jet rule gives it with ``Jet2(float(c))``, because
+the fast path keeps each term that rule would compute from the zero
+derivatives of c (``x + 0.0``, ``x * 0.0``, ``0.0 - x``), in the same
+operand order, so signed zeros, infinities and NaN come out unchanged.
+The reflected forms stay aliases (``__radd__ = __add__``,
+``__rmul__ = __mul__``): ``c * t`` means ``t * Jet2(c)``, and
+``Jet2(c) * t`` groups its terms differently, so it can differ in the
+last bit or in a NaN.  ``bool`` is not a number here and raises
+``TypeError``.
+
 Fields are ordinary callables built from jet arithmetic: a two-variable
 field maps two jets to a jet (plain numbers are accepted and treated as
 constants), a one-variable profile maps one jet to a jet.  Seed the
@@ -130,49 +142,100 @@ class Jet2:
         return all(math.isfinite(c) for c in self.components())
 
     # arithmetic ---------------------------------------------------------
+    #
+    # The float/int branches are the exact scalar fast paths described in
+    # the module docstring: each keeps every zero term of the jet-jet rule.
 
     def __add__(self, other):
-        o = _as_jet(other)
-        if o is None:
-            return NotImplemented
+        k = other.__class__
+        if k is not Jet2:
+            if k is float or k is int:
+                return Jet2(
+                    self.v + float(other),
+                    self.dx + 0.0,
+                    self.dy + 0.0,
+                    self.dxx + 0.0,
+                    self.dxy + 0.0,
+                    self.dyy + 0.0,
+                )
+            other = _as_jet(other)
+            if other is None:
+                return NotImplemented
         return Jet2(
-            self.v + o.v,
-            self.dx + o.dx,
-            self.dy + o.dy,
-            self.dxx + o.dxx,
-            self.dxy + o.dxy,
-            self.dyy + o.dyy,
+            self.v + other.v,
+            self.dx + other.dx,
+            self.dy + other.dy,
+            self.dxx + other.dxx,
+            self.dxy + other.dxy,
+            self.dyy + other.dyy,
         )
 
+    # c + t means t + Jet2(c); the alias keeps that operand
+    # order (it picks which NaN payload survives when both are NaN).
     __radd__ = __add__
 
     def __neg__(self):
         return Jet2(-self.v, -self.dx, -self.dy, -self.dxx, -self.dxy, -self.dyy)
 
     def __sub__(self, other):
-        o = _as_jet(other)
-        if o is None:
-            return NotImplemented
+        k = other.__class__
+        if k is not Jet2:
+            if k is float or k is int:
+                return Jet2(
+                    self.v - float(other),
+                    self.dx - 0.0,
+                    self.dy - 0.0,
+                    self.dxx - 0.0,
+                    self.dxy - 0.0,
+                    self.dyy - 0.0,
+                )
+            other = _as_jet(other)
+            if other is None:
+                return NotImplemented
         return Jet2(
-            self.v - o.v,
-            self.dx - o.dx,
-            self.dy - o.dy,
-            self.dxx - o.dxx,
-            self.dxy - o.dxy,
-            self.dyy - o.dyy,
+            self.v - other.v,
+            self.dx - other.dx,
+            self.dy - other.dy,
+            self.dxx - other.dxx,
+            self.dxy - other.dxy,
+            self.dyy - other.dyy,
         )
 
     def __rsub__(self, other):
+        k = other.__class__
+        if k is float or k is int:
+            return Jet2(
+                float(other) - self.v,
+                0.0 - self.dx,
+                0.0 - self.dy,
+                0.0 - self.dxx,
+                0.0 - self.dxy,
+                0.0 - self.dyy,
+            )
         o = _as_jet(other)
         if o is None:
             return NotImplemented
         return o.__sub__(self)
 
     def __mul__(self, other):
-        o = _as_jet(other)
-        if o is None:
-            return NotImplemented
-        a, b = self, o
+        k = other.__class__
+        if k is not Jet2:
+            if k is float or k is int:
+                c = float(other)
+                a = self
+                z = a.v * 0.0
+                return Jet2(
+                    a.v * c,
+                    a.dx * c + z,
+                    a.dy * c + z,
+                    a.dxx * c + 2.0 * a.dx * 0.0 + z,
+                    a.dxy * c + a.dx * 0.0 + a.dy * 0.0 + z,
+                    a.dyy * c + 2.0 * a.dy * 0.0 + z,
+                )
+            other = _as_jet(other)
+            if other is None:
+                return NotImplemented
+        a, b = self, other
         return Jet2(
             a.v * b.v,
             a.dx * b.v + a.v * b.dx,
@@ -182,13 +245,19 @@ class Jet2:
             a.dyy * b.v + 2.0 * a.dy * b.dy + a.v * b.dyy,
         )
 
+    # c * t means t * Jet2(c), not Jet2(c) * t.  Swapping the
+    # operands regroups the terms: 2.0 * a.dx * b.dx doubles the left
+    # factor first, so 2.0 * t.dx can overflow to inf (and inf * 0.0 is
+    # NaN) where 2.0 * 0.0 * t.dx is 0.0, and the three-term sums add in
+    # another order.  Keep the alias.
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = _as_jet(other)
-        if o is None:
-            return NotImplemented
-        return self.__mul__(_reciprocal(o))
+        if other.__class__ is not Jet2:
+            other = _as_jet(other)
+            if other is None:
+                return NotImplemented
+        return self.__mul__(_reciprocal(other))
 
     def __rtruediv__(self, other):
         o = _as_jet(other)
@@ -274,13 +343,15 @@ def compose(value: float, d1: float, d2: float, inner: Jet2) -> Jet2:
 
 
 def exp(a) -> Jet2:
-    a = _req(a, "exp")
+    if a.__class__ is not Jet2:
+        a = _req(a, "exp")
     e = math.exp(a.v)
     return compose(e, e, e, a)
 
 
 def log(a) -> Jet2:
-    a = _req(a, "log")
+    if a.__class__ is not Jet2:
+        a = _req(a, "log")
     if a.v <= 0.0:
         raise BranchDomainError("log", a.v, "a positive argument")
     r = 1.0 / a.v
@@ -288,19 +359,22 @@ def log(a) -> Jet2:
 
 
 def sin(a) -> Jet2:
-    a = _req(a, "sin")
+    if a.__class__ is not Jet2:
+        a = _req(a, "sin")
     s, c = math.sin(a.v), math.cos(a.v)
     return compose(s, c, -s, a)
 
 
 def cos(a) -> Jet2:
-    a = _req(a, "cos")
+    if a.__class__ is not Jet2:
+        a = _req(a, "cos")
     s, c = math.sin(a.v), math.cos(a.v)
     return compose(c, -s, -c, a)
 
 
 def tan(a) -> Jet2:
-    a = _req(a, "tan")
+    if a.__class__ is not Jet2:
+        a = _req(a, "tan")
     c = math.cos(a.v)
     if abs(c) <= TAN_COS_FLOOR:
         raise BranchDomainError(
@@ -312,7 +386,8 @@ def tan(a) -> Jet2:
 
 
 def sqrt(a) -> Jet2:
-    a = _req(a, "sqrt")
+    if a.__class__ is not Jet2:
+        a = _req(a, "sqrt")
     if a.v <= 0.0:
         raise BranchDomainError("sqrt", a.v, "a positive argument")
     s = math.sqrt(a.v)
@@ -326,7 +401,8 @@ def power(a, exponent: float) -> Jet2:
     Integer exponents work for any base (except a zero base with a negative
     exponent); non-integer exponents require a positive base.
     """
-    a = _req(a, "power")
+    if a.__class__ is not Jet2:
+        a = _req(a, "power")
     p = float(exponent)
     v = a.v
     if p == 0.0:
@@ -347,4 +423,6 @@ def power(a, exponent: float) -> Jet2:
 
 
 def neg(a) -> Jet2:
-    return -_req(a, "neg")
+    if a.__class__ is not Jet2:
+        a = _req(a, "neg")
+    return -a

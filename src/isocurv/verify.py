@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable, Sequence
 
 from . import jets
@@ -137,16 +138,25 @@ def sample_grid(surface, domain: Rect | None = None, n: int = 21, subject: str =
     Points where evaluation raises an admissibility or branch-domain
     error (or overflows, or yields a non-finite value) are excluded
     with a reason instead of aborting the run.
+
+    An :class:`AffineFactorable` is sampled through its specialized
+    route with one profile memo for this call: each profile is
+    evaluated once per distinct argument (a grid coordinate has only n
+    of them), so its profiles must be pure functions of their argument.
+    The memo is dropped when the call returns.
     """
     if domain is None:
         domain = surface.domain
     if not subject:
         subject = getattr(surface, "label", "") or type(surface).__name__
+    curvatures = surface.curvatures
+    if isinstance(surface, AffineFactorable):
+        curvatures = partial(curvatures, memo={})
     samples = []
     excluded = []
     for p in domain.grid(n):
         try:
-            pair = surface.curvatures(p)
+            pair = curvatures(p)
         except _EVAL_ERRORS as err:
             excluded.append((p, str(err)))
             continue
@@ -255,11 +265,17 @@ def cross_validate(
     excluded = []
     for _ in range(n_points):
         p = (rng.uniform(u_lo, u_hi), rng.uniform(v_lo, v_hi))
-        if instance.kind == TYPE2 and abs(regularity(instance, p)) < _CROSS_REG_FLOOR:
+        # Shared by the regularity skip and the specialized route, so a
+        # type-2 point evaluates its profiles once; the chart never sees it.
+        memo: dict = {}
+        if (
+            instance.kind == TYPE2
+            and abs(regularity(instance, p, memo=memo)) < _CROSS_REG_FLOOR
+        ):
             excluded.append((p, f"regularity magnitude below {_CROSS_REG_FLOOR:g}"))
             continue
         try:
-            special = instance.curvatures(p)
+            special = instance.curvatures(p, memo=memo)
             generic = chart.curvatures(p)
         except _EVAL_ERRORS as err:
             excluded.append((p, str(err)))

@@ -6,7 +6,7 @@ import sys
 from pathlib import Path
 
 from isocurv import catalog
-from isocurv.cli import main
+from isocurv.cli import SIZE_LIMITS, main
 
 
 def run_cli(capsys, *argv):
@@ -244,6 +244,39 @@ def test_usage_errors_exit_2(capsys):
     assert run_cli(capsys, "verify")[0] == 2  # missing --family
     assert run_cli(capsys, "ode-check", "--ode", "bogus")[0] == 2
     assert run_cli(capsys, "grid", "--family", "FS1.min.xy")[0] == 2  # no format/out
+
+
+def test_size_options_out_of_bounds_exit_2(capsys, tmp_path):
+    # Each call is refused before any work, so an oversized value is
+    # never run; the message names the option and its bounds.
+    out = tmp_path / "never.csv"
+    cases = [
+        ("probe --kind afs2-minimal --count 0", "count", 0),
+        ("probe --kind afs2-minimal --count -5 --grid 1", "grid", 1),
+        ("probe --kind afs2-constant-K --count 10001", "count", 10001),
+        ("verify --family FS1.min.xy --grid 1", "grid", 1),
+        (f"grid --family FS1.min.xy --grid 1002 --format csv --out {out}", "grid", 1002),
+        ("cross-validate --kind type-1 --points 0", "points", 0),
+        ("cross-validate --kind type-2 --points 100001", "points", 100001),
+        ("ode-check --ode afs1-minimal --steps 0", "steps", 0),
+        ("ode-check --ode afs2-cmc --steps 100001", "steps", 100001),
+    ]
+    for command, name, value in cases:
+        lo, hi = SIZE_LIMITS[name]
+        message = f"error: --{name} must be between {lo} and {hi}, got {value}\n"
+        assert run_cli(capsys, *command.split()) == (2, "", message), command
+    assert SIZE_LIMITS == {
+        "grid": (2, 1001), "count": (1, 10000), "points": (1, 100000), "steps": (1, 100000)
+    }
+    assert not out.exists()
+
+
+def test_size_limits_admit_the_sizes_in_use():
+    # Sizes used by the tests, the acceptance gate and the benchmark.
+    in_use = {"grid": (2, 41, 201), "count": (1, 100), "points": (1, 100), "steps": (1, 1000)}
+    for name, sizes in in_use.items():
+        lo, hi = SIZE_LIMITS[name]
+        assert all(lo <= n <= hi for n in sizes), (name, lo, hi)
 
 
 def test_help_exits_0(capsys):

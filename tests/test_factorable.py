@@ -1,5 +1,7 @@
 """Unit tests for the product-form surface ansatz and its curvature routes."""
 
+import math
+
 import pytest
 
 from isocurv import jets
@@ -16,6 +18,7 @@ from isocurv.factorable import (
     regularity,
 )
 from isocurv.geometry import AdmissibilityError, Rect
+from isocurv.jets import BranchDomainError
 from isocurv.rng import SplitMix64
 
 UNIT = Rect((0.0, 1.0), (0.0, 1.0))
@@ -126,6 +129,41 @@ def test_regularity_matches_height_slope():
         assert abs(reg - j.dy) <= 1e-14 * (1.0 + abs(reg)), (
             f"regularity {reg} != slope {j.dy} at {p}"
         )
+
+
+def _counted(profile, calls):
+    def counted(t):
+        calls.append(t.v)
+        return profile(t)
+
+    return counted
+
+
+def test_memo_keeps_signed_zeros_apart():
+    # f1 = t + sign(t) tells -0.0 from 0.0; a key that merged them would
+    # hand the second point the first point's jet and flip H.
+    calls = []
+    f1 = _counted(lambda t: t + math.copysign(1.0, t.v), calls)
+    s = _type1(f1, lambda t: t * t + 1.0, 0.5, Rect((-1.0, 1.0), (0.0, 1.0)))
+    points = [(0.0, 0.5), (-0.0, 0.5), (-0.0, 0.5), (0.0, 0.5)]
+    want = [afs1_curvatures(s, p) for p in points]
+    assert want[0].H != want[1].H
+    calls.clear()
+    memo = {}
+    assert [afs1_curvatures(s, p, memo=memo) for p in points] == want
+    assert [math.copysign(1.0, u) for u in calls] == [1.0, -1.0], f"f1 calls {calls}"
+
+
+def test_memo_never_stores_an_exception():
+    calls = []
+    s = _type2(_counted(jets.log, calls), lambda t: t, 1.0, Rect((-1.0, 1.0), (0.5, 1.0)))
+    memo = {}
+    texts = []
+    for _ in range(2):
+        with pytest.raises(BranchDomainError) as info:
+            afs2_curvatures(s, (-1.0, 0.5), memo=memo)
+        texts.append(str(info.value))
+    assert texts[0] == texts[1] and len(calls) == 2 and not memo
 
 
 def test_degenerate_regularity_raises():

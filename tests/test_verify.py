@@ -3,13 +3,22 @@
 import dataclasses
 import json
 import math
+import struct
 
 import pytest
 
 from isocurv import jets
-from isocurv.catalog import build_family
-from isocurv.factorable import TYPE1, TYPE2, is_planar, random_instance
-from isocurv.geometry import Motion, Rect, SurfaceChart, X_OVER_YZ, Z_OVER_XY
+from isocurv.catalog import build_family, family_ids
+from isocurv.factorable import TYPE1, TYPE2, AffineFactorable, is_planar, random_instance
+from isocurv.geometry import (
+    AdmissibilityError,
+    Motion,
+    Rect,
+    SurfaceChart,
+    X_OVER_YZ,
+    Z_OVER_XY,
+)
+from isocurv.jets import BranchDomainError
 from isocurv.rng import SplitMix64
 from isocurv.verify import (
     check_constancy,
@@ -99,6 +108,100 @@ def test_sample_grid_records_exclusions_with_reasons():
         assert point[1] == 0.0 and reason, f"unexpected exclusion {point}: {reason}"
 
 
+# the per-call profile memo of sample_grid ------------------------------
+
+
+def _plain_grid(surface, n):
+    """sample_grid's loop without the memo: one surface.curvatures per point."""
+    samples, excluded = [], []
+    for p in surface.domain.grid(n):
+        try:
+            pair = surface.curvatures(p)
+        except (AdmissibilityError, BranchDomainError, ZeroDivisionError, OverflowError) as err:
+            excluded.append((p, str(err)))
+            continue
+        if not (math.isfinite(pair.K) and math.isfinite(pair.H)):
+            excluded.append((p, "non-finite curvature value"))
+            continue
+        samples.append((p, pair.K, pair.H))
+    return samples, excluded
+
+
+def _grid_bits(samples, excluded):
+    pack = struct.Struct("<4d").pack
+    return (
+        [pack(p[0], p[1], K, H) for p, K, H in samples],
+        [(struct.pack("<2d", *p), reason) for p, reason in excluded],
+    )
+
+
+def _assert_memo_changes_nothing(surface, n, what) -> int:
+    """Compare sample_grid with the plain loop; return the exclusion count."""
+    run = sample_grid(surface, n=n)
+    got = _grid_bits([(s.point, s.K, s.H) for s in run.samples], run.excluded)
+    want = _grid_bits(*_plain_grid(surface, n))
+    assert got == want, f"{what}: sample_grid differs from the per-point loop"
+    return len(run.excluded)
+
+
+def test_sample_grid_memo_is_bit_exact_on_every_product_family():
+    surfaces = {fid: build_family(fid) for fid in family_ids()}
+    products = {f: s for f, s in surfaces.items() if isinstance(s, AffineFactorable)}
+    assert len(products) == 29
+    for fid, surface in products.items():
+        _assert_memo_changes_nothing(surface, 41, fid)
+
+
+def test_sample_grid_memo_is_bit_exact_on_random_instances():
+    excluded = 0
+    for seed in range(40):
+        for kind in (TYPE1, TYPE2):
+            inst = random_instance(SplitMix64(seed), kind)
+            excluded += _assert_memo_changes_nothing(inst, 15, f"seed {seed} {kind}")
+    assert excluded > 0, "no draw exercised an exclusion"
+
+
+def _counting(profile, counter, slot):
+    def counted(t):
+        counter[slot] += 1
+        return profile(t)
+
+    return counted
+
+
+@pytest.mark.parametrize("fid", ["FS1.K.saddle", "FS2.K.hyperbolic"])
+def test_sample_grid_evaluates_each_profile_once_per_argument(fid):
+    surface = build_family(fid)
+    assert surface.shear == 0.0
+    calls = [0, 0]
+    counted = dataclasses.replace(
+        surface,
+        factor1=_counting(surface.factor1, calls, 0),
+        factor2=_counting(surface.factor2, calls, 1),
+    )
+    run = sample_grid(counted, n=41)
+    assert len(run.samples) + len(run.excluded) == 41 * 41
+    assert max(calls) <= 41, f"profile evaluations {calls} on a 41x41 grid"
+    assert run == sample_grid(surface, n=41)
+
+
+def test_cross_validate_evaluates_type2_profiles_once_per_point():
+    # reg = e^u * (a*(z + 2) + 1) >= 1.75 * e^u on this square: no
+    # point is skipped, so each one runs the specialized route and the
+    # chart, which calls the profiles itself.
+    calls = [0, 0]
+    inst = AffineFactorable(
+        TYPE2,
+        _counting(jets.exp, calls, 0),
+        _counting(lambda t: t + 2.0, calls, 1),
+        0.5,
+        Rect((-0.5, 0.5), (-0.5, 0.5)),
+    )
+    report = cross_validate(inst, n_points=20, seed=3)
+    assert report.grid == 20 and not report.excluded_points
+    assert calls == [40, 40], f"profile evaluations {calls} for 20 points"
+
+
 # report formatting ------------------------------------------------------
 
 
@@ -152,8 +255,6 @@ def test_cross_validate_is_deterministic():
 def test_cross_validate_skips_low_regularity_points():
     # x = (y + z) * 1: regularity is the constant a*1*1 + 0 = a; with a
     # tiny a every draw is filtered and the check must refuse to report.
-    from isocurv.factorable import AffineFactorable
-
     flatliner = AffineFactorable(
         TYPE2, lambda t: t, lambda t: jets.const(1.0), 1e-6, UNIT
     )
@@ -164,8 +265,6 @@ def test_cross_validate_skips_low_regularity_points():
 def test_cross_validate_refuses_a_non_finite_discrepancy():
     # Both routes yield NaN curvatures wherever y > 0.5; max() dropped
     # them, so this once passed on the finite half of the draws.
-    from isocurv.factorable import AffineFactorable
-
     poisoned = AffineFactorable(
         TYPE1, lambda t: t, lambda t: t * t * (math.nan if t.v > 0.5 else 1.0), 0.0, UNIT
     )
