@@ -1,5 +1,6 @@
 """Unit tests for the command-line interface, driven in process."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -30,6 +31,26 @@ def test_list_output_is_pinned(capsys):
     code, out, err = run_cli(capsys, "list")
     assert code == 0 and not err
     assert out == expected
+
+
+def test_grid_exports_are_pinned(capsys, tmp_path):
+    # tests/data/grid21_sha256.txt holds the sha256 of every family's CSV
+    # and OBJ export at --grid 21, recorded while point3d still evaluated
+    # the height a second time; exporting the height the curvature route
+    # already computed must not change a byte.
+    table = (Path(__file__).parent / "data" / "grid21_sha256.txt").read_text(encoding="utf-8")
+    pinned = {}
+    for line in table.splitlines():
+        fid, fmt, digest = line.split()
+        pinned[fid, fmt] = digest
+    assert {fid for fid, _ in pinned} == set(catalog.family_ids())
+    for (fid, fmt), digest in pinned.items():
+        path = tmp_path / f"{fid}.{fmt}"
+        code, _, err = run_cli(
+            capsys, "grid", "--family", fid, "--grid", "21", "--format", fmt, "--out", str(path)
+        )
+        assert code == 0 and not err, f"{fid} {fmt}: exit {code}, {err}"
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, f"{fid} {fmt} changed"
 
 
 def test_verify_parabolic_family(capsys, tmp_path):
