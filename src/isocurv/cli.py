@@ -29,10 +29,10 @@ from .rng import SplitMix64
 __all__ = ["main", "SIZE_LIMITS"]
 
 #: Inclusive bounds on the size options, checked before any work starts.
-#: ``Rect.grid`` and the profile memo of ``sample_grid`` hold grid²
-#: entries, ``cross-validate`` keeps a value per point and ``ode-check``
-#: one per step, so every size has a cap; the lower bounds refuse runs
-#: that would check nothing and then report a pass.
+#: ``Rect.grid`` and the columns of a ``GridRun`` hold grid² entries,
+#: ``cross-validate`` keeps a value per point and ``ode-check`` one per
+#: step, so every size has a cap; the lower bounds refuse runs that
+#: would check nothing and then report a pass.
 SIZE_LIMITS = {
     "grid": (2, 1001),
     "count": (1, 10_000),
@@ -175,13 +175,13 @@ def _cmd_grid(args) -> int:
     n = run.n
     if args.format == "csv":
         lines = ["x,y,z,K,H"]
-        for s in run.samples:
-            x, y, z = chart.point3d(s.point)
-            lines.append(f"{x:.17g},{y:.17g},{z:.17g},{s.K:.17g},{s.H:.17g}")
+        for p, w, K, H in zip(run.points, run.heights, run.K, run.H):
+            x, y, z = chart.point3d(p, w)
+            lines.append(f"{x:.17g},{y:.17g},{z:.17g},{K:.17g},{H:.17g}")
     else:
         lines = [f"# {args.family} sampled on a {n}x{n} grid"]
-        for s in run.samples:
-            x, y, z = chart.point3d(s.point)
+        for p, w in zip(run.points, run.heights):
+            x, y, z = chart.point3d(p, w)
             lines.append(f"v {x:.17g} {y:.17g} {z:.17g}")
         for i in range(n - 1):
             for j in range(n - 1):
@@ -192,7 +192,7 @@ def _cmd_grid(args) -> int:
                 lines.append(f"f {a} {b} {c}")
                 lines.append(f"f {b} {d} {c}")
     _write_out(args.out, "\n".join(lines) + "\n")
-    print(f"wrote {args.out}: {len(run.samples)} points from {args.family}")
+    print(f"wrote {args.out}: {len(run.points)} points from {args.family}")
     return 0
 
 

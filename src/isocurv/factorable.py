@@ -115,6 +115,12 @@ def _profile_jets(s: AffineFactorable, p: tuple[float, float], memo: dict | None
     0.0 == -0.0 as dict keys while a profile may tell them apart.  An
     evaluation that raises stores nothing, so it raises again, with the
     same text, the next time that argument comes up.
+
+    A memo from :func:`grid_memo` also holds, under the profile itself,
+    how many more jets that profile may store before its first repeat.
+    The first repeat removes the count, and the profile is stored
+    without bound from then on; a count that runs out stops the profile
+    being stored.  A plain dict has no counts and stores everything.
     """
     u1, u2 = s.profile_arguments(p)
     f1, f2 = s.factor1, s.factor2
@@ -123,12 +129,42 @@ def _profile_jets(s: AffineFactorable, p: tuple[float, float], memo: dict | None
     k1 = (f1, u1) if u1 else (f1, u1, math.copysign(1.0, u1))
     j1 = memo.get(k1)
     if j1 is None:
-        j1 = memo[k1] = jets.eval_profile(f1, u1)
+        j1 = _store(memo, k1, f1, u1)
+    elif memo.get(f1):
+        del memo[f1]
     k2 = (f2, u2) if u2 else (f2, u2, math.copysign(1.0, u2))
     j2 = memo.get(k2)
     if j2 is None:
-        j2 = memo[k2] = jets.eval_profile(f2, u2)
+        j2 = _store(memo, k2, f2, u2)
+    elif memo.get(f2):
+        del memo[f2]
     return j1, j2
+
+
+def _store(memo: dict, key: tuple, f: Profile, u: float) -> Jet2:
+    """Evaluate f at u and store the jet, unless f has used up its count."""
+    j = jets.eval_profile(f, u)
+    left = memo.get(f)
+    if left is None:
+        memo[key] = j
+    elif left:
+        memo[f] = left - 1
+        memo[key] = j
+    return j
+
+
+def grid_memo(s: AffineFactorable, n: int) -> dict:
+    """A profile memo for sampling s on an n x n grid, in row-major order.
+
+    A grid coordinate takes n values, so a profile of one repeats its
+    first argument by the start of the second grid row.  A sheared
+    argument (y + a*x for type 1) can take a new value at every one of
+    the n^2 points, where storing its jets saves nothing.  So each
+    profile may store 2n jets, two grid rows' worth, before its first
+    repeat; one that has not repeated by then stops being stored, and
+    the memo holds O(n) jets rather than O(n^2).
+    """
+    return {s.factor1: 2 * n, s.factor2: 2 * n}
 
 
 def afs1_curvatures(
@@ -136,7 +172,10 @@ def afs1_curvatures(
 ) -> CurvaturePair:
     """Closed-form curvatures of a type-1 surface at p = (x, y).
 
-    ``memo`` is an optional caller-owned dict of profile jets (see
+    The pair's ``w`` is the height f1 * f2 from the profile values at
+    hand: the same float as the value of the :func:`as_chart` height
+    jet, whose value part is built from value parts alone.  ``memo`` is
+    an optional caller-owned dict of profile jets (see
     :func:`_profile_jets`); the result is the same with or without it.
     """
     if s.kind != TYPE1:
@@ -147,7 +186,7 @@ def afs1_curvatures(
     a = s.shear
     K = f1 * f2 * dd1 * dd2 - (d1 * d2) ** 2
     H = 0.5 * ((1.0 + a * a) * f1 * dd2 + 2.0 * a * d1 * d2 + dd1 * f2)
-    return CurvaturePair(K, H)
+    return CurvaturePair(K, H, f1 * f2)
 
 
 def afs2_curvatures(
@@ -162,7 +201,7 @@ def afs2_curvatures(
     Requires the regularity value to stay at or above ``eps`` in
     magnitude; the denominators keep their signs (reg^3 is signed, so H
     matches the signed graph formula of the x = w(y, z) chart).
-    ``memo`` is as for :func:`afs1_curvatures`.
+    ``w`` and ``memo`` are as for :func:`afs1_curvatures`.
     """
     if s.kind != TYPE2:
         raise ValueError(f"afs2_curvatures needs a {TYPE2} surface, got {s.kind}")
@@ -187,7 +226,7 @@ def afs2_curvatures(
     )
     K = num_k / (reg2 * reg2)
     H = num_2h / (2.0 * reg2 * reg)
-    return CurvaturePair(K, H)
+    return CurvaturePair(K, H, f1 * f2)
 
 
 def regularity(

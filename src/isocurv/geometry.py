@@ -33,7 +33,7 @@ sqrt(det g) is positive).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 from . import jets
@@ -68,12 +68,19 @@ class AdmissibilityError(ValueError):
     """The tangent plane is (numerically) isotropic at the requested point."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CurvaturePair:
-    """Isotropic curvature K and isotropic mean curvature H at one point."""
+    """Isotropic curvature K and isotropic mean curvature H at one point.
+
+    ``w`` is the graph height at the point, which a graph route has in
+    hand once it has K and H (None from the parametric route, which has
+    no graph height).  It takes no part in equality: two routes agree
+    when their curvatures do.
+    """
 
     K: float
     H: float
+    w: float | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -183,9 +190,12 @@ class SurfaceChart:
             return monge_z_curvatures(self.height, p)
         return monge_x_curvatures(self.height, p)
 
-    def point3d(self, p: tuple[float, float]) -> tuple[float, float, float]:
-        """The ambient (x, y, z) point over chart coordinates p."""
-        w = jets.eval_field(self.height, p[0], p[1]).v
+    def point3d(self, p: tuple[float, float], w: float) -> tuple[float, float, float]:
+        """The ambient (x, y, z) point at height w over chart coordinates p.
+
+        ``w`` is the height at p as a curvature route returns it
+        (``CurvaturePair.w``); nothing is evaluated here.
+        """
         if self.orientation == Z_OVER_XY:
             return (p[0], p[1], w)
         return (w, p[0], p[1])
@@ -205,17 +215,17 @@ class ParametricSurface:
 
 
 def monge_z_curvatures(height: Field, p: tuple[float, float]) -> CurvaturePair:
-    """Curvatures of z = w(x, y) at p = (x, y)."""
+    """Curvatures of z = w(x, y) at p = (x, y), with the height w(p)."""
     j = jets.eval_field(height, p[0], p[1])
     K = j.dxx * j.dyy - j.dxy * j.dxy
     H = 0.5 * (j.dxx + j.dyy)
-    return CurvaturePair(K, H)
+    return CurvaturePair(K, H, j.v)
 
 
 def monge_x_curvatures(
     height: Field, p: tuple[float, float], eps: float = ADMISSIBILITY_EPS
 ) -> CurvaturePair:
-    """Curvatures of x = w(y, z) at p = (y, z); requires |w_z| >= eps."""
+    """Curvatures of x = w(y, z) at p = (y, z), with w(p); requires |w_z| >= eps."""
     j = jets.eval_field(height, p[0], p[1])
     wy, wz = j.dx, j.dy
     if abs(wz) < eps:
@@ -226,7 +236,7 @@ def monge_x_curvatures(
     wz2 = wz * wz
     K = (wyy * wzz - wyz * wyz) / (wz2 * wz2)
     H = (wz2 * wyy - 2.0 * wy * wz * wyz + (1.0 + wy * wy) * wzz) / (2.0 * wz2 * wz)
-    return CurvaturePair(K, H)
+    return CurvaturePair(K, H, j.v)
 
 
 def _det3(r0, r1, r2) -> float:

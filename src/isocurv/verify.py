@@ -36,6 +36,7 @@ from .factorable import (
     TYPE2,
     AffineFactorable,
     as_chart,
+    grid_memo,
     is_planar,
     random_instance,
     regularity,
@@ -46,7 +47,6 @@ from .rng import SplitMix64
 __all__ = [
     "DEFAULT_TOL",
     "PROBE_FLOOR",
-    "GridSample",
     "GridRun",
     "VerificationReport",
     "sample_grid",
@@ -73,27 +73,29 @@ _EVAL_ERRORS = (AdmissibilityError, BranchDomainError, ZeroDivisionError, Overfl
 
 
 @dataclass(frozen=True)
-class GridSample:
-    point: tuple[float, float]
-    K: float
-    H: float
-
-
-@dataclass(frozen=True)
 class GridRun:
-    """Curvatures sampled over a grid, with per-point exclusions."""
+    """Curvatures sampled over a grid, with per-point exclusions.
+
+    The included points and their values are parallel columns in grid
+    order: ``K[i]``, ``H[i]`` and ``heights[i]`` belong to ``points[i]``.
+    ``heights`` holds the graph height each route computed on its way
+    to K and H (None for a parametric patch).
+    """
 
     subject: str
     domain: Rect
     n: int
-    samples: tuple[GridSample, ...]
+    points: tuple[tuple[float, float], ...]
+    K: tuple[float, ...]
+    H: tuple[float, ...]
+    heights: tuple[float | None, ...]
     excluded: tuple[tuple[tuple[float, float], str], ...]
 
     def values(self, quantity: str) -> list[float]:
         if quantity == "K":
-            return [s.K for s in self.samples]
+            return list(self.K)
         if quantity == "H":
-            return [s.H for s in self.samples]
+            return list(self.H)
         raise ValueError(f"unknown quantity {quantity!r}")
 
 
@@ -140,10 +142,11 @@ def sample_grid(surface, domain: Rect | None = None, n: int = 21, subject: str =
     with a reason instead of aborting the run.
 
     An :class:`AffineFactorable` is sampled through its specialized
-    route with one profile memo for this call: each profile is
-    evaluated once per distinct argument (a grid coordinate has only n
-    of them), so its profiles must be pure functions of their argument.
-    The memo is dropped when the call returns.
+    route with one profile memo for this call (see
+    :func:`~isocurv.factorable.grid_memo`): each profile is evaluated
+    once per distinct argument (a grid coordinate has only n of them),
+    so its profiles must be pure functions of their argument.  The memo
+    is dropped when the call returns.
     """
     if domain is None:
         domain = surface.domain
@@ -151,8 +154,8 @@ def sample_grid(surface, domain: Rect | None = None, n: int = 21, subject: str =
         subject = getattr(surface, "label", "") or type(surface).__name__
     curvatures = surface.curvatures
     if isinstance(surface, AffineFactorable):
-        curvatures = partial(curvatures, memo={})
-    samples = []
+        curvatures = partial(curvatures, memo=grid_memo(surface, n))
+    points, ks, hs, heights = [], [], [], []
     excluded = []
     for p in domain.grid(n):
         try:
@@ -160,11 +163,17 @@ def sample_grid(surface, domain: Rect | None = None, n: int = 21, subject: str =
         except _EVAL_ERRORS as err:
             excluded.append((p, str(err)))
             continue
-        if not (math.isfinite(pair.K) and math.isfinite(pair.H)):
+        K, H = pair.K, pair.H
+        if not (math.isfinite(K) and math.isfinite(H)):
             excluded.append((p, "non-finite curvature value"))
             continue
-        samples.append(GridSample(p, pair.K, pair.H))
-    return GridRun(subject, domain, n, tuple(samples), tuple(excluded))
+        points.append(p)
+        ks.append(K)
+        hs.append(H)
+        heights.append(pair.w)
+    return GridRun(
+        subject, domain, n, tuple(points), tuple(ks), tuple(hs), tuple(heights), tuple(excluded)
+    )
 
 
 def check_constancy(
@@ -586,14 +595,18 @@ def probe_instances(
     or below the floor over its whole sampled grid.  ``afs2-constant-K``:
     a counterexample has K spread at or below the floor while max |K|
     sits above it (numerically flat instances are allowed; flat type-2
-    surfaces exist and are not covered by the claim).
+    surfaces exist and are not covered by the claim).  No instance at
+    all is an error: it would report no counterexamples having probed
+    nothing.
     """
     if kind not in _PROBE_KINDS:
         raise ValueError(f"unknown probe kind {kind!r} (known: {', '.join(_PROBE_KINDS)})")
+    if not instances:
+        raise ValueError("a probe needs at least 1 instance, got none")
     results = []
     for s in instances:
         run = sample_grid(s, n=n)
-        if len(run.samples) < 4:
+        if len(run.points) < 4:
             results.append(ProbeInstance(s.label, -1.0, False, True, False))
             continue
         if kind == "afs2-minimal":

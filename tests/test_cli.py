@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -305,11 +306,16 @@ def test_help_exits_0(capsys):
 
 
 def test_module_entry_point():
+    # The child imports the same isocurv as this process, whether it came
+    # from PYTHONPATH or from pytest's pythonpath setting.
+    src = str(Path(catalog.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "isocurv", "list"],
         capture_output=True,
         text=True,
         timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0, f"stderr: {proc.stderr}"
     assert "AFS1.K.saddle" in proc.stdout

@@ -1,6 +1,8 @@
 """Unit tests for the product-form surface ansatz and its curvature routes."""
 
 import math
+import struct
+from collections import Counter
 
 import pytest
 
@@ -12,6 +14,7 @@ from isocurv.factorable import (
     afs1_curvatures,
     afs2_curvatures,
     as_chart,
+    grid_memo,
     is_planar,
     random_instance,
     random_profile,
@@ -164,6 +167,57 @@ def test_memo_never_stores_an_exception():
             afs2_curvatures(s, (-1.0, 0.5), memo=memo)
         texts.append(str(info.value))
     assert texts[0] == texts[1] and len(calls) == 2 and not memo
+
+
+def test_grid_memo_stops_storing_a_profile_that_never_repeats():
+    # x repeats along every grid row; y + a*x with this a takes a new
+    # value at each point, so only its first 2n jets are ever stored.
+    s = _type1(lambda t: t * t + 1.0, jets.exp, 0.7317)
+    n = 41
+    memo = grid_memo(s, n)
+    plain = [afs1_curvatures(s, p) for p in UNIT.grid(n)]
+    assert [afs1_curvatures(s, p, memo=memo) for p in UNIT.grid(n)] == plain
+    stored = Counter(key[0] for key in memo if isinstance(key, tuple))
+    assert stored == {s.factor1: n, s.factor2: 2 * n}, stored
+    assert memo[s.factor2] == 0 and s.factor1 not in memo
+
+
+# the height each route returns -------------------------------------------
+
+
+def _bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+def _chart_height(s, p) -> float:
+    return jets.eval_field(as_chart(s).height, *p).v
+
+
+def test_route_height_is_the_chart_height_on_random_instances():
+    for seed in range(40):
+        for kind in (TYPE1, TYPE2):
+            s = random_instance(SplitMix64(seed), kind)
+            for p in s.domain.grid(7):
+                try:
+                    w = s.curvatures(p).w
+                except AdmissibilityError:
+                    continue
+                assert _bits(w) == _bits(_chart_height(s, p)), f"seed {seed} {kind} at {p}"
+
+
+def test_route_height_keeps_a_negative_zero():
+    # f1 vanishes at u1 = 0 and f2 is negative there, so w = 0.0 * -1.5
+    # = -0.0 at every point of that grid line, on both routes.
+    def line(t):
+        return t
+
+    for s, p in (
+        (_type1(line, lambda t: t - 2.0, 0.5), (0.0, 0.5)),
+        (_type1(lambda t: -t - 1.5, line, 0.0), (0.0, 0.0)),
+        (_type2(line, lambda t: jets.exp(t) - 2.5, 1.0), (-0.5, 0.5)),
+    ):
+        w = s.curvatures(p).w
+        assert _bits(w) == _bits(-0.0) == _bits(_chart_height(s, p)), f"{s.kind} at {p}: {w!r}"
 
 
 def test_degenerate_regularity_raises():

@@ -11,6 +11,7 @@ import pytest
 from isocurv import jets
 from isocurv.geometry import (
     AdmissibilityError,
+    CurvaturePair,
     Motion,
     ParametricSurface,
     Rect,
@@ -249,9 +250,30 @@ def test_rect_grid_needs_two_points_per_side():
 
 
 def test_chart_point3d_orientations():
+    # point3d places the height that the chart's curvature route returns.
     over_xy = SurfaceChart(Z_OVER_XY, lambda x, y: x * y, UNIT)
-    assert over_xy.point3d((2.0, 3.0)) == (2.0, 3.0, 6.0)
+    w = over_xy.curvatures((2.0, 3.0)).w
+    assert w == 6.0
+    assert over_xy.point3d((2.0, 3.0), w) == (2.0, 3.0, 6.0)
     assert over_xy.axes() == ("x", "y")
     over_yz = SurfaceChart(X_OVER_YZ, lambda y, z: y + z, UNIT)
-    assert over_yz.point3d((2.0, 3.0)) == (5.0, 2.0, 3.0)
+    w = over_yz.curvatures((2.0, 3.0)).w
+    assert w == 5.0
+    assert over_yz.point3d((2.0, 3.0), w) == (5.0, 2.0, 3.0)
     assert over_yz.axes() == ("y", "z")
+
+
+def test_point3d_evaluates_nothing():
+    def height(x, y):
+        raise AssertionError("point3d evaluated the height")
+
+    chart = SurfaceChart(X_OVER_YZ, height, UNIT)
+    assert chart.point3d((2.0, 3.0), -0.0) == (-0.0, 2.0, 3.0)
+
+
+def test_curvature_pairs_compare_without_the_height():
+    pair = monge_z_curvatures(lambda x, y: x * y + 1.0, (2.0, 3.0))
+    assert (pair.K, pair.H, pair.w) == (-1.0, 0.0, 7.0)
+    assert pair == CurvaturePair(-1.0, 0.0) == CurvaturePair(-1.0, 0.0, 8.0)
+    r = as_parametric(SurfaceChart(Z_OVER_XY, lambda x, y: x * y + 1.0, UNIT))
+    assert parametric_curvatures(r, (2.0, 3.0)).w is None

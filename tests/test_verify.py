@@ -4,12 +4,20 @@ import dataclasses
 import json
 import math
 import struct
+import tracemalloc
 
 import pytest
 
 from isocurv import jets
 from isocurv.catalog import build_family, family_ids
-from isocurv.factorable import TYPE1, TYPE2, AffineFactorable, is_planar, random_instance
+from isocurv.factorable import (
+    TYPE1,
+    TYPE2,
+    AffineFactorable,
+    as_chart,
+    is_planar,
+    random_instance,
+)
 from isocurv.geometry import (
     AdmissibilityError,
     Motion,
@@ -70,7 +78,7 @@ def test_reports_never_serialize_nan():
     report = check_constancy([1.0, 1.0, 1.0, 1.0], target=float("nan"))
     with pytest.raises(ValueError):
         report.to_json()
-    probe = probe_instances("afs2-minimal", [])
+    probe = probe_instances("afs2-minimal", draw_nonplanar_type2(1, seed=1), n=5)
     probe = dataclasses.replace(probe, min_stat=float("nan"))
     with pytest.raises(ValueError):
         probe.to_json()
@@ -92,9 +100,10 @@ def test_unit_relative_difference():
 def test_sample_grid_covers_the_domain():
     chart = SurfaceChart(Z_OVER_XY, lambda x, y: x * y, UNIT)
     run = sample_grid(chart, n=5, subject="saddle")
-    assert len(run.samples) == 25 and not run.excluded
+    assert run.points == tuple(UNIT.grid(5)) and not run.excluded
     assert run.values("K") == [-1.0] * 25
     assert run.values("H") == [0.0] * 25
+    assert run.heights == tuple(x * y for x, y in run.points)
 
 
 def test_sample_grid_records_exclusions_with_reasons():
@@ -103,7 +112,7 @@ def test_sample_grid_records_exclusions_with_reasons():
     chart = SurfaceChart(X_OVER_YZ, lambda y, z: z * z, Rect((0.0, 1.0), (-0.5, 0.5)))
     run = sample_grid(chart, n=5, subject="fold")
     assert len(run.excluded) == 5, f"{len(run.excluded)} exclusions"
-    assert len(run.samples) == 20
+    assert len(run.points) == len(run.K) == len(run.H) == len(run.heights) == 20
     for point, reason in run.excluded:
         assert point[1] == 0.0 and reason, f"unexpected exclusion {point}: {reason}"
 
@@ -123,14 +132,14 @@ def _plain_grid(surface, n):
         if not (math.isfinite(pair.K) and math.isfinite(pair.H)):
             excluded.append((p, "non-finite curvature value"))
             continue
-        samples.append((p, pair.K, pair.H))
+        samples.append((p, pair.K, pair.H, pair.w))
     return samples, excluded
 
 
 def _grid_bits(samples, excluded):
-    pack = struct.Struct("<4d").pack
+    pack = struct.Struct("<5d").pack
     return (
-        [pack(p[0], p[1], K, H) for p, K, H in samples],
+        [pack(p[0], p[1], K, H, w) for p, K, H, w in samples],
         [(struct.pack("<2d", *p), reason) for p, reason in excluded],
     )
 
@@ -138,7 +147,7 @@ def _grid_bits(samples, excluded):
 def _assert_memo_changes_nothing(surface, n, what) -> int:
     """Compare sample_grid with the plain loop; return the exclusion count."""
     run = sample_grid(surface, n=n)
-    got = _grid_bits([(s.point, s.K, s.H) for s in run.samples], run.excluded)
+    got = _grid_bits(zip(run.points, run.K, run.H, run.heights), run.excluded)
     want = _grid_bits(*_plain_grid(surface, n))
     assert got == want, f"{what}: sample_grid differs from the per-point loop"
     return len(run.excluded)
@@ -161,6 +170,43 @@ def test_sample_grid_memo_is_bit_exact_on_random_instances():
     assert excluded > 0, "no draw exercised an exclusion"
 
 
+def test_sample_grid_memo_stays_bounded_under_a_generic_shear():
+    # y + a*x takes a new value at nearly every point for this a, so a
+    # memo that kept each jet would hold n^2 of them: about 2.3x the
+    # plain loop's peak at this n.
+    surface = build_family("AFS1.K.saddle", a=0.7317)
+    n = 61
+    peaks = []
+    for sample in (lambda: _plain_grid(surface, n), lambda: sample_grid(surface, n=n)):
+        tracemalloc.start()
+        try:
+            result = sample()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        del result
+    plain, memo = peaks
+    assert memo <= 1.25 * plain, f"sample_grid peaked at {memo} B, the plain loop at {plain} B"
+    _assert_memo_changes_nothing(surface, n, "AFS1.K.saddle a=0.7317")
+
+
+def _same_bits(got: tuple, want: list) -> bool:
+    pack = struct.Struct(f"<{len(want)}d").pack
+    return len(got) == len(want) and pack(*got) == pack(*want)
+
+
+def test_grid_heights_are_the_chart_heights_on_every_family():
+    # sample_grid keeps the height each route computed, and grid exports
+    # place it: on every family it must be the very float that the
+    # chart's height jet carries at that point.
+    for fid in family_ids():
+        surface = build_family(fid)
+        chart = as_chart(surface) if isinstance(surface, AffineFactorable) else surface
+        run = sample_grid(surface)
+        want = [jets.eval_field(chart.height, *p).v for p in run.points]
+        assert run.points and _same_bits(run.heights, want), f"{fid}: heights differ"
+
+
 def _counting(profile, counter, slot):
     def counted(t):
         counter[slot] += 1
@@ -180,7 +226,7 @@ def test_sample_grid_evaluates_each_profile_once_per_argument(fid):
         factor2=_counting(surface.factor2, calls, 1),
     )
     run = sample_grid(counted, n=41)
-    assert len(run.samples) + len(run.excluded) == 41 * 41
+    assert len(run.points) + len(run.excluded) == 41 * 41
     assert max(calls) <= 41, f"profile evaluations {calls} on a 41x41 grid"
     assert run == sample_grid(surface, n=41)
 
@@ -374,6 +420,15 @@ def test_probe_smoke_finds_no_counterexamples():
         assert report.counterexamples == 0, f"{kind}: {report.counterexamples}"
         assert report.count == 10 and len(report.instances) == 10
         assert report.min_stat > report.floor
+
+
+def test_probe_refuses_to_probe_nothing():
+    # With no instance the report said 0 counterexamples: a vacuous pass.
+    with pytest.raises(ValueError, match="at least 1 instance"):
+        probe_instances("afs2-minimal", [])
+    for count in (0, -5):
+        with pytest.raises(ValueError, match="at least 1 instance"):
+            probe_nonexistence("afs2-constant-K", count=count, seed=1)
 
 
 def test_probe_rejects_unknown_kind():
