@@ -277,3 +277,27 @@ def test_curvature_pairs_compare_without_the_height():
     assert pair == CurvaturePair(-1.0, 0.0) == CurvaturePair(-1.0, 0.0, 8.0)
     r = as_parametric(SurfaceChart(Z_OVER_XY, lambda x, y: x * y + 1.0, UNIT))
     assert parametric_curvatures(r, (2.0, 3.0)).w is None
+
+
+def test_curvature_pair_value_semantics():
+    pair = CurvaturePair(-1.0, 0.0, 7.0)
+    assert (pair.K, pair.H, pair.w) == (-1.0, 0.0, 7.0)
+    assert CurvaturePair(K=-1.0, H=0.0, w=7.0) == pair
+    assert CurvaturePair(-1.0, H=0.0).w is None
+    assert CurvaturePair(-1.0, 0.0).w is None
+    # Equality and hashing see K and H only; w takes no part.
+    assert pair == CurvaturePair(-1.0, 0.0) == CurvaturePair(-1.0, 0.0, None)
+    assert hash(pair) == hash(CurvaturePair(-1.0, 0.0, 8.0))
+    assert len({pair, CurvaturePair(-1.0, 0.0), CurvaturePair(-1.0, 0.5, 7.0)}) == 2
+    assert pair != CurvaturePair(-1.0, 0.5, 7.0)
+    assert pair != CurvaturePair(-2.0, 0.0, 7.0)
+    assert pair != (-1.0, 0.0, 7.0)
+    assert pair.__eq__((-1.0, 0.0)) is NotImplemented
+    assert repr(pair) == "CurvaturePair(K=-1.0, H=0.0, w=7.0)"
+    assert repr(CurvaturePair(0.5, -0.0)) == "CurvaturePair(K=0.5, H=-0.0, w=None)"
+    assert CurvaturePair.__match_args__ == ("K", "H", "w")
+    match pair:
+        case CurvaturePair(K, H, w):
+            assert (K, H, w) == (-1.0, 0.0, 7.0)
+        case _:
+            pytest.fail("CurvaturePair did not match positionally")
