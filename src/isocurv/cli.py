@@ -173,25 +173,27 @@ def _cmd_grid(args) -> int:
         )
         return 1
     n = run.n
-    if args.format == "csv":
-        lines = ["x,y,z,K,H"]
-        for p, w, K, H in zip(run.points, run.heights, run.K, run.H):
-            x, y, z = chart.point3d(p, w)
-            lines.append(f"{x:.17g},{y:.17g},{z:.17g},{K:.17g},{H:.17g}")
-    else:
-        lines = [f"# {args.family} sampled on a {n}x{n} grid"]
-        for p, w in zip(run.points, run.heights):
-            x, y, z = chart.point3d(p, w)
-            lines.append(f"v {x:.17g} {y:.17g} {z:.17g}")
-        for i in range(n - 1):
-            for j in range(n - 1):
-                a = i * n + j + 1
-                b = a + 1
-                c = a + n
-                d = a + n + 1
-                lines.append(f"f {a} {b} {c}")
-                lines.append(f"f {b} {d} {c}")
-    _write_out(args.out, "\n".join(lines) + "\n")
+    point3d = chart.point3d
+    # Each line goes to the file as soon as it is formatted, so the
+    # export holds no more than the sampled grid.  "%.17g" gives the
+    # same text as format(x, ".17g") in one formatting call per line.
+    with open(args.out, "w", encoding="utf-8") as fh:
+        write = fh.write
+        if args.format == "csv":
+            write("x,y,z,K,H\n")
+            for p, w, K, H in zip(run.points, run.heights, run.K, run.H):
+                write("%.17g,%.17g,%.17g,%.17g,%.17g\n" % (*point3d(p, w), K, H))
+        else:
+            write(f"# {args.family} sampled on a {n}x{n} grid\n")
+            for p, w in zip(run.points, run.heights):
+                write("v %.17g %.17g %.17g\n" % point3d(p, w))
+            for i in range(n - 1):
+                for j in range(n - 1):
+                    a = i * n + j + 1
+                    b = a + 1
+                    c = a + n
+                    d = a + n + 1
+                    write("f %d %d %d\nf %d %d %d\n" % (a, b, c, b, d, c))
     print(f"wrote {args.out}: {len(run.points)} points from {args.family}")
     return 0
 

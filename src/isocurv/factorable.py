@@ -122,7 +122,12 @@ def _profile_jets(s: AffineFactorable, p: tuple[float, float], memo: dict | None
     without bound from then on; a count that runs out stops the profile
     being stored.  A plain dict has no counts and stores everything.
     """
-    u1, u2 = s.profile_arguments(p)
+    # The arguments of profile_arguments, inline: this runs at every point.
+    x, y = p
+    if s.kind == TYPE1:
+        u1, u2 = x, y + s.shear * x
+    else:
+        u1, u2 = x + s.shear * y, y
     f1, f2 = s.factor1, s.factor2
     if memo is None:
         return jets.eval_profile(f1, u1), jets.eval_profile(f2, u2)

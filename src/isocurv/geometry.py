@@ -33,7 +33,7 @@ sqrt(det g) is positive).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from . import jets
@@ -68,7 +68,6 @@ class AdmissibilityError(ValueError):
     """The tangent plane is (numerically) isotropic at the requested point."""
 
 
-@dataclass(frozen=True, slots=True)
 class CurvaturePair:
     """Isotropic curvature K and isotropic mean curvature H at one point.
 
@@ -76,11 +75,31 @@ class CurvaturePair:
     hand once it has K and H (None from the parametric route, which has
     no graph height).  It takes no part in equality: two routes agree
     when their curvatures do.
+
+    A plain ``__slots__`` class rather than a frozen dataclass, as
+    :class:`~isocurv.jets.Jet2` is: every route builds one per point.
+    Pairs are immutable by convention; no code assigns a field after
+    construction.
     """
 
-    K: float
-    H: float
-    w: float | None = field(default=None, compare=False)
+    __slots__ = ("K", "H", "w")
+    __match_args__ = __slots__
+
+    def __init__(self, K: float, H: float, w: float | None = None) -> None:
+        self.K = K
+        self.H = H
+        self.w = w
+
+    def __repr__(self) -> str:
+        return f"CurvaturePair(K={self.K!r}, H={self.H!r}, w={self.w!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.K, self.H) == (other.K, other.H)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.K, self.H))
 
 
 @dataclass(frozen=True)

@@ -54,7 +54,6 @@ __all__ = [
     "tan",
     "sqrt",
     "power",
-    "neg",
 ]
 
 #: Divisors with |value| below this raise ZeroDivisionError instead of
@@ -420,9 +419,3 @@ def power(a, exponent: float) -> Jet2:
     g1 = p * math.pow(v, p - 1.0)
     g2 = p * (p - 1.0) * math.pow(v, p - 2.0)
     return compose(g, g1, g2, a)
-
-
-def neg(a) -> Jet2:
-    if a.__class__ is not Jet2:
-        a = _req(a, "neg")
-    return -a
