@@ -37,12 +37,10 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field
-from typing import Callable
 
 from . import jets
 from .jets import Jet2
-from .geometry import Rect, SurfaceChart, X_OVER_YZ
+from .geometry import Record, Rect, SurfaceChart, X_OVER_YZ
 from .factorable import TYPE1, TYPE2, AffineFactorable, Profile, regularity
 
 __all__ = [
@@ -93,34 +91,58 @@ ARBITRARY_PROFILES: dict[str, Profile] = {
 }
 
 
-@dataclass(frozen=True)
-class CurvatureProfile:
+class CurvatureProfile(Record):
     """A family's claim next to what direct differentiation yields.
 
     ``derived_value`` is None when the construction does not produce a
     constant at all (the broken ``.printed`` variants).
     """
 
-    claim: str
-    claimed_value: float
-    derived_value: float | None
+    __slots__ = __match_args__ = ("claim", "claimed_value", "derived_value")
+
+    def __init__(self, claim: str, claimed_value: float, derived_value: float | None) -> None:
+        super().__init__(claim, claimed_value, derived_value)
 
 
-@dataclass(frozen=True)
-class FamilySpec:
-    """A registered family as data; the module docstring describes its fields."""
+class FamilySpec(Record):
+    """A registered family as data; the module docstring describes its fields.
 
-    id: str
-    formula: str
-    claim: str
-    params: dict
-    kind: str
-    factors: Callable[[dict], tuple[Profile, Profile]] | None = field(repr=False)
-    domain: Callable[[dict], Rect] = field(default=lambda p: _UNIT, repr=False)
-    constraints: tuple[tuple[str, Callable[[dict], bool]], ...] = field(default=(), repr=False)
-    as_printed: bool = False
-    has_derived_constant: bool = True
-    notes: str = ""
+    The repr leaves out ``factors``, ``domain`` and ``constraints``.
+    """
+
+    __slots__ = __match_args__ = (
+        "id",
+        "formula",
+        "claim",
+        "params",
+        "kind",
+        "factors",
+        "domain",
+        "constraints",
+        "as_printed",
+        "has_derived_constant",
+        "notes",
+    )
+    _hidden = ("factors", "domain", "constraints")
+
+    def __init__(
+        self,
+        id: str,
+        formula: str,
+        claim: str,
+        params: dict,
+        kind: str,
+        factors: Callable[[dict], tuple[Profile, Profile]] | None,
+        domain: Callable[[dict], Rect] = lambda p: _UNIT,
+        constraints: tuple[tuple[str, Callable[[dict], bool]], ...] = (),
+        as_printed: bool = False,
+        has_derived_constant: bool = True,
+        notes: str = "",
+    ) -> None:
+        super().__init__(
+            id, formula, claim, params, kind, factors, domain, constraints,
+            as_printed, has_derived_constant, notes,
+        )
 
     def builder(self, p: dict) -> AffineFactorable:
         """The surface for merged parameters ``p``.

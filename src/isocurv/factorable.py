@@ -32,8 +32,6 @@ cross-checked numerically (see ``isocurv.verify.cross_validate``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
 
 from . import jets
 from .jets import Jet2
@@ -41,6 +39,7 @@ from .geometry import (
     ADMISSIBILITY_EPS,
     AdmissibilityError,
     CurvaturePair,
+    Record,
     Rect,
     SurfaceChart,
     X_OVER_YZ,
@@ -65,11 +64,10 @@ TYPE1 = "type-1"
 TYPE2 = "type-2"
 
 #: A twice-differentiable function of one variable in jet arithmetic.
-Profile = Callable[[Jet2], Jet2]
+Profile = "Callable[[Jet2], Jet2]"
 
 
-@dataclass(frozen=True)
-class AffineFactorable:
+class AffineFactorable(Record):
     """A type-1 or type-2 product surface.
 
     ``shear`` is the constant a of the affine substitution; a = 0 gives
@@ -83,16 +81,20 @@ class AffineFactorable:
     same computation when that holds.
     """
 
-    kind: str
-    factor1: Profile
-    factor2: Profile
-    shear: float
-    domain: Rect
-    label: str = ""
+    __slots__ = __match_args__ = ("kind", "factor1", "factor2", "shear", "domain", "label")
 
-    def __post_init__(self):
-        if self.kind not in (TYPE1, TYPE2):
-            raise ValueError(f"unknown surface kind {self.kind!r}")
+    def __init__(
+        self,
+        kind: str,
+        factor1: Profile,
+        factor2: Profile,
+        shear: float,
+        domain: Rect,
+        label: str = "",
+    ) -> None:
+        if kind not in (TYPE1, TYPE2):
+            raise ValueError(f"unknown surface kind {kind!r}")
+        super().__init__(kind, factor1, factor2, shear, domain, label)
 
     def profile_arguments(self, p: tuple[float, float]) -> tuple[float, float]:
         """The shifted arguments (u1, u2) fed to the profiles at chart point p."""

@@ -33,8 +33,6 @@ sqrt(det g) is positive).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
 
 from . import jets
 from .jets import Jet2
@@ -43,6 +41,7 @@ __all__ = [
     "ADMISSIBILITY_EPS",
     "AdmissibilityError",
     "CurvaturePair",
+    "Record",
     "Rect",
     "Motion",
     "SurfaceChart",
@@ -76,10 +75,10 @@ class CurvaturePair:
     no graph height).  It takes no part in equality: two routes agree
     when their curvatures do.
 
-    A plain ``__slots__`` class rather than a frozen dataclass, as
-    :class:`~isocurv.jets.Jet2` is: every route builds one per point.
-    Pairs are immutable by convention; no code assigns a field after
-    construction.
+    A plain ``__slots__`` class rather than a :class:`Record`, as
+    :class:`~isocurv.jets.Jet2` is: every route builds one per point,
+    and a record's construction costs more.  Pairs are immutable by
+    convention; no code assigns a field after construction.
     """
 
     __slots__ = ("K", "H", "w")
@@ -102,8 +101,65 @@ class CurvaturePair:
         return hash((self.K, self.H))
 
 
-@dataclass(frozen=True)
-class Rect:
+class Record:
+    """Base of the package's immutable value classes.
+
+    A subclass lists its fields once, as ``__slots__ = __match_args__ =
+    (...)``, and its ``__init__`` passes their values, in that order, to
+    ``Record.__init__``.  Records compare equal to records of the same
+    class whose fields compare equal, hash as the tuple of their fields
+    and print as ``Name(field=value!r, ...)``, leaving out the fields
+    named in ``_hidden``.  Assigning or deleting an attribute raises
+    :class:`AttributeError`; :meth:`replace` makes a changed copy.
+
+    This is the behaviour of a frozen dataclass, written out once:
+    a dataclass compiles its methods anew at every import.
+    """
+
+    __slots__ = ()
+    #: Fields that the repr leaves out.
+    _hidden: tuple[str, ...] = ()
+
+    def __init__(self, *values) -> None:
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def replace(self, **changes):
+        """A copy with the given fields changed; ``__init__`` validates it."""
+        fields = {name: getattr(self, name) for name in self.__slots__}
+        fields.update(changes)
+        return self.__class__(**fields)
+
+    def __repr__(self) -> str:
+        shown = ", ".join(
+            f"{name}={getattr(self, name)!r}" for name in self.__slots__ if name not in self._hidden
+        )
+        return f"{self.__class__.__qualname__}({shown})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # Copying and pickling rebuild through __init__: the default
+        # protocol would restore the slots by assignment, which raises.
+        return (self.__class__, self._values())
+
+
+class Rect(Record):
     """Closed axis-aligned rectangle of chart/parameter values.
 
     ``u`` is the first coordinate interval, ``v`` the second; for a
@@ -111,8 +167,10 @@ class Rect:
     chart the y- and z-ranges.
     """
 
-    u: tuple[float, float]
-    v: tuple[float, float]
+    __slots__ = __match_args__ = ("u", "v")
+
+    def __init__(self, u: tuple[float, float], v: tuple[float, float]) -> None:
+        super().__init__(u, v)
 
     def center(self) -> tuple[float, float]:
         return (0.5 * (self.u[0] + self.u[1]), 0.5 * (self.v[0] + self.v[1]))
@@ -145,8 +203,7 @@ class Rect:
         return [[self.u[0], self.u[1]], [self.v[0], self.v[1]]]
 
 
-@dataclass(frozen=True)
-class Motion:
+class Motion(Record):
     """An isotropic motion.
 
     (x, y) undergoes a Euclidean rotation by ``angle`` plus translation
@@ -154,12 +211,18 @@ class Motion:
     These maps preserve the isotropic metric and both curvatures.
     """
 
-    angle: float = 0.0
-    tx: float = 0.0
-    ty: float = 0.0
-    tz: float = 0.0
-    shear_x: float = 0.0
-    shear_y: float = 0.0
+    __slots__ = __match_args__ = ("angle", "tx", "ty", "tz", "shear_x", "shear_y")
+
+    def __init__(
+        self,
+        angle: float = 0.0,
+        tx: float = 0.0,
+        ty: float = 0.0,
+        tz: float = 0.0,
+        shear_x: float = 0.0,
+        shear_y: float = 0.0,
+    ) -> None:
+        super().__init__(angle, tx, ty, tz, shear_x, shear_y)
 
     def apply(self, p: tuple[float, float, float]) -> tuple[float, float, float]:
         return apply_motion(self, p)
@@ -182,24 +245,24 @@ def apply_motion(m: Motion, p: tuple[float, float, float]) -> tuple[float, float
     )
 
 
-Field = Callable[[Jet2, Jet2], Jet2]
+#: A function of two jets returning a jet.  Written as a string, as
+#: annotations are, so that no module needs ``typing`` at run time.
+Field = "Callable[[Jet2, Jet2], Jet2]"
 
 
-@dataclass(frozen=True)
-class SurfaceChart:
+class SurfaceChart(Record):
     """A graph surface: height field over two coordinates.
 
     ``orientation`` is ``"z-over-xy"`` (height z over (x, y)) or
     ``"x-over-yz"`` (height x over (y, z)).
     """
 
-    orientation: str
-    height: Field
-    domain: Rect
+    __slots__ = __match_args__ = ("orientation", "height", "domain")
 
-    def __post_init__(self):
-        if self.orientation not in (Z_OVER_XY, X_OVER_YZ):
-            raise ValueError(f"unknown chart orientation {self.orientation!r}")
+    def __init__(self, orientation: str, height: Field, domain: Rect) -> None:
+        if orientation not in (Z_OVER_XY, X_OVER_YZ):
+            raise ValueError(f"unknown chart orientation {orientation!r}")
+        super().__init__(orientation, height, domain)
 
     def axes(self) -> tuple[str, str]:
         return ("x", "y") if self.orientation == Z_OVER_XY else ("y", "z")
@@ -220,14 +283,13 @@ class SurfaceChart:
         return (w, p[0], p[1])
 
 
-@dataclass(frozen=True)
-class ParametricSurface:
+class ParametricSurface(Record):
     """An admissible parametric patch r(u, v) = (x, y, z)(u, v)."""
 
-    x: Field
-    y: Field
-    z: Field
-    domain: Rect
+    __slots__ = __match_args__ = ("x", "y", "z", "domain")
+
+    def __init__(self, x: Field, y: Field, z: Field, domain: Rect) -> None:
+        super().__init__(x, y, z, domain)
 
     def curvatures(self, p: tuple[float, float]) -> CurvaturePair:
         return parametric_curvatures(self, p)

@@ -17,9 +17,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
-from functools import partial
-from typing import Callable, Sequence
 
 from . import jets
 from .jets import BranchDomainError, Jet2
@@ -27,6 +24,7 @@ from .geometry import (
     AdmissibilityError,
     Motion,
     ParametricSurface,
+    Record,
     Rect,
     SurfaceChart,
     Z_OVER_XY,
@@ -78,8 +76,7 @@ _CROSS_REG_FLOOR = 1e-3
 _EVAL_ERRORS = (AdmissibilityError, BranchDomainError, ZeroDivisionError, OverflowError)
 
 
-@dataclass(frozen=True)
-class GridRun:
+class GridRun(Record):
     """Curvatures sampled over a grid, with per-point exclusions.
 
     The included points and their values are parallel columns in grid
@@ -88,14 +85,20 @@ class GridRun:
     to K and H (None for a parametric patch).
     """
 
-    subject: str
-    domain: Rect
-    n: int
-    points: tuple[tuple[float, float], ...]
-    K: tuple[float, ...]
-    H: tuple[float, ...]
-    heights: tuple[float | None, ...]
-    excluded: tuple[tuple[tuple[float, float], str], ...]
+    __slots__ = __match_args__ = ("subject", "domain", "n", "points", "K", "H", "heights", "excluded")
+
+    def __init__(
+        self,
+        subject: str,
+        domain: Rect,
+        n: int,
+        points: tuple[tuple[float, float], ...],
+        K: tuple[float, ...],
+        H: tuple[float, ...],
+        heights: tuple[float | None, ...],
+        excluded: tuple[tuple[tuple[float, float], str], ...],
+    ) -> None:
+        super().__init__(subject, domain, n, points, K, H, heights, excluded)
 
     def values(self, quantity: str) -> list[float]:
         if quantity == "K":
@@ -105,19 +108,39 @@ class GridRun:
         raise ValueError(f"unknown quantity {quantity!r}")
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    subject: str
-    domain: Rect | None
-    grid: int
-    quantity: str
-    target: float | None
-    max_abs_deviation: float
-    mean: float
-    tolerance: float
-    passed: bool
-    excluded_points: tuple[tuple[tuple[float, float], str], ...] = ()
-    notes: str = ""
+class VerificationReport(Record):
+    __slots__ = __match_args__ = (
+        "subject",
+        "domain",
+        "grid",
+        "quantity",
+        "target",
+        "max_abs_deviation",
+        "mean",
+        "tolerance",
+        "passed",
+        "excluded_points",
+        "notes",
+    )
+
+    def __init__(
+        self,
+        subject: str,
+        domain: Rect | None,
+        grid: int,
+        quantity: str,
+        target: float | None,
+        max_abs_deviation: float,
+        mean: float,
+        tolerance: float,
+        passed: bool,
+        excluded_points: tuple[tuple[tuple[float, float], str], ...] = (),
+        notes: str = "",
+    ) -> None:
+        super().__init__(
+            subject, domain, grid, quantity, target, max_abs_deviation, mean, tolerance,
+            passed, excluded_points, notes,
+        )
 
     def to_dict(self) -> dict:
         return {
@@ -184,15 +207,27 @@ def _grid_route(surface, n: int):
     """The curvature route sample_grid calls at each point of an n x n grid.
 
     It is the function that ``surface.curvatures`` would dispatch to,
-    bound to its first argument, so each point costs one Python call
-    less; a product surface's route also gets the grid memo.
+    in a closure over its first argument, so each point costs one Python
+    call less; a product surface's route also gets the grid memo.  A
+    closure rather than ``functools.partial``, which copies its keyword
+    arguments on every call.
     """
     if isinstance(surface, AffineFactorable):
         route = afs1_curvatures if surface.kind == TYPE1 else afs2_curvatures
-        return partial(route, surface, memo=grid_memo(surface, n))
+        memo = grid_memo(surface, n)
+
+        def curvatures(p):
+            return route(surface, p, memo=memo)
+
+        return curvatures
     if isinstance(surface, SurfaceChart):
         route = monge_z_curvatures if surface.orientation == Z_OVER_XY else monge_x_curvatures
-        return partial(route, surface.height)
+        height = surface.height
+
+        def curvatures(p):
+            return route(height, p)
+
+        return curvatures
     return surface.curvatures
 
 
@@ -536,13 +571,11 @@ def ode_crosscheck(
 # randomized nonexistence probes
 
 
-@dataclass(frozen=True)
-class ProbeInstance:
-    label: str
-    stat: float
-    flat: bool
-    degenerate: bool
-    bad: bool
+class ProbeInstance(Record):
+    __slots__ = __match_args__ = ("label", "stat", "flat", "degenerate", "bad")
+
+    def __init__(self, label: str, stat: float, flat: bool, degenerate: bool, bad: bool) -> None:
+        super().__init__(label, stat, flat, degenerate, bad)
 
     def to_dict(self) -> dict:
         return {
@@ -554,16 +587,23 @@ class ProbeInstance:
         }
 
 
-@dataclass(frozen=True)
-class ProbeReport:
-    kind: str
-    count: int
-    seed: int
-    grid: int
-    floor: float
-    counterexamples: int
-    min_stat: float
-    instances: tuple[ProbeInstance, ...]
+class ProbeReport(Record):
+    __slots__ = __match_args__ = (
+        "kind", "count", "seed", "grid", "floor", "counterexamples", "min_stat", "instances"
+    )
+
+    def __init__(
+        self,
+        kind: str,
+        count: int,
+        seed: int,
+        grid: int,
+        floor: float,
+        counterexamples: int,
+        min_stat: float,
+        instances: tuple[ProbeInstance, ...],
+    ) -> None:
+        super().__init__(kind, count, seed, grid, floor, counterexamples, min_stat, instances)
 
     def to_dict(self) -> dict:
         return {
@@ -666,4 +706,4 @@ def probe_nonexistence(
         raise ValueError(f"unknown probe kind {kind!r} (known: {', '.join(_PROBE_KINDS)})")
     instances = draw_nonplanar_type2(count, seed)
     report = probe_instances(kind, instances, n=n, floor=floor)
-    return replace(report, seed=seed)
+    return report.replace(seed=seed)

@@ -2,14 +2,19 @@
 
 Each class is pinned by its fields: repr text, match arguments,
 equality and hashing by the field tuple, construction, validation text,
-immutability, copying and pickling.
+immutability, copying and pickling.  They are plain ``__slots__``
+classes, so importing the package generates no code.
 """
 
 import copy
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from isocurv import catalog
 from isocurv.catalog import CurvatureProfile, FamilySpec
 from isocurv.factorable import TYPE1, TYPE2, AffineFactorable
 from isocurv.geometry import Motion, ParametricSurface, Rect, SurfaceChart, X_OVER_YZ, Z_OVER_XY
@@ -247,3 +252,29 @@ def test_positional_match():
             assert (u, v) == ((0.0, 1.0), (0.5, 1.5))
         case _:
             pytest.fail("Rect did not match positionally")
+
+
+def test_replace_makes_a_validated_copy():
+    surface = AffineFactorable(TYPE2, square, cube, 0.5, BOX, "sample")
+    moved = surface.replace(shear=-1.0, label="moved")
+    assert moved == AffineFactorable(TYPE2, square, cube, -1.0, BOX, "moved")
+    assert surface.shear == 0.5
+    assert Motion().replace() == Motion()
+    with pytest.raises(ValueError, match="unknown surface kind 'type-3'"):
+        surface.replace(kind="type-3")
+    with pytest.raises(TypeError):
+        surface.replace(height=height)
+
+
+def test_import_loads_no_code_generators():
+    # -S: site can import further modules through .pth files.
+    src = str(Path(catalog.__file__).resolve().parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import isocurv.cli; "
+        "print(sorted({'dataclasses', 'typing', 'inspect'} & set(sys.modules)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, f"stderr: {proc.stderr}"
+    assert proc.stdout == "[]\n"

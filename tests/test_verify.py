@@ -1,6 +1,5 @@
 """Unit tests for the verification layer: grids, reports, and cross-checks."""
 
-import dataclasses
 import json
 import math
 import struct
@@ -79,7 +78,7 @@ def test_reports_never_serialize_nan():
     with pytest.raises(ValueError):
         report.to_json()
     probe = probe_instances("afs2-minimal", draw_nonplanar_type2(1, seed=1), n=5)
-    probe = dataclasses.replace(probe, min_stat=float("nan"))
+    probe = probe.replace(min_stat=float("nan"))
     with pytest.raises(ValueError):
         probe.to_json()
 
@@ -220,8 +219,7 @@ def test_sample_grid_evaluates_each_profile_once_per_argument(fid):
     surface = build_family(fid)
     assert surface.shear == 0.0
     calls = [0, 0]
-    counted = dataclasses.replace(
-        surface,
+    counted = surface.replace(
         factor1=_counting(surface.factor1, calls, 0),
         factor2=_counting(surface.factor2, calls, 1),
     )
