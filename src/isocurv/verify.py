@@ -207,10 +207,10 @@ def _grid_route(surface, n: int):
     """The curvature route sample_grid calls at each point of an n x n grid.
 
     It is the function that ``surface.curvatures`` would dispatch to,
-    in a closure over its first argument, so each point costs one Python
-    call less; a product surface's route also gets the grid memo.  A
-    closure rather than ``functools.partial``, which copies its keyword
-    arguments on every call.
+    in a closure over its first argument, so the dispatch happens once
+    per grid instead of at each point; a product surface's route also
+    gets the grid memo.  A closure rather than ``functools.partial``,
+    which copies its keyword arguments on every call.
     """
     if isinstance(surface, AffineFactorable):
         route = afs1_curvatures if surface.kind == TYPE1 else afs2_curvatures
