@@ -1,9 +1,11 @@
 """Unit tests for the verification layer: grids, reports, and cross-checks."""
 
+import hashlib
 import json
 import math
 import struct
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +22,7 @@ from isocurv.factorable import (
 from isocurv.geometry import (
     AdmissibilityError,
     Motion,
+    ParametricSurface,
     Rect,
     SurfaceChart,
     X_OVER_YZ,
@@ -333,6 +336,58 @@ def test_motion_invariance_refuses_a_non_finite_drift():
     motion = Motion(0.3, 0.1, 0.2, 0.4, 0.5, 0.6)
     with pytest.raises(ValueError, match=r"motion invariance check got a non-finite sample"):
         motion_invariance_check(chart, motion, n=11)
+
+
+def _seeded_motion(rng: SplitMix64) -> Motion:
+    return Motion(
+        angle=rng.uniform(0.0, 2.0 * math.pi),
+        tx=rng.uniform(-2.0, 2.0),
+        ty=rng.uniform(-2.0, 2.0),
+        tz=rng.uniform(-2.0, 2.0),
+        shear_x=rng.uniform(-1.0, 1.0),
+        shear_y=rng.uniform(-1.0, 1.0),
+    )
+
+
+def _motion_report_text(surface, motion: Motion) -> str:
+    try:
+        return motion_invariance_check(surface, motion, n=11).to_json()
+    except ValueError as err:
+        return f"refused: {err}"
+
+
+def _motion_cases():
+    motions = [_seeded_motion(SplitMix64(606 + k)) for k in range(3)]
+    for fid in family_ids():
+        surface = build_family(fid)
+        for k, motion in enumerate(motions):
+            yield f"{fid}:m{k}", surface, motion
+    for kind in (TYPE1, TYPE2):
+        rng = SplitMix64(707)
+        for i in range(20):
+            yield f"{kind}:r{i:02d}", random_instance(rng, kind), _seeded_motion(rng)
+    # Two refusals: a patch whose projection degenerates everywhere, and
+    # a height that turns NaN for x > 0.5.
+    flat = ParametricSurface(lambda u, v: u, lambda u, v: u, lambda u, v: v, UNIT)
+    poisoned = SurfaceChart(Z_OVER_XY, lambda x, y: x * y * (math.nan if x.v > 0.5 else 1.0), UNIT)
+    yield "refused:degenerate", flat, motions[0]
+    yield "refused:non-finite", poisoned, motions[0]
+
+
+def test_motion_reports_are_pinned():
+    # tests/data/motion_sha256.txt holds the sha256 of each motion report
+    # (or of its refusal text) at n = 11, recorded while the check still
+    # evaluated a moved copy of the patch: moving the base jets instead
+    # must not change a byte.
+    table = (Path(__file__).parent / "data" / "motion_sha256.txt").read_text(encoding="utf-8")
+    pinned = dict(line.split() for line in table.splitlines())
+    got = {
+        key: hashlib.sha256(_motion_report_text(surface, motion).encode()).hexdigest()
+        for key, surface, motion in _motion_cases()
+    }
+    assert len(got) == 132 and got.keys() == pinned.keys()
+    changed = [key for key in got if got[key] != pinned[key]]
+    assert not changed, f"motion reports changed: {changed}"
 
 
 # finite differences -----------------------------------------------------
