@@ -417,9 +417,9 @@ def _positive_box(kind: str, a: float) -> Rect:
     return Rect((0.5 + s, 1.5 + s), (0.5, 1.5))
 
 
-def _check_regularity(s: AffineFactorable, family_id: str, n: int = 9) -> None:
-    """Reject parameter choices whose default domain crosses regularity zero."""
-    values = [regularity(s, p) for p in s.domain.grid(n)]
+def _check_regularity(s: AffineFactorable, family_id: str) -> None:
+    """Reject parameter choices whose default domain crosses regularity zero (9 x 9 grid)."""
+    values = [regularity(s, p) for p in s.domain.grid(9)]
     low = min(abs(v) for v in values)
     same_sign = all(v > 0.0 for v in values) or all(v < 0.0 for v in values)
     if not same_sign or low < _REG_FLOOR:

@@ -197,16 +197,12 @@ def afs1_curvatures(
 
 
 def afs2_curvatures(
-    s: AffineFactorable,
-    p: tuple[float, float],
-    eps: float = ADMISSIBILITY_EPS,
-    *,
-    memo: dict | None = None,
+    s: AffineFactorable, p: tuple[float, float], *, memo: dict | None = None
 ) -> CurvaturePair:
     """Closed-form curvatures of a type-2 surface at p = (y, z).
 
-    Requires the regularity value to stay at or above ``eps`` in
-    magnitude; the denominators keep their signs (reg^3 is signed, so H
+    Requires the regularity value to stay at or above ADMISSIBILITY_EPS
+    in magnitude; the denominators keep their signs (reg^3 is signed, so H
     matches the signed graph formula of the x = w(y, z) chart).
     ``w`` and ``memo`` are as for :func:`afs1_curvatures`.
     """
@@ -217,9 +213,10 @@ def afs2_curvatures(
     f2, d2, dd2 = j2.v, j2.dx, j2.dxx
     a = s.shear
     reg = a * d1 * f2 + f1 * d2
-    if abs(reg) < eps:
+    if abs(reg) < ADMISSIBILITY_EPS:
         raise AdmissibilityError(
-            f"type-2 regularity |a*f1'*f2 + f1*f2'| = {abs(reg):.3g} < {eps:g} at {p!r}"
+            f"type-2 regularity |a*f1'*f2 + f1*f2'| = {abs(reg):.3g} "
+            f"< {ADMISSIBILITY_EPS:g} at {p!r}"
         )
     reg2 = reg * reg
     num_k = f1 * f2 * dd1 * dd2 - (d1 * d2) ** 2
@@ -340,8 +337,10 @@ def _argument_range(s: AffineFactorable, which: int) -> tuple[float, float]:
     return (u0 + lo, u1 + hi)
 
 
-def is_planar(s: AffineFactorable, points: int = 5, tol: float = 1e-12) -> bool:
+def is_planar(s: AffineFactorable) -> bool:
     """True when both profiles look affine over their induced argument ranges.
+
+    "Affine" means |f''| <= 1e-12 at 5 equispaced arguments of each range.
 
     Every plane in either ansatz has two affine factors, so this test
     never misses a plane.  It can reject a curved product of two affine
@@ -350,8 +349,8 @@ def is_planar(s: AffineFactorable, points: int = 5, tol: float = 1e-12) -> bool:
     """
     for which, profile in ((1, s.factor1), (2, s.factor2)):
         lo, hi = _argument_range(s, which)
-        for i in range(points):
-            t = lo + (hi - lo) * i / (points - 1)
-            if abs(jets.eval_profile(profile, t).dxx) > tol:
+        for i in range(5):
+            t = lo + (hi - lo) * i / 4
+            if abs(jets.eval_profile(profile, t).dxx) > 1e-12:
                 return False
     return True

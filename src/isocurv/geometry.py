@@ -49,7 +49,6 @@ __all__ = [
     "Z_OVER_XY",
     "X_OVER_YZ",
     "apply_motion",
-    "moved_surface",
     "as_parametric",
     "monge_z_curvatures",
     "monge_x_curvatures",
@@ -224,9 +223,6 @@ class Motion(Record):
     ) -> None:
         super().__init__(angle, tx, ty, tz, shear_x, shear_y)
 
-    def apply(self, p: tuple[float, float, float]) -> tuple[float, float, float]:
-        return apply_motion(self, p)
-
     def describe(self) -> str:
         return (
             f"angle={self.angle:.6g} t=({self.tx:.6g},{self.ty:.6g},{self.tz:.6g}) "
@@ -234,8 +230,13 @@ class Motion(Record):
         )
 
 
-def apply_motion(m: Motion, p: tuple[float, float, float]) -> tuple[float, float, float]:
-    """Apply an isotropic motion to a point (x, y, z)."""
+def apply_motion(m: Motion, p: tuple) -> tuple:
+    """Apply an isotropic motion to a point (x, y, z).
+
+    ``p`` may hold floats or jets: the motion is affine, so applied to a
+    patch's coordinate jets (:meth:`ParametricSurface.jets`) it gives
+    the exact jets of the moved patch.
+    """
     x, y, z = p
     ct, st = math.cos(m.angle), math.sin(m.angle)
     return (
@@ -291,8 +292,17 @@ class ParametricSurface(Record):
     def __init__(self, x: Field, y: Field, z: Field, domain: Rect) -> None:
         super().__init__(x, y, z, domain)
 
+    def jets(self, p: tuple[float, float]) -> tuple[Jet2, Jet2, Jet2]:
+        """The coordinate jets (x, y, z) of the patch at parameters p = (u, v)."""
+        u, v = p
+        return (
+            jets.eval_field(self.x, u, v),
+            jets.eval_field(self.y, u, v),
+            jets.eval_field(self.z, u, v),
+        )
+
     def curvatures(self, p: tuple[float, float]) -> CurvaturePair:
-        return parametric_curvatures(self, p)
+        return parametric_curvatures(self.jets(p), p)
 
 
 def monge_z_curvatures(height: Field, p: tuple[float, float]) -> CurvaturePair:
@@ -303,15 +313,16 @@ def monge_z_curvatures(height: Field, p: tuple[float, float]) -> CurvaturePair:
     return CurvaturePair(K, H, j.v)
 
 
-def monge_x_curvatures(
-    height: Field, p: tuple[float, float], eps: float = ADMISSIBILITY_EPS
-) -> CurvaturePair:
-    """Curvatures of x = w(y, z) at p = (y, z), with w(p); requires |w_z| >= eps."""
+def monge_x_curvatures(height: Field, p: tuple[float, float]) -> CurvaturePair:
+    """Curvatures of x = w(y, z) at p = (y, z), with w(p).
+
+    Requires |w_z| >= ADMISSIBILITY_EPS.
+    """
     j = jets.eval_field(height, p[0], p[1])
     wy, wz = j.dx, j.dy
-    if abs(wz) < eps:
+    if abs(wz) < ADMISSIBILITY_EPS:
         raise AdmissibilityError(
-            f"isotropic tangent plane: |w_z| = {abs(wz):.3g} < {eps:g} at {p!r}"
+            f"isotropic tangent plane: |w_z| = {abs(wz):.3g} < {ADMISSIBILITY_EPS:g} at {p!r}"
         )
     wyy, wyz, wzz = j.dxx, j.dxy, j.dyy
     wz2 = wz * wz
@@ -328,25 +339,23 @@ def _det3(r0, r1, r2) -> float:
     )
 
 
-def parametric_curvatures(
-    r: ParametricSurface, p: tuple[float, float], eps: float = ADMISSIBILITY_EPS
-) -> CurvaturePair:
-    """Curvatures of a parametric patch at parameters p = (u, v).
+def parametric_curvatures(r: tuple[Jet2, Jet2, Jet2], p: tuple[float, float]) -> CurvaturePair:
+    """Curvatures of a patch from its coordinate jets r = (x, y, z) at p.
 
-    The first fundamental form comes from the planar (x, y) projection
-    only; the second form divides the mixed determinants det(r_ij, r_u,
-    r_v) by sqrt(det g).
+    ``r`` is what :meth:`ParametricSurface.jets` returns at parameters
+    p = (u, v), or its image under :func:`apply_motion`; ``p`` only
+    names the point in the error text.  The first fundamental form comes
+    from the planar (x, y) projection only; the second form divides the
+    mixed determinants det(r_ij, r_u, r_v) by sqrt(det g).  Requires
+    |x_u*y_v - x_v*y_u| >= ADMISSIBILITY_EPS.
     """
-    u, v = p
-    jx = jets.eval_field(r.x, u, v)
-    jy = jets.eval_field(r.y, u, v)
-    jz = jets.eval_field(r.z, u, v)
+    jx, jy, jz = r
 
     jac = jx.dx * jy.dy - jx.dy * jy.dx
-    if abs(jac) < eps:
+    if abs(jac) < ADMISSIBILITY_EPS:
         raise AdmissibilityError(
             f"planar projection degenerates: |x_u*y_v - x_v*y_u| = "
-            f"{abs(jac):.3g} < {eps:g} at {p!r}"
+            f"{abs(jac):.3g} < {ADMISSIBILITY_EPS:g} at {p!r}"
         )
 
     g11 = jx.dx * jx.dx + jy.dx * jy.dx
@@ -375,23 +384,3 @@ def as_parametric(chart: SurfaceChart) -> ParametricSurface:
     return ParametricSurface(
         x=chart.height, y=lambda u, v: u, z=lambda u, v: v, domain=chart.domain
     )
-
-
-def moved_surface(m: Motion, r: ParametricSurface) -> ParametricSurface:
-    """The image of a parametric patch under an isotropic motion.
-
-    The motion is affine, so composing it coordinate-wise in jet
-    arithmetic is exact.
-    """
-    ct, st = math.cos(m.angle), math.sin(m.angle)
-
-    def x(u: Jet2, v: Jet2):
-        return m.tx + ct * r.x(u, v) - st * r.y(u, v)
-
-    def y(u: Jet2, v: Jet2):
-        return m.ty + st * r.x(u, v) + ct * r.y(u, v)
-
-    def z(u: Jet2, v: Jet2):
-        return m.tz + m.shear_x * r.x(u, v) + m.shear_y * r.y(u, v) + r.z(u, v)
-
-    return ParametricSurface(x, y, z, r.domain)

@@ -23,15 +23,15 @@ from .jets import BranchDomainError, Jet2
 from .geometry import (
     AdmissibilityError,
     Motion,
-    ParametricSurface,
     Record,
     Rect,
     SurfaceChart,
     Z_OVER_XY,
+    apply_motion,
     as_parametric,
     monge_x_curvatures,
     monge_z_curvatures,
-    moved_surface,
+    parametric_curvatures,
 )
 from .factorable import (
     TYPE1,
@@ -375,8 +375,10 @@ def motion_invariance_check(
 ) -> VerificationReport:
     """K and H before vs after a rigid motion, at matching parameters.
 
-    The surface is moved as a parametric patch, so the same (u, v)
-    names the corresponding point on both copies.
+    The surface is taken as a parametric patch, and each grid point
+    evaluates its coordinate jets once: ``before`` comes from those
+    jets, ``after`` from their image under :func:`apply_motion`, which
+    are the jets of the moved patch at the same (u, v).
     """
     if isinstance(surface, AffineFactorable):
         base = as_parametric(as_chart(surface))
@@ -385,15 +387,15 @@ def motion_invariance_check(
         base = as_parametric(surface)
     else:
         base = surface
-    moved = moved_surface(motion, base)
     if domain is None:
         domain = base.domain
     deviations = []
     excluded = []
     for p in domain.grid(n):
         try:
-            before = base.curvatures(p)
-            after = moved.curvatures(p)
+            r = base.jets(p)
+            before = parametric_curvatures(r, p)
+            after = parametric_curvatures(apply_motion(motion, r), p)
         except _EVAL_ERRORS as err:
             excluded.append((p, str(err)))
             continue

@@ -7,8 +7,12 @@ formulas before being frozen here.
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from isocurv import jets
+from isocurv.catalog import build_family
+from isocurv.factorable import as_chart
 from isocurv.geometry import (
     AdmissibilityError,
     CurvaturePair,
@@ -22,11 +26,18 @@ from isocurv.geometry import (
     as_parametric,
     monge_x_curvatures,
     monge_z_curvatures,
-    moved_surface,
     parametric_curvatures,
 )
 
 UNIT = Rect((0.0, 1.0), (0.0, 1.0))
+
+#: The surfaces of acceptance criterion 06, as parametric patches.
+MOTION_PATCHES = {
+    fid: as_parametric(as_chart(build_family(fid)))
+    for fid in (
+        "AFS1.K.saddle", "FS1.min.exp-trig", "AFS1.cmc.parabolic", "FS2.min.tan", "AFS2.cmc.sqrt"
+    )
+}
 
 
 # height fields over the (x, y) plane ----------------------------------
@@ -86,7 +97,7 @@ def test_parametric_paraboloid():
         z=lambda u, v: (u * u + v * v) * 0.5,
         domain=UNIT,
     )
-    pair = parametric_curvatures(r, (0.2, 0.7))
+    pair = r.curvatures((0.2, 0.7))
     assert abs(pair.K - 1.0) <= 1e-15 and abs(pair.H - 1.0) <= 1e-15, (
         f"parametric paraboloid gave {(pair.K, pair.H)}"
     )
@@ -103,7 +114,7 @@ def test_parametric_rotated_saddle():
         z=lambda u, v: (u * u - v * v) * 0.5,
         domain=UNIT,
     )
-    pair = parametric_curvatures(r, (1.0, 1.0))
+    pair = r.curvatures((1.0, 1.0))
     assert abs(pair.K + 1.0) <= 1e-15 and abs(pair.H) <= 1e-15, (
         f"rotated saddle gave {(pair.K, pair.H)}"
     )
@@ -118,7 +129,7 @@ def test_parametric_degenerate_projection():
         domain=UNIT,
     )
     with pytest.raises(AdmissibilityError):
-        parametric_curvatures(r, (0.5, 0.5))
+        r.curvatures((0.5, 0.5))
 
 
 def test_chart_and_parametric_routes_agree():
@@ -137,7 +148,7 @@ def test_chart_and_parametric_routes_agree():
         r = as_parametric(chart)
         for p in chart.domain.shrunk(0.2).grid(4):
             direct = chart.curvatures(p)
-            indirect = parametric_curvatures(r, p)
+            indirect = r.curvatures(p)
             assert abs(direct.K - indirect.K) <= 1e-12 * (1.0 + abs(direct.K)), (
                 f"K mismatch at {p}: {direct.K} vs {indirect.K}"
             )
@@ -179,10 +190,10 @@ def test_motion_preserves_isotropic_distance():
 def test_motion_preserves_curvatures_of_saddle():
     m = Motion(angle=math.pi / 3.0, tx=1.0, ty=-2.0, tz=5.0, shear_x=0.7, shear_y=-0.3)
     base = as_parametric(SurfaceChart(Z_OVER_XY, lambda x, y: x * y, UNIT))
-    moved = moved_surface(m, base)
     for p in UNIT.grid(5):
-        before = parametric_curvatures(base, p)
-        after = parametric_curvatures(moved, p)
+        r = base.jets(p)
+        before = parametric_curvatures(r, p)
+        after = parametric_curvatures(apply_motion(m, r), p)
         assert abs(before.K - after.K) <= 1e-9, f"K drifted at {p}: {before} {after}"
         assert abs(before.H - after.H) <= 1e-9, f"H drifted at {p}: {before} {after}"
 
@@ -192,13 +203,43 @@ def test_pure_translation_is_exact():
     base = as_parametric(
         SurfaceChart(Z_OVER_XY, lambda x, y: (x * x + y * y) * 0.5, UNIT)
     )
-    moved = moved_surface(m, base)
     for p in ((0.0, 0.0), (0.5, 0.25), (1.0, 1.0)):
-        before = parametric_curvatures(base, p)
-        after = parametric_curvatures(moved, p)
+        r = base.jets(p)
+        before = parametric_curvatures(r, p)
+        after = parametric_curvatures(apply_motion(m, r), p)
         assert (before.K, before.H) == (after.K, after.H), (
             f"translation changed curvature at {p}"
         )
+
+
+motions = st.builds(
+    Motion,
+    angle=st.floats(0.0, 2.0 * math.pi),
+    tx=st.floats(-2.0, 2.0),
+    ty=st.floats(-2.0, 2.0),
+    tz=st.floats(-2.0, 2.0),
+    shear_x=st.floats(-1.0, 1.0),
+    shear_y=st.floats(-1.0, 1.0),
+)
+
+
+@given(
+    fid=st.sampled_from(sorted(MOTION_PATCHES)),
+    m=motions,
+    s=st.floats(0.0, 1.0),
+    t=st.floats(0.0, 1.0),
+)
+def test_random_motions_preserve_curvatures(fid, m, s, t):
+    base = MOTION_PATCHES[fid]
+    inner = base.domain.shrunk(0.1)
+    p = (inner.u[0] + s * (inner.u[1] - inner.u[0]), inner.v[0] + t * (inner.v[1] - inner.v[0]))
+    r = base.jets(p)
+    before = parametric_curvatures(r, p)
+    after = parametric_curvatures(apply_motion(m, r), p)
+    for name in ("K", "H"):
+        a, b = getattr(before, name), getattr(after, name)
+        gap = abs(a - b) / (1.0 + max(abs(a), abs(b)))
+        assert gap <= 1e-9, f"{fid}: {name} {a!r} became {b!r} at {p} under {m.describe()}"
 
 
 # structural behavior ---------------------------------------------------
@@ -276,7 +317,7 @@ def test_curvature_pairs_compare_without_the_height():
     assert (pair.K, pair.H, pair.w) == (-1.0, 0.0, 7.0)
     assert pair == CurvaturePair(-1.0, 0.0) == CurvaturePair(-1.0, 0.0, 8.0)
     r = as_parametric(SurfaceChart(Z_OVER_XY, lambda x, y: x * y + 1.0, UNIT))
-    assert parametric_curvatures(r, (2.0, 3.0)).w is None
+    assert r.curvatures((2.0, 3.0)).w is None
 
 
 def test_curvature_pair_value_semantics():

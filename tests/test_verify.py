@@ -338,6 +338,21 @@ def test_motion_invariance_refuses_a_non_finite_drift():
         motion_invariance_check(chart, motion, n=11)
 
 
+@pytest.mark.parametrize("kind", [TYPE1, TYPE2])
+def test_motion_check_evaluates_the_height_once_per_point(kind):
+    # A moved copy of the patch re-evaluated the base height inside each
+    # moved coordinate: 2 height evaluations per point for type 1 and 4
+    # for type 2, whose x coordinate is the height.
+    surface = random_instance(SplitMix64(5), kind)
+    calls = [0]
+    counted = surface.replace(factor1=_counting(surface.factor1, calls, 0))
+    motion = Motion(0.3, 0.1, 0.2, 0.4, 0.5, 0.6)
+    report = motion_invariance_check(counted, motion, n=11)
+    assert not report.excluded_points
+    assert calls[0] == 11 * 11, f"{calls[0] / 121} height evaluations per point"
+    assert report == motion_invariance_check(surface, motion, n=11)
+
+
 def _seeded_motion(rng: SplitMix64) -> Motion:
     return Motion(
         angle=rng.uniform(0.0, 2.0 * math.pi),
