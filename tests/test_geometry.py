@@ -28,6 +28,7 @@ from isocurv.geometry import (
     monge_z_curvatures,
     parametric_curvatures,
 )
+from isocurv.verify import unit_relative_difference
 
 UNIT = Rect((0.0, 1.0), (0.0, 1.0))
 
@@ -238,8 +239,9 @@ def test_random_motions_preserve_curvatures(fid, m, s, t):
     after = parametric_curvatures(apply_motion(m, r), p)
     for name in ("K", "H"):
         a, b = getattr(before, name), getattr(after, name)
-        gap = abs(a - b) / (1.0 + max(abs(a), abs(b)))
-        assert gap <= 1e-9, f"{fid}: {name} {a!r} became {b!r} at {p} under {m.describe()}"
+        assert unit_relative_difference(a, b) <= 1e-9, (
+            f"{fid}: {name} {a!r} became {b!r} at {p} under {m.describe()}"
+        )
 
 
 # structural behavior ---------------------------------------------------
