@@ -55,6 +55,35 @@ def test_grid_exports_are_pinned(capsys, tmp_path):
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, f"{fid} {fmt} changed"
 
 
+def _verify_traffic():
+    """The argv of every stdout that tests/data/verify41_sha256.txt pins, by key."""
+    for fid in catalog.family_ids():
+        yield f"verify:{fid}", ["verify", "--family", fid, "--grid", "41"]
+    for kind in ("type-1", "type-2"):
+        for seed in (0, 7, 42):
+            argv = ["cross-validate", "--kind", kind, "--seed", str(seed)]
+            yield f"cross-validate:{kind}:{seed}", argv
+    for kind in ("afs2-minimal", "afs2-constant-K"):
+        yield f"probe:{kind}", ["probe", "--kind", kind, "--count", "20"]
+
+
+def test_verify_traffic_is_pinned(capsys):
+    # tests/data/verify41_sha256.txt holds the sha256 of the stdout of
+    # `verify --grid 41` on every family, 6 cross-validations and 2
+    # probes, recorded while sample_grid still found each profile jet
+    # through a per-point memo: walking the grid by rows and columns
+    # must not change a byte.
+    table = (Path(__file__).parent / "data" / "verify41_sha256.txt").read_text(encoding="utf-8")
+    pinned = dict(line.split() for line in table.splitlines())
+    got = {}
+    for key, argv in _verify_traffic():
+        main(argv)
+        got[key] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert len(got) == 38 and got.keys() == pinned.keys()
+    changed = [key for key in got if got[key] != pinned[key]]
+    assert not changed, f"reports changed: {changed}"
+
+
 def test_verify_parabolic_family(capsys, tmp_path):
     out_path = tmp_path / "report.json"
     code, out, err = run_cli(
