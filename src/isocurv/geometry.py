@@ -174,17 +174,19 @@ class Rect(Record):
     def center(self) -> tuple[float, float]:
         return (0.5 * (self.u[0] + self.u[1]), 0.5 * (self.v[0] + self.v[1]))
 
-    def grid(self, n: int) -> list[tuple[float, float]]:
-        """n x n equispaced points, row-major (first coordinate slowest)."""
+    def coordinates(self, n: int) -> tuple[list[float], list[float]]:
+        """The n equispaced values of each coordinate: the u and v columns of :meth:`grid`."""
         if n < 2:
             raise ValueError("grid needs n >= 2")
-        du = (self.u[1] - self.u[0]) / (n - 1)
-        dv = (self.v[1] - self.v[0]) / (n - 1)
-        return [
-            (self.u[0] + i * du, self.v[0] + j * dv)
-            for i in range(n)
-            for j in range(n)
-        ]
+        (u0, u1), (v0, v1) = self.u, self.v
+        du = (u1 - u0) / (n - 1)
+        dv = (v1 - v0) / (n - 1)
+        return [u0 + i * du for i in range(n)], [v0 + j * dv for j in range(n)]
+
+    def grid(self, n: int) -> list[tuple[float, float]]:
+        """n x n equispaced points, row-major (first coordinate slowest)."""
+        us, vs = self.coordinates(n)
+        return [(u, v) for u in us for v in vs]
 
     def contains(self, p: tuple[float, float], margin: float = 0.0) -> bool:
         return (
