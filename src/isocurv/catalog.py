@@ -419,7 +419,7 @@ def _positive_box(kind: str, a: float) -> Rect:
 
 def _check_regularity(s: AffineFactorable, family_id: str) -> None:
     """Reject parameter choices whose default domain crosses regularity zero (9 x 9 grid)."""
-    values = [regularity(s, p) for p in s.domain.grid(9)]
+    values = [regularity(s, *s.profile_jets(p)) for p in s.domain.grid(9)]
     low = min(abs(v) for v in values)
     same_sign = all(v > 0.0 for v in values) or all(v < 0.0 for v in values)
     if not same_sign or low < _REG_FLOOR:

@@ -24,14 +24,20 @@ formulas in the shifted profile arguments:
                  + (f1*f2')^2*f2*f1'' + f1*f2''
                  + 2a*f1'*f2' + a^2*f1''*f2) / reg^3
 
+The routes :func:`afs1_curvatures` and :func:`afs2_curvatures` take
+the two profile jets as arguments, and so does :func:`regularity`;
+:meth:`AffineFactorable.profile_jets` evaluates them at a point.  A
+caller that walks many points can reuse the jets, and grid sampling
+(``isocurv.verify.sample_grid``) does: f1(x) of type 1 and f2(z) of
+type 2 depend on one grid coordinate, and with a = 0 so does the other
+profile, so each of them is evaluated once per grid line.
+
 These specialized routes are deliberately kept separate from the
 generic chart formulas in :mod:`isocurv.geometry` so the two can be
 cross-checked numerically (see ``isocurv.verify.cross_validate``).
 """
 
 from __future__ import annotations
-
-import math
 
 from . import jets
 from .jets import Jet2
@@ -76,9 +82,11 @@ class AffineFactorable(Record):
 
     The profiles must be pure functions of their argument: the same
     float in, the same jet (or the same exception) out, with no hidden
-    state.  Grid sampling and cross-validation evaluate each profile
-    once per distinct argument and reuse the jet, which is only the
-    same computation when that holds.
+    state.  Grid sampling evaluates a profile once per grid line it
+    depends on and reuses the jet (or the exclusion text) along the
+    line, and cross-validation hands one evaluation to both the
+    regularity test and the curvature route; that is only the same
+    computation when the profiles are pure.
     """
 
     __slots__ = __match_args__ = ("kind", "factor1", "factor2", "shear", "domain", "label")
@@ -102,92 +110,29 @@ class AffineFactorable(Record):
             return (p[0], p[1] + self.shear * p[0])
         return (p[0] + self.shear * p[1], p[1])
 
-    def curvatures(self, p: tuple[float, float], *, memo: dict | None = None) -> CurvaturePair:
-        if self.kind == TYPE1:
-            return afs1_curvatures(self, p, memo=memo)
-        return afs2_curvatures(self, p, memo=memo)
+    def profile_jets(self, p: tuple[float, float]) -> tuple[Jet2, Jet2]:
+        """The jets of f1 and f2 at their shifted arguments for chart point p."""
+        u1, u2 = self.profile_arguments(p)
+        return jets.eval_profile(self.factor1, u1), jets.eval_profile(self.factor2, u2)
 
-
-def _profile_jets(s: AffineFactorable, p: tuple[float, float], memo: dict | None):
-    """The jets of both profiles at their shifted arguments for point p.
-
-    With a ``memo`` (a dict the caller owns), each profile is evaluated
-    once per distinct argument and the jet is reused after that.  The
-    key is (profile, u), and (profile, u, sign) for a zero u, because
-    0.0 == -0.0 as dict keys while a profile may tell them apart.  An
-    evaluation that raises stores nothing, so it raises again, with the
-    same text, the next time that argument comes up.
-
-    A memo from :func:`grid_memo` also holds, under the profile itself,
-    how many more jets that profile may store before its first repeat.
-    The first repeat removes the count, and the profile is stored
-    without bound from then on; a count that runs out stops the profile
-    being stored.  A plain dict has no counts and stores everything.
-    """
-    # The arguments of profile_arguments, inline: this runs at every point.
-    x, y = p
-    if s.kind == TYPE1:
-        u1, u2 = x, y + s.shear * x
-    else:
-        u1, u2 = x + s.shear * y, y
-    f1, f2 = s.factor1, s.factor2
-    if memo is None:
-        return jets.eval_profile(f1, u1), jets.eval_profile(f2, u2)
-    k1 = (f1, u1) if u1 else (f1, u1, math.copysign(1.0, u1))
-    j1 = memo.get(k1)
-    if j1 is None:
-        j1 = _store(memo, k1, f1, u1)
-    elif memo.get(f1):
-        del memo[f1]
-    k2 = (f2, u2) if u2 else (f2, u2, math.copysign(1.0, u2))
-    j2 = memo.get(k2)
-    if j2 is None:
-        j2 = _store(memo, k2, f2, u2)
-    elif memo.get(f2):
-        del memo[f2]
-    return j1, j2
-
-
-def _store(memo: dict, key: tuple, f: Profile, u: float) -> Jet2:
-    """Evaluate f at u and store the jet, unless f has used up its count."""
-    j = jets.eval_profile(f, u)
-    left = memo.get(f)
-    if left is None:
-        memo[key] = j
-    elif left:
-        memo[f] = left - 1
-        memo[key] = j
-    return j
-
-
-def grid_memo(s: AffineFactorable, n: int) -> dict:
-    """A profile memo for sampling s on an n x n grid, in row-major order.
-
-    A grid coordinate takes n values, so a profile of one repeats its
-    first argument by the start of the second grid row.  A sheared
-    argument (y + a*x for type 1) can take a new value at every one of
-    the n^2 points, where storing its jets saves nothing.  So each
-    profile may store 2n jets, two grid rows' worth, before its first
-    repeat; one that has not repeated by then stops being stored, and
-    the memo holds O(n) jets rather than O(n^2).
-    """
-    return {s.factor1: 2 * n, s.factor2: 2 * n}
+    def curvatures(self, p: tuple[float, float]) -> CurvaturePair:
+        route = afs1_curvatures if self.kind == TYPE1 else afs2_curvatures
+        return route(self, p, *self.profile_jets(p))
 
 
 def afs1_curvatures(
-    s: AffineFactorable, p: tuple[float, float], *, memo: dict | None = None
+    s: AffineFactorable, p: tuple[float, float], j1: Jet2, j2: Jet2
 ) -> CurvaturePair:
     """Closed-form curvatures of a type-1 surface at p = (x, y).
 
-    The pair's ``w`` is the height f1 * f2 from the profile values at
-    hand: the same float as the value of the :func:`as_chart` height
-    jet, whose value part is built from value parts alone.  ``memo`` is
-    an optional caller-owned dict of profile jets (see
-    :func:`_profile_jets`); the result is the same with or without it.
+    ``j1`` and ``j2`` are the jets of f1 and f2 at the shifted arguments
+    of p, as :meth:`AffineFactorable.profile_jets` evaluates them.  The
+    pair's ``w`` is the height f1 * f2 from the profile values at hand:
+    the same float as the value of the :func:`as_chart` height jet,
+    whose value part is built from value parts alone.
     """
     if s.kind != TYPE1:
         raise ValueError(f"afs1_curvatures needs a {TYPE1} surface, got {s.kind}")
-    j1, j2 = _profile_jets(s, p, memo)
     f1, d1, dd1 = j1.v, j1.dx, j1.dxx
     f2, d2, dd2 = j2.v, j2.dx, j2.dxx
     a = s.shear
@@ -197,18 +142,18 @@ def afs1_curvatures(
 
 
 def afs2_curvatures(
-    s: AffineFactorable, p: tuple[float, float], *, memo: dict | None = None
+    s: AffineFactorable, p: tuple[float, float], j1: Jet2, j2: Jet2
 ) -> CurvaturePair:
     """Closed-form curvatures of a type-2 surface at p = (y, z).
 
     Requires the regularity value to stay at or above ADMISSIBILITY_EPS
     in magnitude; the denominators keep their signs (reg^3 is signed, so H
     matches the signed graph formula of the x = w(y, z) chart).
-    ``w`` and ``memo`` are as for :func:`afs1_curvatures`.
+    ``j1``, ``j2`` and ``w`` are as for :func:`afs1_curvatures`; p only
+    names the point in the error text.
     """
     if s.kind != TYPE2:
         raise ValueError(f"afs2_curvatures needs a {TYPE2} surface, got {s.kind}")
-    j1, j2 = _profile_jets(s, p, memo)
     f1, d1, dd1 = j1.v, j1.dx, j1.dxx
     f2, d2, dd2 = j2.v, j2.dx, j2.dxx
     a = s.shear
@@ -233,19 +178,16 @@ def afs2_curvatures(
     return CurvaturePair(K, H, f1 * f2)
 
 
-def regularity(
-    s: AffineFactorable, p: tuple[float, float], *, memo: dict | None = None
-) -> float:
-    """The type-2 admissibility value a*f1'*f2 + f1*f2' at p = (y, z).
+def regularity(s: AffineFactorable, j1: Jet2, j2: Jet2) -> float:
+    """The type-2 admissibility value a*f1'*f2 + f1*f2' from the profile jets.
 
-    Type-1 graphs are admissible everywhere, so asking for their
-    regularity value is a usage error.  Passing the ``memo`` that a
-    following :func:`afs2_curvatures` call gets lets both share one
-    evaluation of the profiles.
+    ``j1`` and ``j2`` are as for :func:`afs2_curvatures`, so a caller
+    that goes on to the curvatures evaluates the profiles once.  Type-1
+    graphs are admissible everywhere, so asking for their regularity
+    value is a usage error.
     """
     if s.kind != TYPE2:
         raise ValueError("regularity is a type-2 notion; type-1 graphs are always admissible")
-    j1, j2 = _profile_jets(s, p, memo)
     return s.shear * j1.dx * j2.v + j1.v * j2.dx
 
 

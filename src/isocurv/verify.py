@@ -40,7 +40,6 @@ from .factorable import (
     afs1_curvatures,
     afs2_curvatures,
     as_chart,
-    grid_memo,
     is_planar,
     random_instance,
     regularity,
@@ -170,18 +169,19 @@ def sample_grid(surface, domain: Rect | None = None, n: int = 21, subject: str =
     error (or overflows, or yields a non-finite value) are excluded
     with a reason instead of aborting the run.
 
-    An :class:`AffineFactorable` is sampled through its specialized
-    route with one profile memo for this call (see
-    :func:`~isocurv.factorable.grid_memo`): each profile is evaluated
-    once per distinct argument (a grid coordinate has only n of them),
-    so its profiles must be pure functions of their argument.  The memo
-    is dropped when the call returns.
+    An :class:`AffineFactorable` is walked by grid rows and columns
+    (see :func:`_sample_product`): a profile that depends on a single
+    grid coordinate is evaluated once per grid line and its jet reused
+    along the line, so the profiles must be pure functions of their
+    argument.  Any other surface is evaluated point by point.
     """
     if domain is None:
         domain = surface.domain
     if not subject:
         subject = getattr(surface, "label", "") or type(surface).__name__
-    curvatures = _grid_route(surface, n)
+    if isinstance(surface, AffineFactorable):
+        return GridRun(subject, domain, n, *_sample_product(surface, domain, n))
+    curvatures = _grid_route(surface)
     points, ks, hs, heights = [], [], [], []
     excluded = []
     for p in domain.grid(n):
@@ -203,23 +203,13 @@ def sample_grid(surface, domain: Rect | None = None, n: int = 21, subject: str =
     )
 
 
-def _grid_route(surface, n: int):
-    """The curvature route sample_grid calls at each point of an n x n grid.
+def _grid_route(surface):
+    """The curvature route sample_grid calls at each point of a grid.
 
     It is the function that ``surface.curvatures`` would dispatch to,
     in a closure over its first argument, so the dispatch happens once
-    per grid instead of at each point; a product surface's route also
-    gets the grid memo.  A closure rather than ``functools.partial``,
-    which copies its keyword arguments on every call.
+    per grid instead of at each point.
     """
-    if isinstance(surface, AffineFactorable):
-        route = afs1_curvatures if surface.kind == TYPE1 else afs2_curvatures
-        memo = grid_memo(surface, n)
-
-        def curvatures(p):
-            return route(surface, p, memo=memo)
-
-        return curvatures
     if isinstance(surface, SurfaceChart):
         route = monge_z_curvatures if surface.orientation == Z_OVER_XY else monge_x_curvatures
         height = surface.height
@@ -229,6 +219,137 @@ def _grid_route(surface, n: int):
 
         return curvatures
     return surface.curvatures
+
+
+def _sample_product(s: AffineFactorable, domain: Rect, n: int):
+    """sample_grid's columns for a product surface, walked row by row.
+
+    Row i holds the points (us[i], v) for the n column values v.  f1(x)
+    of type 1 takes the row coordinate and f2(z) of type 2 the column
+    coordinate, so their jets are evaluated once per grid line into a
+    list.  The other profile takes y + a*x (type 1) or y + a*z (type 2).
+    Where that is the column (type 1) or row (type 2) coordinate itself,
+    bit for bit (see :func:`_shear_is_inert`), it gets a list too;
+    otherwise its jets are looked up by argument in a
+    :class:`_ShearedJets`.  Then afs1_curvatures or afs2_curvatures
+    runs once per point on the two jets.
+
+    A profile that raises leaves its exclusion text in place of the
+    jet, and each point that uses it is excluded with that text; where
+    both profiles raise, f1's text goes first, as in
+    :meth:`AffineFactorable.curvatures`.
+    """
+    us, vs = domain.coordinates(n)
+    a = s.shear
+    if s.kind == TYPE1:
+        route = afs1_curvatures
+        f1_rows = _line_jets(s.factor1, us)
+        if _shear_is_inert(a, us, vs):
+            f2_columns = _line_jets(s.factor2, vs)
+            rows = (([j1] * n, f2_columns) for j1 in f1_rows)
+        else:
+            sheared = _ShearedJets(s.factor2)
+            rows = (
+                ([j1] * n, sheared.line([v + a * u for v in vs])) for u, j1 in zip(us, f1_rows)
+            )
+    else:
+        route = afs2_curvatures
+        f2_columns = _line_jets(s.factor2, vs)
+        if _shear_is_inert(a, vs, us):
+            rows = (([j1] * n, f2_columns) for j1 in _line_jets(s.factor1, us))
+        else:
+            sheared = _ShearedJets(s.factor1)
+            rows = ((sheared.line([u + a * v for v in vs]), f2_columns) for u in us)
+    points, ks, hs, heights = [], [], [], []
+    excluded = []
+    for u, (j1s, j2s) in zip(us, rows):
+        for v, j1, j2 in zip(vs, j1s, j2s):
+            p = (u, v)
+            if j1.__class__ is str or j2.__class__ is str:
+                excluded.append((p, j1 if j1.__class__ is str else j2))
+                continue
+            try:
+                pair = route(s, p, j1, j2)
+            except _EVAL_ERRORS as err:
+                excluded.append((p, str(err)))
+                continue
+            K, H = pair.K, pair.H
+            if not (math.isfinite(K) and math.isfinite(H)):
+                excluded.append((p, "non-finite curvature value"))
+                continue
+            points.append(p)
+            ks.append(K)
+            hs.append(H)
+            heights.append(pair.w)
+    return tuple(points), tuple(ks), tuple(hs), tuple(heights), tuple(excluded)
+
+
+def _profile_jet(profile, t: float) -> Jet2 | str:
+    """The jet of a profile at t, or the exclusion text of the error it raises.
+
+    The text, not the exception: an exception object re-raised at each
+    point that uses it would grow its traceback at every raise.
+    """
+    try:
+        return jets.eval_profile(profile, t)
+    except _EVAL_ERRORS as err:
+        return str(err)
+
+
+def _line_jets(profile, ts: list[float]) -> list[Jet2 | str]:
+    return [_profile_jet(profile, t) for t in ts]
+
+
+def _shear_is_inert(a: float, ts: list[float], cs: list[float]) -> bool:
+    """Is c + a*t the float c itself for every t in ts and c in cs?
+
+    With a = 0 and a finite t, a*t is a zero of either sign, and adding
+    it changes no c but -0.0: -0.0 + 0.0 is 0.0.  So a profile that
+    takes c + a*t can be evaluated at the values c, once each, exactly
+    when this holds.
+    """
+    return (
+        a == 0.0
+        and all(map(math.isfinite, ts))
+        and not any(math.copysign(1.0, c) < 0.0 for c in cs if c == 0.0)
+    )
+
+
+class _ShearedJets(dict):
+    """A sheared profile's jets (or exclusion texts) by argument, for one grid walk.
+
+    A sheared argument such as y + a*x can take a new value at every one
+    of the n^2 points, where storing its jets saves nothing; with a = 1
+    on a square grid it repeats along diagonals.  So the jets of the
+    first two grid lines are stored, and if no argument has come up
+    twice by then, storing stops: the dict holds O(n) jets rather than
+    O(n^2).  Otherwise every jet is stored.  The key is u, or (sign of
+    u,) for a zero u, because 0.0 == -0.0 as dict keys while a profile
+    may tell them apart.
+    """
+
+    __slots__ = ("profile", "lines", "keep")
+
+    def __init__(self, profile) -> None:
+        super().__init__()
+        self.profile = profile
+        self.lines = 0
+        self.keep = True
+
+    def __missing__(self, key):
+        u = key if key.__class__ is float else math.copysign(0.0, key[0])
+        j = _profile_jet(self.profile, u)
+        if self.keep:
+            self[key] = j
+        return j
+
+    def line(self, args: list[float]) -> list[Jet2 | str]:
+        """The jets at the arguments of one grid line."""
+        out = [self[u if u else (math.copysign(1.0, u),)] for u in args]
+        self.lines += 1
+        if self.lines == 2 and len(self) == 2 * len(args):
+            self.keep = False
+        return out
 
 
 def check_constancy(
@@ -323,23 +444,22 @@ def cross_validate(
     skipped (both routes would only amplify rounding there).
     """
     chart = as_chart(instance)
+    type2 = instance.kind == TYPE2
+    route = afs2_curvatures if type2 else afs1_curvatures
     rng = SplitMix64(seed)
     (u_lo, u_hi), (v_lo, v_hi) = instance.domain.u, instance.domain.v
     deviations = []
     excluded = []
     for _ in range(n_points):
         p = (rng.uniform(u_lo, u_hi), rng.uniform(v_lo, v_hi))
-        # Shared by the regularity skip and the specialized route, so a
-        # type-2 point evaluates its profiles once; the chart never sees it.
-        memo: dict = {}
-        if (
-            instance.kind == TYPE2
-            and abs(regularity(instance, p, memo=memo)) < _CROSS_REG_FLOOR
-        ):
-            excluded.append((p, f"regularity magnitude below {_CROSS_REG_FLOOR:g}"))
-            continue
         try:
-            special = instance.curvatures(p, memo=memo)
+            # One evaluation of the profiles serves the regularity skip
+            # and the specialized route; the chart never sees it.
+            j1, j2 = instance.profile_jets(p)
+            if type2 and abs(regularity(instance, j1, j2)) < _CROSS_REG_FLOOR:
+                excluded.append((p, f"regularity magnitude below {_CROSS_REG_FLOOR:g}"))
+                continue
+            special = route(instance, p, j1, j2)
             generic = chart.curvatures(p)
         except _EVAL_ERRORS as err:
             excluded.append((p, str(err)))

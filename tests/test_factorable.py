@@ -1,8 +1,6 @@
 """Unit tests for the product-form surface ansatz and its curvature routes."""
 
-import math
 import struct
-from collections import Counter
 
 import pytest
 
@@ -14,7 +12,6 @@ from isocurv.factorable import (
     afs1_curvatures,
     afs2_curvatures,
     as_chart,
-    grid_memo,
     is_planar,
     random_instance,
     random_profile,
@@ -102,6 +99,16 @@ def test_profile_arguments_shift():
     assert t.profile_arguments((1.0, 0.25)) == (1.5, 0.25)
 
 
+def test_profile_jets_are_the_profiles_at_the_shifted_arguments():
+    s = _type2(jets.exp, lambda t: 1.0 + t * t, 0.7, Rect((0.0, 1.0), (0.5, 1.5)))
+    p = (0.25, 0.75)
+    u1, u2 = s.profile_arguments(p)
+    j1, j2 = s.profile_jets(p)
+    assert j1.components() == jets.eval_profile(s.factor1, u1).components()
+    assert j2.components() == jets.eval_profile(s.factor2, u2).components()
+    assert s.curvatures(p) == afs2_curvatures(s, p, j1, j2)
+
+
 def test_kind_validation():
     with pytest.raises(ValueError):
         AffineFactorable("type-3", lambda t: t, lambda t: t, 0.0, UNIT)
@@ -110,16 +117,17 @@ def test_kind_validation():
 def test_specialized_route_rejects_wrong_kind():
     s1 = _type1(lambda t: t, lambda t: t, 1.0)
     s2 = _type2(lambda t: t, lambda t: jets.const(1.0), 1.0)
+    p = (0.5, 0.5)
     with pytest.raises(ValueError):
-        afs2_curvatures(s1, (0.5, 0.5))
+        afs2_curvatures(s1, p, *s1.profile_jets(p))
     with pytest.raises(ValueError):
-        afs1_curvatures(s2, (0.5, 0.5))
+        afs1_curvatures(s2, p, *s2.profile_jets(p))
 
 
 def test_regularity_is_a_type2_notion():
     s1 = _type1(lambda t: t, lambda t: t, 1.0)
     with pytest.raises(ValueError):
-        regularity(s1, (0.5, 0.5))
+        regularity(s1, *s1.profile_jets((0.5, 0.5)))
 
 
 def test_regularity_matches_height_slope():
@@ -127,59 +135,11 @@ def test_regularity_matches_height_slope():
     s = _type2(jets.exp, lambda t: 1.0 + t * t, 0.7, Rect((0.0, 1.0), (0.5, 1.5)))
     chart = as_chart(s)
     for p in ((0.2, 0.8), (0.9, 1.2)):
-        reg = regularity(s, p)
+        reg = regularity(s, *s.profile_jets(p))
         j = jets.eval_field(chart.height, p[0], p[1])
         assert abs(reg - j.dy) <= 1e-14 * (1.0 + abs(reg)), (
             f"regularity {reg} != slope {j.dy} at {p}"
         )
-
-
-def _counted(profile, calls):
-    def counted(t):
-        calls.append(t.v)
-        return profile(t)
-
-    return counted
-
-
-def test_memo_keeps_signed_zeros_apart():
-    # f1 = t + sign(t) tells -0.0 from 0.0; a key that merged them would
-    # hand the second point the first point's jet and flip H.
-    calls = []
-    f1 = _counted(lambda t: t + math.copysign(1.0, t.v), calls)
-    s = _type1(f1, lambda t: t * t + 1.0, 0.5, Rect((-1.0, 1.0), (0.0, 1.0)))
-    points = [(0.0, 0.5), (-0.0, 0.5), (-0.0, 0.5), (0.0, 0.5)]
-    want = [afs1_curvatures(s, p) for p in points]
-    assert want[0].H != want[1].H
-    calls.clear()
-    memo = {}
-    assert [afs1_curvatures(s, p, memo=memo) for p in points] == want
-    assert [math.copysign(1.0, u) for u in calls] == [1.0, -1.0], f"f1 calls {calls}"
-
-
-def test_memo_never_stores_an_exception():
-    calls = []
-    s = _type2(_counted(jets.log, calls), lambda t: t, 1.0, Rect((-1.0, 1.0), (0.5, 1.0)))
-    memo = {}
-    texts = []
-    for _ in range(2):
-        with pytest.raises(BranchDomainError) as info:
-            afs2_curvatures(s, (-1.0, 0.5), memo=memo)
-        texts.append(str(info.value))
-    assert texts[0] == texts[1] and len(calls) == 2 and not memo
-
-
-def test_grid_memo_stops_storing_a_profile_that_never_repeats():
-    # x repeats along every grid row; y + a*x with this a takes a new
-    # value at each point, so only its first 2n jets are ever stored.
-    s = _type1(lambda t: t * t + 1.0, jets.exp, 0.7317)
-    n = 41
-    memo = grid_memo(s, n)
-    plain = [afs1_curvatures(s, p) for p in UNIT.grid(n)]
-    assert [afs1_curvatures(s, p, memo=memo) for p in UNIT.grid(n)] == plain
-    stored = Counter(key[0] for key in memo if isinstance(key, tuple))
-    assert stored == {s.factor1: n, s.factor2: 2 * n}, stored
-    assert memo[s.factor2] == 0 and s.factor1 not in memo
 
 
 # the height each route returns -------------------------------------------

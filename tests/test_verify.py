@@ -119,11 +119,11 @@ def test_sample_grid_records_exclusions_with_reasons():
         assert point[1] == 0.0 and reason, f"unexpected exclusion {point}: {reason}"
 
 
-# the per-call profile memo of sample_grid ------------------------------
+# the row and column walk of sample_grid ---------------------------------
 
 
 def _plain_grid(surface, n):
-    """sample_grid's loop without the memo: one surface.curvatures per point."""
+    """sample_grid without its walk by grid lines: one surface.curvatures per point."""
     samples, excluded = [], []
     for p in surface.domain.grid(n):
         try:
@@ -228,8 +228,84 @@ def test_sample_grid_evaluates_each_profile_once_per_argument(fid):
     )
     run = sample_grid(counted, n=41)
     assert len(run.points) + len(run.excluded) == 41 * 41
-    assert max(calls) <= 41, f"profile evaluations {calls} on a 41x41 grid"
+    assert calls == [41, 41], f"profile evaluations {calls} on a 41x41 grid"
     assert run == sample_grid(surface, n=41)
+
+
+def test_sample_grid_under_a_unit_shear_evaluates_no_more_than_the_memo_did():
+    # y + x repeats along the diagonals of this square grid, so its jets
+    # are kept once one repeats: 41 evaluations of f1 and 126 of
+    # f2(y + x), the count of the per-point memo the grid walk replaced.
+    surface = build_family("AFS1.K.saddle")
+    assert surface.shear == 1.0
+    calls = [0, 0]
+    counted = surface.replace(
+        factor1=_counting(surface.factor1, calls, 0),
+        factor2=_counting(surface.factor2, calls, 1),
+    )
+    run = sample_grid(counted, n=41)
+    assert calls[0] == 41 and sum(calls) <= 167, f"profile evaluations {calls} on a 41x41 grid"
+    assert run == sample_grid(surface, n=41)
+
+
+def _log_text(t: float) -> str:
+    with pytest.raises(BranchDomainError) as info:
+        jets.eval_profile(jets.log, t)
+    return str(info.value)
+
+
+@pytest.mark.parametrize("kind", [TYPE1, TYPE2])
+def test_sample_grid_evaluates_a_raising_argument_once_per_grid_line(kind):
+    # log raises on each grid line whose coordinate is negative, for f1
+    # and for f2: 3 of the 9 rows and 3 of the 9 columns, and no grid
+    # line sits at 1.0, where log is 0.  Where both raise, the exclusion
+    # names f1's argument, as the per-point route does.
+    calls = [0, 0]
+    surface = AffineFactorable(
+        kind,
+        _counting(jets.log, calls, 0),
+        _counting(jets.log, calls, 1),
+        0.0,
+        Rect((-1.0, 2.0), (-1.0, 2.0)),
+    )
+    n = 9
+    run = sample_grid(surface, n=n)
+    assert calls == [n, n], f"profile evaluations {calls} on a {n}x{n} grid"
+    assert len(run.excluded) == n * n - 6 * 6
+    for p, reason in run.excluded:
+        u1, u2 = surface.profile_arguments(p)
+        assert reason == _log_text(u1 if u1 < 0.0 else u2), f"{p}: {reason}"
+    assert _assert_memo_changes_nothing(surface, n, kind) == len(run.excluded)
+
+
+def _signed(seen):
+    # t + sign(t): tells -0.0 from 0.0, and records the sign of each zero.
+    def profile(t):
+        if t.v == 0.0:
+            seen.add(math.copysign(1.0, t.v))
+        return t + math.copysign(1.0, t.v)
+
+    return profile
+
+
+@pytest.mark.parametrize("a", [0.0, -0.0, 0.5])
+@pytest.mark.parametrize("kind", [TYPE1, TYPE2])
+def test_sample_grid_keeps_signed_zeros_apart(kind, a):
+    # A reversed interval from -0.0 starts at -0.0 + 0 * d = -0.0.  On
+    # that grid line y + a*x is -0.0 where a*x is -0.0 and 0.0 where a*x
+    # is 0.0, so a walk that evaluated the sheared profile at y alone,
+    # or keyed its jets by a float that merges the zeros, would flip H
+    # on half of the line.  A forward interval from -0.0 starts at 0.0.
+    seen = set()
+    lines = Rect((-1.0, 1.0), (-0.0, -1.0))
+    for domain in (lines, Rect((-0.0, 1.0), (-0.0, 1.0))):
+        if kind == TYPE2:
+            domain = Rect(domain.v, domain.u)
+        f1, f2 = _signed(seen), _signed(seen)
+        surface = AffineFactorable(kind, f1, f2, a, domain)
+        _assert_memo_changes_nothing(surface, 5, f"{kind} a={a!r} over {domain}")
+    if a == 0.0:
+        assert seen == {1.0, -1.0}, f"zeros seen: {seen}"
 
 
 def test_cross_validate_evaluates_type2_profiles_once_per_point():
