@@ -278,6 +278,25 @@ def test_sample_grid_evaluates_a_raising_argument_once_per_grid_line(kind):
     assert _assert_memo_changes_nothing(surface, n, kind) == len(run.excluded)
 
 
+def test_sample_grid_keeps_a_non_finite_shear_product():
+    # 0 * inf is nan, so with a = 0 the sheared argument y + a*x is nan,
+    # not y, on a grid line whose x is infinite or nan.  A profile that
+    # refuses a non-finite argument must be refused there, as it is on
+    # the per-point route, and not evaluated at y.
+    def finite_only(t):
+        if not math.isfinite(t.v):
+            raise BranchDomainError("finite_only", t.v, "a finite argument")
+        return t * t + 1.0
+
+    for surface in (
+        AffineFactorable(TYPE1, lambda t: 1.0, finite_only, 0.0, Rect((0.0, math.inf), UNIT.v)),
+        AffineFactorable(TYPE2, finite_only, lambda t: t, 0.0, Rect(UNIT.u, (0.0, math.inf))),
+    ):
+        run = sample_grid(surface, n=5)
+        assert any("finite_only" in reason for _, reason in run.excluded), run.excluded
+        _assert_memo_changes_nothing(surface, 5, surface.kind)
+
+
 def _signed(seen):
     # t + sign(t): tells -0.0 from 0.0, and records the sign of each zero.
     def profile(t):
