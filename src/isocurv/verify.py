@@ -224,28 +224,22 @@ def _grid_route(surface):
 def _sample_product(s: AffineFactorable, domain: Rect, n: int):
     """sample_grid's columns for a product surface, walked row by row.
 
-    Row i holds the points (us[i], v) for the n column values v.  f1(x)
-    of type 1 takes the row coordinate and f2(z) of type 2 the column
-    coordinate, so their jets are evaluated once per grid line into a
-    list.  The other profile takes y + a*x (type 1) or y + a*z (type 2).
-    Where that is the column (type 1) or row (type 2) coordinate itself,
-    bit for bit (see :func:`_shear_is_inert`), it gets a list too;
-    otherwise its jets are looked up by argument in a
-    :class:`_ShearedJets`.  Then afs1_curvatures or afs2_curvatures
-    runs once per point on the two jets.
-
-    A profile that raises leaves its exclusion text in place of the
-    jet, and each point that uses it is excluded with that text; where
-    both profiles raise, f1's text goes first, as in
-    :meth:`AffineFactorable.curvatures`.
+    f1(x) of type 1 depends on the row coordinate and f2(z) of type 2 on
+    the column coordinate, so their jets are evaluated once per grid
+    line.  So are the other profile's, where its argument y + a*x (type
+    1) or y + a*z (type 2) is a grid coordinate bit for bit (see
+    :func:`_shear_is_inert`); otherwise a :class:`_ShearedJets` looks
+    them up by argument.  A profile that raises leaves its exclusion
+    text in place of the jet; where both raise, f1's text goes first,
+    as in :meth:`AffineFactorable.curvatures`.
     """
     us, vs = domain.coordinates(n)
     a = s.shear
     if s.kind == TYPE1:
         route = afs1_curvatures
-        f1_rows = _line_jets(s.factor1, us)
+        f1_rows = [_profile_jet(s.factor1, u) for u in us]
         if _shear_is_inert(a, us, vs):
-            f2_columns = _line_jets(s.factor2, vs)
+            f2_columns = [_profile_jet(s.factor2, v) for v in vs]
             rows = (([j1] * n, f2_columns) for j1 in f1_rows)
         else:
             sheared = _ShearedJets(s.factor2)
@@ -254,9 +248,9 @@ def _sample_product(s: AffineFactorable, domain: Rect, n: int):
             )
     else:
         route = afs2_curvatures
-        f2_columns = _line_jets(s.factor2, vs)
+        f2_columns = [_profile_jet(s.factor2, v) for v in vs]
         if _shear_is_inert(a, vs, us):
-            rows = (([j1] * n, f2_columns) for j1 in _line_jets(s.factor1, us))
+            rows = (([_profile_jet(s.factor1, u)] * n, f2_columns) for u in us)
         else:
             sheared = _ShearedJets(s.factor1)
             rows = ((sheared.line([u + a * v for v in vs]), f2_columns) for u in us)
@@ -294,10 +288,6 @@ def _profile_jet(profile, t: float) -> Jet2 | str:
         return jets.eval_profile(profile, t)
     except _EVAL_ERRORS as err:
         return str(err)
-
-
-def _line_jets(profile, ts: list[float]) -> list[Jet2 | str]:
-    return [_profile_jet(profile, t) for t in ts]
 
 
 def _shear_is_inert(a: float, ts: list[float], cs: list[float]) -> bool:
