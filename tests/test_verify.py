@@ -316,8 +316,7 @@ def test_sample_grid_keeps_signed_zeros_apart(kind, a):
     # or keyed its jets by a float that merges the zeros, would flip H
     # on half of the line.  A forward interval from -0.0 starts at 0.0.
     seen = set()
-    lines = Rect((-1.0, 1.0), (-0.0, -1.0))
-    for domain in (lines, Rect((-0.0, 1.0), (-0.0, 1.0))):
+    for domain in (Rect((-1.0, 1.0), (-0.0, -1.0)), Rect((-0.0, 1.0), (-0.0, 1.0))):
         if kind == TYPE2:
             domain = Rect(domain.v, domain.u)
         f1, f2 = _signed(seen), _signed(seen)
