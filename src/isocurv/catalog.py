@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import bisect
 import math
+from collections.abc import Callable
 
 from . import jets
 from .jets import Jet2

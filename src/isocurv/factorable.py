@@ -39,6 +39,8 @@ cross-checked numerically (see ``isocurv.verify.cross_validate``).
 
 from __future__ import annotations
 
+from collections.abc import Callable
+
 from . import jets
 from .jets import Jet2
 from .geometry import (

@@ -33,6 +33,7 @@ sqrt(det g) is positive).
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 
 from . import jets
 from .jets import Jet2
@@ -249,7 +250,8 @@ def apply_motion(m: Motion, p: tuple) -> tuple:
 
 
 #: A function of two jets returning a jet.  Written as a string, as
-#: annotations are, so that no module needs ``typing`` at run time.
+#: annotations are; ``typing.get_type_hints`` resolves it against the
+#: ``collections.abc`` Callable, so no module needs ``typing`` at run time.
 Field = "Callable[[Jet2, Jet2], Jet2]"
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Callable, Sequence
 
 from . import jets
 from .jets import BranchDomainError, Jet2

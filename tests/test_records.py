@@ -7,9 +7,12 @@ classes, so importing the package generates no code.
 """
 
 import copy
+import importlib
+import inspect
 import pickle
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import pytest
@@ -278,3 +281,24 @@ def test_import_loads_no_code_generators():
     )
     assert proc.returncode == 0, f"stderr: {proc.stderr}"
     assert proc.stdout == "[]\n"
+
+
+def test_every_annotation_resolves():
+    # The annotations are strings that load nothing at import; the names
+    # they use must still resolve, for type checkers and for readers.
+    checked = 0
+    for name in ("jets", "geometry", "factorable", "catalog", "verify", "cli", "rng"):
+        mod = importlib.import_module(f"isocurv.{name}")
+        for obj in vars(mod).values():
+            if getattr(obj, "__module__", None) != mod.__name__:
+                continue
+            if inspect.isfunction(obj):
+                functions = [obj]
+            elif inspect.isclass(obj):
+                functions = [f for f in vars(obj).values() if inspect.isfunction(f)]
+            else:
+                continue
+            for fn in functions:
+                typing.get_type_hints(fn)
+                checked += 1
+    assert checked > 100, f"only {checked} functions checked"
