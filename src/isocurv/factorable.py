@@ -32,6 +32,16 @@ caller that walks many points can reuse the jets, and grid sampling
 type 2 depend on one grid coordinate, and with a = 0 so does the other
 profile, so each of them is evaluated once per grid line.
 
+Grid sampling then applies the formulas a grid row at a time, through
+the line kernels :func:`afs1_line` and :func:`afs2_line`.  Each repeats
+its route's expressions operation for operation, on floats hoisted
+from the jets (per row where a profile is fixed along it) and with no
+CurvaturePair per point, so each formula has two copies, side by side
+below.  ``tests/test_verify.py`` ties them together: it compares
+sample_grid bit for bit, exclusion texts included, with a loop over
+:meth:`AffineFactorable.curvatures` on every product family, on random
+instances, and where a square overflows.
+
 These specialized routes are deliberately kept separate from the
 generic chart formulas in :mod:`isocurv.geometry` so the two can be
 cross-checked numerically (see ``isocurv.verify.cross_validate``).
@@ -39,7 +49,8 @@ cross-checked numerically (see ``isocurv.verify.cross_validate``).
 
 from __future__ import annotations
 
-from collections.abc import Callable
+import math
+from collections.abc import Callable, Sequence
 
 from . import jets
 from .jets import Jet2
@@ -60,7 +71,9 @@ __all__ = [
     "TYPE2",
     "AffineFactorable",
     "afs1_curvatures",
+    "afs1_line",
     "afs2_curvatures",
+    "afs2_line",
     "regularity",
     "as_chart",
     "random_profile",
@@ -73,6 +86,9 @@ TYPE2 = "type-2"
 
 #: A twice-differentiable function of one variable in jet arithmetic.
 Profile = "Callable[[Jet2], Jet2]"
+#: The columns a grid walk fills: points, K, H, heights and exclusions,
+#: in the layout of ``isocurv.verify.GridRun``.
+Columns = "tuple[list, list, list, list, list]"
 
 
 class AffineFactorable(Record):
@@ -143,6 +159,54 @@ def afs1_curvatures(
     return CurvaturePair(K, H, f1 * f2)
 
 
+def afs1_line(
+    a: float,
+    x: float,
+    j1: Jet2 | str,
+    ys: Sequence[float],
+    j2s: Sequence[Jet2 | str],
+    columns: Columns,
+) -> None:
+    """:func:`afs1_curvatures` along the grid row x of a type-1 surface.
+
+    ``j1`` is f1's jet at x, ``j2s`` f2's jets at y + a*x for each y in
+    ``ys``; either may be the exclusion text of the error its profile
+    raised, and f1's text goes first.  Each point goes to ``columns`` as
+    the per-point route would put it there: included with K, H and the
+    height, or excluded with the route's error text or "non-finite
+    curvature value".  The row's f1 floats and the factors (1 + a^2)*f1
+    and 2a*f1', which the route's left-to-right products form first,
+    are computed once per row, so every float is the route's.
+    """
+    points, ks, hs, heights, excluded = columns
+    if j1.__class__ is str:
+        excluded += [((x, y), j1) for y in ys]
+        return
+    f1, d1, dd1 = j1.v, j1.dx, j1.dxx
+    c_dd2 = (1.0 + a * a) * f1
+    c_d2 = 2.0 * a * d1
+    isfinite = math.isfinite
+    for y, j2 in zip(ys, j2s):
+        if j2.__class__ is str:
+            excluded.append(((x, y), j2))
+            continue
+        f2, d2, dd2 = j2.v, j2.dx, j2.dxx
+        try:
+            w = f1 * f2
+            K = w * dd1 * dd2 - (d1 * d2) ** 2
+            H = 0.5 * (c_dd2 * dd2 + c_d2 * d2 + dd1 * f2)
+        except (ZeroDivisionError, OverflowError) as err:
+            excluded.append(((x, y), str(err)))
+            continue
+        if isfinite(K) and isfinite(H):
+            points.append((x, y))
+            ks.append(K)
+            hs.append(H)
+            heights.append(w)
+        else:
+            excluded.append(((x, y), "non-finite curvature value"))
+
+
 def afs2_curvatures(
     s: AffineFactorable, p: tuple[float, float], j1: Jet2, j2: Jet2
 ) -> CurvaturePair:
@@ -161,10 +225,7 @@ def afs2_curvatures(
     a = s.shear
     reg = a * d1 * f2 + f1 * d2
     if abs(reg) < ADMISSIBILITY_EPS:
-        raise AdmissibilityError(
-            f"type-2 regularity |a*f1'*f2 + f1*f2'| = {abs(reg):.3g} "
-            f"< {ADMISSIBILITY_EPS:g} at {p!r}"
-        )
+        raise AdmissibilityError(_irregular(reg, p))
     reg2 = reg * reg
     num_k = f1 * f2 * dd1 * dd2 - (d1 * d2) ** 2
     num_2h = (
@@ -178,6 +239,70 @@ def afs2_curvatures(
     K = num_k / (reg2 * reg2)
     H = num_2h / (2.0 * reg2 * reg)
     return CurvaturePair(K, H, f1 * f2)
+
+
+def afs2_line(
+    a: float,
+    y: float,
+    zs: Sequence[float],
+    j1s: Sequence[Jet2 | str],
+    j2s: Sequence[Jet2 | str],
+    columns: Columns,
+) -> None:
+    """:func:`afs2_curvatures` along the grid row y of a type-2 surface.
+
+    ``j1s`` are f1's jets at y + a*z and ``j2s`` f2's jets at z, for each
+    z in ``zs``; exclusions and ``columns`` are as for :func:`afs1_line`,
+    with the route's regularity text where |reg| < ADMISSIBILITY_EPS.
+    Only 2a and a^2, which the route's products form first, are hoisted;
+    (f1'*f2')^2, which the route squares twice, is squared once.
+    """
+    points, ks, hs, heights, excluded = columns
+    a2, aa = 2.0 * a, a * a
+    isfinite = math.isfinite
+    for z, j1, j2 in zip(zs, j1s, j2s):
+        if j1.__class__ is str or j2.__class__ is str:
+            excluded.append(((y, z), j1 if j1.__class__ is str else j2))
+            continue
+        f1, d1, dd1 = j1.v, j1.dx, j1.dxx
+        f2, d2, dd2 = j2.v, j2.dx, j2.dxx
+        try:
+            reg = a * d1 * f2 + f1 * d2
+            if abs(reg) < ADMISSIBILITY_EPS:
+                excluded.append(((y, z), _irregular(reg, (y, z))))
+                continue
+            reg2 = reg * reg
+            w = f1 * f2
+            d12 = (d1 * d2) ** 2
+            num_k = w * dd1 * dd2 - d12
+            num_2h = (
+                (d1 * f2) ** 2 * f1 * dd2
+                - 2.0 * d12 * f1 * f2
+                + (f1 * d2) ** 2 * f2 * dd1
+                + f1 * dd2
+                + a2 * d1 * d2
+                + aa * dd1 * f2
+            )
+            K = num_k / (reg2 * reg2)
+            H = num_2h / (2.0 * reg2 * reg)
+        except (ZeroDivisionError, OverflowError) as err:
+            excluded.append(((y, z), str(err)))
+            continue
+        if isfinite(K) and isfinite(H):
+            points.append((y, z))
+            ks.append(K)
+            hs.append(H)
+            heights.append(w)
+        else:
+            excluded.append(((y, z), "non-finite curvature value"))
+
+
+def _irregular(reg: float, p: tuple[float, float]) -> str:
+    """The exclusion text of a type-2 point whose regularity is below the floor."""
+    return (
+        f"type-2 regularity |a*f1'*f2 + f1*f2'| = {abs(reg):.3g} "
+        f"< {ADMISSIBILITY_EPS:g} at {p!r}"
+    )
 
 
 def regularity(s: AffineFactorable, j1: Jet2, j2: Jet2) -> float:

@@ -39,7 +39,9 @@ from .factorable import (
     TYPE2,
     AffineFactorable,
     afs1_curvatures,
+    afs1_line,
     afs2_curvatures,
+    afs2_line,
     as_chart,
     is_planar,
     random_instance,
@@ -174,7 +176,12 @@ def sample_grid(surface, domain: Rect | None = None, n: int = 21, subject: str =
     (see :func:`_sample_product`): a profile that depends on a single
     grid coordinate is evaluated once per grid line and its jet reused
     along the line, so the profiles must be pure functions of their
-    argument.  Any other surface is evaluated point by point.
+    argument.  The route formulas are then applied per grid row, from
+    floats hoisted out of the jets, by the line kernels
+    ``afs1_line``/``afs2_line``; the result is bit for bit that of
+    ``surface.curvatures`` at each point (see the module docstring of
+    :mod:`isocurv.factorable` for the tests that pin this).  Any other
+    surface is evaluated point by point.
     """
     if domain is None:
         domain = surface.domain
@@ -232,51 +239,35 @@ def _sample_product(s: AffineFactorable, domain: Rect, n: int):
     :func:`_shear_is_inert`); otherwise a :class:`_ShearedJets` looks
     them up by argument.  A profile that raises leaves its exclusion
     text in place of the jet; where both raise, f1's text goes first,
-    as in :meth:`AffineFactorable.curvatures`.
+    as in :meth:`AffineFactorable.curvatures`.  Each row's jets go to
+    the line kernel of the surface's kind (:func:`afs1_line` hoists the
+    row's f1 floats), which applies the route formulas and appends to
+    the columns; the ``test_sample_grid_is_bit_exact_*`` tests pin the
+    result to the per-point routes.
     """
     us, vs = domain.coordinates(n)
     a = s.shear
+    columns = ([], [], [], [], [])
     if s.kind == TYPE1:
-        route = afs1_curvatures
-        f1_rows = [_profile_jet(s.factor1, u) for u in us]
         if _shear_is_inert(a, us, vs):
             f2_columns = [_profile_jet(s.factor2, v) for v in vs]
-            rows = (([j1] * n, f2_columns) for j1 in f1_rows)
+            for u in us:
+                afs1_line(a, u, _profile_jet(s.factor1, u), vs, f2_columns, columns)
         else:
             sheared = _ShearedJets(s.factor2)
-            rows = (
-                ([j1] * n, sheared.line([v + a * u for v in vs])) for u, j1 in zip(us, f1_rows)
-            )
+            for u in us:
+                j1 = _profile_jet(s.factor1, u)
+                afs1_line(a, u, j1, vs, sheared.line([v + a * u for v in vs]), columns)
     else:
-        route = afs2_curvatures
         f2_columns = [_profile_jet(s.factor2, v) for v in vs]
         if _shear_is_inert(a, vs, us):
-            rows = (([_profile_jet(s.factor1, u)] * n, f2_columns) for u in us)
+            for u in us:
+                afs2_line(a, u, vs, [_profile_jet(s.factor1, u)] * n, f2_columns, columns)
         else:
             sheared = _ShearedJets(s.factor1)
-            rows = ((sheared.line([u + a * v for v in vs]), f2_columns) for u in us)
-    points, ks, hs, heights = [], [], [], []
-    excluded = []
-    for u, (j1s, j2s) in zip(us, rows):
-        for v, j1, j2 in zip(vs, j1s, j2s):
-            p = (u, v)
-            if j1.__class__ is str or j2.__class__ is str:
-                excluded.append((p, j1 if j1.__class__ is str else j2))
-                continue
-            try:
-                pair = route(s, p, j1, j2)
-            except _EVAL_ERRORS as err:
-                excluded.append((p, str(err)))
-                continue
-            K, H = pair.K, pair.H
-            if not (math.isfinite(K) and math.isfinite(H)):
-                excluded.append((p, "non-finite curvature value"))
-                continue
-            points.append(p)
-            ks.append(K)
-            hs.append(H)
-            heights.append(pair.w)
-    return tuple(points), tuple(ks), tuple(hs), tuple(heights), tuple(excluded)
+            for u in us:
+                afs2_line(a, u, vs, sheared.line([u + a * v for v in vs]), f2_columns, columns)
+    return tuple(map(tuple, columns))
 
 
 def _profile_jet(profile, t: float) -> Jet2 | str:

@@ -146,7 +146,7 @@ def _grid_bits(samples, excluded):
     )
 
 
-def _assert_memo_changes_nothing(surface, n, what) -> int:
+def _assert_walk_matches_point_loop(surface, n, what) -> int:
     """Compare sample_grid with the plain loop; return the exclusion count."""
     run = sample_grid(surface, n=n)
     got = _grid_bits(zip(run.points, run.K, run.H, run.heights), run.excluded)
@@ -155,24 +155,24 @@ def _assert_memo_changes_nothing(surface, n, what) -> int:
     return len(run.excluded)
 
 
-def test_sample_grid_memo_is_bit_exact_on_every_product_family():
+def test_sample_grid_is_bit_exact_on_every_product_family():
     surfaces = {fid: build_family(fid) for fid in family_ids()}
     products = {f: s for f, s in surfaces.items() if isinstance(s, AffineFactorable)}
     assert len(products) == 29
     for fid, surface in products.items():
-        _assert_memo_changes_nothing(surface, 41, fid)
+        _assert_walk_matches_point_loop(surface, 41, fid)
 
 
-def test_sample_grid_memo_is_bit_exact_on_random_instances():
+def test_sample_grid_is_bit_exact_on_random_instances():
     excluded = 0
     for seed in range(40):
         for kind in (TYPE1, TYPE2):
             inst = random_instance(SplitMix64(seed), kind)
-            excluded += _assert_memo_changes_nothing(inst, 15, f"seed {seed} {kind}")
+            excluded += _assert_walk_matches_point_loop(inst, 15, f"seed {seed} {kind}")
     assert excluded > 0, "no draw exercised an exclusion"
 
 
-def test_sample_grid_memo_stays_bounded_under_a_generic_shear():
+def test_sample_grid_stays_bounded_under_a_generic_shear():
     # y + a*x takes a new value at nearly every point for this a, so a
     # memo that kept each jet would hold n^2 of them: about 2.3x the
     # plain loop's peak at this n.
@@ -187,9 +187,31 @@ def test_sample_grid_memo_stays_bounded_under_a_generic_shear():
         finally:
             tracemalloc.stop()
         del result
-    plain, memo = peaks
-    assert memo <= 1.25 * plain, f"sample_grid peaked at {memo} B, the plain loop at {plain} B"
-    _assert_memo_changes_nothing(surface, n, "AFS1.K.saddle a=0.7317")
+    plain, walk = peaks
+    assert walk <= 1.25 * plain, f"sample_grid peaked at {walk} B, the plain loop at {plain} B"
+    _assert_walk_matches_point_loop(surface, n, "AFS1.K.saddle a=0.7317")
+
+
+@pytest.mark.parametrize("a", [0.0, 0.5])
+@pytest.mark.parametrize("kind", [TYPE1, TYPE2])
+def test_sample_grid_excludes_an_overflowing_square_as_the_route_does(kind, a):
+    # f = 1 + 1e-100*sin(1e200*t^2) stays near 1 while f' = 2e100*t*cos(...)
+    # reaches 1e100: f1'*f2' is finite and its square overflows, but the
+    # other squares of the routes, (f1'*f2)^2 and (f1*f2')^2, do not.
+    # Float ** raises OverflowError there, where x * x would give inf and
+    # a "non-finite" exclusion instead, so the line kernels must square
+    # as the per-point routes do.
+    def steep(t):
+        return 1e-100 * jets.sin(1e200 * t * t) + 1.0
+
+    surface = AffineFactorable(kind, steep, steep, a, Rect((-1.0, 1.0), (-1.0, 1.0)))
+    run = sample_grid(surface, n=5)
+    reasons = {reason.partition(" = ")[0] for _, reason in run.excluded}
+    assert "(34, 'Numerical result out of range')" in reasons, reasons
+    assert "non-finite curvature value" in reasons, reasons
+    if kind == TYPE2:
+        assert "type-2 regularity |a*f1'*f2 + f1*f2'|" in reasons, reasons
+    _assert_walk_matches_point_loop(surface, 5, f"{kind} a={a}")
 
 
 def _same_bits(got: tuple, want: list) -> bool:
@@ -275,7 +297,7 @@ def test_sample_grid_evaluates_a_raising_argument_once_per_grid_line(kind):
     for p, reason in run.excluded:
         u1, u2 = surface.profile_arguments(p)
         assert reason == _log_text(u1 if u1 < 0.0 else u2), f"{p}: {reason}"
-    assert _assert_memo_changes_nothing(surface, n, kind) == len(run.excluded)
+    assert _assert_walk_matches_point_loop(surface, n, kind) == len(run.excluded)
 
 
 def test_sample_grid_keeps_a_non_finite_shear_product():
@@ -294,7 +316,7 @@ def test_sample_grid_keeps_a_non_finite_shear_product():
     ):
         run = sample_grid(surface, n=5)
         assert any("finite_only" in reason for _, reason in run.excluded), run.excluded
-        _assert_memo_changes_nothing(surface, 5, surface.kind)
+        _assert_walk_matches_point_loop(surface, 5, surface.kind)
 
 
 def _signed(seen):
@@ -321,7 +343,7 @@ def test_sample_grid_keeps_signed_zeros_apart(kind, a):
             domain = Rect(domain.v, domain.u)
         f1, f2 = _signed(seen), _signed(seen)
         surface = AffineFactorable(kind, f1, f2, a, domain)
-        _assert_memo_changes_nothing(surface, 5, f"{kind} a={a!r} over {domain}")
+        _assert_walk_matches_point_loop(surface, 5, f"{kind} a={a!r} over {domain}")
     if a == 0.0:
         assert seen == {1.0, -1.0}, f"zeros seen: {seen}"
 
