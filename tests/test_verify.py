@@ -187,8 +187,8 @@ def test_sample_grid_stays_bounded_under_a_generic_shear():
         finally:
             tracemalloc.stop()
         del result
-    plain, walk = peaks
-    assert walk <= 1.25 * plain, f"sample_grid peaked at {walk} B, the plain loop at {plain} B"
+    plain, memo = peaks
+    assert memo <= 1.25 * plain, f"sample_grid peaked at {memo} B, the plain loop at {plain} B"
     _assert_walk_matches_point_loop(surface, n, "AFS1.K.saddle a=0.7317")
 
 
