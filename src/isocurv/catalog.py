@@ -27,7 +27,8 @@ pairs checked in order.
 ``FamilySpec.builder`` runs every product family and adds two rules of
 its own: a family whose parameters include the shear ``a`` requires
 a != 0 before any constraint, and a type-2 surface is rejected when its
-regularity comes within ``_REG_FLOOR`` of zero on the default domain.
+regularity comes within ``_REG_FLOOR`` of zero on the default domain or
+cannot be evaluated there.
 A plain family is the sheared one without ``a``, so FS and AFS twins
 share their factor constructors.  FS2.K.integral, whose profile comes
 from quadrature, builds through ``build_integral_family`` instead.
@@ -42,7 +43,15 @@ from collections.abc import Callable
 from . import jets
 from .jets import Jet2
 from .geometry import Record, Rect, SurfaceChart, X_OVER_YZ
-from .factorable import TYPE1, TYPE2, AffineFactorable, Profile, regularity
+from .factorable import (
+    TYPE1,
+    TYPE2,
+    _EVAL_ERRORS,
+    AffineFactorable,
+    Profile,
+    _shear_is_inert,
+    regularity,
+)
 
 __all__ = [
     "CLAIM_FLAT",
@@ -74,6 +83,8 @@ CLAIM_CONST_H = "H-const"
 _REG_FLOOR = 1e-3
 #: Floor on the quadrature radicand over the profile range.
 _RADICAND_FLOOR = 1e-6
+#: Most intervals a quadrature table may refine to before it gives up.
+_MAX_INTERVALS = 1 << 20
 
 
 class UnknownFamilyError(KeyError):
@@ -150,7 +161,8 @@ class FamilySpec(Record):
 
         A family with a shear parameter requires a != 0 first, then each
         constraint in order; a type-2 surface must also keep its
-        regularity away from zero on the default domain.
+        regularity away from zero on the default domain, and evaluate
+        there without an error.
         """
         if "a" in self.params:
             _require(p["a"] != 0.0, self.id, "a != 0")
@@ -270,9 +282,19 @@ class _MonotoneTable:
     """Cumulative Simpson table z(t) = integral of a positive integrand.
 
     Built once per family instance with interval doubling until the
-    shared-node drift falls under ``tol``; inverted pointwise by
-    bracketing in the table and 64 fixed bisection steps, so repeated
-    builds with identical inputs give bitwise-identical results.
+    shared-node drift falls under ``tol``, within ``_MAX_INTERVALS``
+    intervals; inverted pointwise by bracketing in the table and at most
+    64 bisection steps, so repeated builds with identical inputs give
+    bitwise-identical results.  A table that cannot be built (a
+    non-positive step, or no convergence within the cap) raises
+    :class:`ParameterError`.
+
+    The integrand must be a pure function of its argument: the build
+    evaluates it once per node, and each interval's right end value is
+    the next interval's left end value.  Bisection stops at its fixed
+    point: a step is a function of the bracket (a, b) alone, so once a
+    step would assign a or b the value it already holds, every later
+    step would too, and the remaining steps of the 64 cannot change t.
 
     Each table remembers its inversions, keyed by the ``z0`` passed in:
     a grid repeats each height parameter along a whole grid line, so all
@@ -299,8 +321,10 @@ class _MonotoneTable:
             if drift < tol:
                 break
             n *= 2
-            if n > (1 << 20):
-                raise RuntimeError("quadrature refinement did not converge")
+            if n > _MAX_INTERVALS:
+                raise ParameterError(
+                    f"quadrature refinement did not converge within {_MAX_INTERVALS} intervals"
+                )
         self.nodes = nodes
         self.zs = zs
         self._inverted: dict[float, float] = {}
@@ -309,12 +333,15 @@ class _MonotoneTable:
         lo, hi, s = self.lo, self.hi, self.integrand
         nodes = [lo + (hi - lo) * i / n for i in range(n + 1)]
         zs = [0.0]
-        for i in range(n):
-            a, b = nodes[i], nodes[i + 1]
-            step = (b - a) / 6.0 * (s(a) + 4.0 * s(0.5 * (a + b)) + s(b))
+        s_a = s(nodes[0])
+        for a, b in zip(nodes, nodes[1:]):
+            s_m = s(0.5 * (a + b))
+            s_b = s(b)
+            step = (b - a) / 6.0 * (s_a + 4.0 * s_m + s_b)
             if step <= 0.0:
-                raise RuntimeError("quadrature table is not strictly increasing")
+                raise ParameterError("quadrature table is not strictly increasing")
             zs.append(zs[-1] + step)
+            s_a = s_b
         return nodes, zs
 
     @property
@@ -340,8 +367,12 @@ class _MonotoneTable:
             m = 0.5 * (a + b)
             zm = base + (m - t_i) / 6.0 * (s_i + 4.0 * s(0.5 * (t_i + m)) + s(m))
             if zm < zc:
+                if m == a:
+                    break
                 a = m
             else:
+                if m == b:
+                    break
                 b = m
         t = 0.5 * (a + b)
         if len(memo) >= len(nodes):
@@ -381,7 +412,10 @@ def build_integral_family(
         f"radicand c2/t - K0/c1^2 must stay >= {_RADICAND_FLOOR:g} on the profile range",
     )
 
-    table = _MonotoneTable(lambda t: math.sqrt(radicand(t)), f2_lo, f2_hi)
+    try:
+        table = _MonotoneTable(lambda t: math.sqrt(radicand(t)), f2_lo, f2_hi)
+    except ParameterError as err:
+        raise ParameterError(f"{fid}: {err}") from None
 
     def slope_profile(zj: Jet2) -> Jet2:
         t = table.invert(zj.v)
@@ -418,9 +452,34 @@ def _positive_box(kind: str, a: float) -> Rect:
     return Rect((0.5 + s, 1.5 + s), (0.5, 1.5))
 
 
+def _regularity_grid(s: AffineFactorable) -> list[float]:
+    """The regularity values on the 9 x 9 grid of the default domain, row-major.
+
+    Walked by grid lines as ``isocurv.verify.sample_grid`` walks them:
+    f2(z) once per grid column, and f1(y + a*z) once per grid row where
+    the shear changes no argument (:func:`_shear_is_inert`), once per
+    point otherwise.  The jets are those of
+    :meth:`AffineFactorable.profile_jets` at each point, so the values are
+    too, bit for bit.
+    """
+    ys, zs = s.domain.coordinates(9)
+    f1, a = s.factor1, s.shear
+    j2s = [jets.eval_profile(s.factor2, z) for z in zs]
+    if _shear_is_inert(a, zs, ys):
+        rows = ([jets.eval_profile(f1, y)] * len(zs) for y in ys)
+    else:
+        rows = ([jets.eval_profile(f1, y + a * z) for z in zs] for y in ys)
+    return [regularity(s, j1, j2) for j1s in rows for j1, j2 in zip(j1s, j2s)]
+
+
 def _check_regularity(s: AffineFactorable, family_id: str) -> None:
     """Reject parameter choices whose default domain crosses regularity zero (9 x 9 grid)."""
-    values = [regularity(s, *s.profile_jets(p)) for p in s.domain.grid(9)]
+    try:
+        values = _regularity_grid(s)
+    except _EVAL_ERRORS as err:
+        raise ParameterError(
+            f"{family_id}: evaluation failed on the default domain: {err}"
+        ) from None
     low = min(abs(v) for v in values)
     same_sign = all(v > 0.0 for v in values) or all(v < 0.0 for v in values)
     if not same_sign or low < _REG_FLOOR:
@@ -933,7 +992,13 @@ def _profile(spec: FamilySpec, merged: dict, surface) -> CurvatureProfile:
         claimed = 0.0
     if not spec.has_derived_constant:
         return CurvatureProfile(spec.claim, claimed, None)
-    pair = surface.curvatures(surface.domain.center())
+    center = surface.domain.center()
+    try:
+        pair = surface.curvatures(center)
+    except _EVAL_ERRORS as err:
+        raise ParameterError(
+            f"{spec.id}: evaluation failed at the domain center {center!r}: {err}"
+        ) from None
     return CurvatureProfile(spec.claim, claimed, getattr(pair, quantity_for_claim(spec.claim)))
 
 

@@ -156,6 +156,27 @@ def _cmd_verify(args) -> int:
     return 0 if report.passed else 1
 
 
+def _vertex_rows(point3d, us, v_texts, heights, sep):
+    """Per grid row: its slice of the grid columns, a vertex format and the format's columns.
+
+    ``point3d`` only permutes its arguments, so on the row coordinate's
+    text, the column texts ``v_texts`` and the row's heights it gives
+    the vertex fields in (x, y, z) order.  The format joins them with
+    ``sep``: the row text as it is, ``%s`` for the column text and
+    ``%.17g`` for the height, and its columns are those two sequences
+    in the same order.  ``%.17g`` is deterministic, so a vertex reads
+    as it does formatted point by point.
+    """
+    n = len(v_texts)
+    for i, u in enumerate(us):
+        row = slice(i * n, i * n + n)
+        fields = point3d(("%.17g" % u, v_texts), heights[row])
+        spec = sep.join(
+            f if f.__class__ is str else "%s" if f is v_texts else "%.17g" for f in fields
+        )
+        yield row, spec, [f for f in fields if f.__class__ is not str]
+
+
 def _cmd_grid(args) -> int:
     params = _parse_params(args.param)
     surface = catalog.build_family(args.family, **params)
@@ -173,27 +194,31 @@ def _cmd_grid(args) -> int:
         )
         return 1
     n = run.n
-    point3d = chart.point3d
-    # Each line goes to the file as soon as it is formatted, so the
-    # export holds no more than the sampled grid.  "%.17g" gives the
-    # same text as format(x, ".17g") in one formatting call per line.
+    us, vs = run.domain.coordinates(n)
+    v_texts = ["%.17g" % v for v in vs]
+    # The grid has no exclusions, so its k-th point is (us[k // n],
+    # vs[k % n]): each coordinate is formatted once per grid line, and
+    # each grid row goes to the file in one write as soon as it is
+    # formatted, so the export holds the sampled grid and one row's text.
     with open(args.out, "w", encoding="utf-8") as fh:
         write = fh.write
         if args.format == "csv":
             write("x,y,z,K,H\n")
-            for p, w, K, H in zip(run.points, run.heights, run.K, run.H):
-                write("%.17g,%.17g,%.17g,%.17g,%.17g\n" % (*point3d(p, w), K, H))
+            for row, spec, columns in _vertex_rows(chart.point3d, us, v_texts, run.heights, ","):
+                line = spec + ",%.17g,%.17g\n"
+                write("".join(map(line.__mod__, zip(*columns, run.K[row], run.H[row]))))
         else:
             write(f"# {args.family} sampled on a {n}x{n} grid\n")
-            for p, w in zip(run.points, run.heights):
-                write("v %.17g %.17g %.17g\n" % point3d(p, w))
-            for i in range(n - 1):
-                for j in range(n - 1):
-                    a = i * n + j + 1
-                    b = a + 1
-                    c = a + n
-                    d = a + n + 1
-                    write("f %d %d %d\nf %d %d %d\n" % (a, b, c, b, d, c))
+            for _, spec, columns in _vertex_rows(chart.point3d, us, v_texts, run.heights, " "):
+                write("".join(map(f"v {spec}\n".__mod__, zip(*columns))))
+            # Two triangles per cell, whose first corner is vertex a =
+            # i*n + j + 1 (rows i, columns j, both up to n - 2).
+            for first in range(1, n * (n - 1), n):
+                a = range(first, first + n - 1)
+                b = range(first + 1, first + n)
+                c = range(first + n, first + 2 * n - 1)
+                d = range(first + n + 1, first + 2 * n)
+                write("".join(map("f %d %d %d\nf %d %d %d\n".__mod__, zip(a, b, c, b, d, c))))
     print(f"wrote {args.out}: {len(run.points)} points from {args.family}")
     return 0
 

@@ -53,7 +53,7 @@ import math
 from collections.abc import Callable, Sequence
 
 from . import jets
-from .jets import Jet2
+from .jets import BranchDomainError, Jet2
 from .geometry import (
     ADMISSIBILITY_EPS,
     AdmissibilityError,
@@ -86,6 +86,9 @@ TYPE2 = "type-2"
 
 #: A twice-differentiable function of one variable in jet arithmetic.
 Profile = "Callable[[Jet2], Jet2]"
+#: The errors that evaluating a surface at a point may raise: a grid walk
+#: excludes the point, and a family build refuses its parameters.
+_EVAL_ERRORS = (AdmissibilityError, BranchDomainError, ZeroDivisionError, OverflowError)
 #: The columns a grid walk fills: points, K, H, heights and exclusions,
 #: in the layout of ``isocurv.verify.GridRun``.
 Columns = "tuple[list, list, list, list, list]"
@@ -295,6 +298,21 @@ def afs2_line(
             heights.append(w)
         else:
             excluded.append(((y, z), "non-finite curvature value"))
+
+
+def _shear_is_inert(a: float, ts: list[float], cs: list[float]) -> bool:
+    """Is c + a*t the float c itself for every t in ts and c in cs?
+
+    With a = 0 and a finite t, a*t is a zero of either sign, and adding
+    it changes no c but -0.0: -0.0 + 0.0 is 0.0.  So a profile that
+    takes c + a*t can be evaluated at the values c, once each, exactly
+    when this holds.
+    """
+    return (
+        a == 0.0
+        and all(map(math.isfinite, ts))
+        and not any(math.copysign(1.0, c) < 0.0 for c in cs if c == 0.0)
+    )
 
 
 def _irregular(reg: float, p: tuple[float, float]) -> str:

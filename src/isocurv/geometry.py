@@ -281,7 +281,11 @@ class SurfaceChart(Record):
         """The ambient (x, y, z) point at height w over chart coordinates p.
 
         ``w`` is the height at p as a curvature route returns it
-        (``CurvaturePair.w``); nothing is evaluated here.
+        (``CurvaturePair.w``); nothing is evaluated here.  This is the
+        one place that puts chart coordinates and height in (x, y, z)
+        order, and it only permutes its arguments, so it takes any
+        values in their places: ``isocurv grid`` passes a grid row's
+        coordinate text, the column texts and the row's heights.
         """
         if self.orientation == Z_OVER_XY:
             return (p[0], p[1], w)

@@ -283,13 +283,18 @@ def _reciprocal(b: Jet2) -> Jet2:
 
 
 def coord1(value: float) -> Jet2:
-    """The first coordinate as a field: value with unit first derivative."""
-    return Jet2(float(value), dx=1.0)
+    """The first coordinate as a field: value with unit first derivative.
+
+    The components are passed by position: the same jet as
+    ``Jet2(float(value), dx=1.0)``, zero signs included, without the
+    cost of a keyword call on a path that seeds every evaluated point.
+    """
+    return Jet2(float(value), 1.0)
 
 
 def coord2(value: float) -> Jet2:
-    """The second coordinate as a field."""
-    return Jet2(float(value), dy=1.0)
+    """The second coordinate as a field: ``Jet2(float(value), dy=1.0)`` by position."""
+    return Jet2(float(value), 0.0, 1.0)
 
 
 def const(value: float) -> Jet2:
@@ -299,9 +304,11 @@ def const(value: float) -> Jet2:
 
 def eval_field(field, p1: float, p2: float) -> Jet2:
     """Evaluate a two-variable field at (p1, p2) with coordinate seeds."""
-    out = _as_jet(field(coord1(p1), coord2(p2)))
-    if out is None:
-        raise TypeError("field must return a Jet2 or a real number")
+    out = field(coord1(p1), coord2(p2))
+    if out.__class__ is not Jet2:
+        out = _as_jet(out)
+        if out is None:
+            raise TypeError("field must return a Jet2 or a real number")
     return out
 
 
@@ -312,9 +319,11 @@ def eval_profile(profile, t: float) -> Jet2:
     unused: the derivative of the result lands in ``dx`` and the second
     derivative in ``dxx``.
     """
-    out = _as_jet(profile(coord1(t)))
-    if out is None:
-        raise TypeError("profile must return a Jet2 or a real number")
+    out = profile(coord1(t))
+    if out.__class__ is not Jet2:
+        out = _as_jet(out)
+        if out is None:
+            raise TypeError("profile must return a Jet2 or a real number")
     return out
 
 

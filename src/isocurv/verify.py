@@ -17,12 +17,13 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from collections.abc import Callable, Sequence
+from itertools import repeat
 
 from . import jets
-from .jets import BranchDomainError, Jet2
+from .jets import Jet2
 from .geometry import (
-    AdmissibilityError,
     Motion,
     Record,
     Rect,
@@ -37,7 +38,9 @@ from .geometry import (
 from .factorable import (
     TYPE1,
     TYPE2,
+    _EVAL_ERRORS,
     AffineFactorable,
+    _shear_is_inert,
     afs1_curvatures,
     afs1_line,
     afs2_curvatures,
@@ -74,8 +77,6 @@ DEFAULT_TOL = 1e-9
 PROBE_FLOOR = 1e-4
 #: Cross-validation skips type-2 points with regularity magnitude below this.
 _CROSS_REG_FLOOR = 1e-3
-
-_EVAL_ERRORS = (AdmissibilityError, BranchDomainError, ZeroDivisionError, OverflowError)
 
 
 class GridRun(Record):
@@ -236,13 +237,14 @@ def _sample_product(s: AffineFactorable, domain: Rect, n: int):
     the column coordinate, so their jets are evaluated once per grid
     line.  So are the other profile's, where its argument y + a*x (type
     1) or y + a*z (type 2) is a grid coordinate bit for bit (see
-    :func:`_shear_is_inert`); otherwise a :class:`_ShearedJets` looks
-    them up by argument.  A profile that raises leaves its exclusion
-    text in place of the jet; where both raise, f1's text goes first,
-    as in :meth:`AffineFactorable.curvatures`.  Each row's jets go to
-    the line kernel of the surface's kind (:func:`afs1_line` hoists the
-    row's f1 floats), which applies the route formulas and appends to
-    the columns; the ``test_sample_grid_is_bit_exact_*`` tests pin the
+    :func:`isocurv.factorable._shear_is_inert`); otherwise a
+    :class:`_ShearedJets` looks them up by argument.  A profile that
+    raises leaves its exclusion text in place of the jet; where both
+    raise, f1's text goes first, as in
+    :meth:`AffineFactorable.curvatures`.  Each row's jets go to the line
+    kernel of the surface's kind (:func:`afs1_line` hoists the row's f1
+    floats), which applies the route formulas and appends to the
+    columns; the ``test_sample_grid_is_bit_exact_*`` tests pin the
     result to the per-point routes.
     """
     us, vs = domain.coordinates(n)
@@ -280,21 +282,6 @@ def _profile_jet(profile, t: float) -> Jet2 | str:
         return jets.eval_profile(profile, t)
     except _EVAL_ERRORS as err:
         return str(err)
-
-
-def _shear_is_inert(a: float, ts: list[float], cs: list[float]) -> bool:
-    """Is c + a*t the float c itself for every t in ts and c in cs?
-
-    With a = 0 and a finite t, a*t is a zero of either sign, and adding
-    it changes no c but -0.0: -0.0 + 0.0 is 0.0.  So a profile that
-    takes c + a*t can be evaluated at the values c, once each, exactly
-    when this holds.
-    """
-    return (
-        a == 0.0
-        and all(map(math.isfinite, ts))
-        and not any(math.copysign(1.0, c) < 0.0 for c in cs if c == 0.0)
-    )
 
 
 class _ShearedJets(dict):
@@ -390,13 +377,13 @@ def _reduce(
     """
     if len(values) < 4:
         raise ValueError(f"{check} needs at least 4 {unit}, got {len(values)}")
-    for i, v in enumerate(values):
-        if not math.isfinite(v):
-            raise ValueError(f"{check} got a non-finite sample at index {i}: {v!r}")
+    if not all(map(math.isfinite, values)):
+        i, v = next((i, v) for i, v in enumerate(values) if not math.isfinite(v))
+        raise ValueError(f"{check} got a non-finite sample at index {i}: {v!r}")
     mean = sum(values) / len(values)
     if center is None:
         center = mean
-    max_dev = max([abs(v - center) for v in values])
+    max_dev = max(map(abs, map(operator.sub, values, repeat(center))))
     return VerificationReport(
         max_abs_deviation=max_dev, mean=mean, passed=max_dev <= report["tolerance"], **report
     )

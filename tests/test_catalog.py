@@ -1,16 +1,18 @@
 """Unit tests for the registered surface families and their builders."""
 
+import bisect
 import math
 
 import pytest
 
-from isocurv import jets
+from isocurv import catalog, jets
 from isocurv.catalog import (
     ParameterError,
     UnknownFamilyError,
     _MonotoneTable,
     build_family,
     build_integral_family,
+    build_with_profile,
     cmc_slope_profile,
     expected_profile,
     family_ids,
@@ -18,7 +20,8 @@ from isocurv.catalog import (
     minimal_oscillation_profile,
     quantity_for_claim,
 )
-from isocurv.factorable import AffineFactorable, as_chart
+from isocurv.factorable import TYPE2, AffineFactorable, as_chart, regularity
+from isocurv.rng import SplitMix64
 from isocurv.verify import check_constancy, sample_grid
 
 
@@ -353,6 +356,134 @@ def test_table_rejects_out_of_range_without_storing():
         with pytest.raises(ValueError):
             table.invert(z0)
     assert not table._inverted
+
+
+def _simpson_table_reference(table, n):
+    """The table build as one loop that calls the integrand three times per interval."""
+    lo, hi, s = table.lo, table.hi, table.integrand
+    nodes = [lo + (hi - lo) * i / n for i in range(n + 1)]
+    zs = [0.0]
+    for i in range(n):
+        a, b = nodes[i], nodes[i + 1]
+        zs.append(zs[-1] + (b - a) / 6.0 * (s(a) + 4.0 * s(0.5 * (a + b)) + s(b)))
+    return nodes, zs
+
+
+def _inversion_reference(table, z0):
+    """Inversion by all 64 bisection steps, with no memo and no early stop."""
+    zs, nodes, s = table.zs, table.nodes, table.integrand
+    zc = min(max(z0, zs[0]), zs[-1])
+    i = min(max(bisect.bisect_right(zs, zc) - 1, 0), len(nodes) - 2)
+    t_i, base = nodes[i], zs[i]
+    s_i = s(t_i)
+    a, b = t_i, nodes[i + 1]
+    for _ in range(64):
+        m = 0.5 * (a + b)
+        if base + (m - t_i) / 6.0 * (s_i + 4.0 * s(0.5 * (t_i + m)) + s(m)) < zc:
+            a = m
+        else:
+            b = m
+    return 0.5 * (a + b)
+
+
+_INTEGRANDS = {
+    "default": lambda t: math.sqrt(1.0 / t + 1.0),
+    "constant": lambda t: 2.0,
+    "steep": lambda t: math.sqrt(3.0 / t - 0.5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_INTEGRANDS))
+@pytest.mark.parametrize("n", [2048, 4096])
+def test_table_build_equals_the_three_call_loop(name, n):
+    # The build evaluates the integrand once per node and once per
+    # midpoint; the nodes and sums are the three-call loop's, bit for bit.
+    integrand = _CountingIntegrand(_INTEGRANDS[name])
+    table = _MonotoneTable(integrand, 0.5, 2.5)
+    integrand.calls = 0
+    got = table._build(n)
+    assert integrand.calls == 2 * n + 1
+    nodes, zs = _simpson_table_reference(table, n)
+    assert [x.hex() for x in got[0]] == [x.hex() for x in nodes]
+    assert [x.hex() for x in got[1]] == [x.hex() for x in zs]
+
+
+@pytest.mark.parametrize("name", sorted(_INTEGRANDS))
+def test_table_inversion_equals_sixty_four_bisection_steps(name):
+    # Bisection stops at its fixed point; t is the 64-step loop's.
+    table = _MonotoneTable(_INTEGRANDS[name], 0.5, 2.5)
+    rng = SplitMix64(9301)
+    targets = [rng.uniform(0.0, table.z_end) for _ in range(10_000)]
+    targets += [0.0, table.z_end, table.zs[1], table.zs[-2]] + table.zs[:: len(table.zs) // 64]
+    mismatches = []
+    for z0 in targets:
+        table._inverted.clear()
+        got, want = table.invert(z0), _inversion_reference(table, z0)
+        if got.hex() != want.hex():
+            mismatches.append((z0, got, want))
+    assert not mismatches, f"{len(mismatches)} mismatches, first {mismatches[0]}"
+
+
+def test_table_that_does_not_increase_is_a_parameter_error():
+    with pytest.raises(ParameterError, match="quadrature table is not strictly increasing"):
+        _MonotoneTable(lambda t: -1.0, 0.0, 1.0, n0=8)
+
+
+def test_quadrature_that_does_not_converge_is_a_parameter_error(monkeypatch):
+    # sqrt(1/t + 1) is singular at 0, so a range that starts at 1e-9
+    # refines past the cap; a small cap keeps the test fast.
+    monkeypatch.setattr(catalog, "_MAX_INTERVALS", 2048)
+    with pytest.raises(ParameterError) as err:
+        build_family("FS2.K.integral", c1=3.0, f2_lo=1e-9)
+    assert str(err.value) == (
+        "FS2.K.integral: quadrature refinement did not converge within 2048 intervals"
+    )
+
+
+@pytest.mark.parametrize(
+    "fid, params, text",
+    [
+        (
+            "AFS2.flat.exp",
+            {"c1": 1e-9, "c2": 50.0, "c3": -0.001, "a": 50.0},
+            "evaluation failed on the default domain: math range error",
+        ),
+        (
+            "AFS1.flat.exp",
+            {"c2": 2000.0},
+            "evaluation failed at the domain center (0.5, 0.5): math range error",
+        ),
+    ],
+)
+def test_evaluation_errors_while_building_are_parameter_errors(fid, params, text):
+    # The type-2 regularity check and the center point of the derived
+    # constant evaluate the surface; an overflow there refuses the
+    # parameters and names the family.
+    with pytest.raises(ParameterError) as err:
+        build_with_profile(fid, **params)
+    assert str(err.value) == f"{fid}: {text}"
+
+
+_TYPE2_PRODUCTS = [
+    fid for fid in family_ids() if get_family(fid).kind == TYPE2 and fid != "FS2.K.integral"
+]
+
+
+@pytest.mark.parametrize("fid", _TYPE2_PRODUCTS)
+def test_regularity_check_walks_grid_lines(fid, monkeypatch):
+    # The build-time check evaluates f2 once per grid column, f1 once
+    # per grid row where a = 0 and once per point otherwise, and gets
+    # the per-point values bit for bit.
+    surface = build_family(fid)
+    want = [regularity(surface, *surface.profile_jets(p)) for p in surface.domain.grid(9)]
+    got = catalog._regularity_grid(surface)
+    assert [v.hex() for v in got] == [v.hex() for v in want]
+    calls = []
+    real = jets.eval_profile
+    monkeypatch.setattr(jets, "eval_profile", lambda f, t: calls.append(t) or real(f, t))
+    build_with_profile(fid)
+    center = 2 if get_family(fid).has_derived_constant else 0
+    assert len(calls) == (18 if surface.shear == 0.0 else 90) + center
 
 
 def test_builds_are_deterministic():

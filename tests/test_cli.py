@@ -8,8 +8,12 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import pytest
+
 from isocurv import catalog, verify
 from isocurv.cli import SIZE_LIMITS, main
+from isocurv.factorable import AffineFactorable, as_chart
+from isocurv.geometry import Rect
 
 
 def run_cli(capsys, *argv):
@@ -235,6 +239,69 @@ def test_grid_refuses_incomplete_grids(capsys, tmp_path):
     assert not out_path.exists(), "no file should be written for a broken grid"
 
 
+def _per_point_export(fid, domain, n, fmt):
+    """The export's text formatted point by point from run.points, as it once was."""
+    surface = catalog.build_family(fid)
+    chart = as_chart(surface) if isinstance(surface, AffineFactorable) else surface
+    run = verify.sample_grid(surface, domain=domain, n=n, subject=fid)
+    assert not run.excluded
+    if fmt == "csv":
+        lines = ["x,y,z,K,H\n"]
+        for p, w, K, H in zip(run.points, run.heights, run.K, run.H):
+            lines.append("%.17g,%.17g,%.17g,%.17g,%.17g\n" % (*chart.point3d(p, w), K, H))
+    else:
+        lines = [f"# {fid} sampled on a {n}x{n} grid\n"]
+        for p, w in zip(run.points, run.heights):
+            lines.append("v %.17g %.17g %.17g\n" % chart.point3d(p, w))
+        for i in range(n - 1):
+            for j in range(n - 1):
+                a = i * n + j + 1
+                b, c, d = a + 1, a + n, a + n + 1
+                lines.append("f %d %d %d\nf %d %d %d\n" % (a, b, c, b, d, c))
+    return "".join(lines).encode()
+
+
+@pytest.mark.parametrize(
+    "fid, axes, rect",
+    [
+        ("AFS1.min.osc", ("x", "y"), Rect((-1.3, 0.2), (-0.7, -0.1))),
+        ("FS2.cmc.sqrt", ("y", "z"), Rect((-1.0, -0.2), (-1.5, -0.5))),
+        ("FS2.K.integral", ("y", "z"), Rect((-1.5, -0.5), (0.1, 1.9))),
+    ],
+)
+@pytest.mark.parametrize("fmt", ["csv", "obj"])
+def test_grid_export_bytes_equal_per_point_formatting(capsys, tmp_path, fid, axes, rect, fmt):
+    # The export formats each grid coordinate once per grid line and
+    # writes a row at a time; the bytes are those of formatting every
+    # point of run.points in full, negative coordinates included.
+    n = 13
+    domain = f"{axes[0]}:{rect.u[0]}..{rect.u[1]},{axes[1]}:{rect.v[0]}..{rect.v[1]}"
+    path = tmp_path / f"grid.{fmt}"
+    code, _, err = run_cli(
+        capsys, "grid", "--family", fid, "--grid", str(n), "--domain", domain,
+        "--format", fmt, "--out", str(path),
+    )
+    assert code == 0 and not err, err
+    assert path.read_bytes() == _per_point_export(fid, rect, n, fmt)
+
+
+@pytest.mark.parametrize("verb", ["verify", "grid"])
+def test_build_time_overflow_exits_2(capsys, tmp_path, verb):
+    # The type-2 regularity check overflows in exp; that refuses the
+    # parameters (exit 2, no traceback, no file), not a failed check.
+    argv = [verb, "--family", "AFS2.flat.exp", "--grid", "5", "--param", "c1=1e-09",
+            "--param", "c2=50", "--param", "c3=-0.001", "--param", "a=50"]
+    path = tmp_path / "grid.csv"
+    if verb == "grid":
+        argv += ["--format", "csv", "--out", str(path)]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and not out
+    assert err == (
+        "error: AFS2.flat.exp: evaluation failed on the default domain: math range error\n"
+    )
+    assert not path.exists()
+
+
 def _traced_peak(call) -> int:
     tracemalloc.start()
     try:
@@ -245,10 +312,10 @@ def _traced_peak(call) -> int:
 
 
 def test_grid_export_streams_its_lines(capsys, tmp_path):
-    # The export writes each line as it formats it, so its peak is that
-    # of the sampled grid plus a little; a list of every line, joined
-    # before writing, held each line twice and peaked at 2.4x (CSV) and
-    # 2.8x (OBJ) the grid's peak here.
+    # The export writes each grid row as soon as it formats it, so its
+    # peak is that of the sampled grid plus one row's text; a list of
+    # every line, joined before writing, held each line twice and peaked
+    # at 2.4x (CSV) and 2.8x (OBJ) the grid's peak here.
     fid, n = "FS2.K.integral", 101
     surface = catalog.build_family(fid)
     grid_peak = _traced_peak(lambda: verify.sample_grid(surface, n=n))

@@ -64,6 +64,27 @@ def test_division_by_zero_raises():
         jets.eval_field(lambda x, y: x / y, 1.0, 0.0)
 
 
+def _bits(j):
+    """Each component with its sign, so that 0.0 and -0.0 differ."""
+    return [(c, math.copysign(1.0, c)) for c in j.components()]
+
+
+@pytest.mark.parametrize("value", [-0.0, 0.0, 1.5, -2.25, 3, 1e-300, -7.0e12])
+def test_coordinate_seeds_equal_the_keyword_jets(value):
+    # coord1 and coord2 pass their components by position; the jets are
+    # the keyword-built ones, components and zero signs included.
+    assert _bits(jets.coord1(value)) == _bits(Jet2(float(value), dx=1.0))
+    assert _bits(jets.coord2(value)) == _bits(Jet2(float(value), dy=1.0))
+    assert jets.coord1(value).v.__class__ is float and jets.coord2(value).v.__class__ is float
+
+
+def test_evaluation_coerces_a_plain_number_result():
+    assert jets.eval_field(lambda x, y: 2, 0.0, 0.0) == Jet2(2.0)
+    assert _bits(jets.eval_profile(lambda t: -0.0, 1.0)) == _bits(Jet2(-0.0))
+    with pytest.raises(TypeError):
+        jets.eval_profile(lambda t: "x", 1.0)
+
+
 def test_power_edge_cases():
     a = jets.coord1(2.0)
     assert jets.power(a, 0).components() == (1.0, 0.0, 0.0, 0.0, 0.0, 0.0)
