@@ -29,9 +29,13 @@ its own: a family whose parameters include the shear ``a`` requires
 a != 0 before any constraint, and a type-2 surface is rejected when its
 regularity comes within ``_REG_FLOOR`` of zero on the default domain or
 cannot be evaluated there.
-A plain family is the sheared one without ``a``, so FS and AFS twins
-share their factor constructors.  FS2.K.integral, whose profile comes
-from quadrature, builds through ``build_integral_family`` instead.
+A plain family that is a sheared one at a = 0 is registered from that
+twin, an AFS row registered before it, by ``_plain(twin, id, formula,
+**changes)``: it keeps the twin's parameters in order without ``a``
+(so a twin's ``factors`` and ``domain`` read ``p.get("a", 0.0)``) and
+every other field but those in ``changes``, in practice ``notes`` and
+``constraints``.  FS2.K.integral, whose profile comes from quadrature,
+builds through ``build_integral_family`` instead.
 """
 
 from __future__ import annotations
@@ -286,8 +290,8 @@ class _MonotoneTable:
     intervals; inverted pointwise by bracketing in the table and at most
     64 bisection steps, so repeated builds with identical inputs give
     bitwise-identical results.  A table that cannot be built (a
-    non-positive step, or no convergence within the cap) raises
-    :class:`ParameterError`.
+    non-positive step, a non-finite total, or no convergence within the
+    cap) raises :class:`ParameterError`.
 
     The integrand must be a pure function of its argument: the build
     evaluates it once per node, and each interval's right end value is
@@ -342,6 +346,8 @@ class _MonotoneTable:
                 raise ParameterError("quadrature table is not strictly increasing")
             zs.append(zs[-1] + step)
             s_a = s_b
+        if not math.isfinite(zs[-1]):
+            raise ParameterError("quadrature table is not finite")
         return nodes, zs
 
     @property
@@ -551,8 +557,8 @@ def _exp_trig_factors(p: dict) -> tuple[Profile, Profile]:
     return hyperbolic, oscillation
 
 
-def _nonzero(name: str) -> tuple[str, Callable[[dict], bool]]:
-    return (f"{name} != 0", lambda p: p[name] != 0.0)
+def _nonzero(name: str, why: str = "") -> tuple[str, Callable[[dict], bool]]:
+    return (f"{name} != 0{why}", lambda p: p[name] != 0.0)
 
 
 _KNOWN_FN = (
@@ -560,6 +566,7 @@ _KNOWN_FN = (
     lambda p: p["fn"] in ARBITRARY_PROFILES,
 )
 _C2_NOT_ONE = ("c2 != 1", lambda p: p["c2"] != 1.0)
+_NEEDS_Z = " (the height would not depend on z)"
 
 
 class _IntegralFamilySpec(FamilySpec):
@@ -575,6 +582,13 @@ REGISTRY: dict[str, FamilySpec] = {}
 
 def _register(spec: FamilySpec) -> None:
     REGISTRY[spec.id] = spec
+
+
+def _plain(twin: str, id: str, formula: str, **changes) -> FamilySpec:
+    """The registered sheared family ``twin`` at a = 0, with the fields in ``changes``."""
+    spec = REGISTRY[twin]
+    params = {name: value for name, value in spec.params.items() if name != "a"}
+    return spec.replace(id=id, formula=formula, params=params, **changes)
 
 
 _register(FamilySpec(
@@ -604,7 +618,7 @@ _register(FamilySpec(
     params={"c1": 1.0, "c2": 2.0, "a": 1.0},
     kind=TYPE1,
     factors=_pow_factors,
-    domain=lambda p: _positive_box(TYPE1, p["a"]),
+    domain=lambda p: _positive_box(TYPE1, p.get("a", 0.0)),
     constraints=(_nonzero("c1"), _C2_NOT_ONE),
     notes="the two exponents sum to 1, which is exactly the flatness balance",
 ))
@@ -706,7 +720,7 @@ _register(FamilySpec(
     params={"c1": 1.0, "c2": 2.0, "a": 1.0},
     kind=TYPE2,
     factors=_pow_factors,
-    domain=lambda p: _positive_box(TYPE2, p["a"]),
+    domain=lambda p: _positive_box(TYPE2, p.get("a", 0.0)),
     constraints=(_nonzero("c1"), _C2_NOT_ONE),
     notes="exponents sum to 1; the default domain must stay clear of the "
     "regularity zero line, which the builder checks",
@@ -740,35 +754,16 @@ _register(FamilySpec(
     notes="constant first factor; the slope equation integrates to a square root "
     "profile and meets H0 exactly",
 ))
-_register(FamilySpec(
-    id="FS1.flat.scale",
-    formula="z = c1*f2(y)",
-    claim=CLAIM_FLAT,
-    params={"c1": 1.0, "fn": "quadratic"},
-    kind=TYPE1,
-    factors=_cylinder_factors,
-    constraints=(_nonzero("c1"), _KNOWN_FN),
+_register(_plain(
+    "AFS1.flat.scale", "FS1.flat.scale", "z = c1*f2(y)",
     notes="cylinder over an arbitrary profile",
 ))
-_register(FamilySpec(
-    id="FS1.flat.exp",
-    formula="z = c1*exp(c2*x + c3*y)",
-    claim=CLAIM_FLAT,
-    params={"c1": 1.0, "c2": 1.0, "c3": 1.0},
-    kind=TYPE1,
-    factors=_exp_factors,
-    constraints=(_nonzero("c1"),),
+_register(_plain(
+    "AFS1.flat.exp", "FS1.flat.exp", "z = c1*exp(c2*x + c3*y)",
     notes="plain product of exponentials",
 ))
-_register(FamilySpec(
-    id="FS1.flat.pow",
-    formula="z = c1*x^(1/(1-c2))*y^(c2/(c2-1))",
-    claim=CLAIM_FLAT,
-    params={"c1": 1.0, "c2": 2.0},
-    kind=TYPE1,
-    factors=_pow_factors,
-    domain=lambda p: _BOX,
-    constraints=(_nonzero("c1"), _C2_NOT_ONE),
+_register(_plain(
+    "AFS1.flat.pow", "FS1.flat.pow", "z = c1*x^(1/(1-c2))*y^(c2/(c2-1))",
     notes="power product with exponents summing to 1",
 ))
 _register(FamilySpec(
@@ -791,16 +786,7 @@ _register(FamilySpec(
     constraints=(_nonzero("c2"),),
     notes="f1'' = c2^2*f1 against f2'' = -c2^2*f2 cancels the mean curvature exactly",
 ))
-_register(FamilySpec(
-    id="FS1.K.saddle",
-    formula="z = sqrt(|K0|)*x*y",
-    claim=CLAIM_CONST_K,
-    params={"K0": -1.0},
-    kind=TYPE1,
-    factors=_saddle_factors,
-    constraints=(_nonzero("K0"),),
-    notes="the attained constant is -|K0|; a positive prescribed K0 is not realized",
-))
+_register(_plain("AFS1.K.saddle", "FS1.K.saddle", "z = sqrt(|K0|)*x*y"))
 _register(FamilySpec(
     id="FS1.cmc.parab",
     formula="z = H0/c1*y^2",
@@ -823,32 +809,14 @@ _register(FamilySpec(
     notes="with a = 0 the arbitrary factor must depend on z, else the graph "
     "is admissible nowhere",
 ))
-_register(FamilySpec(
-    id="FS2.flat.exp",
-    formula="x = c1*exp(c2*y + c3*z)",
-    claim=CLAIM_FLAT,
-    params={"c1": 1.0, "c2": 1.0, "c3": 1.0},
-    kind=TYPE2,
-    factors=_exp_factors,
-    constraints=(
-        _nonzero("c1"),
-        ("c3 != 0 (the height would not depend on z)", lambda p: p["c3"] != 0.0),
-    ),
+_register(_plain(
+    "AFS2.flat.exp", "FS2.flat.exp", "x = c1*exp(c2*y + c3*z)",
+    constraints=(_nonzero("c1"), _nonzero("c3", _NEEDS_Z)),
     notes="admissible exactly when c3 != 0",
 ))
-_register(FamilySpec(
-    id="FS2.flat.pow",
-    formula="x = c1*y^(1/(1-c2))*z^(c2/(c2-1))",
-    claim=CLAIM_FLAT,
-    params={"c1": 1.0, "c2": 2.0},
-    kind=TYPE2,
-    factors=_pow_factors,
-    domain=lambda p: _BOX,
-    constraints=(
-        _nonzero("c1"),
-        _C2_NOT_ONE,
-        ("c2 != 0 (the height would not depend on z)", lambda p: p["c2"] != 0.0),
-    ),
+_register(_plain(
+    "AFS2.flat.pow", "FS2.flat.pow", "x = c1*y^(1/(1-c2))*z^(c2/(c2-1))",
+    constraints=(_nonzero("c1"), _C2_NOT_ONE, _nonzero("c2", _NEEDS_Z)),
     notes="power product on the x-graph side; c2 = 0 would drop the z dependence",
 ))
 _register(FamilySpec(

@@ -73,9 +73,8 @@ def _parse_interval(text: str, label: str) -> tuple[float, float]:
     return lo, hi
 
 
-def _surface_axes(surface) -> tuple[str, str]:
-    chart = as_chart(surface) if isinstance(surface, AffineFactorable) else surface
-    return chart.axes()
+def _chart(surface) -> SurfaceChart:
+    return as_chart(surface) if isinstance(surface, AffineFactorable) else surface
 
 
 def _parse_domain(text: str, axes: tuple[str, str]) -> Rect:
@@ -103,9 +102,13 @@ def _check_sizes(args) -> None:
             raise ParameterError(f"--{name} must be between {lo} and {hi}, got {value}")
 
 
-def _write_out(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+def _print_report(report, out: str | None) -> None:
+    """Print a report's JSON, then write it with a final newline to ``out`` if given."""
+    text = report.to_json()
+    print(text)
+    if out:
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
 
 
 def _cmd_list(args) -> int:
@@ -133,7 +136,7 @@ def _cmd_verify(args) -> int:
     quantity = catalog.quantity_for_claim(profile.claim)
     domain = None
     if args.domain:
-        domain = _parse_domain(args.domain, _surface_axes(surface))
+        domain = _parse_domain(args.domain, _chart(surface).axes())
     run = verify.sample_grid(surface, domain=domain, n=args.grid, subject=args.family)
     notes = spec.notes
     if profile.derived_value is None:
@@ -149,10 +152,7 @@ def _cmd_verify(args) -> int:
     report = verify.check_constancy(
         run, target=target, tol=args.tol, quantity=quantity, subject=args.family, notes=notes
     )
-    text = report.to_json()
-    print(text)
-    if args.out:
-        _write_out(args.out, text + "\n")
+    _print_report(report, args.out)
     return 0 if report.passed else 1
 
 
@@ -180,7 +180,7 @@ def _vertex_rows(point3d, us, v_texts, heights, sep):
 def _cmd_grid(args) -> int:
     params = _parse_params(args.param)
     surface = catalog.build_family(args.family, **params)
-    chart = as_chart(surface) if isinstance(surface, AffineFactorable) else surface
+    chart = _chart(surface)
     domain = None
     if args.domain:
         domain = _parse_domain(args.domain, chart.axes())
@@ -240,10 +240,7 @@ def _cmd_cross_validate(args) -> int:
     report = verify.cross_validate(
         instance, n_points=args.points, seed=point_seed, tol=args.tol
     )
-    text = report.to_json()
-    print(text)
-    if args.out:
-        _write_out(args.out, text + "\n")
+    _print_report(report, args.out)
     return 0 if report.passed else 1
 
 
@@ -251,10 +248,7 @@ def _cmd_probe(args) -> int:
     report = verify.probe_nonexistence(
         args.kind, count=args.count, seed=args.seed, n=args.grid, floor=args.floor
     )
-    text = report.to_json()
-    print(text)
-    if args.out:
-        _write_out(args.out, text + "\n")
+    _print_report(report, args.out)
     return 0 if report.counterexamples == 0 else 1
 
 

@@ -369,21 +369,30 @@ def log(a) -> Jet2:
 def sin(a) -> Jet2:
     if a.__class__ is not Jet2:
         a = _req(a, "sin")
-    s, c = math.sin(a.v), math.cos(a.v)
+    try:
+        s, c = math.sin(a.v), math.cos(a.v)
+    except ValueError:
+        raise BranchDomainError("sin", a.v, "a finite argument") from None
     return compose(s, c, -s, a)
 
 
 def cos(a) -> Jet2:
     if a.__class__ is not Jet2:
         a = _req(a, "cos")
-    s, c = math.sin(a.v), math.cos(a.v)
+    try:
+        s, c = math.sin(a.v), math.cos(a.v)
+    except ValueError:
+        raise BranchDomainError("cos", a.v, "a finite argument") from None
     return compose(c, -s, -c, a)
 
 
 def tan(a) -> Jet2:
     if a.__class__ is not Jet2:
         a = _req(a, "tan")
-    c = math.cos(a.v)
+    try:
+        c = math.cos(a.v)
+    except ValueError:
+        raise BranchDomainError("tan", a.v, "a finite argument") from None
     if abs(c) <= TAN_COS_FLOOR:
         raise BranchDomainError(
             "tan", a.v, f"|cos| > {TAN_COS_FLOOR:g} (pole guard)"

@@ -429,6 +429,16 @@ def test_table_that_does_not_increase_is_a_parameter_error():
         _MonotoneTable(lambda t: -1.0, 0.0, 1.0, n0=8)
 
 
+def test_table_that_is_not_finite_is_a_parameter_error():
+    # c2/t overflows at every node, so each step is inf; a table of inf
+    # passes the drift test because max skips the NaN of inf - inf.
+    with pytest.raises(ParameterError, match="^quadrature table is not finite$"):
+        _MonotoneTable(lambda t: math.sqrt(1e308 / t), 0.5, 2.5, n0=8)
+    with pytest.raises(ParameterError) as err:
+        build_family("FS2.K.integral", c2=1e308)
+    assert str(err.value) == "FS2.K.integral: quadrature table is not finite"
+
+
 def test_quadrature_that_does_not_converge_is_a_parameter_error(monkeypatch):
     # sqrt(1/t + 1) is singular at 0, so a range that starts at 1e-9
     # refines past the cap; a small cap keeps the test fast.

@@ -109,6 +109,23 @@ def test_verify_parabolic_family(capsys, tmp_path):
     assert json.loads(out_path.read_text()) == payload, "file and stdout differ"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--family", "FS1.min.xy", "--grid", "5"),
+        ("cross-validate", "--kind", "type-1", "--points", "20", "--seed", "3"),
+        ("probe", "--kind", "afs2-constant-K", "--count", "3", "--seed", "8"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_report_file_holds_the_printed_bytes(capsys, tmp_path, argv):
+    # --out receives exactly what the verb prints: the JSON and a newline.
+    out_path = tmp_path / "report.json"
+    code, out, err = run_cli(capsys, *argv, "--out", str(out_path))
+    assert code == 0 and not err, err
+    assert out_path.read_bytes() == out.encode() and out.endswith("}\n")
+
+
 def test_verify_as_printed_family_fails_but_reports(capsys, tmp_path):
     out_path = tmp_path / "report.json"
     code, out, err = run_cli(
@@ -154,6 +171,25 @@ def test_non_finite_parameters_exit_2(capsys, tmp_path):
         )
         assert (code, out, err) == (2, "", message)
         assert not out_path.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # cos at the infinite sheared argument excludes every point.
+        (
+            ("--family", "AFS1.min.osc", "--domain", "x:0..1e308,y:-1e308..1e308"),
+            "constancy check needs at least 4 included samples, got 0",
+        ),
+        (
+            ("--family", "FS2.K.integral", "--param", "c2=1e308"),
+            "FS2.K.integral: quadrature table is not finite",
+        ),
+    ],
+)
+def test_verify_exits_2_on_non_finite_values(capsys, argv, message):
+    code, out, err = run_cli(capsys, "verify", "--grid", "5", *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_verify_unknown_family(capsys):
@@ -313,10 +349,10 @@ def _traced_peak(call) -> int:
 
 def test_grid_export_streams_its_lines(capsys, tmp_path):
     # The export writes each grid row as soon as it formats it, so its
-    # peak is that of the sampled grid plus one row's text; a list of
-    # every line, joined before writing, held each line twice and peaked
-    # at 2.4x (CSV) and 2.8x (OBJ) the grid's peak here.
-    fid, n = "FS2.K.integral", 101
+    # peak is that of the sampled grid plus one row's text, 1.27x here; a
+    # list of every line, joined before writing, held each line twice and
+    # peaked at 2.65x (CSV) and 2.61x (OBJ) the grid's peak here.
+    fid, n = "FS2.K.integral", 81
     surface = catalog.build_family(fid)
     grid_peak = _traced_peak(lambda: verify.sample_grid(surface, n=n))
     for fmt in ("csv", "obj"):

@@ -59,6 +59,16 @@ def test_tan_pole_raises():
         jets.tan(jets.const(math.pi / 2.0))
 
 
+@pytest.mark.parametrize("fn", ["sin", "cos", "tan"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf])
+def test_trig_at_an_infinite_argument_is_a_branch_error(fn, value):
+    # math.sin and math.cos raise a bare ValueError at +-inf; the jets
+    # name the function and the argument instead.
+    with pytest.raises(BranchDomainError) as err:
+        getattr(jets, fn)(jets.coord1(value))
+    assert str(err.value) == f"{fn} evaluated at {value!r}: requires a finite argument"
+
+
 def test_division_by_zero_raises():
     with pytest.raises(ZeroDivisionError):
         jets.eval_field(lambda x, y: x / y, 1.0, 0.0)

@@ -119,6 +119,19 @@ def test_sample_grid_records_exclusions_with_reasons():
         assert point[1] == 0.0 and reason, f"unexpected exclusion {point}: {reason}"
 
 
+def test_sample_grid_excludes_an_infinite_trig_argument():
+    # The sheared argument y + a*x of AFS1.min.osc reaches +-inf on this
+    # domain; cos there is an exclusion with its reason, not an abort.
+    surface = build_family("AFS1.min.osc")
+    rect = Rect((0.0, 1e308), (-1e308, 1e308))
+    run = sample_grid(surface, domain=rect, n=5)
+    assert len(run.excluded) == 25 and not run.points
+    reasons = {reason for _, reason in run.excluded}
+    assert "cos evaluated at inf: requires a finite argument" in reasons, reasons
+    with pytest.raises(ValueError, match="needs at least 4 included samples"):
+        check_constancy(run, target=0.0, quantity="H")
+
+
 # the row and column walk of sample_grid ---------------------------------
 
 
