@@ -29,7 +29,7 @@ from .rng import SplitMix64
 __all__ = ["main", "SIZE_LIMITS"]
 
 #: Inclusive bounds on the size options, checked before any work starts.
-#: ``Rect.grid`` and the columns of a ``GridRun`` hold grid² entries,
+#: The value columns of a ``GridRun`` hold grid² floats,
 #: ``cross-validate`` keeps a value per point and ``ode-check`` one per
 #: step, so every size has a cap; the lower bounds refuse runs that
 #: would check nothing and then report a pass.
@@ -219,7 +219,7 @@ def _cmd_grid(args) -> int:
                 c = range(first + n, first + 2 * n - 1)
                 d = range(first + n + 1, first + 2 * n)
                 write("".join(map("f %d %d %d\nf %d %d %d\n".__mod__, zip(a, b, c, b, d, c))))
-    print(f"wrote {args.out}: {len(run.points)} points from {args.family}")
+    print(f"wrote {args.out}: {n * n} points from {args.family}")
     return 0
 
 

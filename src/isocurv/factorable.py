@@ -37,8 +37,10 @@ the line kernels :func:`afs1_line` and :func:`afs2_line`.  Each repeats
 its route's expressions operation for operation, on floats hoisted
 from the jets (per row where a profile is fixed along it) and with no
 CurvaturePair per point, so each formula has two copies, side by side
-below.  ``tests/test_verify.py`` ties them together: it compares
-sample_grid bit for bit, exclusion texts included, with a loop over
+below.  They append K, H and the height to ``array('d')`` columns and
+store no included point, only the excluded ones with their texts.
+``tests/test_verify.py`` ties them together: it compares sample_grid
+bit for bit, exclusion texts included, with a loop over
 :meth:`AffineFactorable.curvatures` on every product family, on random
 instances, and where a square overflows.
 
@@ -50,7 +52,7 @@ cross-checked numerically (see ``isocurv.verify.cross_validate``).
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, MutableSequence, Sequence
 
 from . import jets
 from .jets import BranchDomainError, Jet2
@@ -89,9 +91,10 @@ Profile = "Callable[[Jet2], Jet2]"
 #: The errors that evaluating a surface at a point may raise: a grid walk
 #: excludes the point, and a family build refuses its parameters.
 _EVAL_ERRORS = (AdmissibilityError, BranchDomainError, ZeroDivisionError, OverflowError)
-#: The columns a grid walk fills: points, K, H, heights and exclusions,
-#: in the layout of ``isocurv.verify.GridRun``.
-Columns = "tuple[list, list, list, list, list]"
+#: The columns a grid walk fills: K, H and heights, each an ``array('d')``,
+#: and a list of exclusions, in the layout of ``isocurv.verify.GridRun``.
+#: An included point is not stored; the grid and the exclusions give it.
+Columns = "tuple[MutableSequence[float], MutableSequence[float], MutableSequence[float], list]"
 
 
 class AffineFactorable(Record):
@@ -176,12 +179,13 @@ def afs1_line(
     ``ys``; either may be the exclusion text of the error its profile
     raised, and f1's text goes first.  Each point goes to ``columns`` as
     the per-point route would put it there: included with K, H and the
-    height, or excluded with the route's error text or "non-finite
-    curvature value".  The row's f1 floats and the factors (1 + a^2)*f1
-    and 2a*f1', which the route's left-to-right products form first,
-    are computed once per row, so every float is the route's.
+    height, or excluded as an ``((x, y), text)`` pair with the route's
+    error text or "non-finite curvature value".  The row's f1 floats and
+    the factors (1 + a^2)*f1 and 2a*f1', which the route's left-to-right
+    products form first, are computed once per row, so every float is
+    the route's.
     """
-    points, ks, hs, heights, excluded = columns
+    ks, hs, heights, excluded = columns
     if j1.__class__ is str:
         excluded += [((x, y), j1) for y in ys]
         return
@@ -202,7 +206,6 @@ def afs1_line(
             excluded.append(((x, y), str(err)))
             continue
         if isfinite(K) and isfinite(H):
-            points.append((x, y))
             ks.append(K)
             hs.append(H)
             heights.append(w)
@@ -260,7 +263,7 @@ def afs2_line(
     Only 2a and a^2, which the route's products form first, are hoisted;
     (f1'*f2')^2, which the route squares twice, is squared once.
     """
-    points, ks, hs, heights, excluded = columns
+    ks, hs, heights, excluded = columns
     a2, aa = 2.0 * a, a * a
     isfinite = math.isfinite
     for z, j1, j2 in zip(zs, j1s, j2s):
@@ -292,7 +295,6 @@ def afs2_line(
             excluded.append(((y, z), str(err)))
             continue
         if isfinite(K) and isfinite(H):
-            points.append((y, z))
             ks.append(K)
             hs.append(H)
             heights.append(w)

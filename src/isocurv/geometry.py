@@ -176,13 +176,21 @@ class Rect(Record):
         return (0.5 * (self.u[0] + self.u[1]), 0.5 * (self.v[0] + self.v[1]))
 
     def coordinates(self, n: int) -> tuple[list[float], list[float]]:
-        """The n equispaced values of each coordinate: the u and v columns of :meth:`grid`."""
+        """The n equispaced values of each coordinate: the u and v columns of :meth:`grid`.
+
+        A bound or a step that is not finite is a ValueError: a range
+        wider than the largest float has an infinite step, and its grid
+        would leave the rectangle (the step times 0 is NaN).
+        """
         if n < 2:
             raise ValueError("grid needs n >= 2")
-        (u0, u1), (v0, v1) = self.u, self.v
-        du = (u1 - u0) / (n - 1)
-        dv = (v1 - v0) / (n - 1)
-        return [u0 + i * du for i in range(n)], [v0 + j * dv for j in range(n)]
+        columns = []
+        for lo, hi in (self.u, self.v):
+            d = (hi - lo) / (n - 1)
+            if not (math.isfinite(lo) and math.isfinite(hi) and math.isfinite(d)):
+                raise ValueError(f"grid over {lo!r}..{hi!r} has a non-finite step: {d!r}")
+            columns.append([lo + i * d for i in range(n)])
+        return columns[0], columns[1]
 
     def grid(self, n: int) -> list[tuple[float, float]]:
         """n x n equispaced points, row-major (first coordinate slowest)."""

@@ -82,26 +82,52 @@ _CROSS_REG_FLOOR = 1e-3
 class GridRun(Record):
     """Curvatures sampled over a grid, with per-point exclusions.
 
-    The included points and their values are parallel columns in grid
-    order: ``K[i]``, ``H[i]`` and ``heights[i]`` belong to ``points[i]``.
-    ``heights`` holds the graph height each route computed on its way
-    to K and H (None for a parametric patch).
+    ``K``, ``H`` and ``heights`` are parallel ``array('d')`` columns
+    over the included points in grid order: ``K[i]``, ``H[i]`` and
+    ``heights[i]`` belong to ``points[i]``.  ``heights`` holds the graph
+    height each route computed on its way to K and H; it is None for a
+    parametric patch, which has no graph height.  ``excluded`` lists the
+    ``(point, reason)`` pairs left out, in grid order.
+
+    The included points are not stored: :attr:`points` rebuilds them
+    from ``domain.coordinates(n)`` and ``excluded``.  The arrays make a
+    run from :func:`sample_grid` unhashable.
     """
 
-    __slots__ = __match_args__ = ("subject", "domain", "n", "points", "K", "H", "heights", "excluded")
+    __slots__ = __match_args__ = ("subject", "domain", "n", "K", "H", "heights", "excluded")
 
     def __init__(
         self,
         subject: str,
         domain: Rect,
         n: int,
-        points: tuple[tuple[float, float], ...],
-        K: tuple[float, ...],
-        H: tuple[float, ...],
-        heights: tuple[float | None, ...],
+        K: Sequence[float],
+        H: Sequence[float],
+        heights: Sequence[float] | None,
         excluded: tuple[tuple[tuple[float, float], str], ...],
     ) -> None:
-        super().__init__(subject, domain, n, points, K, H, heights, excluded)
+        super().__init__(subject, domain, n, K, H, heights, excluded)
+
+    @property
+    def points(self) -> tuple[tuple[float, float], ...]:
+        """The included grid points in grid order: the grid less ``excluded``.
+
+        Both walk the grid in the same order, so each excluded point is
+        the next one that matches.  The coordinates are finite (see
+        :meth:`Rect.coordinates`), so a point matches itself.
+        """
+        us, vs = self.domain.coordinates(self.n)
+        skip = (p for p, _ in self.excluded)
+        pending = next(skip, None)
+        points = []
+        for u in us:
+            for v in vs:
+                p = (u, v)
+                if p == pending:
+                    pending = next(skip, None)
+                else:
+                    points.append(p)
+        return tuple(points)
 
     def values(self, quantity: str) -> list[float]:
         if quantity == "K":
@@ -182,34 +208,54 @@ def sample_grid(surface, domain: Rect | None = None, n: int = 21, subject: str =
     ``afs1_line``/``afs2_line``; the result is bit for bit that of
     ``surface.curvatures`` at each point (see the module docstring of
     :mod:`isocurv.factorable` for the tests that pin this).  Any other
-    surface is evaluated point by point.
+    surface is evaluated point by point, walking the columns of
+    ``domain.coordinates(n)``.
+
+    K, H and the heights go to ``array('d')`` columns, 8 bytes a value,
+    and an included point is not stored (see :class:`GridRun`), so a
+    run holds about 24 bytes per grid point besides its exclusions.
     """
     if domain is None:
         domain = surface.domain
     if not subject:
         subject = getattr(surface, "label", "") or type(surface).__name__
-    if isinstance(surface, AffineFactorable):
-        return GridRun(subject, domain, n, *_sample_product(surface, domain, n))
+    # array is an extension module that takes about 0.5 ms to load, so it
+    # loads with the first grid sampled, not with the package.
+    from array import array
+
+    graph = isinstance(surface, (AffineFactorable, SurfaceChart))
+    columns = (array("d"), array("d"), array("d") if graph else None, [])
+    sample = _sample_product if isinstance(surface, AffineFactorable) else _sample_points
+    sample(surface, domain, n, columns)
+    ks, hs, heights, excluded = columns
+    return GridRun(subject, domain, n, ks, hs, heights, tuple(excluded))
+
+
+def _sample_points(surface, domain: Rect, n: int, columns) -> None:
+    """sample_grid's columns for a surface that is not a product, point by point.
+
+    The third column, the heights, is None for a surface that has no
+    graph height, and stays None.
+    """
     curvatures = _grid_route(surface)
-    points, ks, hs, heights = [], [], [], []
-    excluded = []
-    for p in domain.grid(n):
-        try:
-            pair = curvatures(p)
-        except _EVAL_ERRORS as err:
-            excluded.append((p, str(err)))
-            continue
-        K, H = pair.K, pair.H
-        if not (math.isfinite(K) and math.isfinite(H)):
-            excluded.append((p, "non-finite curvature value"))
-            continue
-        points.append(p)
-        ks.append(K)
-        hs.append(H)
-        heights.append(pair.w)
-    return GridRun(
-        subject, domain, n, tuple(points), tuple(ks), tuple(hs), tuple(heights), tuple(excluded)
-    )
+    ks, hs, heights, excluded = columns
+    us, vs = domain.coordinates(n)
+    for u in us:
+        for v in vs:
+            p = (u, v)
+            try:
+                pair = curvatures(p)
+            except _EVAL_ERRORS as err:
+                excluded.append((p, str(err)))
+                continue
+            K, H = pair.K, pair.H
+            if not (math.isfinite(K) and math.isfinite(H)):
+                excluded.append((p, "non-finite curvature value"))
+                continue
+            ks.append(K)
+            hs.append(H)
+            if heights is not None:
+                heights.append(pair.w)
 
 
 def _grid_route(surface):
@@ -230,7 +276,7 @@ def _grid_route(surface):
     return surface.curvatures
 
 
-def _sample_product(s: AffineFactorable, domain: Rect, n: int):
+def _sample_product(s: AffineFactorable, domain: Rect, n: int, columns) -> None:
     """sample_grid's columns for a product surface, walked row by row.
 
     f1(x) of type 1 depends on the row coordinate and f2(z) of type 2 on
@@ -243,13 +289,13 @@ def _sample_product(s: AffineFactorable, domain: Rect, n: int):
     raise, f1's text goes first, as in
     :meth:`AffineFactorable.curvatures`.  Each row's jets go to the line
     kernel of the surface's kind (:func:`afs1_line` hoists the row's f1
-    floats), which applies the route formulas and appends to the
-    columns; the ``test_sample_grid_is_bit_exact_*`` tests pin the
-    result to the per-point routes.
+    floats), which applies the route formulas and appends to the four
+    columns ``(ks, hs, heights, excluded)``: three ``array('d')`` and a
+    list of exclusions.  The ``test_sample_grid_is_bit_exact_*`` tests
+    pin the result to the per-point routes.
     """
     us, vs = domain.coordinates(n)
     a = s.shear
-    columns = ([], [], [], [], [])
     if s.kind == TYPE1:
         if _shear_is_inert(a, us, vs):
             f2_columns = [_profile_jet(s.factor2, v) for v in vs]
@@ -269,7 +315,6 @@ def _sample_product(s: AffineFactorable, domain: Rect, n: int):
             sheared = _ShearedJets(s.factor1)
             for u in us:
                 afs2_line(a, u, vs, sheared.line([u + a * v for v in vs]), f2_columns, columns)
-    return tuple(map(tuple, columns))
 
 
 def _profile_jet(profile, t: float) -> Jet2 | str:
@@ -757,7 +802,7 @@ def probe_instances(
     results = []
     for s in instances:
         run = sample_grid(s, n=n)
-        if len(run.points) < 4:
+        if len(run.K) < 4:
             results.append(ProbeInstance(s.label, -1.0, False, True, False))
             continue
         if kind == "afs2-minimal":

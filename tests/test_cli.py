@@ -176,9 +176,11 @@ def test_non_finite_parameters_exit_2(capsys, tmp_path):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        # cos at the infinite sheared argument excludes every point.
+        # cos at the sheared argument y - x, which overflows to inf,
+        # excludes every point.
         (
-            ("--family", "AFS1.min.osc", "--domain", "x:0..1e308,y:-1e308..1e308"),
+            ("--family", "AFS1.min.osc", "--param", "a=-1",
+             "--domain", "x:-1e308..-5e307,y:1.5e308..1.7e308"),
             "constancy check needs at least 4 included samples, got 0",
         ),
         (
@@ -210,6 +212,17 @@ def test_verify_rejects_mismatched_domain_axes(capsys):
         "verify", "--family", "FS1.min.xy", "--domain", "u:0..1,v:0..1",
     )
     assert code == 2 and "axis" in err, f"exit {code}, stderr {err!r}"
+
+
+@pytest.mark.parametrize("verb", ["verify", "grid"])
+def test_a_domain_without_a_finite_grid_step_exits_2(capsys, tmp_path, verb):
+    path = tmp_path / "grid.csv"
+    argv = [verb, "--family", "FS1.min.xy", "--grid", "5", "--domain", "x:0..inf,y:0..1"]
+    if verb == "grid":
+        argv += ["--format", "csv", "--out", str(path)]
+    message = "error: grid over 0.0..inf has a non-finite step: inf\n"
+    assert run_cli(capsys, *argv) == (2, "", message)
+    assert not path.exists()
 
 
 def test_verify_with_custom_domain(capsys):
@@ -349,12 +362,13 @@ def _traced_peak(call) -> int:
 
 def test_grid_export_streams_its_lines(capsys, tmp_path):
     # The export writes each grid row as soon as it formats it, so its
-    # peak is that of the sampled grid plus one row's text, 1.27x here; a
-    # list of every line, joined before writing, held each line twice and
-    # peaked at 2.65x (CSV) and 2.61x (OBJ) the grid's peak here.
+    # peak is that of building the family and sampling its grid, plus
+    # one row's text: about 1.2x the peak of the build and the grid
+    # here.  The family's quadrature table is part of both peaks: the
+    # export builds the family, and so does the measured call.  A list
+    # of the rows, joined before writing, peaked at about 5x.
     fid, n = "FS2.K.integral", 81
-    surface = catalog.build_family(fid)
-    grid_peak = _traced_peak(lambda: verify.sample_grid(surface, n=n))
+    grid_peak = _traced_peak(lambda: verify.sample_grid(catalog.build_family(fid), n=n))
     for fmt in ("csv", "obj"):
         path = tmp_path / f"grid.{fmt}"
         argv = ["grid", "--family", fid, "--grid", str(n), "--format", fmt, "--out", str(path)]

@@ -292,6 +292,23 @@ def test_rect_grid_needs_two_points_per_side():
         Rect((0.0, 1.0), (0.0, 1.0)).grid(1)
 
 
+def test_rect_grid_refuses_a_step_that_is_not_finite():
+    # A span wider than the largest float has an infinite step, and the
+    # grid it gave left the rectangle: v = [nan, inf, inf, inf, inf].
+    for rect in (
+        Rect((0.0, 1e308), (-1e308, 1e308)),
+        Rect((0.0, math.inf), (0.0, 1.0)),
+        Rect((0.0, 1.0), (-math.inf, 0.0)),
+        Rect((math.nan, 1.0), (0.0, 1.0)),
+    ):
+        with pytest.raises(ValueError, match="has a non-finite step"):
+            rect.coordinates(5)
+    # Finite spans keep lo + i*d, bit for bit.
+    us, vs = Rect((0.0, 1e308), (-1e308, 0.0)).coordinates(5)
+    assert us == [0.0, 2.5e307, 5e307, 7.5e307, 1e308]
+    assert vs == [-1e308 + j * 2.5e307 for j in range(5)]
+
+
 def test_chart_point3d_orientations():
     # point3d places the height that the chart's curvature route returns.
     over_xy = SurfaceChart(Z_OVER_XY, lambda x, y: x * y, UNIT)

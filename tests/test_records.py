@@ -89,9 +89,9 @@ CASES = [
     ),
     (
         GridRun,
-        {"subject": "s", "domain": BOX, "n": 2, "points": ((0.0, 0.5),), "K": (1.0,),
+        {"subject": "s", "domain": BOX, "n": 2, "K": (1.0,),
          "H": (0.5,), "heights": (2.0,), "excluded": (((1.0, 1.5), "branch"),)},
-        f"GridRun(subject='s', domain={BOX_REPR}, n=2, points=((0.0, 0.5),), K=(1.0,), "
+        f"GridRun(subject='s', domain={BOX_REPR}, n=2, K=(1.0,), "
         "H=(0.5,), heights=(2.0,), excluded=(((1.0, 1.5), 'branch'),))",
     ),
     (

@@ -105,7 +105,7 @@ def test_sample_grid_covers_the_domain():
     assert run.points == tuple(UNIT.grid(5)) and not run.excluded
     assert run.values("K") == [-1.0] * 25
     assert run.values("H") == [0.0] * 25
-    assert run.heights == tuple(x * y for x, y in run.points)
+    assert tuple(run.heights) == tuple(x * y for x, y in run.points)
 
 
 def test_sample_grid_records_exclusions_with_reasons():
@@ -119,11 +119,65 @@ def test_sample_grid_records_exclusions_with_reasons():
         assert point[1] == 0.0 and reason, f"unexpected exclusion {point}: {reason}"
 
 
+def _stored_points(run):
+    """The points column as sample_grid once stored it: the grid less the excluded points."""
+    excluded = {p for p, _ in run.excluded}
+    return tuple(p for p in run.domain.grid(run.n) if p not in excluded)
+
+
+def test_grid_points_are_rebuilt_from_the_grid_and_the_exclusions():
+    fold = SurfaceChart(X_OVER_YZ, lambda y, z: z * z, Rect((0.0, 1.0), (-0.5, 0.5)))
+    ratio = build_family("FS2.min.ratio")
+    # The refusal domain of the ratio export puts grid nodes on y = 0.
+    runs = [sample_grid(fold, n=5), sample_grid(ratio, Rect((-0.5, 0.5), (0.5, 1.5)), n=5)]
+    assert all(run.excluded for run in runs)
+    runs += [sample_grid(build_family(fid)) for fid in family_ids()]
+    assert len(runs) == 32
+    for run in runs:
+        points = run.points
+        assert points == _stored_points(run), run.subject
+        assert len(points) == len(run.K) == len(run.H) == len(run.heights), run.subject
+        assert len(points) + len(run.excluded) == run.n * run.n, run.subject
+
+
+def test_grid_columns_are_arrays_and_a_patch_has_no_heights():
+    chart = SurfaceChart(Z_OVER_XY, lambda x, y: x * y, UNIT)
+    patch = ParametricSurface(lambda u, v: u, lambda u, v: v, lambda u, v: u * v, UNIT)
+    graph, param = sample_grid(chart, n=5), sample_grid(patch, n=5)
+    assert param.heights is None and graph.heights.typecode == "d"
+    assert param.K == graph.K and param.H == graph.H and param.points == graph.points
+    assert all(column.typecode == "d" for column in (graph.K, graph.H, param.K, param.H))
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(graph)
+
+
+@pytest.mark.parametrize("fid", ["AFS1.K.saddle", "FS2.K.integral"])
+def test_sample_grid_holds_its_columns_packed(fid):
+    # K, H and the heights are packed 8-byte floats and no included point
+    # is stored, so sample_grid peaks at about 25-35 B per grid point
+    # here.  A tuple of boxed floats per column peaked at about 125 B, a
+    # stored (u, v) per point at about 95 B, and both at about 190 B.
+    # The family is built outside the traced call: its quadrature table
+    # is not grid memory.
+    surface = build_family(fid)
+    n = 101
+    tracemalloc.start()
+    try:
+        run = sample_grid(surface, n=n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(run.K) == n * n
+    assert peak <= 64 * n * n, f"{fid}: sample_grid peaked at {peak / (n * n):.1f} B per point"
+
+
 def test_sample_grid_excludes_an_infinite_trig_argument():
-    # The sheared argument y + a*x of AFS1.min.osc reaches +-inf on this
-    # domain; cos there is an exclusion with its reason, not an abort.
-    surface = build_family("AFS1.min.osc")
-    rect = Rect((0.0, 1e308), (-1e308, 1e308))
+    # Every grid coordinate is finite, but the sheared argument y + a*x
+    # = y - x of AFS1.min.osc overflows to +inf at every point (f1 =
+    # exp(x) is 0 there); cos there is an exclusion with its reason,
+    # not an abort.
+    surface = build_family("AFS1.min.osc", a=-1.0)
+    rect = Rect((-1e308, -5e307), (1.5e308, 1.7e308))
     run = sample_grid(surface, domain=rect, n=5)
     assert len(run.excluded) == 25 and not run.points
     reasons = {reason for _, reason in run.excluded}
@@ -313,23 +367,47 @@ def test_sample_grid_evaluates_a_raising_argument_once_per_grid_line(kind):
     assert _assert_walk_matches_point_loop(surface, n, kind) == len(run.excluded)
 
 
+class _GivenColumns:
+    """A domain stand-in whose grid columns are given as they are, finite or not."""
+
+    def __init__(self, us, vs):
+        self.us, self.vs = us, vs
+
+    def coordinates(self, n):
+        return self.us, self.vs
+
+    def grid(self, n):
+        return [(u, v) for u in self.us for v in self.vs]
+
+
 def test_sample_grid_keeps_a_non_finite_shear_product():
     # 0 * inf is nan, so with a = 0 the sheared argument y + a*x is nan,
     # not y, on a grid line whose x is infinite or nan.  A profile that
     # refuses a non-finite argument must be refused there, as it is on
-    # the per-point route, and not evaluated at y.
+    # the per-point route, and not evaluated at y.  Rect.coordinates
+    # refuses such a grid (its step over 0..inf is inf), so the walk is
+    # handed the columns that it once gave: nan, then inf.
     def finite_only(t):
         if not math.isfinite(t.v):
             raise BranchDomainError("finite_only", t.v, "a finite argument")
         return t * t + 1.0
 
-    for surface in (
-        AffineFactorable(TYPE1, lambda t: 1.0, finite_only, 0.0, Rect((0.0, math.inf), UNIT.v)),
-        AffineFactorable(TYPE2, finite_only, lambda t: t, 0.0, Rect(UNIT.u, (0.0, math.inf))),
+    line = [math.nan] + [math.inf] * 4
+    finite = UNIT.coordinates(5)[0]
+    for kind, f1, f2, domain in (
+        (TYPE1, lambda t: 1.0, finite_only, _GivenColumns(line, finite)),
+        (TYPE2, finite_only, lambda t: t, _GivenColumns(finite, line)),
     ):
+        surface = AffineFactorable(kind, f1, f2, 0.0, domain)
+        with pytest.raises(ValueError, match="non-finite step"):
+            sample_grid(surface, domain=Rect((0.0, math.inf), (0.0, math.inf)), n=5)
         run = sample_grid(surface, n=5)
         assert any("finite_only" in reason for _, reason in run.excluded), run.excluded
-        _assert_walk_matches_point_loop(surface, 5, surface.kind)
+        # Every point is excluded here, so the walk and the per-point
+        # loop agree when their exclusions do.
+        samples, excluded = _plain_grid(surface, 5)
+        assert not samples and not run.K
+        assert _grid_bits([], run.excluded) == _grid_bits([], excluded), kind
 
 
 def _signed(seen):
