@@ -253,6 +253,7 @@ def _cmd_probe(args) -> int:
 
 
 def _cmd_ode_check(args) -> int:
+    verify._require_finite_nonnegative("ode check tolerance", args.tol)
     params = _parse_params(args.param)
     trange = _parse_interval(args.range, "--range") if args.range else None
     max_error = verify.ode_crosscheck(args.ode, params or None, trange, args.steps)

@@ -24,25 +24,18 @@ formulas in the shifted profile arguments:
                  + (f1*f2')^2*f2*f1'' + f1*f2''
                  + 2a*f1'*f2' + a^2*f1''*f2) / reg^3
 
-The routes :func:`afs1_curvatures` and :func:`afs2_curvatures` take
-the two profile jets as arguments, and so does :func:`regularity`;
-:meth:`AffineFactorable.profile_jets` evaluates them at a point.  A
-caller that walks many points can reuse the jets, and grid sampling
-(``isocurv.verify.sample_grid``) does: f1(x) of type 1 and f2(z) of
-type 2 depend on one grid coordinate, and with a = 0 so does the other
-profile, so each of them is evaluated once per grid line.
-
-Grid sampling then applies the formulas a grid row at a time, through
-the line kernels :func:`afs1_line` and :func:`afs2_line`.  Each repeats
-its route's expressions operation for operation, on floats hoisted
-from the jets (per row where a profile is fixed along it) and with no
-CurvaturePair per point, so each formula has two copies, side by side
-below.  They append K, H and the height to ``array('d')`` columns and
-store no included point, only the excluded ones with their texts.
-``tests/test_verify.py`` ties them together: it compares sample_grid
-bit for bit, exclusion texts included, with a loop over
-:meth:`AffineFactorable.curvatures` on every product family, on random
-instances, and where a square overflows.
+Each formula is written once, in a line kernel: :func:`afs1_line` and
+:func:`afs2_line` apply it along one grid row, from floats hoisted out
+of the profile jets, and fill ``array('d')`` columns of K, H and the
+height, or record the point as excluded with a text.  Grid sampling
+(``isocurv.verify.sample_grid``) calls them row by row.  The per-point
+routes :func:`afs1_curvatures` and :func:`afs2_curvatures` take the
+two profile jets, as :func:`regularity` does, and run their kind's
+kernel on the one-point row p: an exclusion raises
+:class:`AdmissibilityError` with its text, and a non-finite K or H
+gives a NaN pair, which a check refuses.  ``tests/reference_routes.py``
+keeps a frozen point-by-point copy of the formulas, and the tests
+compare the kernels with it bit for bit.
 
 These specialized routes are deliberately kept separate from the
 generic chart formulas in :mod:`isocurv.geometry` so the two can be
@@ -71,6 +64,7 @@ from .rng import SplitMix64
 __all__ = [
     "TYPE1",
     "TYPE2",
+    "NON_FINITE",
     "AffineFactorable",
     "afs1_curvatures",
     "afs1_line",
@@ -95,6 +89,8 @@ _EVAL_ERRORS = (AdmissibilityError, BranchDomainError, ZeroDivisionError, Overfl
 #: and a list of exclusions, in the layout of ``isocurv.verify.GridRun``.
 #: An included point is not stored; the grid and the exclusions give it.
 Columns = "tuple[MutableSequence[float], MutableSequence[float], MutableSequence[float], list]"
+#: The exclusion text of a point whose K or H is not finite.
+NON_FINITE = "non-finite curvature value"
 
 
 class AffineFactorable(Record):
@@ -151,18 +147,13 @@ def afs1_curvatures(
 
     ``j1`` and ``j2`` are the jets of f1 and f2 at the shifted arguments
     of p, as :meth:`AffineFactorable.profile_jets` evaluates them.  The
-    pair's ``w`` is the height f1 * f2 from the profile values at hand:
-    the same float as the value of the :func:`as_chart` height jet,
-    whose value part is built from value parts alone.
+    pair is that of :func:`afs1_line` on the one-point row p (see
+    :func:`_one_point`), and its ``w``, the height f1 * f2, is the float
+    that the :func:`as_chart` height jet carries as its value.
     """
     if s.kind != TYPE1:
         raise ValueError(f"afs1_curvatures needs a {TYPE1} surface, got {s.kind}")
-    f1, d1, dd1 = j1.v, j1.dx, j1.dxx
-    f2, d2, dd2 = j2.v, j2.dx, j2.dxx
-    a = s.shear
-    K = f1 * f2 * dd1 * dd2 - (d1 * d2) ** 2
-    H = 0.5 * ((1.0 + a * a) * f1 * dd2 + 2.0 * a * d1 * d2 + dd1 * f2)
-    return CurvaturePair(K, H, f1 * f2)
+    return _one_point(afs1_line, s.shear, p[0], j1, (p[1],), (j2,))
 
 
 def afs1_line(
@@ -173,17 +164,16 @@ def afs1_line(
     j2s: Sequence[Jet2 | str],
     columns: Columns,
 ) -> None:
-    """:func:`afs1_curvatures` along the grid row x of a type-1 surface.
+    """The type-1 formulas along the grid row x, into ``columns``.
 
     ``j1`` is f1's jet at x, ``j2s`` f2's jets at y + a*x for each y in
     ``ys``; either may be the exclusion text of the error its profile
-    raised, and f1's text goes first.  Each point goes to ``columns`` as
-    the per-point route would put it there: included with K, H and the
-    height, or excluded as an ``((x, y), text)`` pair with the route's
-    error text or "non-finite curvature value".  The row's f1 floats and
-    the factors (1 + a^2)*f1 and 2a*f1', which the route's left-to-right
-    products form first, are computed once per row, so every float is
-    the route's.
+    raised, and f1's text goes first.  Each point is either included,
+    with K, H and the height w = f1*f2 appended to the first three
+    columns, or excluded as an ``((x, y), text)`` pair: its profile's
+    text, that of an overflowing square, or :data:`NON_FINITE`.  The
+    row's f1 floats and the factors (1 + a^2)*f1 and 2a*f1', which the
+    left-to-right products form first, are computed once per row.
     """
     ks, hs, heights, excluded = columns
     if j1.__class__ is str:
@@ -210,7 +200,7 @@ def afs1_line(
             hs.append(H)
             heights.append(w)
         else:
-            excluded.append(((x, y), "non-finite curvature value"))
+            excluded.append(((x, y), NON_FINITE))
 
 
 def afs2_curvatures(
@@ -218,33 +208,14 @@ def afs2_curvatures(
 ) -> CurvaturePair:
     """Closed-form curvatures of a type-2 surface at p = (y, z).
 
-    Requires the regularity value to stay at or above ADMISSIBILITY_EPS
-    in magnitude; the denominators keep their signs (reg^3 is signed, so H
-    matches the signed graph formula of the x = w(y, z) chart).
-    ``j1``, ``j2`` and ``w`` are as for :func:`afs1_curvatures`; p only
-    names the point in the error text.
+    :func:`afs2_line` on the one-point row p, read by :func:`_one_point`:
+    a regularity below ADMISSIBILITY_EPS in magnitude raises
+    :class:`AdmissibilityError`.  ``j1``, ``j2`` and ``w`` are as for
+    :func:`afs1_curvatures`; p only names the point in an error text.
     """
     if s.kind != TYPE2:
         raise ValueError(f"afs2_curvatures needs a {TYPE2} surface, got {s.kind}")
-    f1, d1, dd1 = j1.v, j1.dx, j1.dxx
-    f2, d2, dd2 = j2.v, j2.dx, j2.dxx
-    a = s.shear
-    reg = a * d1 * f2 + f1 * d2
-    if abs(reg) < ADMISSIBILITY_EPS:
-        raise AdmissibilityError(_irregular(reg, p))
-    reg2 = reg * reg
-    num_k = f1 * f2 * dd1 * dd2 - (d1 * d2) ** 2
-    num_2h = (
-        (d1 * f2) ** 2 * f1 * dd2
-        - 2.0 * (d1 * d2) ** 2 * f1 * f2
-        + (f1 * d2) ** 2 * f2 * dd1
-        + f1 * dd2
-        + 2.0 * a * d1 * d2
-        + a * a * dd1 * f2
-    )
-    K = num_k / (reg2 * reg2)
-    H = num_2h / (2.0 * reg2 * reg)
-    return CurvaturePair(K, H, f1 * f2)
+    return _one_point(afs2_line, s.shear, p[0], (p[1],), (j1,), (j2,))
 
 
 def afs2_line(
@@ -255,13 +226,15 @@ def afs2_line(
     j2s: Sequence[Jet2 | str],
     columns: Columns,
 ) -> None:
-    """:func:`afs2_curvatures` along the grid row y of a type-2 surface.
+    """The type-2 formulas along the grid row y, into ``columns``.
 
     ``j1s`` are f1's jets at y + a*z and ``j2s`` f2's jets at z, for each
     z in ``zs``; exclusions and ``columns`` are as for :func:`afs1_line`,
-    with the route's regularity text where |reg| < ADMISSIBILITY_EPS.
-    Only 2a and a^2, which the route's products form first, are hoisted;
-    (f1'*f2')^2, which the route squares twice, is squared once.
+    with the :func:`regularity` text where |reg| < ADMISSIBILITY_EPS.
+    The denominators keep their signs: reg^3 is signed, so H matches the
+    signed graph formula of the x = w(y, z) chart.  Only 2a and a^2,
+    which the products form first, are hoisted, and (f1'*f2')^2 is
+    squared once for both numerators.
     """
     ks, hs, heights, excluded = columns
     a2, aa = 2.0 * a, a * a
@@ -299,7 +272,24 @@ def afs2_line(
             hs.append(H)
             heights.append(w)
         else:
-            excluded.append(((y, z), "non-finite curvature value"))
+            excluded.append(((y, z), NON_FINITE))
+
+
+def _one_point(line: Callable[..., None], *args) -> CurvaturePair:
+    """The pair of the one point that ``line(*args, columns)`` handles.
+
+    An excluded point raises :class:`AdmissibilityError` with its text,
+    whatever error the kernel caught, except a non-finite K or H: that
+    gives a NaN pair, which a check refuses rather than skipping it.
+    """
+    ks, hs, heights, excluded = columns = ([], [], [], [])
+    line(*args, columns)
+    if ks:
+        return CurvaturePair(ks[0], hs[0], heights[0])
+    text = excluded[0][1]
+    if text == NON_FINITE:
+        return CurvaturePair(math.nan, math.nan, math.nan)
+    raise AdmissibilityError(text)
 
 
 def _shear_is_inert(a: float, ts: list[float], cs: list[float]) -> bool:

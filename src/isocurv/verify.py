@@ -39,6 +39,7 @@ from .factorable import (
     TYPE1,
     TYPE2,
     _EVAL_ERRORS,
+    NON_FINITE,
     AffineFactorable,
     _shear_is_inert,
     afs1_curvatures,
@@ -203,13 +204,11 @@ def sample_grid(surface, domain: Rect | None = None, n: int = 21, subject: str =
     (see :func:`_sample_product`): a profile that depends on a single
     grid coordinate is evaluated once per grid line and its jet reused
     along the line, so the profiles must be pure functions of their
-    argument.  The route formulas are then applied per grid row, from
-    floats hoisted out of the jets, by the line kernels
-    ``afs1_line``/``afs2_line``; the result is bit for bit that of
-    ``surface.curvatures`` at each point (see the module docstring of
-    :mod:`isocurv.factorable` for the tests that pin this).  Any other
-    surface is evaluated point by point, walking the columns of
-    ``domain.coordinates(n)``.
+    argument.  The afs formulas are then applied per grid row by the
+    line kernels ``afs1_line``/``afs2_line``, the only code that states
+    them; ``surface.curvatures`` runs the same kernels on one point.
+    Any other surface is evaluated point by point, walking the columns
+    of ``domain.coordinates(n)``.
 
     K, H and the heights go to ``array('d')`` columns, 8 bytes a value,
     and an included point is not stored (see :class:`GridRun`), so a
@@ -250,7 +249,7 @@ def _sample_points(surface, domain: Rect, n: int, columns) -> None:
                 continue
             K, H = pair.K, pair.H
             if not (math.isfinite(K) and math.isfinite(H)):
-                excluded.append((p, "non-finite curvature value"))
+                excluded.append((p, NON_FINITE))
                 continue
             ks.append(K)
             hs.append(H)
@@ -289,10 +288,10 @@ def _sample_product(s: AffineFactorable, domain: Rect, n: int, columns) -> None:
     raise, f1's text goes first, as in
     :meth:`AffineFactorable.curvatures`.  Each row's jets go to the line
     kernel of the surface's kind (:func:`afs1_line` hoists the row's f1
-    floats), which applies the route formulas and appends to the four
+    floats), which applies the afs formulas and appends to the four
     columns ``(ks, hs, heights, excluded)``: three ``array('d')`` and a
-    list of exclusions.  The ``test_sample_grid_is_bit_exact_*`` tests
-    pin the result to the per-point routes.
+    list of exclusions, compared bit for bit with a frozen per-point
+    copy of the formulas by the ``test_sample_grid_is_bit_exact_*`` tests.
     """
     us, vs = domain.coordinates(n)
     a = s.shear
@@ -418,8 +417,10 @@ def _reduce(
     """A report with the mean of the values and their max |v - center|.
 
     ``center`` None measures against the mean.  Fewer than 4 values, or
-    a non-finite one (``max`` would silently skip a NaN), is an error.
+    a non-finite one (``max`` would silently skip a NaN), or a tolerance
+    that is negative or not finite, which decides the verdict, is an error.
     """
+    _require_finite_nonnegative(f"{check} tolerance", report["tolerance"])
     if len(values) < 4:
         raise ValueError(f"{check} needs at least 4 {unit}, got {len(values)}")
     if not all(map(math.isfinite, values)):
@@ -432,6 +433,12 @@ def _reduce(
     return VerificationReport(
         max_abs_deviation=max_dev, mean=mean, passed=max_dev <= report["tolerance"], **report
     )
+
+
+def _require_finite_nonnegative(what: str, value: float) -> None:
+    """Refuse a tolerance or floor that is negative, infinite or NaN."""
+    if not 0.0 <= value < math.inf:
+        raise ValueError(f"{what} must be finite and at least 0, got {value!r}")
 
 
 def unit_relative_difference(x: float, y: float) -> float:
@@ -793,10 +800,11 @@ def probe_instances(
     sits above it (numerically flat instances are allowed; flat type-2
     surfaces exist and are not covered by the claim).  No instance at
     all is an error: it would report no counterexamples having probed
-    nothing.
+    nothing, and so is a floor that is negative or not finite.
     """
     if kind not in _PROBE_KINDS:
         raise ValueError(f"unknown probe kind {kind!r} (known: {', '.join(_PROBE_KINDS)})")
+    _require_finite_nonnegative("probe floor", floor)
     if not instances:
         raise ValueError("a probe needs at least 1 instance, got none")
     results = []

@@ -194,6 +194,27 @@ def test_verify_exits_2_on_non_finite_values(capsys, argv, message):
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+@pytest.mark.parametrize(
+    "argv, what",
+    [
+        (("verify", "--family", "AFS1.min.osc", "--grid", "5", "--tol"),
+         "constancy check tolerance"),
+        (("cross-validate", "--kind", "type-2", "--points", "8", "--tol"),
+         "cross-validation tolerance"),
+        (("probe", "--kind", "afs2-minimal", "--count", "1", "--floor"), "probe floor"),
+        (("ode-check", "--ode", "afs1-minimal", "--steps", "10", "--tol"),
+         "ode check tolerance"),
+    ],
+)
+def test_a_tolerance_or_floor_that_is_negative_or_not_finite_exits_2(capsys, argv, what, value):
+    # probe --floor -1 once reported 0 counterexamples and exited 0, and
+    # verify --tol -1 reported a failure with exit 1.
+    code, out, err = run_cli(capsys, *argv, value)
+    message = f"error: {what} must be finite and at least 0, got {float(value)!r}\n"
+    assert (code, out, err) == (2, "", message)
+
+
 def test_verify_unknown_family(capsys):
     code, out, err = run_cli(capsys, "verify", "--family", "FS9.not.here")
     assert code == 2 and err.startswith("error:"), f"exit {code}, stderr {err!r}"

@@ -1,5 +1,6 @@
 """Unit tests for the product-form surface ansatz and its curvature routes."""
 
+import math
 import struct
 
 import pytest
@@ -20,6 +21,8 @@ from isocurv.factorable import (
 from isocurv.geometry import AdmissibilityError, Rect
 from isocurv.jets import BranchDomainError
 from isocurv.rng import SplitMix64
+
+import reference_routes
 
 UNIT = Rect((0.0, 1.0), (0.0, 1.0))
 
@@ -185,6 +188,21 @@ def test_degenerate_regularity_raises():
     s = _type2(lambda t: jets.const(1.0), lambda t: jets.const(1.0), 1.0)
     with pytest.raises(AdmissibilityError):
         s.curvatures((0.5, 0.5))
+
+
+@pytest.mark.parametrize("kind", [TYPE1, TYPE2])
+def test_a_non_finite_curvature_is_a_nan_pair(kind):
+    # Not an exclusion, and not the infinity the formulas reach: a check
+    # that reduces the pair must refuse it, and NaN passes no tolerance.
+    # At the origin f1*f2 overflows while no square does, so the frozen
+    # reference gives K = +inf; with f1 = NaN every value is NaN.
+    big = lambda t: 1e300 * (1.0 + t * t)
+    small = lambda t: 1e10 * (1.0 + t * t) + 1e-300 * t
+    s = AffineFactorable(kind, big, small, 0.0, UNIT)
+    assert reference_routes.curvatures(s, (0.0, 0.0)).K == math.inf
+    for surface in (s, s.replace(factor1=lambda t: t * math.nan)):
+        pair = surface.curvatures((0.0, 0.0))
+        assert all(map(math.isnan, (pair.K, pair.H, pair.w))), pair
 
 
 def test_type1_gaussian_curvature_ignores_the_shear():

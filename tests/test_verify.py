@@ -43,6 +43,8 @@ from isocurv.verify import (
     unit_relative_difference,
 )
 
+import reference_routes
+
 UNIT = Rect((0.0, 1.0), (0.0, 1.0))
 
 
@@ -190,11 +192,11 @@ def test_sample_grid_excludes_an_infinite_trig_argument():
 
 
 def _plain_grid(surface, n):
-    """sample_grid without its walk by grid lines: one surface.curvatures per point."""
+    """sample_grid without its walk by grid lines: one reference route call per point."""
     samples, excluded = [], []
     for p in surface.domain.grid(n):
         try:
-            pair = surface.curvatures(p)
+            pair = reference_routes.curvatures(surface, p)
         except (AdmissibilityError, BranchDomainError, ZeroDivisionError, OverflowError) as err:
             excluded.append((p, str(err)))
             continue
@@ -279,6 +281,31 @@ def test_sample_grid_excludes_an_overflowing_square_as_the_route_does(kind, a):
     if kind == TYPE2:
         assert "type-2 regularity |a*f1'*f2 + f1*f2'|" in reasons, reasons
     _assert_walk_matches_point_loop(surface, 5, f"{kind} a={a}")
+
+
+OVERFLOW = "(34, 'Numerical result out of range')"
+
+
+def _steep(t):
+    # The profile of the test above: f1'*f2' is finite and its square overflows.
+    return 1e-100 * jets.sin(1e200 * t * t) + 1.0
+
+
+@pytest.mark.parametrize("a", [0.0, 0.5])
+@pytest.mark.parametrize("kind", [TYPE1, TYPE2])
+def test_curvatures_raise_an_overflowing_square_as_an_admissibility_error(kind, a):
+    # The reference route lets the OverflowError of float ** through; the
+    # package's route is the line kernel on one point, which records the
+    # error's text, and raises it as an AdmissibilityError.
+    surface = AffineFactorable(kind, _steep, _steep, a, Rect((-1.0, 1.0), (-1.0, 1.0)))
+    overflowing = [p for p, reason in sample_grid(surface, n=5).excluded if reason == OVERFLOW]
+    assert overflowing
+    for p in overflowing:
+        with pytest.raises(OverflowError):
+            reference_routes.curvatures(surface, p)
+        with pytest.raises(AdmissibilityError) as info:
+            surface.curvatures(p)
+        assert str(info.value) == OVERFLOW
 
 
 def _same_bits(got: tuple, want: list) -> bool:
@@ -524,6 +551,28 @@ def test_cross_validate_refuses_a_non_finite_discrepancy():
     )
     with pytest.raises(ValueError, match=r"cross-validation got a non-finite sample .*: nan"):
         cross_validate(poisoned, n_points=40, seed=2)
+
+
+@pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
+def test_checks_refuse_a_tolerance_or_floor_that_is_negative_or_not_finite(bad):
+    # A negative or NaN tolerance fails every deviation and an infinite
+    # one passes any; a negative floor flags no probe instance, so the
+    # true minimal FS2.min.ratio, a counterexample at the default floor,
+    # counted as none at floor -1.
+    ratio = build_family("FS2.min.ratio")
+    assert probe_instances("afs2-minimal", [ratio]).counterexamples == 1
+    checks = {
+        "constancy check tolerance": lambda: check_constancy([1.0] * 4, tol=bad),
+        "cross-validation tolerance": lambda: cross_validate(ratio, n_points=8, tol=bad),
+        "motion invariance check tolerance": lambda: motion_invariance_check(
+            ratio, Motion(0.3, 0.1, 0.2, 0.4, 0.5, 0.6), n=3, tol=bad
+        ),
+        "probe floor": lambda: probe_instances("afs2-minimal", [ratio], floor=bad),
+    }
+    for what, check in checks.items():
+        with pytest.raises(ValueError) as info:
+            check()
+        assert str(info.value) == f"{what} must be finite and at least 0, got {bad!r}"
 
 
 # motion invariance ------------------------------------------------------
