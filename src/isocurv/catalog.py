@@ -28,7 +28,9 @@ pairs checked in order.
 its own: a family whose parameters include the shear ``a`` requires
 a != 0 before any constraint, and a type-2 surface is rejected when its
 regularity comes within ``_REG_FLOOR`` of zero on the default domain or
-cannot be evaluated there.
+cannot be evaluated there, walking a 9 x 9 grid with the walk of grid
+sampling, ``isocurv.factorable.grid_lines``.  A build whose arithmetic
+fails, or whose derived constant is not finite, is a ParameterError.
 A plain family that is a sheared one at a = 0 is registered from that
 twin, an AFS row registered before it, by ``_plain(twin, id, formula,
 **changes)``: it keeps the twin's parameters in order without ``a``
@@ -46,14 +48,15 @@ from collections.abc import Callable
 
 from . import jets
 from .jets import Jet2
-from .geometry import Record, Rect, SurfaceChart, X_OVER_YZ
+from .geometry import AdmissibilityError, Record, Rect, SurfaceChart, X_OVER_YZ
 from .factorable import (
     TYPE1,
     TYPE2,
     _EVAL_ERRORS,
+    NON_FINITE,
     AffineFactorable,
     Profile,
-    _shear_is_inert,
+    grid_lines,
     regularity,
 )
 
@@ -175,7 +178,7 @@ class FamilySpec(Record):
         f1, f2 = self.factors(p)
         s = AffineFactorable(self.kind, f1, f2, p.get("a", 0.0), self.domain(p), self.id)
         if self.kind == TYPE2:
-            _check_regularity(s, self.id)
+            _check_regularity(s)
         return s
 
 
@@ -461,36 +464,27 @@ def _positive_box(kind: str, a: float) -> Rect:
 def _regularity_grid(s: AffineFactorable) -> list[float]:
     """The regularity values on the 9 x 9 grid of the default domain, row-major.
 
-    Walked by grid lines as ``isocurv.verify.sample_grid`` walks them:
-    f2(z) once per grid column, and f1(y + a*z) once per grid row where
-    the shear changes no argument (:func:`_shear_is_inert`), once per
-    point otherwise.  The jets are those of
-    :meth:`AffineFactorable.profile_jets` at each point, so the values are
-    too, bit for bit.
+    Walked by :func:`grid_lines`, as grid sampling walks it.  A profile
+    that raises is a :class:`ParameterError`; f2's columns are checked
+    before f1's rows, the order in which they are evaluated.
     """
-    ys, zs = s.domain.coordinates(9)
-    f1, a = s.factor1, s.shear
-    j2s = [jets.eval_profile(s.factor2, z) for z in zs]
-    if _shear_is_inert(a, zs, ys):
-        rows = ([jets.eval_profile(f1, y)] * len(zs) for y in ys)
-    else:
-        rows = ([jets.eval_profile(f1, y + a * z) for z in zs] for y in ys)
-    return [regularity(s, j1, j2) for j1s in rows for j1, j2 in zip(j1s, j2s)]
+    values = []
+    for _, j1s, j2s in grid_lines(s, *s.domain.coordinates(9)):
+        for j in (*j2s, *j1s):
+            if j.__class__ is str:
+                raise ParameterError(f"{s.label}: evaluation failed on the default domain: {j}")
+        values += [regularity(s, j1, j2) for j1, j2 in zip(j1s, j2s)]
+    return values
 
 
-def _check_regularity(s: AffineFactorable, family_id: str) -> None:
+def _check_regularity(s: AffineFactorable) -> None:
     """Reject parameter choices whose default domain crosses regularity zero (9 x 9 grid)."""
-    try:
-        values = _regularity_grid(s)
-    except _EVAL_ERRORS as err:
-        raise ParameterError(
-            f"{family_id}: evaluation failed on the default domain: {err}"
-        ) from None
+    values = _regularity_grid(s)
     low = min(abs(v) for v in values)
     same_sign = all(v > 0.0 for v in values) or all(v < 0.0 for v in values)
     if not same_sign or low < _REG_FLOOR:
         raise ParameterError(
-            f"{family_id}: constraint violated: regularity must stay >= {_REG_FLOOR:g} "
+            f"{s.label}: constraint violated: regularity must stay >= {_REG_FLOOR:g} "
             f"in magnitude on the default domain (observed minimum {low:.3g})"
         )
 
@@ -948,7 +942,15 @@ def build_family(family_id: str, **params):
     rebuild the identical surface, including the quadrature table.
     """
     spec = get_family(family_id)
-    return spec.builder(_merged_params(spec, params))
+    return _build(spec, _merged_params(spec, params))
+
+
+def _build(spec: FamilySpec, merged: dict):
+    """``spec.builder(merged)``, with an arithmetic error as a ParameterError naming the family."""
+    try:
+        return spec.builder(merged)
+    except _EVAL_ERRORS as err:
+        raise ParameterError(f"{spec.id}: evaluation failed while building: {err}") from None
 
 
 def _profile(spec: FamilySpec, merged: dict, surface) -> CurvatureProfile:
@@ -962,19 +964,21 @@ def _profile(spec: FamilySpec, merged: dict, surface) -> CurvatureProfile:
         return CurvatureProfile(spec.claim, claimed, None)
     center = surface.domain.center()
     try:
-        pair = surface.curvatures(center)
+        derived = getattr(surface.curvatures(center), quantity_for_claim(spec.claim))
+        if not math.isfinite(derived):
+            raise AdmissibilityError(NON_FINITE)
     except _EVAL_ERRORS as err:
         raise ParameterError(
             f"{spec.id}: evaluation failed at the domain center {center!r}: {err}"
         ) from None
-    return CurvatureProfile(spec.claim, claimed, getattr(pair, quantity_for_claim(spec.claim)))
+    return CurvatureProfile(spec.claim, claimed, derived)
 
 
 def build_with_profile(family_id: str, **params) -> tuple[object, CurvatureProfile]:
     """``build_family`` and ``expected_profile`` together, from a single build."""
     spec = get_family(family_id)
     merged = _merged_params(spec, params)
-    surface = spec.builder(merged)
+    surface = _build(spec, merged)
     return surface, _profile(spec, merged, surface)
 
 
@@ -988,5 +992,5 @@ def expected_profile(family_id: str, **params) -> CurvatureProfile:
     """
     spec = get_family(family_id)
     merged = _merged_params(spec, params)
-    surface = spec.builder(merged) if spec.has_derived_constant else None
+    surface = _build(spec, merged) if spec.has_derived_constant else None
     return _profile(spec, merged, surface)

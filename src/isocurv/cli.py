@@ -130,6 +130,7 @@ def _cmd_list(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    verify._require_finite_nonnegative("constancy check tolerance", args.tol)
     params = _parse_params(args.param)
     spec = catalog.get_family(args.family)
     surface, profile = catalog.build_with_profile(args.family, **params)
@@ -226,12 +227,11 @@ def _cmd_grid(args) -> int:
 def _cmd_cross_validate(args) -> int:
     if args.family:
         params = _parse_params(args.param)
-        surface = catalog.build_family(args.family, **params)
-        if not isinstance(surface, AffineFactorable):
+        instance = catalog.build_family(args.family, **params)
+        if not isinstance(instance, AffineFactorable):
             raise ParameterError(
                 f"{args.family} does not expose the factored form needed for cross-validation"
             )
-        instance = surface
         point_seed = args.seed
     else:
         kind = TYPE1 if args.kind == "type-1" else TYPE2

@@ -25,17 +25,17 @@ formulas in the shifted profile arguments:
                  + 2a*f1'*f2' + a^2*f1''*f2) / reg^3
 
 Each formula is written once, in a line kernel: :func:`afs1_line` and
-:func:`afs2_line` apply it along one grid row, from floats hoisted out
-of the profile jets, and fill ``array('d')`` columns of K, H and the
-height, or record the point as excluded with a text.  Grid sampling
-(``isocurv.verify.sample_grid``) calls them row by row.  The per-point
-routes :func:`afs1_curvatures` and :func:`afs2_curvatures` take the
-two profile jets, as :func:`regularity` does, and run their kind's
-kernel on the one-point row p: an exclusion raises
+:func:`afs2_line` apply it along one grid row and fill ``array('d')``
+columns of K, H and the height, or exclude the point with a text.
+:func:`grid_lines` is the one walk of a product grid: it yields each
+row's profile jets to grid sampling (``isocurv.verify.sample_grid``),
+which runs the kernels, and to the type-2 build check in
+``isocurv.catalog``, which runs :func:`regularity`.  The per-point
+routes :func:`afs1_curvatures` and :func:`afs2_curvatures` run their
+kind's kernel on a one-point row: an exclusion raises
 :class:`AdmissibilityError` with its text, and a non-finite K or H
-gives a NaN pair, which a check refuses.  ``tests/reference_routes.py``
-keeps a frozen point-by-point copy of the formulas, and the tests
-compare the kernels with it bit for bit.
+gives a NaN pair.  The tests compare the kernels bit for bit with the
+frozen point-by-point formulas in ``tests/reference_routes.py``.
 
 These specialized routes are deliberately kept separate from the
 generic chart formulas in :mod:`isocurv.geometry` so the two can be
@@ -45,7 +45,7 @@ cross-checked numerically (see ``isocurv.verify.cross_validate``).
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, MutableSequence, Sequence
+from collections.abc import Callable, Iterator, MutableSequence, Sequence
 
 from . import jets
 from .jets import BranchDomainError, Jet2
@@ -70,6 +70,7 @@ __all__ = [
     "afs1_line",
     "afs2_curvatures",
     "afs2_line",
+    "grid_lines",
     "regularity",
     "as_chart",
     "random_profile",
@@ -102,11 +103,10 @@ class AffineFactorable(Record):
 
     The profiles must be pure functions of their argument: the same
     float in, the same jet (or the same exception) out, with no hidden
-    state.  Grid sampling evaluates a profile once per grid line it
-    depends on and reuses the jet (or the exclusion text) along the
-    line, and cross-validation hands one evaluation to both the
-    regularity test and the curvature route; that is only the same
-    computation when the profiles are pure.
+    state.  A grid walk (:func:`grid_lines`) reuses a profile's jet, or
+    its exclusion text, along a grid line, and cross-validation hands
+    one evaluation to both the regularity test and the curvature route;
+    that is only the same computation when the profiles are pure.
     """
 
     __slots__ = __match_args__ = ("kind", "factor1", "factor2", "shear", "domain", "label")
@@ -292,6 +292,38 @@ def _one_point(line: Callable[..., None], *args) -> CurvaturePair:
     raise AdmissibilityError(text)
 
 
+def grid_lines(s: AffineFactorable, us: Sequence[float], vs: Sequence[float]) -> Iterator[tuple]:
+    """Each row u of the grid us x vs with its profile jets, as the line kernels take them.
+
+    Yields ``(u, j1, j2s)`` for type 1 (f1 at x = u, f2 at y + a*x for
+    each y in ``vs``) and ``(u, j1s, j2s)`` for type 2 (f1 at u + a*z,
+    f2 at z for each z in ``vs``); a profile that raises leaves its
+    exclusion text in place of the jet.  f1(x) of type 1 and f2(z) of
+    type 2 are evaluated once per grid line, and so is the shifted
+    profile where the shear changes no argument (:func:`_shear_is_inert`);
+    otherwise a :class:`_ShearedJets` looks its jets up by argument.
+    """
+    a = s.shear
+    if s.kind == TYPE1:
+        if _shear_is_inert(a, us, vs):
+            j2s = [_profile_jet(s.factor2, v) for v in vs]
+            for u in us:
+                yield u, _profile_jet(s.factor1, u), j2s
+        else:
+            sheared = _ShearedJets(s.factor2)
+            for u in us:
+                yield u, _profile_jet(s.factor1, u), sheared.line([v + a * u for v in vs])
+        return
+    j2s = [_profile_jet(s.factor2, v) for v in vs]
+    if _shear_is_inert(a, vs, us):
+        for u in us:
+            yield u, [_profile_jet(s.factor1, u)] * len(vs), j2s
+    else:
+        sheared = _ShearedJets(s.factor1)
+        for u in us:
+            yield u, sheared.line([u + a * v for v in vs]), j2s
+
+
 def _shear_is_inert(a: float, ts: list[float], cs: list[float]) -> bool:
     """Is c + a*t the float c itself for every t in ts and c in cs?
 
@@ -305,6 +337,55 @@ def _shear_is_inert(a: float, ts: list[float], cs: list[float]) -> bool:
         and all(map(math.isfinite, ts))
         and not any(math.copysign(1.0, c) < 0.0 for c in cs if c == 0.0)
     )
+
+
+def _profile_jet(profile, t: float) -> Jet2 | str:
+    """The jet of a profile at t, or the exclusion text of the error it raises.
+
+    The text, not the exception: an exception object re-raised at each
+    point that uses it would grow its traceback at every raise.
+    """
+    try:
+        return jets.eval_profile(profile, t)
+    except _EVAL_ERRORS as err:
+        return str(err)
+
+
+class _ShearedJets(dict):
+    """A sheared profile's jets (or exclusion texts) by argument, for one grid walk.
+
+    A sheared argument such as y + a*x can take a new value at every one
+    of the n^2 points, where storing its jets saves nothing; with a = 1
+    on a square grid it repeats along diagonals.  So the jets of the
+    first two grid lines are stored, and if no argument has come up
+    twice by then, storing stops: the dict holds O(n) jets rather than
+    O(n^2).  Otherwise every jet is stored.  The key is u, or (sign of
+    u,) for a zero u, because 0.0 == -0.0 as dict keys while a profile
+    may tell them apart.
+    """
+
+    __slots__ = ("profile", "lines", "keep")
+
+    def __init__(self, profile) -> None:
+        super().__init__()
+        self.profile = profile
+        self.lines = 0
+        self.keep = True
+
+    def __missing__(self, key):
+        u = key if key.__class__ is float else math.copysign(0.0, key[0])
+        j = _profile_jet(self.profile, u)
+        if self.keep:
+            self[key] = j
+        return j
+
+    def line(self, args: list[float]) -> list[Jet2 | str]:
+        """The jets at the arguments of one grid line."""
+        out = [self[u if u else (math.copysign(1.0, u),)] for u in args]
+        self.lines += 1
+        if self.lines == 2 and len(self) == 2 * len(args):
+            self.keep = False
+        return out
 
 
 def _irregular(reg: float, p: tuple[float, float]) -> str:
@@ -402,32 +483,21 @@ def random_instance(rng: SplitMix64, kind: str) -> AffineFactorable:
     return AffineFactorable(kind, f1, f2, a, domain, label)
 
 
-def _argument_range(s: AffineFactorable, which: int) -> tuple[float, float]:
-    (u0, u1), (v0, v1) = s.domain.u, s.domain.v
-    a = s.shear
-    if s.kind == TYPE1:
-        if which == 1:
-            return (u0, u1)
-        lo, hi = min(a * u0, a * u1), max(a * u0, a * u1)
-        return (v0 + lo, v1 + hi)
-    if which == 2:
-        return (v0, v1)
-    lo, hi = min(a * v0, a * v1), max(a * v0, a * v1)
-    return (u0 + lo, u1 + hi)
-
-
 def is_planar(s: AffineFactorable) -> bool:
     """True when both profiles look affine over their induced argument ranges.
 
-    "Affine" means |f''| <= 1e-12 at 5 equispaced arguments of each range.
+    "Affine" means |f''| <= 1e-12 at 5 equispaced arguments of each
+    range.  The shifted arguments are affine in the chart point, so each
+    range runs between its values at the domain's corners.
 
     Every plane in either ansatz has two affine factors, so this test
     never misses a plane.  It can reject a curved product of two affine
     profiles as well; callers use it only to discard draws, where
     over-rejection is harmless.
     """
-    for which, profile in ((1, s.factor1), (2, s.factor2)):
-        lo, hi = _argument_range(s, which)
+    corners = [s.profile_arguments((u, v)) for u in s.domain.u for v in s.domain.v]
+    for k, profile in enumerate((s.factor1, s.factor2)):
+        lo, hi = min(c[k] for c in corners), max(c[k] for c in corners)
         for i in range(5):
             t = lo + (hi - lo) * i / 4
             if abs(jets.eval_profile(profile, t).dxx) > 1e-12:

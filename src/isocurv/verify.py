@@ -41,12 +41,12 @@ from .factorable import (
     _EVAL_ERRORS,
     NON_FINITE,
     AffineFactorable,
-    _shear_is_inert,
     afs1_curvatures,
     afs1_line,
     afs2_curvatures,
     afs2_line,
     as_chart,
+    grid_lines,
     is_planar,
     random_instance,
     regularity,
@@ -131,11 +131,9 @@ class GridRun(Record):
         return tuple(points)
 
     def values(self, quantity: str) -> list[float]:
-        if quantity == "K":
-            return list(self.K)
-        if quantity == "H":
-            return list(self.H)
-        raise ValueError(f"unknown quantity {quantity!r}")
+        if quantity not in ("K", "H"):
+            raise ValueError(f"unknown quantity {quantity!r}")
+        return list(getattr(self, quantity))
 
 
 class VerificationReport(Record):
@@ -200,15 +198,11 @@ def sample_grid(surface, domain: Rect | None = None, n: int = 21, subject: str =
     error (or overflows, or yields a non-finite value) are excluded
     with a reason instead of aborting the run.
 
-    An :class:`AffineFactorable` is walked by grid rows and columns
-    (see :func:`_sample_product`): a profile that depends on a single
-    grid coordinate is evaluated once per grid line and its jet reused
-    along the line, so the profiles must be pure functions of their
-    argument.  The afs formulas are then applied per grid row by the
-    line kernels ``afs1_line``/``afs2_line``, the only code that states
-    them; ``surface.curvatures`` runs the same kernels on one point.
-    Any other surface is evaluated point by point, walking the columns
-    of ``domain.coordinates(n)``.
+    An :class:`AffineFactorable` is walked by grid lines, as its type-2
+    build check is (see :func:`_sample_product`), so its profiles must
+    be pure.  The line kernels ``afs1_line``/``afs2_line`` apply the
+    afs formulas per grid row, and ``surface.curvatures`` runs them on
+    one point.  Any other surface is evaluated point by point.
 
     K, H and the heights go to ``array('d')`` columns, 8 bytes a value,
     and an included point is not stored (see :class:`GridRun`), so a
@@ -276,93 +270,19 @@ def _grid_route(surface):
 
 
 def _sample_product(s: AffineFactorable, domain: Rect, n: int, columns) -> None:
-    """sample_grid's columns for a product surface, walked row by row.
+    """sample_grid's columns for a product surface, one grid row at a time.
 
-    f1(x) of type 1 depends on the row coordinate and f2(z) of type 2 on
-    the column coordinate, so their jets are evaluated once per grid
-    line.  So are the other profile's, where its argument y + a*x (type
-    1) or y + a*z (type 2) is a grid coordinate bit for bit (see
-    :func:`isocurv.factorable._shear_is_inert`); otherwise a
-    :class:`_ShearedJets` looks them up by argument.  A profile that
-    raises leaves its exclusion text in place of the jet; where both
-    raise, f1's text goes first, as in
-    :meth:`AffineFactorable.curvatures`.  Each row's jets go to the line
-    kernel of the surface's kind (:func:`afs1_line` hoists the row's f1
-    floats), which applies the afs formulas and appends to the four
-    columns ``(ks, hs, heights, excluded)``: three ``array('d')`` and a
-    list of exclusions, compared bit for bit with a frozen per-point
-    copy of the formulas by the ``test_sample_grid_is_bit_exact_*`` tests.
+    :func:`isocurv.factorable.grid_lines` gives each row's profile jets,
+    and the line kernel of the surface's kind appends the row's points
+    to the columns ``(ks, hs, heights, excluded)``.
     """
     us, vs = domain.coordinates(n)
-    a = s.shear
     if s.kind == TYPE1:
-        if _shear_is_inert(a, us, vs):
-            f2_columns = [_profile_jet(s.factor2, v) for v in vs]
-            for u in us:
-                afs1_line(a, u, _profile_jet(s.factor1, u), vs, f2_columns, columns)
-        else:
-            sheared = _ShearedJets(s.factor2)
-            for u in us:
-                j1 = _profile_jet(s.factor1, u)
-                afs1_line(a, u, j1, vs, sheared.line([v + a * u for v in vs]), columns)
+        for u, j1, j2s in grid_lines(s, us, vs):
+            afs1_line(s.shear, u, j1, vs, j2s, columns)
     else:
-        f2_columns = [_profile_jet(s.factor2, v) for v in vs]
-        if _shear_is_inert(a, vs, us):
-            for u in us:
-                afs2_line(a, u, vs, [_profile_jet(s.factor1, u)] * n, f2_columns, columns)
-        else:
-            sheared = _ShearedJets(s.factor1)
-            for u in us:
-                afs2_line(a, u, vs, sheared.line([u + a * v for v in vs]), f2_columns, columns)
-
-
-def _profile_jet(profile, t: float) -> Jet2 | str:
-    """The jet of a profile at t, or the exclusion text of the error it raises.
-
-    The text, not the exception: an exception object re-raised at each
-    point that uses it would grow its traceback at every raise.
-    """
-    try:
-        return jets.eval_profile(profile, t)
-    except _EVAL_ERRORS as err:
-        return str(err)
-
-
-class _ShearedJets(dict):
-    """A sheared profile's jets (or exclusion texts) by argument, for one grid walk.
-
-    A sheared argument such as y + a*x can take a new value at every one
-    of the n^2 points, where storing its jets saves nothing; with a = 1
-    on a square grid it repeats along diagonals.  So the jets of the
-    first two grid lines are stored, and if no argument has come up
-    twice by then, storing stops: the dict holds O(n) jets rather than
-    O(n^2).  Otherwise every jet is stored.  The key is u, or (sign of
-    u,) for a zero u, because 0.0 == -0.0 as dict keys while a profile
-    may tell them apart.
-    """
-
-    __slots__ = ("profile", "lines", "keep")
-
-    def __init__(self, profile) -> None:
-        super().__init__()
-        self.profile = profile
-        self.lines = 0
-        self.keep = True
-
-    def __missing__(self, key):
-        u = key if key.__class__ is float else math.copysign(0.0, key[0])
-        j = _profile_jet(self.profile, u)
-        if self.keep:
-            self[key] = j
-        return j
-
-    def line(self, args: list[float]) -> list[Jet2 | str]:
-        """The jets at the arguments of one grid line."""
-        out = [self[u if u else (math.copysign(1.0, u),)] for u in args]
-        self.lines += 1
-        if self.lines == 2 and len(self) == 2 * len(args):
-            self.keep = False
-        return out
+        for u, j1s, j2s in grid_lines(s, us, vs):
+            afs2_line(s.shear, u, vs, j1s, j2s, columns)
 
 
 def check_constancy(
@@ -379,8 +299,10 @@ def check_constancy(
     Sums run left to right over the grid order, so the report is
     deterministic.  Fewer than 4 included samples is an error: a claim
     of constancy over a grid needs more than a corner's worth of data.
-    So is a non-finite sample: ``max`` would silently skip a NaN.
+    So is a non-finite sample (``max`` would silently skip a NaN), and so
+    is a tolerance that is negative or not finite, which is checked first.
     """
+    _require_finite_nonnegative("constancy check tolerance", tol)
     if isinstance(samples, GridRun):
         values = samples.values(quantity)
         domain: Rect | None = samples.domain
@@ -417,10 +339,8 @@ def _reduce(
     """A report with the mean of the values and their max |v - center|.
 
     ``center`` None measures against the mean.  Fewer than 4 values, or
-    a non-finite one (``max`` would silently skip a NaN), or a tolerance
-    that is negative or not finite, which decides the verdict, is an error.
+    a non-finite one (``max`` would silently skip a NaN), is an error.
     """
-    _require_finite_nonnegative(f"{check} tolerance", report["tolerance"])
     if len(values) < 4:
         raise ValueError(f"{check} needs at least 4 {unit}, got {len(values)}")
     if not all(map(math.isfinite, values)):
@@ -464,6 +384,7 @@ def cross_validate(
     either.  Type-2 points too close to the regularity zero set are
     skipped (both routes would only amplify rounding there).
     """
+    _require_finite_nonnegative("cross-validation tolerance", tol)
     chart = as_chart(instance)
     type2 = instance.kind == TYPE2
     route = afs2_curvatures if type2 else afs1_curvatures
@@ -521,6 +442,7 @@ def motion_invariance_check(
     jets, ``after`` from their image under :func:`apply_motion`, which
     are the jets of the moved patch at the same (u, v).
     """
+    _require_finite_nonnegative("motion invariance check tolerance", tol)
     if isinstance(surface, AffineFactorable):
         base = as_parametric(as_chart(surface))
         subject = subject or surface.label
@@ -657,7 +579,8 @@ def ode_crosscheck(
     ``afs2-cmc``: the slope equation f'' = 2*H0*c1^2*(f')^3 behind the
     constant-H family with a constant first factor.  Initial conditions
     come from the closed form at the range start.  A non-finite gap
-    raises ValueError instead of being skipped.
+    raises ValueError instead of being skipped, and so does an
+    arithmetic error on the way, naming the ODE.
     """
     if ode not in _ODE_DEFAULTS:
         known = ", ".join(sorted(_ODE_DEFAULTS))
@@ -698,15 +621,18 @@ def ode_crosscheck(
         def deriv(t, y):
             return (y[1], rate * y[1] ** 3)
 
-    start = jets.eval_profile(closed, t0)
-    path = _rk4(deriv, t0, (start.v, start.dx), t1, steps)
-    worst = 0.0
-    for t, y in path:
-        exact = jets.eval_profile(closed, t).v
-        gap = abs(y[0] - exact)
-        if not math.isfinite(gap):
-            raise ValueError(f"{ode} gap at t = {t!r} is not finite: {gap!r}")
-        worst = max(worst, gap)
+    try:
+        start = jets.eval_profile(closed, t0)
+        path = _rk4(deriv, t0, (start.v, start.dx), t1, steps)
+        worst = 0.0
+        for t, y in path:
+            exact = jets.eval_profile(closed, t).v
+            gap = abs(y[0] - exact)
+            if not math.isfinite(gap):
+                raise ValueError(f"{ode} gap at t = {t!r} is not finite: {gap!r}")
+            worst = max(worst, gap)
+    except _EVAL_ERRORS as err:
+        raise ValueError(f"{ode}: evaluation failed: {err}") from None
     return worst
 
 
@@ -825,7 +751,6 @@ def probe_instances(
             else:
                 results.append(ProbeInstance(s.label, spread, False, False, spread <= floor))
     usable = [r.stat for r in results if not (r.degenerate or r.flat)]
-    min_stat = min(usable) if usable else -1.0
     return ProbeReport(
         kind=kind,
         count=len(instances),
@@ -833,7 +758,7 @@ def probe_instances(
         grid=n,
         floor=floor,
         counterexamples=sum(1 for r in results if r.bad),
-        min_stat=min_stat,
+        min_stat=min(usable, default=-1.0),
         instances=tuple(results),
     )
 

@@ -21,6 +21,8 @@ from isocurv.catalog import (
     quantity_for_claim,
 )
 from isocurv.factorable import TYPE2, AffineFactorable, as_chart, regularity
+from isocurv.geometry import Rect
+from isocurv.jets import BranchDomainError
 from isocurv.rng import SplitMix64
 from isocurv.verify import check_constancy, sample_grid
 
@@ -482,8 +484,9 @@ _TYPE2_PRODUCTS = [
 @pytest.mark.parametrize("fid", _TYPE2_PRODUCTS)
 def test_regularity_check_walks_grid_lines(fid, monkeypatch):
     # The build-time check evaluates f2 once per grid column, f1 once
-    # per grid row where a = 0 and once per point otherwise, and gets
-    # the per-point values bit for bit.
+    # per grid row where a = 0 and once per distinct argument y + a*z
+    # otherwise (17 on the 9 x 9 default grid, where a = 1 repeats them
+    # along diagonals), and gets the per-point values bit for bit.
     surface = build_family(fid)
     want = [regularity(surface, *surface.profile_jets(p)) for p in surface.domain.grid(9)]
     got = catalog._regularity_grid(surface)
@@ -493,7 +496,39 @@ def test_regularity_check_walks_grid_lines(fid, monkeypatch):
     monkeypatch.setattr(jets, "eval_profile", lambda f, t: calls.append(t) or real(f, t))
     build_with_profile(fid)
     center = 2 if get_family(fid).has_derived_constant else 0
-    assert len(calls) == (18 if surface.shear == 0.0 else 90) + center
+    assert len(calls) == (18 if surface.shear == 0.0 else 26) + center
+
+
+@pytest.mark.parametrize("a", [0.0, -1.0])
+def test_regularity_check_reports_f2_before_f1(a):
+    # f1 fails at every point and f2 from the grid column z = 0.5 on.
+    # Grid sampling gives each point f1's text, but the build check
+    # evaluates f2's columns first and reports f2's first failure.
+    f1 = lambda t: jets.log(t - 10.0)
+    f2 = lambda t: jets.sqrt(0.5 - t)
+    s = AffineFactorable(TYPE2, f1, f2, a, Rect((0.0, 1.0), (0.0, 1.0)), "X")
+    with pytest.raises(ParameterError) as err:
+        catalog._regularity_grid(s)
+    with pytest.raises(BranchDomainError) as first:
+        jets.eval_profile(f2, 0.5)
+    assert str(err.value) == f"X: evaluation failed on the default domain: {first.value}"
+    s = s.replace(factor2=lambda t: 1.0 + t)
+    with pytest.raises(ParameterError) as err:
+        catalog._regularity_grid(s)
+    with pytest.raises(BranchDomainError) as first:
+        jets.eval_profile(f1, 0.0)
+    assert str(err.value) == f"X: evaluation failed on the default domain: {first.value}"
+
+
+@pytest.mark.parametrize("entry", [build_family, build_with_profile, expected_profile])
+def test_every_build_refuses_an_arithmetic_error_by_family(entry):
+    # c1 != 0 holds, but 4*H0*c1*c1 underflows to 0 and the default
+    # domain divides by it.
+    with pytest.raises(ParameterError) as err:
+        entry("AFS2.cmc.f1const", c1=1e-200)
+    assert str(err.value) == (
+        "AFS2.cmc.f1const: evaluation failed while building: float division by zero"
+    )
 
 
 def test_builds_are_deterministic():

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from isocurv import catalog, verify
+from isocurv import catalog, jets, verify
 from isocurv.cli import SIZE_LIMITS, main
 from isocurv.factorable import AffineFactorable, as_chart
 from isocurv.geometry import Rect
@@ -370,6 +370,82 @@ def test_build_time_overflow_exits_2(capsys, tmp_path, verb):
         "error: AFS2.flat.exp: evaluation failed on the default domain: math range error\n"
     )
     assert not path.exists()
+
+
+_UNDERFLOW = ("--param", "c1=1e-200")
+_F1CONST = "AFS2.cmc.f1const: evaluation failed while building: float division by zero"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # c1 != 0 holds, but c1*c1 underflows to 0 and a build divides by it.
+        (("verify", "--family", "AFS2.cmc.f1const", "--grid", "5", *_UNDERFLOW), _F1CONST),
+        (("grid", "--family", "AFS2.cmc.f1const", "--grid", "5", *_UNDERFLOW), _F1CONST),
+        (("cross-validate", "--family", "AFS2.cmc.f1const", *_UNDERFLOW), _F1CONST),
+        (
+            ("grid", "--family", "FS2.K.integral", "--grid", "3",
+             "--param", "K0=1", "--param", "c1=1e-300"),
+            "FS2.K.integral: evaluation failed while building: float division by zero",
+        ),
+        # The derived constant at the domain center is NaN, which JSON
+        # cannot hold; the build refuses it before the grid is sampled.
+        (
+            ("verify", "--family", "AFS1.K.saddle", "--grid", "5",
+             "--param", "K0=-1e300", "--param", "a=1e150"),
+            "AFS1.K.saddle: evaluation failed at the domain center (0.5, 0.5): "
+            "non-finite curvature value",
+        ),
+        (
+            ("verify", "--family", "AFS1.min.plane", "--grid", "5",
+             "--param", "a=5e-324", "--param", "c2=1e300", "--param", "c1=1e150"),
+            "AFS1.min.plane: evaluation failed at the domain center (0.5, 0.5): "
+            "non-finite curvature value",
+        ),
+        (
+            ("verify", "--family", "FS1.flat.pow", "--grid", "5",
+             "--param", "c2=1.0000000001", "--param", "c1=-1e300"),
+            "FS1.flat.pow: evaluation failed at the domain center (1.0, 1.0): "
+            "non-finite curvature value",
+        ),
+        (
+            ("ode-check", "--ode", "afs2-cmc", *_UNDERFLOW),
+            "afs2-cmc: evaluation failed: float division by zero",
+        ),
+        (
+            ("ode-check", "--ode", "afs1-minimal", "--steps", "50",
+             "--param", "c1=-1e300", "--param", "c2=-0"),
+            "afs1-minimal: evaluation failed: math range error",
+        ),
+    ],
+    ids=["verify", "grid", "cross-validate", "integral", "saddle", "plane", "pow",
+         "ode-cmc", "ode-minimal"],
+)
+def test_arithmetic_errors_exit_2(capsys, tmp_path, argv, message):
+    # Arithmetic that fails in a build or an ODE check, or a derived
+    # constant that is not finite, refuses the parameters: exit 2, one
+    # error line naming the family or ODE, no traceback and no file.
+    path = tmp_path / "grid.csv"
+    if argv[0] == "grid":
+        argv += ("--format", "csv", "--out", str(path))
+    assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+    assert not path.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--family", "AFS1.min.osc", "--grid", "1001", "--tol", "nan"),
+        ("cross-validate", "--kind", "type-1", "--points", "100000", "--tol", "nan"),
+    ],
+)
+def test_a_bad_tolerance_exits_2_before_any_profile_is_evaluated(capsys, monkeypatch, argv):
+    calls = []
+    real = jets.eval_profile
+    monkeypatch.setattr(jets, "eval_profile", lambda f, t: calls.append(t) or real(f, t))
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "") and err.startswith("error: ") and "tolerance" in err
+    assert calls == []
 
 
 def _traced_peak(call) -> int:

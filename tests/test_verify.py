@@ -575,6 +575,26 @@ def test_checks_refuse_a_tolerance_or_floor_that_is_negative_or_not_finite(bad):
         assert str(info.value) == f"{what} must be finite and at least 0, got {bad!r}"
 
 
+def test_a_bad_tolerance_is_refused_before_any_point_is_evaluated():
+    # The tolerance decides the verdict alone, so checking it after the
+    # points only wastes their work: 1,002,001 of them at --grid 1001.
+    calls = []
+
+    def counting(t):
+        calls.append(t.v)
+        return t * t + 2.0
+
+    s = AffineFactorable(TYPE2, counting, counting, 0.5, UNIT)
+    checks = [
+        lambda: cross_validate(s, n_points=8, tol=math.nan),
+        lambda: motion_invariance_check(s, Motion(0.3, 0.1, 0.2, 0.4, 0.5, 0.6), n=3, tol=-1.0),
+    ]
+    for check in checks:
+        with pytest.raises(ValueError, match="tolerance must be finite and at least 0"):
+            check()
+    assert calls == []
+
+
 # motion invariance ------------------------------------------------------
 
 
