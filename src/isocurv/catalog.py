@@ -47,7 +47,7 @@ import math
 from collections.abc import Callable
 
 from . import jets
-from .jets import Jet2
+from .jets import Jet1, Jet2
 from .geometry import AdmissibilityError, Record, Rect, SurfaceChart, X_OVER_YZ
 from .factorable import (
     TYPE1,
@@ -480,7 +480,8 @@ def _regularity_grid(s: AffineFactorable) -> list[float]:
 def _check_regularity(s: AffineFactorable) -> None:
     """Reject parameter choices whose default domain crosses regularity zero (9 x 9 grid)."""
     values = _regularity_grid(s)
-    low = min(abs(v) for v in values)
+    # min() keeps a NaN only when it comes first; report one wherever it sits.
+    low = math.nan if any(map(math.isnan, values)) else min(abs(v) for v in values)
     same_sign = all(v > 0.0 for v in values) or all(v < 0.0 for v in values)
     if not same_sign or low < _REG_FLOOR:
         raise ParameterError(

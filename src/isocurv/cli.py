@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from . import catalog, verify
@@ -330,8 +331,25 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: A value that starts with "-" and a digit, such as the range -1..0:
+#: argparse takes it for an option unless it is a plain negative number.
+_NEGATIVE_START = re.compile(r"-\.?\d")
+
+
+def _attach_negative_ranges(argv: list[str]) -> list[str]:
+    """Rewrite ``--range -1..0`` as ``--range=-1..0``, which argparse accepts."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] == "--range" and _NEGATIVE_START.match(arg):
+            out[-1] = f"--range={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
+    argv = _attach_negative_ranges(sys.argv[1:] if argv is None else list(argv))
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -48,7 +48,7 @@ import math
 from collections.abc import Callable, Iterator, MutableSequence, Sequence
 
 from . import jets
-from .jets import BranchDomainError, Jet2
+from .jets import BranchDomainError, Jet1, Jet2
 from .geometry import (
     ADMISSIBILITY_EPS,
     AdmissibilityError,
@@ -81,8 +81,9 @@ __all__ = [
 TYPE1 = "type-1"
 TYPE2 = "type-2"
 
-#: A twice-differentiable function of one variable in jet arithmetic.
-Profile = "Callable[[Jet2], Jet2]"
+#: A twice-differentiable function of one variable in jet arithmetic:
+#: :func:`isocurv.jets.eval_profile` calls it on a Jet1, a chart on a Jet2.
+Profile = "Callable[[Jet1 | Jet2], Jet1 | Jet2]"
 #: The errors that evaluating a surface at a point may raise: a grid walk
 #: excludes the point, and a family build refuses its parameters.
 _EVAL_ERRORS = (AdmissibilityError, BranchDomainError, ZeroDivisionError, OverflowError)
@@ -130,7 +131,7 @@ class AffineFactorable(Record):
             return (p[0], p[1] + self.shear * p[0])
         return (p[0] + self.shear * p[1], p[1])
 
-    def profile_jets(self, p: tuple[float, float]) -> tuple[Jet2, Jet2]:
+    def profile_jets(self, p: tuple[float, float]) -> tuple[Jet1, Jet1]:
         """The jets of f1 and f2 at their shifted arguments for chart point p."""
         u1, u2 = self.profile_arguments(p)
         return jets.eval_profile(self.factor1, u1), jets.eval_profile(self.factor2, u2)
@@ -141,7 +142,7 @@ class AffineFactorable(Record):
 
 
 def afs1_curvatures(
-    s: AffineFactorable, p: tuple[float, float], j1: Jet2, j2: Jet2
+    s: AffineFactorable, p: tuple[float, float], j1: Jet1, j2: Jet1
 ) -> CurvaturePair:
     """Closed-form curvatures of a type-1 surface at p = (x, y).
 
@@ -159,9 +160,9 @@ def afs1_curvatures(
 def afs1_line(
     a: float,
     x: float,
-    j1: Jet2 | str,
+    j1: Jet1 | str,
     ys: Sequence[float],
-    j2s: Sequence[Jet2 | str],
+    j2s: Sequence[Jet1 | str],
     columns: Columns,
 ) -> None:
     """The type-1 formulas along the grid row x, into ``columns``.
@@ -204,7 +205,7 @@ def afs1_line(
 
 
 def afs2_curvatures(
-    s: AffineFactorable, p: tuple[float, float], j1: Jet2, j2: Jet2
+    s: AffineFactorable, p: tuple[float, float], j1: Jet1, j2: Jet1
 ) -> CurvaturePair:
     """Closed-form curvatures of a type-2 surface at p = (y, z).
 
@@ -222,8 +223,8 @@ def afs2_line(
     a: float,
     y: float,
     zs: Sequence[float],
-    j1s: Sequence[Jet2 | str],
-    j2s: Sequence[Jet2 | str],
+    j1s: Sequence[Jet1 | str],
+    j2s: Sequence[Jet1 | str],
     columns: Columns,
 ) -> None:
     """The type-2 formulas along the grid row y, into ``columns``.
@@ -339,7 +340,7 @@ def _shear_is_inert(a: float, ts: list[float], cs: list[float]) -> bool:
     )
 
 
-def _profile_jet(profile, t: float) -> Jet2 | str:
+def _profile_jet(profile, t: float) -> Jet1 | str:
     """The jet of a profile at t, or the exclusion text of the error it raises.
 
     The text, not the exception: an exception object re-raised at each
@@ -379,7 +380,7 @@ class _ShearedJets(dict):
             self[key] = j
         return j
 
-    def line(self, args: list[float]) -> list[Jet2 | str]:
+    def line(self, args: list[float]) -> list[Jet1 | str]:
         """The jets at the arguments of one grid line."""
         out = [self[u if u else (math.copysign(1.0, u),)] for u in args]
         self.lines += 1
@@ -396,7 +397,7 @@ def _irregular(reg: float, p: tuple[float, float]) -> str:
     )
 
 
-def regularity(s: AffineFactorable, j1: Jet2, j2: Jet2) -> float:
+def regularity(s: AffineFactorable, j1: Jet1, j2: Jet1) -> float:
     """The type-2 admissibility value a*f1'*f2 + f1*f2' from the profile jets.
 
     ``j1`` and ``j2`` are as for :func:`afs2_curvatures`, so a caller
@@ -445,8 +446,9 @@ def random_profile(rng: SplitMix64) -> tuple[Profile, str]:
         coeffs = [rng.uniform(1.5, 2.5)]
         coeffs += [rng.uniform(-1.0, 1.0) for _ in range(degree)]
 
-        def poly(t: Jet2, _c=tuple(coeffs)) -> Jet2:
-            acc = jets.const(_c[-1])
+        def poly(t, _c=tuple(coeffs)):
+            # A float start: the first step c_n * t is t's scalar fast path.
+            acc = _c[-1]
             for c in reversed(_c[:-1]):
                 acc = acc * t + c
             return acc

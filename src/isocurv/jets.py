@@ -1,4 +1,4 @@
-"""Exact second-order forward-mode jets for scalar fields of two variables.
+"""Exact second-order forward-mode jets for fields of one and two variables.
 
 A :class:`Jet2` bundles the value of a field w with its first and second
 partial derivatives at a single point: (w, w_1, w_2, w_11, w_12, w_22),
@@ -25,11 +25,24 @@ The reflected forms stay aliases (``__radd__ = __add__``,
 last bit or in a NaN.  ``bool`` is not a number here and raises
 ``TypeError``.
 
+A :class:`Jet1` is the univariate 2-jet (f, f', f'') of a profile:
+the x slots (v, dx, dxx) of a Jet2 and nothing else.  Each of its
+operations is Jet2's formula restricted to those slots, scalar fast path
+and operand order included, and the x slots of a Jet2 result depend on
+the operands' x slots alone, so a Jet1 result carries bit for bit the
+(v, dx, dxx) that the Jet2 operation would give.  A Jet2 mixed with a
+Jet1 gives a Jet1 with those same bits, operand order kept.  The
+elementary functions take either kind and return the argument's kind.
+
 Fields are ordinary callables built from jet arithmetic: a two-variable
 field maps two jets to a jet (plain numbers are accepted and treated as
 constants), a one-variable profile maps one jet to a jet.  Seed the
 inputs with :func:`coord1` / :func:`coord2` and the output jet holds the
-derivatives with respect to those coordinates.
+derivatives with respect to those coordinates.  :func:`eval_profile`
+seeds a Jet1 and returns one: a curvature formula of an affine
+factorable surface reads only f, f' and f'' of each profile, so the
+y slots would be computed and dropped.  :func:`eval_field`, and with it
+every chart, keeps Jet2.
 """
 
 from __future__ import annotations
@@ -37,6 +50,7 @@ from __future__ import annotations
 import math
 
 __all__ = [
+    "Jet1",
     "Jet2",
     "BranchDomainError",
     "MIN_DIVISOR",
@@ -89,7 +103,7 @@ def _as_jet(x):
 def _req(x, fn: str) -> "Jet2":
     j = _as_jet(x)
     if j is None:
-        raise TypeError(f"{fn} expects a Jet2 or a real number, got {type(x).__name__}")
+        raise TypeError(f"{fn} expects a jet or a real number, got {type(x).__name__}")
     return j
 
 
@@ -144,6 +158,8 @@ class Jet2:
     #
     # The float/int branches are the exact scalar fast paths described in
     # the module docstring: each keeps every zero term of the jet-jet rule.
+    # A Jet1 operand goes to Jet1's rule, which reads this jet's x slots
+    # with the operands in the same order.
 
     def __add__(self, other):
         k = other.__class__
@@ -157,6 +173,8 @@ class Jet2:
                     self.dxy + 0.0,
                     self.dyy + 0.0,
                 )
+            if k is Jet1:
+                return Jet1.__add__(self, other)
             other = _as_jet(other)
             if other is None:
                 return NotImplemented
@@ -188,6 +206,8 @@ class Jet2:
                     self.dxy - 0.0,
                     self.dyy - 0.0,
                 )
+            if k is Jet1:
+                return Jet1.__sub__(self, other)
             other = _as_jet(other)
             if other is None:
                 return NotImplemented
@@ -231,6 +251,8 @@ class Jet2:
                     a.dxy * c + a.dx * 0.0 + a.dy * 0.0 + z,
                     a.dyy * c + 2.0 * a.dy * 0.0 + z,
                 )
+            if k is Jet1:
+                return Jet1.__mul__(self, other)
             other = _as_jet(other)
             if other is None:
                 return NotImplemented
@@ -252,7 +274,7 @@ class Jet2:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if other.__class__ is not Jet2:
+        if other.__class__ is not Jet2 and other.__class__ is not Jet1:
             other = _as_jet(other)
             if other is None:
                 return NotImplemented
@@ -270,7 +292,112 @@ class Jet2:
         return NotImplemented
 
 
-def _reciprocal(b: Jet2) -> Jet2:
+class Jet1:
+    """Value, first and second derivative of a profile at one point.
+
+    The x slots of a :class:`Jet2` and only those: every operation is
+    Jet2's formula restricted to (v, dx, dxx), with the same scalar fast
+    path zero terms and the same operand order.  A Jet2 operand is read
+    through its x slots, so a Jet2 constant such as ``const(c)`` mixes in.
+    """
+
+    __slots__ = ("v", "dx", "dxx")
+    __match_args__ = __slots__
+
+    def __init__(self, v: float, dx: float = 0.0, dxx: float = 0.0) -> None:
+        self.v = v
+        self.dx = dx
+        self.dxx = dxx
+
+    def __repr__(self) -> str:
+        return f"Jet1(v={self.v!r}, dx={self.dx!r}, dxx={self.dxx!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.components() == other.components()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.components())
+
+    def components(self) -> tuple[float, float, float]:
+        return (self.v, self.dx, self.dxx)
+
+    def is_finite(self) -> bool:
+        return all(math.isfinite(c) for c in self.components())
+
+    def __add__(self, other):
+        k = other.__class__
+        if k is not Jet1 and k is not Jet2:
+            if k is float or k is int:
+                return Jet1(self.v + float(other), self.dx + 0.0, self.dxx + 0.0)
+            other = _as_jet(other)
+            if other is None:
+                return NotImplemented
+        return Jet1(self.v + other.v, self.dx + other.dx, self.dxx + other.dxx)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Jet1(-self.v, -self.dx, -self.dxx)
+
+    def __sub__(self, other):
+        k = other.__class__
+        if k is not Jet1 and k is not Jet2:
+            if k is float or k is int:
+                return Jet1(self.v - float(other), self.dx - 0.0, self.dxx - 0.0)
+            other = _as_jet(other)
+            if other is None:
+                return NotImplemented
+        return Jet1(self.v - other.v, self.dx - other.dx, self.dxx - other.dxx)
+
+    def __rsub__(self, other):
+        k = other.__class__
+        if k is float or k is int:
+            return Jet1(float(other) - self.v, 0.0 - self.dx, 0.0 - self.dxx)
+        o = _as_jet(other)
+        if o is None:
+            return NotImplemented
+        return Jet1.__sub__(o, self)
+
+    def __mul__(self, other):
+        k = other.__class__
+        if k is not Jet1 and k is not Jet2:
+            if k is float or k is int:
+                c = float(other)
+                a = self
+                z = a.v * 0.0
+                return Jet1(a.v * c, a.dx * c + z, a.dxx * c + 2.0 * a.dx * 0.0 + z)
+            other = _as_jet(other)
+            if other is None:
+                return NotImplemented
+        a, b = self, other
+        return Jet1(
+            a.v * b.v,
+            a.dx * b.v + a.v * b.dx,
+            a.dxx * b.v + 2.0 * a.dx * b.dx + a.v * b.dxx,
+        )
+
+    # As in Jet2, c * t means t * c.
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        if other.__class__ is not Jet1 and other.__class__ is not Jet2:
+            other = _as_jet(other)
+            if other is None:
+                return NotImplemented
+        return self.__mul__(_reciprocal(other))
+
+    def __rtruediv__(self, other):
+        o = _as_jet(other)
+        if o is None:
+            return NotImplemented
+        return Jet1.__mul__(o, _reciprocal(self))
+
+    __pow__ = Jet2.__pow__
+
+
+def _reciprocal(b: Jet1 | Jet2) -> Jet1 | Jet2:
     if abs(b.v) < MIN_DIVISOR:
         raise ZeroDivisionError(
             f"jet division by {b.v!r}: |denominator| < {MIN_DIVISOR:g}"
@@ -312,53 +439,58 @@ def eval_field(field, p1: float, p2: float) -> Jet2:
     return out
 
 
-def eval_profile(profile, t: float) -> Jet2:
-    """Evaluate a one-variable profile at t.
+def eval_profile(profile, t: float) -> Jet1:
+    """Evaluate a one-variable profile at t: its :class:`Jet1` (f, f', f'').
 
-    The profile is an ordinary jet field with the second coordinate simply
-    unused: the derivative of the result lands in ``dx`` and the second
-    derivative in ``dxx``.
+    The profile gets ``Jet1(float(t), 1.0)``.  A profile that returns a
+    Jet2 (a constant such as ``const(c)``, say) or a plain number gives
+    the x slots of that jet, which are the same bits as a Jet1 result.
     """
-    out = profile(coord1(t))
-    if out.__class__ is not Jet2:
-        out = _as_jet(out)
-        if out is None:
-            raise TypeError("profile must return a Jet2 or a real number")
+    out = profile(Jet1(float(t), 1.0))
+    if out.__class__ is not Jet1:
+        j = _as_jet(out)
+        if j is None:
+            raise TypeError("profile must return a jet or a real number")
+        out = Jet1(j.v, j.dx, j.dxx)
     return out
 
 
 # univariate composition ----------------------------------------------
 
 
-def compose(value: float, d1: float, d2: float, inner: Jet2) -> Jet2:
-    """Chain a univariate function through ``inner``.
+def compose(value: float, d1: float, d2: float, inner: Jet1 | Jet2) -> Jet1 | Jet2:
+    """Chain a univariate function through ``inner``, a Jet2 or a Jet1.
 
     ``value``, ``d1``, ``d2`` are g(f), g'(f), g''(f) at f = inner.v; the
-    result is the jet of g(f(x, y)).
+    result is the jet of g(f), of the same kind as ``inner``.
     """
     f = inner
-    return Jet2(
-        value,
-        d1 * f.dx,
-        d1 * f.dy,
-        d2 * f.dx * f.dx + d1 * f.dxx,
-        d2 * f.dx * f.dy + d1 * f.dxy,
-        d2 * f.dy * f.dy + d1 * f.dyy,
-    )
+    if f.__class__ is Jet2:
+        return Jet2(
+            value,
+            d1 * f.dx,
+            d1 * f.dy,
+            d2 * f.dx * f.dx + d1 * f.dxx,
+            d2 * f.dx * f.dy + d1 * f.dxy,
+            d2 * f.dy * f.dy + d1 * f.dyy,
+        )
+    return Jet1(value, d1 * f.dx, d2 * f.dx * f.dx + d1 * f.dxx)
 
 
 # elementary functions -------------------------------------------------
 
 
-def exp(a) -> Jet2:
-    if a.__class__ is not Jet2:
+def exp(a) -> Jet1 | Jet2:
+    k = a.__class__
+    if k is not Jet1 and k is not Jet2:
         a = _req(a, "exp")
     e = math.exp(a.v)
     return compose(e, e, e, a)
 
 
-def log(a) -> Jet2:
-    if a.__class__ is not Jet2:
+def log(a) -> Jet1 | Jet2:
+    k = a.__class__
+    if k is not Jet1 and k is not Jet2:
         a = _req(a, "log")
     if a.v <= 0.0:
         raise BranchDomainError("log", a.v, "a positive argument")
@@ -366,8 +498,9 @@ def log(a) -> Jet2:
     return compose(math.log(a.v), r, -r * r, a)
 
 
-def sin(a) -> Jet2:
-    if a.__class__ is not Jet2:
+def sin(a) -> Jet1 | Jet2:
+    k = a.__class__
+    if k is not Jet1 and k is not Jet2:
         a = _req(a, "sin")
     try:
         s, c = math.sin(a.v), math.cos(a.v)
@@ -376,8 +509,9 @@ def sin(a) -> Jet2:
     return compose(s, c, -s, a)
 
 
-def cos(a) -> Jet2:
-    if a.__class__ is not Jet2:
+def cos(a) -> Jet1 | Jet2:
+    k = a.__class__
+    if k is not Jet1 and k is not Jet2:
         a = _req(a, "cos")
     try:
         s, c = math.sin(a.v), math.cos(a.v)
@@ -386,8 +520,9 @@ def cos(a) -> Jet2:
     return compose(c, -s, -c, a)
 
 
-def tan(a) -> Jet2:
-    if a.__class__ is not Jet2:
+def tan(a) -> Jet1 | Jet2:
+    k = a.__class__
+    if k is not Jet1 and k is not Jet2:
         a = _req(a, "tan")
     try:
         c = math.cos(a.v)
@@ -402,8 +537,9 @@ def tan(a) -> Jet2:
     return compose(t, sec2, 2.0 * t * sec2, a)
 
 
-def sqrt(a) -> Jet2:
-    if a.__class__ is not Jet2:
+def sqrt(a) -> Jet1 | Jet2:
+    k = a.__class__
+    if k is not Jet1 and k is not Jet2:
         a = _req(a, "sqrt")
     if a.v <= 0.0:
         raise BranchDomainError("sqrt", a.v, "a positive argument")
@@ -412,18 +548,19 @@ def sqrt(a) -> Jet2:
     return compose(s, d1, -0.5 * d1 / a.v, a)
 
 
-def power(a, exponent: float) -> Jet2:
+def power(a, exponent: float) -> Jet1 | Jet2:
     """a**p for a real exponent p.
 
     Integer exponents work for any base (except a zero base with a negative
     exponent); non-integer exponents require a positive base.
     """
-    if a.__class__ is not Jet2:
+    k = a.__class__
+    if k is not Jet1 and k is not Jet2:
         a = _req(a, "power")
     p = float(exponent)
     v = a.v
     if p == 0.0:
-        return Jet2(1.0)
+        return a.__class__(1.0)
     if p == 1.0:
         return a
     if not p.is_integer():

@@ -520,6 +520,21 @@ def test_regularity_check_reports_f2_before_f1(a):
     assert str(err.value) == f"X: evaluation failed on the default domain: {first.value}"
 
 
+def test_regularity_check_reports_a_nan_wherever_it_sits():
+    # f2 is NaN from the grid column z = 1.125 on, so the first values
+    # of the 9 x 9 grid are finite and min() alone would skip the NaN.
+    f2 = lambda t: t * (math.nan if t.v > 1.0 else 1.0)
+    s = AffineFactorable(TYPE2, lambda t: t, f2, 0.0, Rect((0.5, 1.5), (0.5, 1.5)), "X")
+    values = catalog._regularity_grid(s)
+    assert not math.isnan(values[0]) and any(map(math.isnan, values))
+    with pytest.raises(ParameterError) as err:
+        catalog._check_regularity(s)
+    assert str(err.value) == (
+        "X: constraint violated: regularity must stay >= 0.001 in magnitude on the "
+        "default domain (observed minimum nan)"
+    )
+
+
 @pytest.mark.parametrize("entry", [build_family, build_with_profile, expected_profile])
 def test_every_build_refuses_an_arithmetic_error_by_family(entry):
     # c1 != 0 holds, but 4*H0*c1*c1 underflows to 0 and the default

@@ -532,6 +532,18 @@ def test_ode_check_with_explicit_range_and_steps(capsys):
     assert json.loads(out)["steps"] == 500
 
 
+def test_ode_check_takes_a_negative_range_in_either_form(capsys):
+    # argparse reads a value such as -1..0 as an option unless it is
+    # attached with "="; -1..0 is afs2-cmc's default range.
+    spaced = run_cli(capsys, "ode-check", "--ode", "afs2-cmc", "--range", "-1..0")
+    attached = run_cli(capsys, "ode-check", "--ode", "afs2-cmc", "--range=-1..0")
+    assert spaced == attached, f"{spaced!r} != {attached!r}"
+    code, out, err = spaced
+    assert code == 0 and not err, f"exit {code}, stderr {err!r}"
+    assert json.loads(out)["pass"] is True
+    assert spaced == run_cli(capsys, "ode-check", "--ode", "afs2-cmc")
+
+
 def test_usage_errors_exit_2(capsys):
     assert run_cli(capsys, "verify")[0] == 2  # missing --family
     assert run_cli(capsys, "ode-check", "--ode", "bogus")[0] == 2

@@ -1,8 +1,11 @@
-"""Property tests: the scalar fast paths of Jet2 are bit-exact.
+"""Property tests: the scalar fast paths of Jet2 are bit-exact, and Jet1 is
+Jet2 restricted to its x slots.
 
 A jet mixed with a plain float or int takes a path that builds no
 constant jet.  Each such result must carry the same bits as the jet-jet
-rule applied to ``Jet2(float(c))``.  NaN payloads and signed zeros
+rule applied to ``Jet2(float(c))``.  Every Jet1 operation, a Jet2
+operand mixed in or not, must carry the bits of the Jet2 operation's
+(v, dx, dxx), or raise what it raises.  NaN payloads and signed zeros
 count, so results are compared as packed doubles, not with ``==``.
 """
 
@@ -13,7 +16,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from isocurv.jets import Jet2
+from isocurv import jets
+from isocurv.jets import Jet1, Jet2
 
 EDGE_FLOATS = (
     0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan,
@@ -24,8 +28,15 @@ scalars = st.one_of(floats, st.integers(-1000, 1000), st.integers(-(2**60), 2**6
 jets_ = st.builds(Jet2, floats, floats, floats, floats, floats, floats)
 
 
+jets1 = st.builds(Jet1, floats, floats, floats)
+
+
 def bits(j: Jet2) -> bytes:
     return struct.pack("<6d", *j.components())
+
+
+def x_bits(j) -> bytes:
+    return struct.pack("<3d", j.v, j.dx, j.dxx)
 
 
 # Each scalar expression next to the jet-jet expression it stands for.
@@ -65,3 +76,69 @@ def test_bool_operands_raise(t):
     ):
         with pytest.raises(TypeError):
             op()
+
+
+def _outcome(fn, *args):
+    """The result's class and x-slot bits, or the error's class and text."""
+    try:
+        r = fn(*args)
+    except (ArithmeticError, ValueError) as err:
+        return type(err), str(err)
+    return r.__class__, x_bits(r)
+
+
+def _reference(fn, *args):
+    """The outcome of the Jet2 operation, a Jet2 result read as a Jet1."""
+    kind, value = _outcome(fn, *args)
+    return (Jet1 if kind is Jet2 else kind), value
+
+
+def _lift(j: Jet1, y: Jet2):
+    """A Jet2 with j's x slots; its y slots come from y."""
+    return Jet2(j.v, j.dx, y.dy, j.dxx, y.dxy, y.dyy)
+
+
+BINARY = {
+    "+": lambda a, b: a + b,
+    "-": lambda a, b: a - b,
+    "*": lambda a, b: a * b,
+    "/": lambda a, b: a / b,
+}
+
+
+# One hypothesis test per table, not one per entry: drawing the examples
+# costs more than checking them, and a failure names its entry.
+@given(a=jets1, b=jets1, c=scalars, ya=jets_, yb=jets_)
+def test_jet1_arithmetic_is_the_x_slots_of_jet2(a, b, c, ya, yb):
+    A, B = _lift(a, ya), _lift(b, yb)
+    for op, fn in BINARY.items():
+        for args, ref in (
+            ((a, b), (A, B)),
+            ((a, c), (A, c)),
+            ((c, a), (c, A)),
+            ((ya, b), (ya, B)),
+            ((a, yb), (A, yb)),
+        ):
+            got, want = _outcome(fn, *args), _reference(fn, *ref)
+            assert got == want, f"{args!r} {op}: {got!r} != {want!r}"
+
+
+UNARY = {
+    "neg": lambda t: -t,
+    "exp": jets.exp,
+    "log": jets.log,
+    "sin": jets.sin,
+    "cos": jets.cos,
+    "tan": jets.tan,
+    "sqrt": jets.sqrt,
+    **{f"power {p}": (lambda t, _p=p: jets.power(t, _p)) for p in (0, 1, 2, 3, -1, 0.5, -2.5)},
+    "** 2": lambda t: t ** 2,
+}
+
+
+@given(a=jets1, y=jets_)
+def test_jet1_functions_are_the_x_slots_of_jet2(a, y):
+    A = _lift(a, y)
+    for name, fn in UNARY.items():
+        got, want = _outcome(fn, a), _reference(fn, A)
+        assert got == want, f"{name}({a!r}): {got!r} != {want!r}"

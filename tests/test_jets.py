@@ -10,7 +10,7 @@ import math
 import pytest
 
 from isocurv import jets
-from isocurv.jets import BranchDomainError, Jet2
+from isocurv.jets import BranchDomainError, Jet1, Jet2
 from isocurv.rng import SplitMix64
 
 
@@ -25,8 +25,10 @@ def test_division_field_hand_values():
 
 def test_sqrt_profile_hand_values():
     # f(t) = sqrt(t) at t = 4: f = 2, f' = 1/4, f'' = -1/32.
-    got = jets.eval_profile(jets.sqrt, 4.0).components()
-    want = (2.0, 0.25, 0.0, -0.03125, 0.0, 0.0)
+    got = jets.eval_profile(jets.sqrt, 4.0)
+    want = Jet1(2.0, 0.25, -0.03125)
+    assert got.__class__ is Jet1, f"eval_profile returned a {type(got).__name__}"
+    got, want = got.components(), want.components()
     assert got == want, f"jet of sqrt at 4 is {got}, expected {want}"
 
 
@@ -90,7 +92,8 @@ def test_coordinate_seeds_equal_the_keyword_jets(value):
 
 def test_evaluation_coerces_a_plain_number_result():
     assert jets.eval_field(lambda x, y: 2, 0.0, 0.0) == Jet2(2.0)
-    assert _bits(jets.eval_profile(lambda t: -0.0, 1.0)) == _bits(Jet2(-0.0))
+    got = jets.eval_profile(lambda t: -0.0, 1.0)
+    assert got.__class__ is Jet1 and _bits(got) == _bits(Jet1(-0.0))
     with pytest.raises(TypeError):
         jets.eval_profile(lambda t: "x", 1.0)
 
@@ -143,6 +146,11 @@ def test_jet_equality_hash_and_repr():
     assert repr(Jet2(1, 2.5, float("nan"), float("inf"), -1e-300, 3)) == (
         "Jet2(v=1, dx=2.5, dy=nan, dxx=inf, dxy=-1e-300, dyy=3)"
     )
+    b = Jet1(1.0, 2.0, -0.0)
+    assert b == jets.eval_profile(lambda t: 2.0 * t - 1.0, 1.0) and b != Jet1(1.0, 2.0, 3.0)
+    assert b != a and a != b, "a Jet1 never equals a Jet2"
+    assert hash(b) == hash((1.0, 2.0, -0.0))
+    assert repr(b) == "Jet1(v=1.0, dx=2.0, dxx=-0.0)"
 
 
 def _random_jet(rng: SplitMix64) -> Jet2:
@@ -221,6 +229,8 @@ def test_is_finite_flags_bad_components():
     assert Jet2(1.0, 2.0, 3.0).is_finite()
     assert not Jet2(float("nan")).is_finite()
     assert not Jet2(1.0, dyy=float("inf")).is_finite()
+    assert Jet1(1.0, 2.0, 3.0).is_finite()
+    assert not Jet1(1.0, dxx=float("-inf")).is_finite()
 
 
 def test_splitmix64_reference_stream():
