@@ -209,7 +209,13 @@ def _normalized_sign(value, family_id: str) -> float:
 
 
 def _const_profile(c: float) -> Profile:
-    return lambda t, _c=float(c): jets.const(_c)
+    """The constant c as a jet of its argument's kind.
+
+    A Jet1 under ``eval_profile``, which then converts nothing, and
+    ``Jet2(c)`` otherwise; the Jet1 carries the bits of ``Jet2(c)``'s
+    x slots, (c, 0.0, 0.0).
+    """
+    return lambda t, _c=float(c): Jet1(_c) if t.__class__ is Jet1 else Jet2(_c)
 
 
 def _linear_profile(slope: float, intercept: float = 0.0) -> Profile:

@@ -25,6 +25,13 @@ The reflected forms stay aliases (``__radd__ = __add__``,
 last bit or in a NaN.  ``bool`` is not a number here and raises
 ``TypeError``.
 
+A division ``a / b`` builds one jet.  It keeps the components of the
+reciprocal jet of b, ``compose(r, -r*r, 2*r*r*r, b)`` with r = 1/b.v,
+in locals and applies the product rule to them, so the quotient has the
+bits of ``a * R`` with R that reciprocal jet, whichever of a and b is a
+jet and of which kind.  A number divisor c divides as ``Jet2(float(c))``
+does.  |b.v| below :data:`MIN_DIVISOR` raises ZeroDivisionError.
+
 A :class:`Jet1` is the univariate 2-jet (f, f', f'') of a profile:
 the x slots (v, dx, dxx) of a Jet2 and nothing else.  Each of its
 operations is Jet2's formula restricted to those slots, scalar fast path
@@ -273,18 +280,39 @@ class Jet2:
     # another order.  Keep the alias.
     __rmul__ = __mul__
 
+    # Division as the module docstring states it: the reciprocal jet's
+    # components stay in locals, and the jet-jet product rule reads them
+    # in its own order.  A Jet1 divisor goes to Jet1's rule, as a Jet1
+    # factor does.
+
     def __truediv__(self, other):
-        if other.__class__ is not Jet2 and other.__class__ is not Jet1:
+        k = other.__class__
+        if k is not Jet2:
+            if k is Jet1:
+                return Jet1.__truediv__(self, other)
             other = _as_jet(other)
             if other is None:
                 return NotImplemented
-        return self.__mul__(_reciprocal(other))
+        a, b = self, other
+        r, d1, d2 = _reciprocal_derivatives(b.v)
+        bx, by = b.dx, b.dy
+        rx = d1 * bx
+        ry = d1 * by
+        av, ax, ay = a.v, a.dx, a.dy
+        return Jet2(
+            av * r,
+            ax * r + av * rx,
+            ay * r + av * ry,
+            a.dxx * r + 2.0 * ax * rx + av * (d2 * bx * bx + d1 * b.dxx),
+            a.dxy * r + ax * ry + ay * rx + av * (d2 * bx * by + d1 * b.dxy),
+            a.dyy * r + 2.0 * ay * ry + av * (d2 * by * by + d1 * b.dyy),
+        )
 
     def __rtruediv__(self, other):
         o = _as_jet(other)
         if o is None:
             return NotImplemented
-        return o.__mul__(_reciprocal(self))
+        return o.__truediv__(self)
 
     def __pow__(self, exponent):
         if isinstance(exponent, (int, float)) and not isinstance(exponent, bool):
@@ -381,40 +409,51 @@ class Jet1:
     # As in Jet2, c * t means t * c.
     __rmul__ = __mul__
 
+    # As in Jet2, on the x slots of both operands.
     def __truediv__(self, other):
-        if other.__class__ is not Jet1 and other.__class__ is not Jet2:
+        k = other.__class__
+        if k is not Jet1 and k is not Jet2:
             other = _as_jet(other)
             if other is None:
                 return NotImplemented
-        return self.__mul__(_reciprocal(other))
+        a, b = self, other
+        r, d1, d2 = _reciprocal_derivatives(b.v)
+        bx = b.dx
+        rx = d1 * bx
+        av, ax = a.v, a.dx
+        return Jet1(
+            av * r,
+            ax * r + av * rx,
+            a.dxx * r + 2.0 * ax * rx + av * (d2 * bx * bx + d1 * b.dxx),
+        )
 
     def __rtruediv__(self, other):
         o = _as_jet(other)
         if o is None:
             return NotImplemented
-        return Jet1.__mul__(o, _reciprocal(self))
+        return Jet1.__truediv__(o, self)
 
     __pow__ = Jet2.__pow__
 
 
-def _reciprocal(b: Jet1 | Jet2) -> Jet1 | Jet2:
-    if abs(b.v) < MIN_DIVISOR:
-        raise ZeroDivisionError(
-            f"jet division by {b.v!r}: |denominator| < {MIN_DIVISOR:g}"
-        )
-    r = 1.0 / b.v
-    return compose(r, -r * r, 2.0 * r * r * r, b)
+def _reciprocal_derivatives(v: float) -> tuple[float, float, float]:
+    """g, g' and g'' of g(f) = 1/f at f = v, for every division form.
+
+    |v| below :data:`MIN_DIVISOR` raises ZeroDivisionError instead.
+    """
+    if abs(v) < MIN_DIVISOR:
+        raise ZeroDivisionError(f"jet division by {v!r}: |denominator| < {MIN_DIVISOR:g}")
+    r = 1.0 / v
+    return r, -r * r, 2.0 * r * r * r
 
 
 # seeding --------------------------------------------------------------
 
 
 def coord1(value: float) -> Jet2:
-    """The first coordinate as a field: value with unit first derivative.
+    """The first coordinate as a field: ``Jet2(float(value), dx=1.0)`` by position.
 
-    The components are passed by position: the same jet as
-    ``Jet2(float(value), dx=1.0)``, zero signs included, without the
-    cost of a keyword call on a path that seeds every evaluated point.
+    :func:`eval_field` builds the same two seeds in place.
     """
     return Jet2(float(value), 1.0)
 
@@ -430,8 +469,12 @@ def const(value: float) -> Jet2:
 
 
 def eval_field(field, p1: float, p2: float) -> Jet2:
-    """Evaluate a two-variable field at (p1, p2) with coordinate seeds."""
-    out = field(coord1(p1), coord2(p2))
+    """Evaluate a two-variable field at (p1, p2) with coordinate seeds.
+
+    The seeds are ``coord1(p1)`` and ``coord2(p2)``, built in place:
+    every chart point comes through here.
+    """
+    out = field(Jet2(float(p1), 1.0), Jet2(float(p2), 0.0, 1.0))
     if out.__class__ is not Jet2:
         out = _as_jet(out)
         if out is None:

@@ -19,6 +19,7 @@ import json
 import math
 import operator
 from collections.abc import Callable, Sequence
+from functools import partial
 from itertools import repeat
 
 from . import jets
@@ -227,11 +228,19 @@ def sample_grid(surface, domain: Rect | None = None, n: int = 21, subject: str =
 def _sample_points(surface, domain: Rect, n: int, columns) -> None:
     """sample_grid's columns for a surface that is not a product, point by point.
 
-    The third column, the heights, is None for a surface that has no
-    graph height, and stays None.
+    The route that ``surface.curvatures`` would dispatch to is resolved
+    once per grid; a chart's is bound to its height by ``partial``, so a
+    point costs the route's own call and no other Python frame.  The
+    third column, the heights, is None for a surface that has no graph
+    height, and stays None.
     """
-    curvatures = _grid_route(surface)
+    if isinstance(surface, SurfaceChart):
+        route = monge_z_curvatures if surface.orientation == Z_OVER_XY else monge_x_curvatures
+        curvatures = partial(route, surface.height)
+    else:
+        curvatures = surface.curvatures
     ks, hs, heights, excluded = columns
+    isfinite = math.isfinite
     us, vs = domain.coordinates(n)
     for u in us:
         for v in vs:
@@ -242,31 +251,13 @@ def _sample_points(surface, domain: Rect, n: int, columns) -> None:
                 excluded.append((p, str(err)))
                 continue
             K, H = pair.K, pair.H
-            if not (math.isfinite(K) and math.isfinite(H)):
+            if isfinite(K) and isfinite(H):
+                ks.append(K)
+                hs.append(H)
+                if heights is not None:
+                    heights.append(pair.w)
+            else:
                 excluded.append((p, NON_FINITE))
-                continue
-            ks.append(K)
-            hs.append(H)
-            if heights is not None:
-                heights.append(pair.w)
-
-
-def _grid_route(surface):
-    """The curvature route sample_grid calls at each point of a grid.
-
-    It is the function that ``surface.curvatures`` would dispatch to,
-    in a closure over its first argument, so the dispatch happens once
-    per grid instead of at each point.
-    """
-    if isinstance(surface, SurfaceChart):
-        route = monge_z_curvatures if surface.orientation == Z_OVER_XY else monge_x_curvatures
-        height = surface.height
-
-        def curvatures(p):
-            return route(height, p)
-
-        return curvatures
-    return surface.curvatures
 
 
 def _sample_product(s: AffineFactorable, domain: Rect, n: int, columns) -> None:

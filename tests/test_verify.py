@@ -27,6 +27,7 @@ from isocurv.geometry import (
     SurfaceChart,
     X_OVER_YZ,
     Z_OVER_XY,
+    as_parametric,
 )
 from isocurv.jets import BranchDomainError
 from isocurv.rng import SplitMix64
@@ -222,6 +223,69 @@ def _assert_walk_matches_point_loop(surface, n, what) -> int:
     want = _grid_bits(*_plain_grid(surface, n))
     assert got == want, f"{what}: sample_grid differs from the per-point loop"
     return len(run.excluded)
+
+
+def _route_grid(surface, n):
+    """Each grid point's ``surface.curvatures`` in grid order: packed bits or an exclusion text."""
+    out = []
+    for p in surface.domain.grid(n):
+        try:
+            pair = surface.curvatures(p)
+        except (AdmissibilityError, BranchDomainError, ZeroDivisionError, OverflowError) as err:
+            out.append((p, str(err)))
+            continue
+        if not (math.isfinite(pair.K) and math.isfinite(pair.H)):
+            out.append((p, "non-finite curvature value"))
+        elif pair.w is None:
+            out.append((p, struct.pack("<2d", pair.K, pair.H)))
+        else:
+            out.append((p, struct.pack("<3d", pair.K, pair.H, pair.w)))
+    return out
+
+
+def _sampled_grid(run):
+    """sample_grid's run in the layout of :func:`_route_grid`."""
+    excluded = dict(run.excluded)
+    included = iter(range(len(run.K)))
+    out = []
+    for p in run.domain.grid(run.n):
+        if p in excluded:
+            out.append((p, excluded[p]))
+            continue
+        i = next(included)
+        values = (run.K[i], run.H[i]) + (() if run.heights is None else (run.heights[i],))
+        out.append((p, struct.pack(f"<{len(values)}d", *values)))
+    return out
+
+
+def test_sample_grid_is_the_route_of_each_point_on_charts_and_patches():
+    ratio = SurfaceChart(X_OVER_YZ, lambda y, z: z / y, Rect((-0.5, 0.5), (0.5, 1.5)))
+    fold = SurfaceChart(X_OVER_YZ, lambda y, z: z * z, Rect((0.0, 1.0), (-0.5, 0.5)))
+    bump = SurfaceChart(Z_OVER_XY, lambda x, y: jets.exp(x) * jets.sin(y) / (1.0 + x * x), UNIT)
+    # The planar Jacobian of (u*v, v) is v, so the v = 0 line degenerates.
+    sheet = ParametricSurface(
+        lambda u, v: u * v,
+        lambda u, v: v,
+        lambda u, v: u * u / (2.0 - v),
+        Rect((0.5, 1.5), (-0.5, 0.5)),
+    )
+    cases = [
+        (ratio, 5), (fold, 5), (bump, 9), (sheet, 5),
+        (build_family("FS2.K.integral"), 9),
+        (as_chart(build_family("AFS1.min.osc")), 9),
+        (as_parametric(fold), 5),
+    ]
+    for surface, n in cases:
+        run = sample_grid(surface, n=n)
+        assert _sampled_grid(run) == _route_grid(surface, n), run.subject
+    # One grid line of each of these three is excluded, and nothing else.
+    for surface, text in (
+        (ratio, "jet division by 0.0: |denominator| < 1e-300"),
+        (fold, "isotropic tangent plane: |w_z| = 0 < 1e-08 at (0.0, 0.0)"),
+        (sheet, "planar projection degenerates"),
+    ):
+        excluded = sample_grid(surface, n=5).excluded
+        assert len(excluded) == 5 and excluded[0][1].startswith(text), excluded[:1]
 
 
 def test_sample_grid_is_bit_exact_on_every_product_family():
