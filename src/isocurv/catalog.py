@@ -30,7 +30,8 @@ a != 0 before any constraint, and a type-2 surface is rejected when its
 regularity comes within ``_REG_FLOOR`` of zero on the default domain or
 cannot be evaluated there, walking a 9 x 9 grid with the walk of grid
 sampling, ``isocurv.factorable.grid_lines``.  A build whose arithmetic
-fails, or whose derived constant is not finite, is a ParameterError.
+fails, whose default domain is not finite in its bounds and widths, or
+whose derived constant is not finite, is a ParameterError.
 A plain family that is a sheared one at a = 0 is registered from that
 twin, an AFS row registered before it, by ``_plain(twin, id, formula,
 **changes)``: it keeps the twin's parameters in order without ``a``
@@ -167,16 +168,23 @@ class FamilySpec(Record):
         """The surface for merged parameters ``p``.
 
         A family with a shear parameter requires a != 0 first, then each
-        constraint in order; a type-2 surface must also keep its
-        regularity away from zero on the default domain, and evaluate
-        there without an error.
+        constraint in order.  The default domain must have finite bounds
+        and widths, which parameters near the float range can overflow.
+        A type-2 surface must also keep its regularity away from zero on
+        that domain, and evaluate there without an error.
         """
         if "a" in self.params:
             _require(p["a"] != 0.0, self.id, "a != 0")
         for text, holds in self.constraints:
             _require(holds(p), self.id, text)
         f1, f2 = self.factors(p)
-        s = AffineFactorable(self.kind, f1, f2, p.get("a", 0.0), self.domain(p), self.id)
+        d = self.domain(p)
+        if not all(map(math.isfinite, (*d.u, *d.v, d.u[1] - d.u[0], d.v[1] - d.v[0]))):
+            raise ParameterError(
+                f"{self.id}: constraint violated: default domain bounds and widths "
+                f"must be finite, got {d.u!r} x {d.v!r}"
+            )
+        s = AffineFactorable(self.kind, f1, f2, p.get("a", 0.0), d, self.id)
         if self.kind == TYPE2:
             _check_regularity(s)
         return s

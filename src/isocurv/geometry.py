@@ -36,7 +36,7 @@ import math
 from collections.abc import Callable
 
 from . import jets
-from .jets import Jet2
+from .jets import Jet2, Value
 
 __all__ = [
     "ADMISSIBILITY_EPS",
@@ -67,15 +67,15 @@ class AdmissibilityError(ValueError):
     """The tangent plane is (numerically) isotropic at the requested point."""
 
 
-class CurvaturePair:
+class CurvaturePair(Value):
     """Isotropic curvature K and isotropic mean curvature H at one point.
 
     ``w`` is the graph height at the point, which a graph route has in
     hand once it has K and H (None from the parametric route, which has
-    no graph height).  It takes no part in equality: two routes agree
-    when their curvatures do.
+    no graph height).  It takes no part in equality or hashing: two
+    routes agree when their curvatures do.  The repr shows all three.
 
-    A plain ``__slots__`` class rather than a :class:`Record`, as
+    A :class:`~isocurv.jets.Value` rather than a :class:`Record`, as
     :class:`~isocurv.jets.Jet2` is: every route builds one per point,
     and a record's construction costs more.  Pairs are immutable by
     convention; no code assigns a field after construction.
@@ -89,9 +89,6 @@ class CurvaturePair:
         self.H = H
         self.w = w
 
-    def __repr__(self) -> str:
-        return f"CurvaturePair(K={self.K!r}, H={self.H!r}, w={self.w!r})"
-
     def __eq__(self, other):
         if other.__class__ is self.__class__:
             return (self.K, self.H) == (other.K, other.H)
@@ -101,51 +98,31 @@ class CurvaturePair:
         return hash((self.K, self.H))
 
 
-class Record:
+class Record(Value):
     """Base of the package's immutable value classes.
 
     A subclass lists its fields once, as ``__slots__ = __match_args__ =
     (...)``, and its ``__init__`` passes their values, in that order, to
-    ``Record.__init__``.  Records compare equal to records of the same
-    class whose fields compare equal, hash as the tuple of their fields
-    and print as ``Name(field=value!r, ...)``, leaving out the fields
-    named in ``_hidden``.  Assigning or deleting an attribute raises
-    :class:`AttributeError`; :meth:`replace` makes a changed copy.
+    ``Record.__init__``.  Repr, equality and hashing come from the
+    fields through :class:`~isocurv.jets.Value`.  Assigning or deleting
+    an attribute raises :class:`AttributeError`; :meth:`replace` makes
+    a changed copy.
 
     This is the behaviour of a frozen dataclass, written out once:
     a dataclass compiles its methods anew at every import.
     """
 
     __slots__ = ()
-    #: Fields that the repr leaves out.
-    _hidden: tuple[str, ...] = ()
 
     def __init__(self, *values) -> None:
         for name, value in zip(self.__slots__, values, strict=True):
             object.__setattr__(self, name, value)
-
-    def _values(self) -> tuple:
-        return tuple([getattr(self, name) for name in self.__slots__])
 
     def replace(self, **changes):
         """A copy with the given fields changed; ``__init__`` validates it."""
         fields = {name: getattr(self, name) for name in self.__slots__}
         fields.update(changes)
         return self.__class__(**fields)
-
-    def __repr__(self) -> str:
-        shown = ", ".join(
-            f"{name}={getattr(self, name)!r}" for name in self.__slots__ if name not in self._hidden
-        )
-        return f"{self.__class__.__qualname__}({shown})"
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._values() == other._values()
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._values())
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")

@@ -49,7 +49,8 @@ derivatives with respect to those coordinates.  :func:`eval_profile`
 seeds a Jet1 and returns one: a curvature formula of an affine
 factorable surface reads only f, f' and f'' of each profile, so the
 y slots would be computed and dropped.  :func:`eval_field`, and with it
-every chart, keeps Jet2.
+every chart, keeps Jet2.  Repr, equality and hashing of jets, and of
+every value class above this layer, come from the fields via :class:`Value`.
 """
 
 from __future__ import annotations
@@ -57,6 +58,7 @@ from __future__ import annotations
 import math
 
 __all__ = [
+    "Value",
     "Jet1",
     "Jet2",
     "BranchDomainError",
@@ -94,6 +96,37 @@ class BranchDomainError(ArithmeticError):
         self.value = value
 
 
+class Value:
+    """Base of the package's value classes, whose fields are their ``__slots__``.
+
+    A value equals a value of the same class whose fields compare equal,
+    hashes as the tuple of its fields and prints as ``Name(field=value!r,
+    ...)`` without the fields named in ``_hidden``.  Each subclass keeps
+    its own ``__init__``.
+    """
+
+    __slots__ = ()
+    #: Fields that the repr leaves out.
+    _hidden: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __repr__(self) -> str:
+        shown = ", ".join(
+            f"{name}={getattr(self, name)!r}" for name in self.__slots__ if name not in self._hidden
+        )
+        return f"{self.__class__.__qualname__}({shown})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+
 def _as_jet(x):
     """Coerce a plain number to a constant jet; pass jets through.
 
@@ -114,7 +147,31 @@ def _req(x, fn: str) -> "Jet2":
     return j
 
 
-class Jet2:
+class _Jet(Value):
+    """What both kinds of jet share besides their slots and arithmetic."""
+
+    __slots__ = ()
+
+    def components(self) -> tuple[float, ...]:
+        return self._values()
+
+    def is_finite(self) -> bool:
+        return all(map(math.isfinite, self._values()))
+
+    # c / t divides Jet2(float(c)) by t with t's own rule.
+    def __rtruediv__(self, other):
+        o = _as_jet(other)
+        if o is None:
+            return NotImplemented
+        return self.__class__.__truediv__(o, self)
+
+    def __pow__(self, exponent):
+        if isinstance(exponent, (int, float)) and not isinstance(exponent, bool):
+            return power(self, exponent)
+        return NotImplemented
+
+
+class Jet2(_Jet):
     """Value and partial derivatives (through second order) at one point.
 
     A plain ``__slots__`` class rather than a frozen dataclass, whose
@@ -140,26 +197,6 @@ class Jet2:
         self.dxx = dxx
         self.dxy = dxy
         self.dyy = dyy
-
-    def __repr__(self) -> str:
-        return (
-            f"Jet2(v={self.v!r}, dx={self.dx!r}, dy={self.dy!r}, "
-            f"dxx={self.dxx!r}, dxy={self.dxy!r}, dyy={self.dyy!r})"
-        )
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.components() == other.components()
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.components())
-
-    def components(self) -> tuple[float, float, float, float, float, float]:
-        return (self.v, self.dx, self.dy, self.dxx, self.dxy, self.dyy)
-
-    def is_finite(self) -> bool:
-        return all(math.isfinite(c) for c in self.components())
 
     # arithmetic ---------------------------------------------------------
     #
@@ -308,19 +345,8 @@ class Jet2:
             a.dyy * r + 2.0 * ay * ry + av * (d2 * by * by + d1 * b.dyy),
         )
 
-    def __rtruediv__(self, other):
-        o = _as_jet(other)
-        if o is None:
-            return NotImplemented
-        return o.__truediv__(self)
 
-    def __pow__(self, exponent):
-        if isinstance(exponent, (int, float)) and not isinstance(exponent, bool):
-            return power(self, exponent)
-        return NotImplemented
-
-
-class Jet1:
+class Jet1(_Jet):
     """Value, first and second derivative of a profile at one point.
 
     The x slots of a :class:`Jet2` and only those: every operation is
@@ -336,23 +362,6 @@ class Jet1:
         self.v = v
         self.dx = dx
         self.dxx = dxx
-
-    def __repr__(self) -> str:
-        return f"Jet1(v={self.v!r}, dx={self.dx!r}, dxx={self.dxx!r})"
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.components() == other.components()
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.components())
-
-    def components(self) -> tuple[float, float, float]:
-        return (self.v, self.dx, self.dxx)
-
-    def is_finite(self) -> bool:
-        return all(math.isfinite(c) for c in self.components())
 
     def __add__(self, other):
         k = other.__class__
@@ -426,14 +435,6 @@ class Jet1:
             ax * r + av * rx,
             a.dxx * r + 2.0 * ax * rx + av * (d2 * bx * bx + d1 * b.dxx),
         )
-
-    def __rtruediv__(self, other):
-        o = _as_jet(other)
-        if o is None:
-            return NotImplemented
-        return Jet1.__truediv__(o, self)
-
-    __pow__ = Jet2.__pow__
 
 
 def _reciprocal_derivatives(v: float) -> tuple[float, float, float]:

@@ -137,7 +137,33 @@ class GridRun(Record):
         return list(getattr(self, quantity))
 
 
-class VerificationReport(Record):
+class _Report(Record):
+    """A record that serializes to JSON: its fields in order, ``passed`` as ``"pass"``."""
+
+    __slots__ = ()
+
+    def to_dict(self) -> dict:
+        return {
+            "pass" if name == "passed" else name: _json_value(getattr(self, name))
+            for name in self.__slots__
+        }
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2, allow_nan=False)
+
+
+def _json_value(value):
+    """A Rect as its ``as_json()``, a report as an object, a tuple as a list."""
+    if isinstance(value, Rect):
+        return value.as_json()
+    if isinstance(value, _Report):
+        return value.to_dict()
+    if isinstance(value, tuple):
+        return [_json_value(item) for item in value]
+    return value
+
+
+class VerificationReport(_Report):
     __slots__ = __match_args__ = (
         "subject",
         "domain",
@@ -170,26 +196,6 @@ class VerificationReport(Record):
             subject, domain, grid, quantity, target, max_abs_deviation, mean, tolerance,
             passed, excluded_points, notes,
         )
-
-    def to_dict(self) -> dict:
-        return {
-            "subject": self.subject,
-            "domain": self.domain.as_json() if self.domain is not None else None,
-            "grid": self.grid,
-            "quantity": self.quantity,
-            "target": self.target,
-            "max_abs_deviation": self.max_abs_deviation,
-            "mean": self.mean,
-            "tolerance": self.tolerance,
-            "pass": self.passed,
-            "excluded_points": [
-                [[p[0], p[1]], reason] for p, reason in self.excluded_points
-            ],
-            "notes": self.notes,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, allow_nan=False)
 
 
 def sample_grid(surface, domain: Rect | None = None, n: int = 21, subject: str = "") -> GridRun:
@@ -631,23 +637,14 @@ def ode_crosscheck(
 # randomized nonexistence probes
 
 
-class ProbeInstance(Record):
+class ProbeInstance(_Report):
     __slots__ = __match_args__ = ("label", "stat", "flat", "degenerate", "bad")
 
     def __init__(self, label: str, stat: float, flat: bool, degenerate: bool, bad: bool) -> None:
         super().__init__(label, stat, flat, degenerate, bad)
 
-    def to_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "stat": self.stat,
-            "flat": self.flat,
-            "degenerate": self.degenerate,
-            "bad": self.bad,
-        }
 
-
-class ProbeReport(Record):
+class ProbeReport(_Report):
     __slots__ = __match_args__ = (
         "kind", "count", "seed", "grid", "floor", "counterexamples", "min_stat", "instances"
     )
@@ -664,21 +661,6 @@ class ProbeReport(Record):
         instances: tuple[ProbeInstance, ...],
     ) -> None:
         super().__init__(kind, count, seed, grid, floor, counterexamples, min_stat, instances)
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "count": self.count,
-            "seed": self.seed,
-            "grid": self.grid,
-            "floor": self.floor,
-            "counterexamples": self.counterexamples,
-            "min_stat": self.min_stat,
-            "instances": [inst.to_dict() for inst in self.instances],
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, allow_nan=False)
 
 
 _PROBE_KINDS = ("afs2-minimal", "afs2-constant-K")

@@ -476,6 +476,35 @@ def test_evaluation_errors_while_building_are_parameter_errors(fid, params, text
     assert str(err.value) == f"{fid}: {text}"
 
 
+_NOT_FINITE = (
+    "constraint violated: default domain bounds and widths must be finite, got {} x {}"
+)
+
+
+@pytest.mark.parametrize(
+    "fid, params, u, v",
+    [
+        # The shift 1.5*|a| of the positive box overflows to inf.
+        ("AFS1.flat.pow", {"a": -1.2e308}, (0.5, 1.5), (math.inf, math.inf)),
+        ("AFS2.cmc.sqrt", {"a": -1.2e308}, (math.inf, math.inf), (0.5, 1.5)),
+        # 1.2/|c1| overflows; at c1 = 1e-308 the bounds are finite and
+        # the width is not.
+        ("FS2.min.tan", {"c1": 1e-320}, (0.5, 1.5), (-math.inf, math.inf)),
+        (
+            "FS2.min.tan", {"c1": 1e-308},
+            (0.5, 1.5), (-1.2000000000000001e308, 1.2000000000000001e308),
+        ),
+    ],
+    ids=["AFS1-bounds", "AFS2-bounds", "tan-bounds", "tan-width"],
+)
+def test_a_default_domain_that_is_not_finite_is_a_parameter_error(fid, params, u, v):
+    # Type 1 once built a surface over v = (inf, inf), and type 2 raised
+    # a bare ValueError from its regularity walk.
+    with pytest.raises(ParameterError) as err:
+        build_family(fid, **params)
+    assert str(err.value) == f"{fid}: " + _NOT_FINITE.format(u, v)
+
+
 _TYPE2_PRODUCTS = [
     fid for fid in family_ids() if get_family(fid).kind == TYPE2 and fid != "FS2.K.integral"
 ]

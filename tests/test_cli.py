@@ -372,6 +372,22 @@ def test_build_time_overflow_exits_2(capsys, tmp_path, verb):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("verb", ["verify", "grid"])
+def test_a_default_domain_that_is_not_finite_exits_2(capsys, tmp_path, verb):
+    # The grid once refused it with a grid text that named no family.
+    path = tmp_path / "out.txt"
+    argv = [verb, "--family", "AFS1.flat.pow", "--param", "a=-1.2e308", "--grid", "5",
+            "--out", str(path)]
+    if verb == "grid":
+        argv += ["--format", "csv"]
+    message = (
+        "error: AFS1.flat.pow: constraint violated: "
+        "default domain bounds and widths must be finite, got (0.5, 1.5) x (inf, inf)\n"
+    )
+    assert run_cli(capsys, *argv) == (2, "", message)
+    assert not path.exists()
+
+
 _UNDERFLOW = ("--param", "c1=1e-200")
 _F1CONST = "AFS2.cmc.f1const: evaluation failed while building: float division by zero"
 

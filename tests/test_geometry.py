@@ -347,7 +347,7 @@ def test_curvature_pair_value_semantics():
     assert CurvaturePair(-1.0, 0.0).w is None
     # Equality and hashing see K and H only; w takes no part.
     assert pair == CurvaturePair(-1.0, 0.0) == CurvaturePair(-1.0, 0.0, None)
-    assert hash(pair) == hash(CurvaturePair(-1.0, 0.0, 8.0))
+    assert hash(pair) == hash(CurvaturePair(-1.0, 0.0, 8.0)) == hash((-1.0, 0.0))
     assert len({pair, CurvaturePair(-1.0, 0.0), CurvaturePair(-1.0, 0.5, 7.0)}) == 2
     assert pair != CurvaturePair(-1.0, 0.5, 7.0)
     assert pair != CurvaturePair(-2.0, 0.0, 7.0)

@@ -42,6 +42,7 @@ from isocurv.verify import (
     probe_nonexistence,
     sample_grid,
     unit_relative_difference,
+    VerificationReport,
 )
 
 import reference_routes
@@ -577,6 +578,105 @@ def test_report_json_key_order_and_determinism():
     assert payload["subject"] == "saddle"
     assert payload["domain"] == [[0.0, 1.0], [0.0, 1.0]]
     assert payload["grid"] == 5 and payload["pass"] is True
+
+
+# The report shapes the pinned digest files do not reach, as whole texts.
+
+PLAIN_SEQUENCE_JSON = """{
+  "subject": "value sequence",
+  "domain": null,
+  "grid": 4,
+  "quantity": "K",
+  "target": null,
+  "max_abs_deviation": 0.25,
+  "mean": 1.25,
+  "tolerance": 0.25,
+  "pass": true,
+  "excluded_points": [],
+  "notes": ""
+}"""
+
+SIGNED_ZERO_JSON = """{
+  "subject": "edge",
+  "domain": [
+    [
+      -0.0,
+      1.0
+    ],
+    [
+      0.0,
+      2.0
+    ]
+  ],
+  "grid": 3,
+  "quantity": "H",
+  "target": 0.0,
+  "max_abs_deviation": 0.0,
+  "mean": 0.0,
+  "tolerance": 1e-09,
+  "pass": true,
+  "excluded_points": [
+    [
+      [
+        -0.0,
+        0.5
+      ],
+      "zero point"
+    ],
+    [
+      [
+        1.0,
+        -0.0
+      ],
+      "other"
+    ]
+  ],
+  "notes": "n"
+}"""
+
+DEGENERATE_PROBE_JSON = """{
+  "kind": "afs2-minimal",
+  "count": 1,
+  "seed": -1,
+  "grid": 3,
+  "floor": 0.0001,
+  "counterexamples": 0,
+  "min_stat": -1.0,
+  "instances": [
+    {
+      "label": "nowhere",
+      "stat": -1.0,
+      "flat": false,
+      "degenerate": true,
+      "bad": false
+    }
+  ]
+}"""
+
+
+def test_a_report_over_a_plain_sequence_serializes_without_domain_or_target():
+    report = check_constancy([1.0, 1.5, 1.0, 1.5], tol=0.25)
+    assert report.to_json() == PLAIN_SEQUENCE_JSON
+
+
+def test_a_report_keeps_negative_zero_coordinates():
+    report = VerificationReport(
+        "edge", Rect((-0.0, 1.0), (0.0, 2.0)), 3, "H", 0.0, 0.0, 0.0, 1e-9, True,
+        (((-0.0, 0.5), "zero point"), ((1.0, -0.0), "other")), "n",
+    )
+    assert report.to_json() == SIGNED_ZERO_JSON
+
+
+def test_a_probe_report_serializes_a_degenerate_instance():
+    # log(t - 10) raises on the whole unit square: no point is included.
+    nowhere = AffineFactorable(
+        TYPE2, lambda t: jets.log(t - 10.0), lambda t: t, 0.5, UNIT, "nowhere"
+    )
+    report = probe_instances("afs2-minimal", [nowhere], n=3)
+    assert report.to_json() == DEGENERATE_PROBE_JSON
+    assert report.instances[0].to_dict() == {
+        "label": "nowhere", "stat": -1.0, "flat": False, "degenerate": True, "bad": False
+    }
 
 
 # cross-validation -------------------------------------------------------
