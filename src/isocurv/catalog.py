@@ -37,8 +37,8 @@ twin, an AFS row registered before it, by ``_plain(twin, id, formula,
 **changes)``: it keeps the twin's parameters in order without ``a``
 (so a twin's ``factors`` and ``domain`` read ``p.get("a", 0.0)``) and
 every other field but those in ``changes``, in practice ``notes`` and
-``constraints``.  FS2.K.integral, whose profile comes from quadrature,
-builds through ``build_integral_family`` instead.
+``constraints``.  FS2.K.integral, whose profile inverts a closed-form
+integral, builds through ``build_integral_family`` instead.
 """
 
 from __future__ import annotations
@@ -89,10 +89,8 @@ CLAIM_CONST_H = "H-const"
 
 #: Floor on the regularity magnitude over a type-2 default domain.
 _REG_FLOOR = 1e-3
-#: Floor on the quadrature radicand over the profile range.
+#: Floor on the integral profile's radicand over the profile range.
 _RADICAND_FLOOR = 1e-6
-#: Most intervals a quadrature table may refine to before it gives up.
-_MAX_INTERVALS = 1 << 20
 
 
 class UnknownFamilyError(KeyError):
@@ -296,76 +294,57 @@ def cmc_slope_profile(H0: float, c1: float, c2: float = 1.0, c3: float = 0.0) ->
 
 
 # ---------------------------------------------------------------------------
-# quadrature-backed family
+# integral-profile family
+
+
+def _antiderivative(c2: float, d: float) -> Callable[[float], float]:
+    """An F with F'(s) = sqrt(c2/s - d), wherever c2/s - d > 0.
+
+    F(s) = sqrt(s*(c2 - d*s)) + c2/sqrt(|d|) * g(sqrt(|d/c2|*s)), with g
+    = asin for d > 0 (where c2 > 0), asinh for c2 > 0 > d and acosh for
+    c2 < 0 and d < 0.  For c2 = 0, F is the line sqrt(-d)*s, and for a d
+    that underflows to 0, 2*sqrt(c2*s).
+    """
+    if c2 == 0.0:
+        return lambda s, _r=math.sqrt(-d): _r * s
+    if d == 0.0:
+        return lambda s: 2.0 * math.sqrt(c2 * s)
+    g = math.asin if d > 0.0 else math.asinh if c2 > 0.0 else math.acosh
+    w, q = c2 / math.sqrt(abs(d)), abs(d / c2)
+    return lambda s: math.sqrt(s) * math.sqrt(c2 - d * s) + w * g(math.sqrt(q * s))
 
 
 class _MonotoneTable:
-    """Cumulative Simpson table z(t) = integral of a positive integrand.
+    """z(t) = F(t) - F(lo) at 1025 evenly spaced nodes of [lo, hi], inverted pointwise.
 
-    Built once per family instance with interval doubling until the
-    shared-node drift falls under ``tol``, within ``_MAX_INTERVALS``
-    intervals; inverted pointwise by bracketing in the table and at most
-    64 bisection steps, so repeated builds with identical inputs give
-    bitwise-identical results.  A table that cannot be built (a
-    non-positive step, a non-finite total, or no convergence within the
-    cap) raises :class:`ParameterError`.
-
-    The integrand must be a pure function of its argument: the build
-    evaluates it once per node, and each interval's right end value is
-    the next interval's left end value.  Bisection stops at its fixed
-    point: a step is a function of the bracket (a, b) alone, so once a
-    step would assign a or b the value it already holds, every later
-    step would too, and the remaining steps of the 64 cannot change t.
+    ``antiderivative`` is F and ``slope`` is F' > 0.  A table whose z
+    values are not finite or not strictly increasing raises
+    :class:`ParameterError`.  ``invert`` brackets z0 between two nodes,
+    starts at their secant and takes at most 64 Newton steps, where a
+    step that would leave the bracket bisects it.  It stops at a zero
+    residual, at a step that does not move t, or at a bracket with no
+    float inside, so equal inputs give identical floats.
 
     Each table remembers its inversions, keyed by the ``z0`` passed in:
     a grid repeats each height parameter along a whole grid line, so all
-    but the first inversion of each are lookups.  ``z0`` only enters comparisons
-    with floats, so equal keys get identical results, and a hit returns
-    exactly the float bisection would.  The memo holds at most
-    ``len(self.nodes)`` entries and is cleared when full.  Concurrent
-    callers need no lock: each key only ever receives the one value that
-    deterministic bisection computes, so a racing write or clear loses
-    at most a lookup, never a result.  Out-of-range values raise and are
+    but the first inversion of each are lookups.  The memo holds at most
+    ``len(self.nodes)`` entries, more than the 1001 height parameters of
+    the largest grid, and is cleared when full.  Concurrent callers need
+    no lock: each key only ever receives the one value that the
+    deterministic steps compute.  Out-of-range values raise and are
     never stored.
     """
 
-    def __init__(self, integrand, lo: float, hi: float, tol: float = 1e-10, n0: int = 2048):
-        self.integrand = integrand
-        self.lo = float(lo)
-        self.hi = float(hi)
-        n = n0
-        nodes, zs = self._build(n)
-        while True:
-            nodes2, zs2 = self._build(2 * n)
-            drift = max(abs(zs2[2 * i] - zs[i]) for i in range(len(zs)))
-            nodes, zs = nodes2, zs2
-            if drift < tol:
-                break
-            n *= 2
-            if n > _MAX_INTERVALS:
-                raise ParameterError(
-                    f"quadrature refinement did not converge within {_MAX_INTERVALS} intervals"
-                )
-        self.nodes = nodes
-        self.zs = zs
+    def __init__(self, antiderivative, slope, lo: float, hi: float) -> None:
+        self.antiderivative, self.slope = antiderivative, slope
+        self.f_lo = f_lo = antiderivative(lo)
+        self.nodes = [lo + (hi - lo) * i / 1024 for i in range(1024)] + [hi]
+        self.zs = zs = [antiderivative(t) - f_lo for t in self.nodes]
+        if not all(map(math.isfinite, zs)):
+            raise ParameterError("integral table is not finite")
+        if not all(a < b for a, b in zip(zs, zs[1:])):
+            raise ParameterError("integral table is not strictly increasing")
         self._inverted: dict[float, float] = {}
-
-    def _build(self, n: int):
-        lo, hi, s = self.lo, self.hi, self.integrand
-        nodes = [lo + (hi - lo) * i / n for i in range(n + 1)]
-        zs = [0.0]
-        s_a = s(nodes[0])
-        for a, b in zip(nodes, nodes[1:]):
-            s_m = s(0.5 * (a + b))
-            s_b = s(b)
-            step = (b - a) / 6.0 * (s_a + 4.0 * s_m + s_b)
-            if step <= 0.0:
-                raise ParameterError("quadrature table is not strictly increasing")
-            zs.append(zs[-1] + step)
-            s_a = s_b
-        if not math.isfinite(zs[-1]):
-            raise ParameterError("quadrature table is not finite")
-        return nodes, zs
 
     @property
     def z_end(self) -> float:
@@ -377,27 +356,25 @@ class _MonotoneTable:
         t = memo.get(z0)
         if t is not None:
             return t
-        zs, nodes, s = self.zs, self.nodes, self.integrand
-        if not (zs[0] - 1e-9 <= z0 <= zs[-1] + 1e-9):
+        zs, nodes = self.zs, self.nodes
+        if not (-1e-9 <= z0 <= zs[-1] + 1e-9):
             raise ValueError(f"height parameter {z0!r} is outside the tabulated range")
-        zc = min(max(z0, zs[0]), zs[-1])
-        i = min(max(bisect.bisect_right(zs, zc) - 1, 0), len(nodes) - 2)
-        t_i = nodes[i]
-        s_i = s(t_i)
-        base = zs[i]
-        a, b = t_i, nodes[i + 1]
+        zc = min(max(z0, 0.0), zs[-1])
+        i = min(bisect.bisect_right(zs, zc), len(zs) - 1)
+        a, b = nodes[i - 1], nodes[i]
+        t = a + (zc - zs[i - 1]) / (zs[i] - zs[i - 1]) * (b - a)
+        F, f_lo, slope = self.antiderivative, self.f_lo, self.slope
         for _ in range(64):
-            m = 0.5 * (a + b)
-            zm = base + (m - t_i) / 6.0 * (s_i + 4.0 * s(0.5 * (t_i + m)) + s(m))
-            if zm < zc:
-                if m == a:
-                    break
-                a = m
-            else:
-                if m == b:
-                    break
-                b = m
-        t = 0.5 * (a + b)
+            r = F(t) - f_lo - zc
+            if r == 0.0:
+                break
+            a, b = (t, b) if r < 0.0 else (a, t)
+            step = t - r / slope(t)
+            if step != t and not a < step < b:
+                step = 0.5 * (a + b)
+            if step == a or step == b:
+                break
+            t = step
         if len(memo) >= len(nodes):
             memo.clear()
         memo[z0] = t
@@ -407,14 +384,15 @@ class _MonotoneTable:
 def build_integral_family(
     K0: float, c1: float, c2: float, f2_range: tuple[float, float] = (0.5, 2.5)
 ) -> SurfaceChart:
-    """The x-graph w(y, z) = c1 * f2(z) / y with f2 fixed by quadrature.
+    """The x-graph w(y, z) = c1 * f2(z) / y with f2 fixed by its integral.
 
     f2 is defined implicitly by z = integral of sqrt(c2/f2 - K0/c1^2)
-    over the profile range, which forces K = K0/c1^4 identically: at
-    the located profile value t the derivatives of f2 are known in
-    closed form, and the Gaussian curvature of the chart collapses to
-    (c2/t - radicand(t)) / c1^4.  The prescribed constant is therefore
-    met exactly up to rounding, independent of quadrature accuracy.
+    from f2_lo, an elementary integral (``_antiderivative``), which forces
+    K = K0/c1^4 identically: at the located profile value t the
+    derivatives of f2 are known in closed form, and the Gaussian
+    curvature of the chart collapses to (c2/t - radicand(t)) / c1^4.
+    The heights and the domain carry only the rounding of the closed
+    form and of its inversion, whose Newton slope is the integrand.
     """
     fid = "FS2.K.integral"
     _require(K0 != 0.0, fid, "K0 != 0")
@@ -428,15 +406,19 @@ def build_integral_family(
         return c2 / t - drop
 
     # The radicand is monotone in t (its derivative is -c2/t^2), so the
-    # endpoint check bounds it over the whole range.
+    # endpoint checks bound it over the whole range.
+    ends = (radicand(f2_lo), radicand(f2_hi))
     _require(
-        radicand(f2_lo) >= _RADICAND_FLOOR and radicand(f2_hi) >= _RADICAND_FLOOR,
+        ends[0] >= _RADICAND_FLOOR and ends[1] >= _RADICAND_FLOOR,
         fid,
         f"radicand c2/t - K0/c1^2 must stay >= {_RADICAND_FLOOR:g} on the profile range",
     )
+    finite = "radicand c2/t - K0/c1^2 must be finite on the profile range"
+    _require(all(map(math.isfinite, ends)), fid, finite)
 
     try:
-        table = _MonotoneTable(lambda t: math.sqrt(radicand(t)), f2_lo, f2_hi)
+        F = _antiderivative(c2, drop)
+        table = _MonotoneTable(F, lambda t: math.sqrt(radicand(t)), f2_lo, f2_hi)
     except ParameterError as err:
         raise ParameterError(f"{fid}: {err}") from None
 
@@ -886,7 +868,7 @@ _register(_IntegralFamilySpec(
     params={"K0": -1.0, "c1": 1.0, "c2": 1.0, "f2_lo": 0.5, "f2_hi": 2.5},
     kind=TYPE2,
     factors=None,
-    notes="quadrature-backed profile; the attained constant is K0/c1^4, equal to "
+    notes="profile from a closed-form integral; the attained constant is K0/c1^4, equal to "
     "the prescribed K0 when c1 = 1",
 ))
 _register(FamilySpec(
@@ -953,8 +935,8 @@ def build_family(family_id: str, **params):
     """Instantiate a registered family with overrides applied.
 
     Returns an ``AffineFactorable`` for the product families and a
-    ``SurfaceChart`` for the quadrature-backed one.  Identical inputs
-    rebuild the identical surface, including the quadrature table.
+    ``SurfaceChart`` for FS2.K.integral.  Identical inputs rebuild the
+    identical surface, including that family's integral table.
     """
     spec = get_family(family_id)
     return _build(spec, _merged_params(spec, params))

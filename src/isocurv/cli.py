@@ -11,13 +11,15 @@ Verbs:
 
 Exit codes: 0 success (and verification passed), 1 a check ran and
 failed (reports are still written), 2 usage or parameter errors,
-including a size option outside :data:`SIZE_LIMITS`.
+including a size option outside :data:`SIZE_LIMITS`, 141 (128 +
+SIGPIPE) when the reader of stdout closes it early.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 
@@ -356,7 +358,15 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         _check_sizes(args)
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout (`isocurv list | head -1`).  As the Python
+        # docs advise (signal module, "Note on SIGPIPE"), send the rest to
+        # devnull, so that the flush at exit cannot fail again, and end quietly.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (UnknownFamilyError, ParameterError, ValueError) as err:
         print(f"error: {_error_text(err)}", file=sys.stderr)
         return 2

@@ -1,7 +1,7 @@
 """Unit tests for the registered surface families and their builders."""
 
-import bisect
 import math
+import time
 
 import pytest
 
@@ -315,6 +315,64 @@ def test_integral_family_requires_positive_profile_range():
         build_integral_family(K0=-1.0, c1=1.0, c2=1.0, f2_range=(-0.5, 2.0))
 
 
+def _radicand_slope(c2, d):
+    return lambda t: math.sqrt(c2 / t - d)
+
+
+#: (c2, K0, c1, f2_lo, f2_hi) in each sign case of the closed-form integral.
+_INTEGRAL_CASES = {
+    "asin": (1.5, 0.2, 1.3, 1e-3, 2.0),
+    "asinh": (1.0, -1.0, 1.0, 0.5, 2.5),
+    "asinh-near-0": (1.0, -1.0, 1.0, 1e-3, 2.0),
+    "acosh": (-1.0, -2.0, 1.0, 1.0, 3.0),
+    "linear": (0.0, -1.0, 1.0, 1e-3, 2.0),
+    "d-underflow": (1.0, 1e-300, 1e100, 0.5, 2.5),
+}
+
+
+def _integral_table(name, slope=None):
+    c2, K0, c1, lo, hi = _INTEGRAL_CASES[name]
+    d = K0 / (c1 * c1)
+    return _MonotoneTable(catalog._antiderivative(c2, d), slope or _radicand_slope(c2, d), lo, hi)
+
+
+def _simpson_integral(c2, d, lo, t, n=2048):
+    """z(t) by composite Simpson in u = sqrt(s), where dz = 2*sqrt(c2 - d*u^2) du is smooth."""
+    a, b = math.sqrt(lo), math.sqrt(t)
+    h = (b - a) / n
+    g = [2.0 * math.sqrt(c2 - d * (a + k * h) ** 2) for k in range(n + 1)]
+    return h / 3.0 * (g[0] + g[-1] + 4.0 * sum(g[1:-1:2]) + 2.0 * sum(g[2:-1:2]))
+
+
+@pytest.mark.parametrize("name", sorted(_INTEGRAL_CASES))
+def test_integral_table_equals_an_independent_quadrature(name):
+    # The table holds F(t) - F(lo) for the closed form F of its sign
+    # case; Simpson's rule after the substitution s = u^2 has no
+    # singular integrand at s = 0 and converges to rounding.
+    c2, K0, c1, lo, hi = _INTEGRAL_CASES[name]
+    table = _integral_table(name)
+    assert table.nodes[0] == lo and table.nodes[-1] == hi and len(table.nodes) == 1025
+    worst = 0.0
+    for t, z in list(zip(table.nodes, table.zs))[1::64] + [(hi, table.z_end)]:
+        worst = max(worst, abs(z - _simpson_integral(c2, K0 / (c1 * c1), lo, t)))
+    assert worst <= 1e-14 * table.z_end, f"{name}: max |z - Simpson| = {worst:.3e}"
+
+
+@pytest.mark.parametrize("name", sorted(_INTEGRAL_CASES))
+def test_table_inversion_round_trips_to_a_few_ulp(name):
+    table = _integral_table(name)
+    F, f_lo, z_end = table.antiderivative, table.f_lo, table.z_end
+    rng = SplitMix64(9301)
+    targets = [rng.uniform(0.0, z_end) for _ in range(10_000)] + table.zs + [0.0, z_end]
+    worst = 0.0
+    for z0 in targets:
+        table._inverted.clear()
+        t = table.invert(z0)
+        assert table.nodes[0] <= t <= table.nodes[-1], f"{name}: invert({z0!r}) = {t!r}"
+        worst = max(worst, abs(F(t) - f_lo - z0))
+    assert worst <= 4 * math.ulp(z_end), f"{name}: round trip off by {worst / math.ulp(z_end)} ulp"
+
+
 class _CountingIntegrand:
     def __init__(self, fn):
         self.fn = fn
@@ -326,22 +384,24 @@ class _CountingIntegrand:
 
 
 def test_table_inversion_is_remembered_and_bit_identical():
-    integrand = _CountingIntegrand(lambda t: math.sqrt(1.0 / t + 1.0))
-    table = _MonotoneTable(integrand, 0.5, 2.5)
+    slope = _CountingIntegrand(_radicand_slope(1.0, -1.0))
+    table = _integral_table("asinh", slope)
     z0 = 0.37 * table.z_end
     first = table.invert(z0)
-    integrand.calls = 0
+    slope.calls = 0
     again = table.invert(z0)
-    assert integrand.calls == 0, f"a repeated inversion called the integrand {integrand.calls} times"
-    fresh = _MonotoneTable(lambda t: math.sqrt(1.0 / t + 1.0), 0.5, 2.5).invert(z0)
+    assert slope.calls == 0, f"a repeated inversion called the slope {slope.calls} times"
+    fresh = _integral_table("asinh").invert(z0)
     for got in (first, again):
         assert got == fresh and repr(got) == repr(fresh), f"{got!r} != fresh {fresh!r}"
 
 
 def test_table_memo_is_bounded_by_its_nodes():
-    table = _MonotoneTable(lambda t: 1.0, 0.0, 1.0, n0=8)
-    fresh = _MonotoneTable(lambda t: 1.0, 0.0, 1.0, n0=8)
+    # The bound holds every height parameter of the largest grid, 1001.
+    table = _integral_table("asin")
+    fresh = _integral_table("asin")
     bound = len(table.nodes)
+    assert bound >= 1001
     for k in range(3 * bound + 1):
         z0 = table.z_end * k / (3 * bound)
         got = table.invert(z0)
@@ -353,103 +413,39 @@ def test_table_memo_is_bounded_by_its_nodes():
 
 
 def test_table_rejects_out_of_range_without_storing():
-    table = _MonotoneTable(lambda t: 1.0, 0.0, 1.0, n0=8)
+    table = _integral_table("linear")
     for z0 in (-1.0, table.z_end + 1.0, float("nan")):
         with pytest.raises(ValueError):
             table.invert(z0)
     assert not table._inverted
 
 
-def _simpson_table_reference(table, n):
-    """The table build as one loop that calls the integrand three times per interval."""
-    lo, hi, s = table.lo, table.hi, table.integrand
-    nodes = [lo + (hi - lo) * i / n for i in range(n + 1)]
-    zs = [0.0]
-    for i in range(n):
-        a, b = nodes[i], nodes[i + 1]
-        zs.append(zs[-1] + (b - a) / 6.0 * (s(a) + 4.0 * s(0.5 * (a + b)) + s(b)))
-    return nodes, zs
-
-
-def _inversion_reference(table, z0):
-    """Inversion by all 64 bisection steps, with no memo and no early stop."""
-    zs, nodes, s = table.zs, table.nodes, table.integrand
-    zc = min(max(z0, zs[0]), zs[-1])
-    i = min(max(bisect.bisect_right(zs, zc) - 1, 0), len(nodes) - 2)
-    t_i, base = nodes[i], zs[i]
-    s_i = s(t_i)
-    a, b = t_i, nodes[i + 1]
-    for _ in range(64):
-        m = 0.5 * (a + b)
-        if base + (m - t_i) / 6.0 * (s_i + 4.0 * s(0.5 * (t_i + m)) + s(m)) < zc:
-            a = m
-        else:
-            b = m
-    return 0.5 * (a + b)
-
-
-_INTEGRANDS = {
-    "default": lambda t: math.sqrt(1.0 / t + 1.0),
-    "constant": lambda t: 2.0,
-    "steep": lambda t: math.sqrt(3.0 / t - 0.5),
-}
-
-
-@pytest.mark.parametrize("name", sorted(_INTEGRANDS))
-@pytest.mark.parametrize("n", [2048, 4096])
-def test_table_build_equals_the_three_call_loop(name, n):
-    # The build evaluates the integrand once per node and once per
-    # midpoint; the nodes and sums are the three-call loop's, bit for bit.
-    integrand = _CountingIntegrand(_INTEGRANDS[name])
-    table = _MonotoneTable(integrand, 0.5, 2.5)
-    integrand.calls = 0
-    got = table._build(n)
-    assert integrand.calls == 2 * n + 1
-    nodes, zs = _simpson_table_reference(table, n)
-    assert [x.hex() for x in got[0]] == [x.hex() for x in nodes]
-    assert [x.hex() for x in got[1]] == [x.hex() for x in zs]
-
-
-@pytest.mark.parametrize("name", sorted(_INTEGRANDS))
-def test_table_inversion_equals_sixty_four_bisection_steps(name):
-    # Bisection stops at its fixed point; t is the 64-step loop's.
-    table = _MonotoneTable(_INTEGRANDS[name], 0.5, 2.5)
-    rng = SplitMix64(9301)
-    targets = [rng.uniform(0.0, table.z_end) for _ in range(10_000)]
-    targets += [0.0, table.z_end, table.zs[1], table.zs[-2]] + table.zs[:: len(table.zs) // 64]
-    mismatches = []
-    for z0 in targets:
-        table._inverted.clear()
-        got, want = table.invert(z0), _inversion_reference(table, z0)
-        if got.hex() != want.hex():
-            mismatches.append((z0, got, want))
-    assert not mismatches, f"{len(mismatches)} mismatches, first {mismatches[0]}"
-
-
 def test_table_that_does_not_increase_is_a_parameter_error():
-    with pytest.raises(ParameterError, match="quadrature table is not strictly increasing"):
-        _MonotoneTable(lambda t: -1.0, 0.0, 1.0, n0=8)
+    with pytest.raises(ParameterError, match="^integral table is not strictly increasing$"):
+        _MonotoneTable(lambda t: -t, lambda t: 1.0, 0.0, 1.0)
+    # Nodes 1/1024 apart near 1e15, where floats are 0.125 apart.
+    with pytest.raises(ParameterError) as err:
+        build_family("FS2.K.integral", f2_lo=1e15, f2_hi=1e15 + 1.0)
+    assert str(err.value) == "FS2.K.integral: integral table is not strictly increasing"
 
 
 def test_table_that_is_not_finite_is_a_parameter_error():
-    # c2/t overflows at every node, so each step is inf; a table of inf
-    # passes the drift test because max skips the NaN of inf - inf.
-    with pytest.raises(ParameterError, match="^quadrature table is not finite$"):
-        _MonotoneTable(lambda t: math.sqrt(1e308 / t), 0.5, 2.5, n0=8)
+    with pytest.raises(ParameterError, match="^integral table is not finite$"):
+        _MonotoneTable(lambda t: 1e308 * t, lambda t: 1e308, 0.5, 2.5)
+    # (f2_hi - f2_lo) * i overflows at the third node.
     with pytest.raises(ParameterError) as err:
-        build_family("FS2.K.integral", c2=1e308)
-    assert str(err.value) == "FS2.K.integral: quadrature table is not finite"
+        build_family("FS2.K.integral", f2_hi=1e308)
+    assert str(err.value) == "FS2.K.integral: integral table is not finite"
 
 
-def test_quadrature_that_does_not_converge_is_a_parameter_error(monkeypatch):
-    # sqrt(1/t + 1) is singular at 0, so a range that starts at 1e-9
-    # refines past the cap; a small cap keeps the test fast.
-    monkeypatch.setattr(catalog, "_MAX_INTERVALS", 2048)
-    with pytest.raises(ParameterError) as err:
-        build_family("FS2.K.integral", c1=3.0, f2_lo=1e-9)
-    assert str(err.value) == (
-        "FS2.K.integral: quadrature refinement did not converge within 2048 intervals"
-    )
+def test_integral_family_builds_fast_near_its_singular_end():
+    # sqrt(c2/t + 1/9) is singular at t = 0; the closed form does not care.
+    start = time.perf_counter()
+    surface = build_family("FS2.K.integral", c1=3.0, f2_lo=1e-9)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 0.5, f"build took {elapsed:.3f} s"
+    report = check_constancy(sample_grid(surface, n=41), target=-1.0 / 81.0, tol=1e-9)
+    assert report.passed and not report.excluded_points, report.to_json()
 
 
 @pytest.mark.parametrize(

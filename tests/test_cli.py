@@ -185,7 +185,8 @@ def test_non_finite_parameters_exit_2(capsys, tmp_path):
         ),
         (
             ("--family", "FS2.K.integral", "--param", "c2=1e308"),
-            "FS2.K.integral: quadrature table is not finite",
+            "FS2.K.integral: constraint violated: radicand c2/t - K0/c1^2 must be finite "
+            "on the profile range",
         ),
     ],
 )
@@ -617,3 +618,70 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0, f"stderr: {proc.stderr}"
     assert "AFS1.K.saddle" in proc.stdout
+
+
+def test_a_closed_stdout_ends_the_run_quietly():
+    # The reader takes one line and closes the pipe, as `isocurv list |
+    # head -1` does.  The export is about 3 MB, far more than a pipe
+    # holds, so the child is still writing when the pipe closes.
+    src = str(Path(catalog.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    argv = ["grid", "--family", "FS1.min.xy", "--grid", "201", "--format", "csv",
+            "--out", "/dev/stdout"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "isocurv", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    # 141 = 128 + SIGPIPE, what a shell reports for a command a closed pipe ends.
+    assert (proc.wait(timeout=120), first, err) == (141, b"x,y,z,K,H\n", b"")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--domain", "y:0.5..1.5"), "--domain expects two axis ranges, got 'y:0.5..1.5'"),
+        (
+            ("--domain", "y0.5..1.5,z:0..1"),
+            "--domain axis spec 'y0.5..1.5' expects name:lo..hi",
+        ),
+        (("--domain", "y:0.5,z:0..1"), "--domain axis y expects lo..hi, got '0.5'"),
+        (
+            ("--domain", "y:a..1.5,z:0..1"),
+            "--domain axis y expects numeric bounds, got 'a..1.5'",
+        ),
+        (("--domain", "y:1.5..0.5,z:0..1"), "--domain axis y needs hi > lo, got '1.5..0.5'"),
+    ],
+)
+def test_malformed_domains_exit_2(capsys, argv, message):
+    code, out, err = run_cli(capsys, "verify", "--family", "FS2.K.integral", "--grid", "5", *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("0", "--range expects lo..hi, got '0'"),
+        ("0..x", "--range expects numeric bounds, got '0..x'"),
+        ("0..0", "--range needs hi > lo, got '0..0'"),
+    ],
+)
+def test_malformed_ranges_exit_2(capsys, text, message):
+    code, out, err = run_cli(capsys, "ode-check", "--ode", "afs2-cmc", "--range", text)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_grid_into_a_missing_directory_exits_2(capsys, tmp_path):
+    path = tmp_path / "missing" / "grid.csv"
+    code, out, err = run_cli(
+        capsys, "grid", "--family", "FS1.min.xy", "--grid", "3", "--format", "csv",
+        "--out", str(path),
+    )
+    assert (code, out) == (2, "")
+    assert err == f"error: [Errno 2] No such file or directory: {str(path)!r}\n"
+    assert not path.parent.exists()

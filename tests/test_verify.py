@@ -12,6 +12,7 @@ import pytest
 from isocurv import jets
 from isocurv.catalog import build_family, family_ids
 from isocurv.factorable import (
+    NON_FINITE,
     TYPE1,
     TYPE2,
     AffineFactorable,
@@ -121,6 +122,17 @@ def test_sample_grid_records_exclusions_with_reasons():
     assert len(run.points) == len(run.K) == len(run.H) == len(run.heights) == 20
     for point, reason in run.excluded:
         assert point[1] == 0.0 and reason, f"unexpected exclusion {point}: {reason}"
+
+
+def test_sample_grid_excludes_a_non_finite_curvature_on_a_chart():
+    # The height turns NaN for x > 0.5 without raising, so K and H do too.
+    chart = SurfaceChart(Z_OVER_XY, lambda x, y: x * y * (math.nan if x.v > 0.5 else 1.0), UNIT)
+    run = sample_grid(chart, n=5)
+    ys = UNIT.coordinates(5)[1]
+    assert run.excluded == tuple(((x, y), NON_FINITE) for x in (0.75, 1.0) for y in ys)
+    assert run.values("K") == [-1.0] * 15
+    with pytest.raises(ValueError, match="^unknown quantity 'X'$"):
+        run.values("X")
 
 
 def _stored_points(run):
@@ -717,6 +729,18 @@ def test_cross_validate_refuses_a_non_finite_discrepancy():
         cross_validate(poisoned, n_points=40, seed=2)
 
 
+def test_cross_validate_excludes_points_whose_profile_raises():
+    # log leaves its branch where x <= 0, about half of the draws here.
+    logarithmic = AffineFactorable(
+        TYPE1, lambda t: jets.log(t), lambda t: t * t + 1.0, 0.0, Rect((-1.0, 1.0), UNIT.v)
+    )
+    report = cross_validate(logarithmic, n_points=40, seed=3)
+    assert report.passed and 0 < len(report.excluded_points) < 40
+    assert report.grid == 40 - len(report.excluded_points)
+    for (x, _), reason in report.excluded_points:
+        assert x <= 0.0 and reason == f"log evaluated at {x!r}: requires a positive argument"
+
+
 @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
 def test_checks_refuse_a_tolerance_or_floor_that_is_negative_or_not_finite(bad):
     # A negative or NaN tolerance fails every deviation and an infinite
@@ -894,6 +918,19 @@ def test_ode_crosscheck_converges_at_fourth_order():
         )
 
 
+@pytest.mark.parametrize(
+    "ode, params",
+    [
+        # At H0 = 1, H0 and 1/H0 agree: a rate of 2/H0*c1^2 read 0.146 here.
+        ("afs2-cmc", {"H0": 2.0}),
+        # At a = 1 the shear drops out of 2*a*c1: without it this read 0.64.
+        ("afs1-minimal", {"a": -0.5, "c1": 2.0}),
+    ],
+)
+def test_ode_crosscheck_holds_away_from_unit_parameters(ode, params):
+    assert ode_crosscheck(ode, params, steps=1000) <= 1e-6
+
+
 def test_ode_crosscheck_rejects_unknown_ids_and_params():
     with pytest.raises(ValueError):
         ode_crosscheck("afs9-unknown")
@@ -942,6 +979,9 @@ def test_probe_refuses_to_probe_nothing():
 def test_probe_rejects_unknown_kind():
     with pytest.raises(ValueError):
         probe_nonexistence("afs2-umbilic", count=5, seed=1)
+    ratio = build_family("FS2.min.ratio")
+    with pytest.raises(ValueError, match=r"^unknown probe kind 'afs2-umbilic' \(known: "):
+        probe_instances("afs2-umbilic", [ratio])
 
 
 def test_probe_report_serialization():
