@@ -48,7 +48,7 @@ import math
 from collections.abc import Callable
 
 from . import jets
-from .jets import Jet1, Jet2
+from .jets import BranchDomainError, Jet1, Jet2
 from .geometry import AdmissibilityError, Record, Rect, SurfaceChart, X_OVER_YZ
 from .factorable import (
     TYPE1,
@@ -331,8 +331,8 @@ class _MonotoneTable:
     ``len(self.nodes)`` entries, more than the 1001 height parameters of
     the largest grid, and is cleared when full.  Concurrent callers need
     no lock: each key only ever receives the one value that the
-    deterministic steps compute.  Out-of-range values raise and are
-    never stored.
+    deterministic steps compute.  Out-of-range values are never stored:
+    they raise :class:`BranchDomainError`, and a grid walk excludes them.
     """
 
     def __init__(self, antiderivative, slope, lo: float, hi: float) -> None:
@@ -358,7 +358,7 @@ class _MonotoneTable:
             return t
         zs, nodes = self.zs, self.nodes
         if not (-1e-9 <= z0 <= zs[-1] + 1e-9):
-            raise ValueError(f"height parameter {z0!r} is outside the tabulated range")
+            raise BranchDomainError("f2", z0, "a height parameter inside the tabulated range")
         zc = min(max(z0, 0.0), zs[-1])
         i = min(bisect.bisect_right(zs, zc), len(zs) - 1)
         a, b = nodes[i - 1], nodes[i]

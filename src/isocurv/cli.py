@@ -1,13 +1,8 @@
 """Command-line front end.
 
-Verbs:
-
-* ``list``            registered families with claims and derived constants
-* ``verify``          constancy check of a family's claim over a grid
-* ``grid``            export a sampled grid as CSV or Wavefront OBJ
-* ``cross-validate``  specialized vs generic curvature routes
-* ``probe``           randomized counterexample search for type-2 claims
-* ``ode-check``       closed-form profiles vs Runge-Kutta integration
+Commands: ``list``, ``verify``, ``grid``, ``cross-validate``, ``probe`` and
+``ode-check``, each described once in :data:`_COMMANDS`.  A call builds only
+its command's parser.
 
 Exit codes: 0 success (and verification passed), 1 a check ran and
 failed (reports are still written), 2 usage or parameter errors,
@@ -272,65 +267,95 @@ def _cmd_ode_check(args) -> int:
     return 0 if passed else 1
 
 
+def _family_grid_options(p: argparse.ArgumentParser) -> None:
+    """The options ``verify`` and ``grid`` share: a family and its grid."""
+    p.add_argument("--family", required=True)
+    p.add_argument("--param", action="append", metavar="NAME=VALUE")
+    p.add_argument("--domain", metavar="AX:LO..HI,AX:LO..HI")
+    p.add_argument("--grid", type=int, default=21)
+
+
+def _verify_options(p: argparse.ArgumentParser) -> None:
+    _family_grid_options(p)
+    p.add_argument("--tol", type=float, default=verify.DEFAULT_TOL)
+    p.add_argument("--out", metavar="PATH")
+
+
+def _grid_options(p: argparse.ArgumentParser) -> None:
+    _family_grid_options(p)
+    p.add_argument("--format", choices=("csv", "obj"), required=True)
+    p.add_argument("--out", required=True, metavar="PATH")
+
+
+def _cross_options(p: argparse.ArgumentParser) -> None:
+    group = p.add_mutually_exclusive_group(required=True)
+    group.add_argument("--family")
+    group.add_argument("--kind", choices=("type-1", "type-2"))
+    p.add_argument("--param", action="append", metavar="NAME=VALUE")
+    p.add_argument("--points", type=int, default=100)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--out", metavar="PATH")
+
+
+def _probe_options(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--kind", choices=("afs2-minimal", "afs2-constant-K"), required=True)
+    p.add_argument("--count", type=int, default=100)
+    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--grid", type=int, default=11)
+    p.add_argument("--floor", type=float, default=verify.PROBE_FLOOR)
+    p.add_argument("--out", metavar="PATH")
+
+
+def _ode_options(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--ode", choices=("afs1-minimal", "afs2-cmc"), required=True)
+    p.add_argument("--param", action="append", metavar="NAME=VALUE")
+    p.add_argument("--range", metavar="LO..HI")
+    p.add_argument("--steps", type=int, default=1000)
+    p.add_argument("--tol", type=float, default=1e-6)
+
+
+#: Each command once: its help line, a function that adds its options, its handler.
+_COMMANDS = {
+    "list": ("list the registered families", lambda p: None, _cmd_list),
+    "verify": ("check a family's constancy claim on a grid", _verify_options, _cmd_verify),
+    "grid": ("export a sampled grid", _grid_options, _cmd_grid),
+    "cross-validate": (
+        "compare specialized and generic curvature routes", _cross_options, _cmd_cross_validate
+    ),
+    "probe": ("randomized nonexistence probe", _probe_options, _cmd_probe),
+    "ode-check": ("closed-form profile vs numeric integration", _ode_options, _cmd_ode_check),
+}
+
+
+def _command_parser(name: str, parser: argparse.ArgumentParser) -> argparse.ArgumentParser:
+    """``parser`` with command ``name``'s options, and its name and handler as defaults."""
+    _, add_options, handler = _COMMANDS[name]
+    add_options(parser)
+    parser.set_defaults(command=name, handler=handler)
+    return parser
+
+
 def _build_parser() -> argparse.ArgumentParser:
+    """The full parser: the top level and one subparser per command."""
     parser = argparse.ArgumentParser(
         prog="isocurv",
         description="curvature checks for product surfaces of the isotropic 3-space",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_list = sub.add_parser("list", help="list the registered families")
-    p_list.set_defaults(handler=_cmd_list)
-
-    p_verify = sub.add_parser("verify", help="check a family's constancy claim on a grid")
-    p_verify.add_argument("--family", required=True)
-    p_verify.add_argument("--param", action="append", metavar="NAME=VALUE")
-    p_verify.add_argument("--domain", metavar="AX:LO..HI,AX:LO..HI")
-    p_verify.add_argument("--grid", type=int, default=21)
-    p_verify.add_argument("--tol", type=float, default=verify.DEFAULT_TOL)
-    p_verify.add_argument("--out", metavar="PATH")
-    p_verify.set_defaults(handler=_cmd_verify)
-
-    p_grid = sub.add_parser("grid", help="export a sampled grid")
-    p_grid.add_argument("--family", required=True)
-    p_grid.add_argument("--param", action="append", metavar="NAME=VALUE")
-    p_grid.add_argument("--domain", metavar="AX:LO..HI,AX:LO..HI")
-    p_grid.add_argument("--grid", type=int, default=21)
-    p_grid.add_argument("--format", choices=("csv", "obj"), required=True)
-    p_grid.add_argument("--out", required=True, metavar="PATH")
-    p_grid.set_defaults(handler=_cmd_grid)
-
-    p_cross = sub.add_parser(
-        "cross-validate", help="compare specialized and generic curvature routes"
-    )
-    group = p_cross.add_mutually_exclusive_group(required=True)
-    group.add_argument("--family")
-    group.add_argument("--kind", choices=("type-1", "type-2"))
-    p_cross.add_argument("--param", action="append", metavar="NAME=VALUE")
-    p_cross.add_argument("--points", type=int, default=100)
-    p_cross.add_argument("--seed", type=int, default=0)
-    p_cross.add_argument("--tol", type=float, default=1e-10)
-    p_cross.add_argument("--out", metavar="PATH")
-    p_cross.set_defaults(handler=_cmd_cross_validate)
-
-    p_probe = sub.add_parser("probe", help="randomized nonexistence probe")
-    p_probe.add_argument("--kind", choices=("afs2-minimal", "afs2-constant-K"), required=True)
-    p_probe.add_argument("--count", type=int, default=100)
-    p_probe.add_argument("--seed", type=int, default=42)
-    p_probe.add_argument("--grid", type=int, default=11)
-    p_probe.add_argument("--floor", type=float, default=verify.PROBE_FLOOR)
-    p_probe.add_argument("--out", metavar="PATH")
-    p_probe.set_defaults(handler=_cmd_probe)
-
-    p_ode = sub.add_parser("ode-check", help="closed-form profile vs numeric integration")
-    p_ode.add_argument("--ode", choices=("afs1-minimal", "afs2-cmc"), required=True)
-    p_ode.add_argument("--param", action="append", metavar="NAME=VALUE")
-    p_ode.add_argument("--range", metavar="LO..HI")
-    p_ode.add_argument("--steps", type=int, default=1000)
-    p_ode.add_argument("--tol", type=float, default=1e-6)
-    p_ode.set_defaults(handler=_cmd_ode_check)
-
+    for name, (help_line, _, _) in _COMMANDS.items():
+        _command_parser(name, sub.add_parser(name, help=help_line))
     return parser
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """Parse ``argv`` as the full parser would, with its command's parser alone if it can."""
+    if argv and argv[0] in _COMMANDS:
+        parser = argparse.ArgumentParser(prog=f"isocurv {argv[0]}")
+        args, unrecognized = _command_parser(argv[0], parser).parse_known_args(argv[1:])
+        if not unrecognized:  # else the full parser reports them, under its own usage
+            return args
+    return _build_parser().parse_args(argv)
 
 
 #: A value that starts with "-" and a digit, such as the range -1..0:
@@ -350,10 +375,9 @@ def _attach_negative_ranges(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     argv = _attach_negative_ranges(sys.argv[1:] if argv is None else list(argv))
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -415,7 +415,7 @@ def test_table_memo_is_bounded_by_its_nodes():
 def test_table_rejects_out_of_range_without_storing():
     table = _integral_table("linear")
     for z0 in (-1.0, table.z_end + 1.0, float("nan")):
-        with pytest.raises(ValueError):
+        with pytest.raises(BranchDomainError):
             table.invert(z0)
     assert not table._inverted
 

@@ -1,5 +1,6 @@
 """Unit tests for the command-line interface, driven in process."""
 
+import argparse
 import hashlib
 import json
 import os
@@ -10,10 +11,12 @@ from pathlib import Path
 
 import pytest
 
-from isocurv import catalog, jets, verify
+from isocurv import catalog, cli, jets, verify
 from isocurv.cli import SIZE_LIMITS, main
 from isocurv.factorable import AffineFactorable, as_chart
 from isocurv.geometry import Rect
+
+import reference_cli
 
 
 def run_cli(capsys, *argv):
@@ -310,6 +313,37 @@ def test_grid_refuses_incomplete_grids(capsys, tmp_path):
     assert not out_path.exists(), "no file should be written for a broken grid"
 
 
+#: A window past the end of FS2.K.integral's profile range, z_end = 2.67
+#: at the default parameters: the grid line z = 3 lies outside it.
+PAST_THE_PROFILE = ("--family", "FS2.K.integral", "--grid", "5", "--domain", "y:0.5..1.5,z:0.1..3")
+PAST_THE_PROFILE_TEXT = (
+    "f2 evaluated at 3.0: requires a height parameter inside the tabulated range"
+)
+
+
+def test_integral_family_excludes_heights_past_its_profile(capsys):
+    # The inversion raised a ValueError, and the run ended with exit 2.
+    code, out, err = run_cli(capsys, "verify", *PAST_THE_PROFILE)
+    report = json.loads(out)
+    assert (code, err, report["pass"]) == (0, "", True)
+    assert report["excluded_points"] == [
+        [[y, 3.0], PAST_THE_PROFILE_TEXT] for y in (0.5, 0.75, 1.0, 1.25, 1.5)
+    ]
+
+
+def test_grid_refuses_heights_past_the_integral_profile(capsys, tmp_path):
+    out_path = tmp_path / "grid.csv"
+    code, out, err = run_cli(
+        capsys, "grid", *PAST_THE_PROFILE, "--format", "csv", "--out", str(out_path)
+    )
+    assert (code, out) == (1, "")
+    assert err == (
+        f"error: 5 grid points were excluded (first: (0.5, 3.0): {PAST_THE_PROFILE_TEXT}); "
+        "refusing to export an incomplete grid\n"
+    )
+    assert not out_path.exists()
+
+
 def _per_point_export(fid, domain, n, fmt):
     """The export's text formatted point by point from run.points, as it once was."""
     surface = catalog.build_family(fid)
@@ -602,6 +636,101 @@ def test_size_limits_admit_the_sizes_in_use():
 
 def test_help_exits_0(capsys):
     assert run_cli(capsys, "--help")[0] == 0
+
+
+class _Parsed(Exception):
+    """Raised in place of the size check: ends ``main`` with the namespace it parsed."""
+
+
+#: Argv whose parse the frozen full parser fixes: valid argv for each
+#: command, help, argparse's errors, and argv that only the full parser
+#: can report (no command, an unknown one, an option first, arguments
+#: the command's parser leaves unrecognized).
+PARSE_CASES = [
+    ("list",),
+    ("verify", "--family", "AFS1.flat.exp"),
+    (
+        "verify", "--family", "AFS1.flat.exp", "--param", "c1=2", "--param", "a=0.5",
+        "--domain", "x:0..1,y:0..1", "--grid", "5", "--tol", "1e-8", "--out", "r.json",
+    ),
+    ("verify", "--fam=AFS1.flat.exp", "--gr", "7"),
+    ("grid", "--family", "FS1.min.xy", "--format", "obj", "--out", "g.obj"),
+    ("grid", "--family", "FS1.min.xy", "--grid", "9", "--format", "csv", "--out", "g.csv"),
+    ("cross-validate", "--family", "AFS1.flat.exp", "--param", "a=1"),
+    ("cross-validate", "--kind", "type-2", "--points", "5", "--seed", "7", "--tol", "1e-9"),
+    ("probe", "--kind", "afs2-minimal", "--count", "3", "--grid", "5", "--floor", "1e-3"),
+    ("ode-check", "--ode", "afs1-minimal", "--steps", "10", "--tol", "1e-3"),
+    ("ode-check", "--ode", "afs2-cmc", "--range", "-1..0"),
+    ("ode-check", "--ode", "afs2-cmc", "--range=-1..0"),
+    ("-h",),
+    ("--help",),
+    ("list", "-h"),
+    ("verify", "-h"),
+    ("grid", "--help"),
+    ("cross-validate", "-h"),
+    ("probe", "-h"),
+    ("ode-check", "-h"),
+    ("verify", "--family", "AFS1.flat.exp", "-h"),
+    ("verify",),
+    ("verify", "--family"),
+    ("grid", "--family", "FS1.min.xy"),
+    ("probe",),
+    ("cross-validate",),
+    ("verify", "--family", "AFS1.flat.exp", "--grid", "five"),
+    ("probe", "--kind", "afs2-minimal", "--floor", "tiny"),
+    ("grid", "--family", "FS1.min.xy", "--format", "ply", "--out", "g.ply"),
+    ("probe", "--kind", "afs2-maximal"),
+    ("cross-validate", "--family", "AFS1.flat.exp", "--kind", "type-1"),
+    ("ode-check", "--ode", "afs2-cmc", "--range", "-x"),
+    ("list", "extra"),
+    ("list", "--", "extra"),
+    ("verify", "--family", "AFS1.flat.exp", "--bogus"),
+    ("verify", "--family", "AFS1.flat.exp", "extra", "--grid", "3"),
+    ("probe", "--kind", "afs2-minimal", "--grid", "5", "--bogus=1", "extra"),
+    (),
+    ("bogus",),
+    ("Verify", "--family", "AFS1.flat.exp"),
+    ("--family", "AFS1.flat.exp", "verify"),
+    ("-h", "verify"),
+    ("--grid", "5"),
+]
+
+
+@pytest.mark.parametrize("argv", PARSE_CASES, ids=" ".join)
+def test_the_cli_parses_as_the_frozen_full_parser(capsys, monkeypatch, argv):
+    def parsed(args):
+        raise _Parsed(args)
+
+    monkeypatch.setattr(cli, "_check_sizes", parsed)
+    try:
+        got = (main(list(argv)), None)
+    except _Parsed as exc:
+        got = (None, vars(exc.args[0]))
+    got += tuple(capsys.readouterr())
+    try:
+        args = reference_cli.build_parser().parse_args(cli._attach_negative_ranges(list(argv)))
+        want = (None, vars(args))
+    except SystemExit as exc:
+        want = (int(exc.code or 0), None)
+    want += tuple(capsys.readouterr())
+    assert got == want
+
+
+def test_a_call_builds_only_its_commands_parser(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    code, out, err = run_cli(capsys, "verify", "--family", "AFS1.flat.exp", "--grid", "5")
+    assert (code, err) == (0, "") and json.loads(out)["pass"] is True
+    assert built == ["isocurv verify"]
+    built.clear()
+    reference_cli.build_parser()
+    assert len(built) == 7, built
 
 
 def test_module_entry_point():

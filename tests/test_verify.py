@@ -802,6 +802,17 @@ def test_motion_invariance_refuses_a_non_finite_drift():
         motion_invariance_check(chart, motion, n=11)
 
 
+def test_motion_check_excludes_heights_past_the_integral_profile():
+    # z_end = 2.67 at the default parameters; the inversion's ValueError
+    # escaped the check.
+    surface = build_family("FS2.K.integral")
+    motion = Motion(0.3, 0.1, 0.2, 0.4, 0.5, 0.6)
+    report = motion_invariance_check(surface, motion, domain=Rect((0.5, 1.5), (0.1, 3.0)), n=5)
+    assert report.passed, f"curvature drifted by {report.max_abs_deviation}"
+    text = "f2 evaluated at 3.0: requires a height parameter inside the tabulated range"
+    assert report.excluded_points == tuple(((y, 3.0), text) for y in (0.5, 0.75, 1.0, 1.25, 1.5))
+
+
 @pytest.mark.parametrize("kind", [TYPE1, TYPE2])
 def test_motion_check_evaluates_the_height_once_per_point(kind):
     # A moved copy of the patch re-evaluated the base height inside each
