@@ -49,7 +49,7 @@ from collections.abc import Callable
 
 from . import jets
 from .jets import BranchDomainError, Jet1, Jet2
-from .geometry import AdmissibilityError, Record, Rect, SurfaceChart, X_OVER_YZ
+from .geometry import AdmissibilityError, Record, Rect, SurfaceChart, X_OVER_YZ, fields
 from .factorable import (
     TYPE1,
     TYPE2,
@@ -116,10 +116,10 @@ class CurvatureProfile(Record):
     constant at all (the broken ``.printed`` variants).
     """
 
-    __slots__ = __match_args__ = ("claim", "claimed_value", "derived_value")
-
     def __init__(self, claim: str, claimed_value: float, derived_value: float | None) -> None:
-        super().__init__(claim, claimed_value, derived_value)
+        self._set(locals())
+
+    __slots__ = __match_args__ = fields(__init__)
 
 
 class FamilySpec(Record):
@@ -127,21 +127,6 @@ class FamilySpec(Record):
 
     The repr leaves out ``factors``, ``domain`` and ``constraints``.
     """
-
-    __slots__ = __match_args__ = (
-        "id",
-        "formula",
-        "claim",
-        "params",
-        "kind",
-        "factors",
-        "domain",
-        "constraints",
-        "as_printed",
-        "has_derived_constant",
-        "notes",
-    )
-    _hidden = ("factors", "domain", "constraints")
 
     def __init__(
         self,
@@ -157,10 +142,10 @@ class FamilySpec(Record):
         has_derived_constant: bool = True,
         notes: str = "",
     ) -> None:
-        super().__init__(
-            id, formula, claim, params, kind, factors, domain, constraints,
-            as_printed, has_derived_constant, notes,
-        )
+        self._set(locals())
+
+    __slots__ = __match_args__ = fields(__init__)
+    _hidden = ("factors", "domain", "constraints")
 
     def builder(self, p: dict) -> AffineFactorable:
         """The surface for merged parameters ``p``.
@@ -903,30 +888,35 @@ def get_family(family_id: str) -> FamilySpec:
         raise UnknownFamilyError(f"unknown family id {family_id!r}") from None
 
 
-def _merged_params(spec: FamilySpec, overrides: dict) -> dict:
-    merged = dict(spec.params)
+def _merged_params(owner: str, defaults: dict, overrides: dict) -> dict:
+    """``defaults`` with ``overrides`` applied, each checked before any evaluation.
+
+    The rule for a family's parameters and for an ODE check's
+    (``verify.ode_crosscheck``): a name must be one of the defaults, and
+    a value a finite real number, except the profile name ``fn`` and the
+    ``sign``.  A ParameterError names ``owner`` and the parameter.
+    """
+    merged = dict(defaults)
     for name, value in overrides.items():
         if name not in merged:
             expected = ", ".join(merged)
-            raise ParameterError(
-                f"{spec.id}: unknown parameter {name!r} (expected: {expected})"
-            )
+            raise ParameterError(f"{owner}: unknown parameter {name!r} (expected: {expected})")
         if name == "fn":
             if not isinstance(value, str):
-                raise ParameterError(f"{spec.id}: parameter 'fn' must be a profile name")
+                raise ParameterError(f"{owner}: parameter 'fn' must be a profile name")
             merged[name] = value
         elif name == "sign":
-            merged[name] = _normalized_sign(value, spec.id)
+            merged[name] = _normalized_sign(value, owner)
         else:
             try:
                 merged[name] = float(value)
             except (TypeError, ValueError):
                 raise ParameterError(
-                    f"{spec.id}: parameter {name!r} must be a real number, got {value!r}"
+                    f"{owner}: parameter {name!r} must be a real number, got {value!r}"
                 ) from None
             if not math.isfinite(merged[name]):
                 raise ParameterError(
-                    f"{spec.id}: parameter {name!r} must be finite, got {merged[name]!r}"
+                    f"{owner}: parameter {name!r} must be finite, got {merged[name]!r}"
                 )
     return merged
 
@@ -939,7 +929,7 @@ def build_family(family_id: str, **params):
     identical surface, including that family's integral table.
     """
     spec = get_family(family_id)
-    return _build(spec, _merged_params(spec, params))
+    return _build(spec, _merged_params(spec.id, spec.params, params))
 
 
 def _build(spec: FamilySpec, merged: dict):
@@ -974,7 +964,7 @@ def _profile(spec: FamilySpec, merged: dict, surface) -> CurvatureProfile:
 def build_with_profile(family_id: str, **params) -> tuple[object, CurvatureProfile]:
     """``build_family`` and ``expected_profile`` together, from a single build."""
     spec = get_family(family_id)
-    merged = _merged_params(spec, params)
+    merged = _merged_params(spec.id, spec.params, params)
     surface = _build(spec, merged)
     return surface, _profile(spec, merged, surface)
 
@@ -988,6 +978,6 @@ def expected_profile(family_id: str, **params) -> CurvatureProfile:
     a derived constant is not built.
     """
     spec = get_family(family_id)
-    merged = _merged_params(spec, params)
+    merged = _merged_params(spec.id, spec.params, params)
     surface = _build(spec, merged) if spec.has_derived_constant else None
     return _profile(spec, merged, surface)

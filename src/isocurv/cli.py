@@ -223,6 +223,7 @@ def _cmd_grid(args) -> int:
 
 
 def _cmd_cross_validate(args) -> int:
+    verify._require_finite_nonnegative("cross-validation tolerance", args.tol)
     if args.family:
         params = _parse_params(args.param)
         instance = catalog.build_family(args.family, **params)

@@ -58,6 +58,7 @@ from .geometry import (
     SurfaceChart,
     X_OVER_YZ,
     Z_OVER_XY,
+    fields,
 )
 from .rng import SplitMix64
 
@@ -110,8 +111,6 @@ class AffineFactorable(Record):
     that is only the same computation when the profiles are pure.
     """
 
-    __slots__ = __match_args__ = ("kind", "factor1", "factor2", "shear", "domain", "label")
-
     def __init__(
         self,
         kind: str,
@@ -123,7 +122,9 @@ class AffineFactorable(Record):
     ) -> None:
         if kind not in (TYPE1, TYPE2):
             raise ValueError(f"unknown surface kind {kind!r}")
-        super().__init__(kind, factor1, factor2, shear, domain, label)
+        self._set(locals())
+
+    __slots__ = __match_args__ = fields(__init__)
 
     def profile_arguments(self, p: tuple[float, float]) -> tuple[float, float]:
         """The shifted arguments (u1, u2) fed to the profiles at chart point p."""

@@ -43,6 +43,7 @@ __all__ = [
     "AdmissibilityError",
     "CurvaturePair",
     "Record",
+    "fields",
     "Rect",
     "Motion",
     "SurfaceChart",
@@ -98,15 +99,22 @@ class CurvaturePair(Value):
         return hash((self.K, self.H))
 
 
+def fields(init: Callable) -> tuple[str, ...]:
+    """The parameter names of a record's ``__init__`` after ``self``: its fields."""
+    code = init.__code__
+    return code.co_varnames[1 : code.co_argcount]
+
+
 class Record(Value):
     """Base of the package's immutable value classes.
 
-    A subclass lists its fields once, as ``__slots__ = __match_args__ =
-    (...)``, and its ``__init__`` passes their values, in that order, to
-    ``Record.__init__``.  Repr, equality and hashing come from the
-    fields through :class:`~isocurv.jets.Value`.  Assigning or deleting
-    an attribute raises :class:`AttributeError`; :meth:`replace` makes
-    a changed copy.
+    A subclass names its fields once, as the parameters of its
+    ``__init__``, whose body validates them where needed and then calls
+    ``self._set(locals())``.  Below it, ``__slots__ = __match_args__ =
+    fields(__init__)`` turns those parameter names into the slots, in
+    order.  Repr, equality and hashing come from the fields through
+    :class:`~isocurv.jets.Value`.  Assigning or deleting an attribute
+    raises :class:`AttributeError`; :meth:`replace` makes a changed copy.
 
     This is the behaviour of a frozen dataclass, written out once:
     a dataclass compiles its methods anew at every import.
@@ -114,15 +122,16 @@ class Record(Value):
 
     __slots__ = ()
 
-    def __init__(self, *values) -> None:
-        for name, value in zip(self.__slots__, values, strict=True):
-            object.__setattr__(self, name, value)
+    def _set(self, values: dict) -> None:
+        """Store each field from ``values``, the constructor's ``locals()``."""
+        for name in self.__slots__:
+            object.__setattr__(self, name, values[name])
 
     def replace(self, **changes):
         """A copy with the given fields changed; ``__init__`` validates it."""
-        fields = {name: getattr(self, name) for name in self.__slots__}
-        fields.update(changes)
-        return self.__class__(**fields)
+        values = {name: getattr(self, name) for name in self.__slots__}
+        values.update(changes)
+        return self.__class__(**values)
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -144,10 +153,10 @@ class Rect(Record):
     chart the y- and z-ranges.
     """
 
-    __slots__ = __match_args__ = ("u", "v")
-
     def __init__(self, u: tuple[float, float], v: tuple[float, float]) -> None:
-        super().__init__(u, v)
+        self._set(locals())
+
+    __slots__ = __match_args__ = fields(__init__)
 
     def center(self) -> tuple[float, float]:
         return (0.5 * (self.u[0] + self.u[1]), 0.5 * (self.v[0] + self.v[1]))
@@ -198,8 +207,6 @@ class Motion(Record):
     These maps preserve the isotropic metric and both curvatures.
     """
 
-    __slots__ = __match_args__ = ("angle", "tx", "ty", "tz", "shear_x", "shear_y")
-
     def __init__(
         self,
         angle: float = 0.0,
@@ -209,7 +216,9 @@ class Motion(Record):
         shear_x: float = 0.0,
         shear_y: float = 0.0,
     ) -> None:
-        super().__init__(angle, tx, ty, tz, shear_x, shear_y)
+        self._set(locals())
+
+    __slots__ = __match_args__ = fields(__init__)
 
     def describe(self) -> str:
         return (
@@ -247,12 +256,12 @@ class SurfaceChart(Record):
     ``"x-over-yz"`` (height x over (y, z)).
     """
 
-    __slots__ = __match_args__ = ("orientation", "height", "domain")
-
     def __init__(self, orientation: str, height: Field, domain: Rect) -> None:
         if orientation not in (Z_OVER_XY, X_OVER_YZ):
             raise ValueError(f"unknown chart orientation {orientation!r}")
-        super().__init__(orientation, height, domain)
+        self._set(locals())
+
+    __slots__ = __match_args__ = fields(__init__)
 
     def axes(self) -> tuple[str, str]:
         return ("x", "y") if self.orientation == Z_OVER_XY else ("y", "z")
@@ -280,10 +289,10 @@ class SurfaceChart(Record):
 class ParametricSurface(Record):
     """An admissible parametric patch r(u, v) = (x, y, z)(u, v)."""
 
-    __slots__ = __match_args__ = ("x", "y", "z", "domain")
-
     def __init__(self, x: Field, y: Field, z: Field, domain: Rect) -> None:
-        super().__init__(x, y, z, domain)
+        self._set(locals())
+
+    __slots__ = __match_args__ = fields(__init__)
 
     def jets(self, p: tuple[float, float]) -> tuple[Jet2, Jet2, Jet2]:
         """The coordinate jets (x, y, z) of the patch at parameters p = (u, v)."""

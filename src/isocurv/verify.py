@@ -32,6 +32,7 @@ from .geometry import (
     Z_OVER_XY,
     apply_motion,
     as_parametric,
+    fields,
     monge_x_curvatures,
     monge_z_curvatures,
     parametric_curvatures,
@@ -52,7 +53,7 @@ from .factorable import (
     random_instance,
     regularity,
 )
-from .catalog import cmc_slope_profile, minimal_oscillation_profile
+from .catalog import _merged_params, cmc_slope_profile, minimal_oscillation_profile
 from .rng import SplitMix64
 
 __all__ = [
@@ -96,8 +97,6 @@ class GridRun(Record):
     run from :func:`sample_grid` unhashable.
     """
 
-    __slots__ = __match_args__ = ("subject", "domain", "n", "K", "H", "heights", "excluded")
-
     def __init__(
         self,
         subject: str,
@@ -108,7 +107,9 @@ class GridRun(Record):
         heights: Sequence[float] | None,
         excluded: tuple[tuple[tuple[float, float], str], ...],
     ) -> None:
-        super().__init__(subject, domain, n, K, H, heights, excluded)
+        self._set(locals())
+
+    __slots__ = __match_args__ = fields(__init__)
 
     @property
     def points(self) -> tuple[tuple[float, float], ...]:
@@ -164,20 +165,6 @@ def _json_value(value):
 
 
 class VerificationReport(_Report):
-    __slots__ = __match_args__ = (
-        "subject",
-        "domain",
-        "grid",
-        "quantity",
-        "target",
-        "max_abs_deviation",
-        "mean",
-        "tolerance",
-        "passed",
-        "excluded_points",
-        "notes",
-    )
-
     def __init__(
         self,
         subject: str,
@@ -192,10 +179,9 @@ class VerificationReport(_Report):
         excluded_points: tuple[tuple[tuple[float, float], str], ...] = (),
         notes: str = "",
     ) -> None:
-        super().__init__(
-            subject, domain, grid, quantity, target, max_abs_deviation, mean, tolerance,
-            passed, excluded_points, notes,
-        )
+        self._set(locals())
+
+    __slots__ = __match_args__ = fields(__init__)
 
 
 def sample_grid(surface, domain: Rect | None = None, n: int = 21, subject: str = "") -> GridRun:
@@ -575,20 +561,18 @@ def ode_crosscheck(
     exponential family, (1+a^2)*f'' + 2*a*c1*f' + c1^2*f = 0.
     ``afs2-cmc``: the slope equation f'' = 2*H0*c1^2*(f')^3 behind the
     constant-H family with a constant first factor.  Initial conditions
-    come from the closed form at the range start.  A non-finite gap
-    raises ValueError instead of being skipped, and so does an
-    arithmetic error on the way, naming the ODE.
+    come from the closed form at the range start.  ``params`` follow a
+    family's rule (``catalog._merged_params``): an unknown name, or a
+    value that is not a finite real number, is a ParameterError naming
+    the ODE and the parameter, raised before any evaluation.  A
+    non-finite gap raises ValueError instead of being skipped, and so
+    does an arithmetic error on the way, naming the ODE.
     """
     if ode not in _ODE_DEFAULTS:
         known = ", ".join(sorted(_ODE_DEFAULTS))
         raise ValueError(f"unknown ode {ode!r} (known: {known})")
     defaults, default_range = _ODE_DEFAULTS[ode]
-    merged = dict(defaults)
-    for name, value in (params or {}).items():
-        if name not in merged:
-            expected = ", ".join(merged)
-            raise ValueError(f"unknown ode parameter {name!r} (expected: {expected})")
-        merged[name] = float(value)
+    merged = _merged_params(ode, defaults, params or {})
     t0, t1 = trange if trange is not None else default_range
     if not t1 > t0:
         raise ValueError("ode range must satisfy hi > lo")
@@ -638,17 +622,13 @@ def ode_crosscheck(
 
 
 class ProbeInstance(_Report):
-    __slots__ = __match_args__ = ("label", "stat", "flat", "degenerate", "bad")
-
     def __init__(self, label: str, stat: float, flat: bool, degenerate: bool, bad: bool) -> None:
-        super().__init__(label, stat, flat, degenerate, bad)
+        self._set(locals())
+
+    __slots__ = __match_args__ = fields(__init__)
 
 
 class ProbeReport(_Report):
-    __slots__ = __match_args__ = (
-        "kind", "count", "seed", "grid", "floor", "counterexamples", "min_stat", "instances"
-    )
-
     def __init__(
         self,
         kind: str,
@@ -660,10 +640,19 @@ class ProbeReport(_Report):
         min_stat: float,
         instances: tuple[ProbeInstance, ...],
     ) -> None:
-        super().__init__(kind, count, seed, grid, floor, counterexamples, min_stat, instances)
+        self._set(locals())
+
+    __slots__ = __match_args__ = fields(__init__)
 
 
 _PROBE_KINDS = ("afs2-minimal", "afs2-constant-K")
+
+
+def _require_probe(kind: str, floor: float) -> None:
+    """Refuse an unknown probe kind or a floor that is negative or not finite."""
+    if kind not in _PROBE_KINDS:
+        raise ValueError(f"unknown probe kind {kind!r} (known: {', '.join(_PROBE_KINDS)})")
+    _require_finite_nonnegative("probe floor", floor)
 
 
 def draw_nonplanar_type2(count: int, seed: int) -> list[AffineFactorable]:
@@ -701,9 +690,7 @@ def probe_instances(
     all is an error: it would report no counterexamples having probed
     nothing, and so is a floor that is negative or not finite.
     """
-    if kind not in _PROBE_KINDS:
-        raise ValueError(f"unknown probe kind {kind!r} (known: {', '.join(_PROBE_KINDS)})")
-    _require_finite_nonnegative("probe floor", floor)
+    _require_probe(kind, floor)
     if not instances:
         raise ValueError("a probe needs at least 1 instance, got none")
     results = []
@@ -743,9 +730,11 @@ def probe_nonexistence(
     n: int = 11,
     floor: float = PROBE_FLOOR,
 ) -> ProbeReport:
-    """Randomized search for counterexamples to a type-2 nonexistence claim."""
-    if kind not in _PROBE_KINDS:
-        raise ValueError(f"unknown probe kind {kind!r} (known: {', '.join(_PROBE_KINDS)})")
+    """Randomized search for counterexamples to a type-2 nonexistence claim.
+
+    A bad kind or floor is refused before any instance is drawn.
+    """
+    _require_probe(kind, floor)
     instances = draw_nonplanar_type2(count, seed)
     report = probe_instances(kind, instances, n=n, floor=floor)
     return report.replace(seed=seed)

@@ -219,6 +219,50 @@ def test_a_tolerance_or_floor_that_is_negative_or_not_finite_exits_2(capsys, arg
     assert (code, out, err) == (2, "", message)
 
 
+def _fail(*args, **kwargs):
+    raise AssertionError("work started before the arguments were checked")
+
+
+@pytest.mark.parametrize(
+    "argv, target, message",
+    [
+        (
+            ("probe", "--kind", "afs2-minimal", "--count", "10000", "--floor", "-1"),
+            "isocurv.verify.draw_nonplanar_type2",
+            "probe floor must be finite and at least 0, got -1.0",
+        ),
+        (
+            ("cross-validate", "--family", "AFS2.flat.exp", "--tol", "-1"),
+            "isocurv.catalog.build_family",
+            "cross-validation tolerance must be finite and at least 0, got -1.0",
+        ),
+        (
+            ("ode-check", "--ode", "afs2-cmc", "--param", "c1=abc"),
+            "isocurv.verify.cmc_slope_profile",
+            "afs2-cmc: parameter 'c1' must be a real number, got 'abc'",
+        ),
+        (
+            ("ode-check", "--ode", "afs2-cmc", "--param", "c1=inf"),
+            "isocurv.verify.cmc_slope_profile",
+            "afs2-cmc: parameter 'c1' must be finite, got inf",
+        ),
+        (
+            ("ode-check", "--ode", "afs2-cmc", "--param", "x=1"),
+            "isocurv.verify.cmc_slope_profile",
+            "afs2-cmc: unknown parameter 'x' (expected: H0, c1, c2, c3)",
+        ),
+    ],
+    ids=["probe-floor", "cross-validate-tol", "ode-not-a-number", "ode-infinite", "ode-unknown"],
+)
+def test_bad_arguments_are_refused_before_any_work(capsys, monkeypatch, argv, target, message):
+    # Each of these once drew its instances, built its family or
+    # integrated its ODE first, and then exited 2 or failed with a text
+    # that did not name the parameter.
+    monkeypatch.setattr(target, _fail)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_verify_unknown_family(capsys):
     code, out, err = run_cli(capsys, "verify", "--family", "FS9.not.here")
     assert code == 2 and err.startswith("error:"), f"exit {code}, stderr {err!r}"

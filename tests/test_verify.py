@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from isocurv import jets
-from isocurv.catalog import build_family, family_ids
+from isocurv.catalog import ParameterError, build_family, family_ids
 from isocurv.factorable import (
     NON_FINITE,
     TYPE1,
@@ -949,6 +949,35 @@ def test_ode_crosscheck_rejects_unknown_ids_and_params():
         ode_crosscheck("afs1-minimal", params={"c9": 1.0})
 
 
+@pytest.mark.parametrize(
+    "ode, params, message",
+    [
+        ("afs2-cmc", {"c1": "abc"}, "afs2-cmc: parameter 'c1' must be a real number, got 'abc'"),
+        ("afs2-cmc", {"c1": math.inf}, "afs2-cmc: parameter 'c1' must be finite, got inf"),
+        ("afs1-minimal", {"a": math.nan}, "afs1-minimal: parameter 'a' must be finite, got nan"),
+        (
+            "afs1-minimal",
+            {"c9": 1.0},
+            "afs1-minimal: unknown parameter 'c9' (expected: c1, a, c2, c3)",
+        ),
+    ],    ids=["not-a-number", "infinite", "nan", "unknown"],
+)
+def test_ode_crosscheck_refuses_a_bad_parameter_before_any_evaluation(
+    monkeypatch, ode, params, message
+):
+    # The ODE's parameters follow a family's rule.  A value that is not a
+    # finite real number once reached the integration, or float() raised
+    # a text that did not name the parameter.
+    def fail(*args):
+        raise AssertionError("a profile was built before the parameters were checked")
+
+    monkeypatch.setattr("isocurv.verify.cmc_slope_profile", fail)
+    monkeypatch.setattr("isocurv.verify.minimal_oscillation_profile", fail)
+    with pytest.raises(ParameterError) as info:
+        ode_crosscheck(ode, params)
+    assert str(info.value) == message
+
+
 def test_ode_crosscheck_guards_the_radicand():
     # H0 = c1 = c2 = 1 keeps the slope finite only while 1 - 4t > 0.
     with pytest.raises(ValueError):
@@ -985,6 +1014,25 @@ def test_probe_refuses_to_probe_nothing():
     for count in (0, -5):
         with pytest.raises(ValueError, match="at least 1 instance"):
             probe_nonexistence("afs2-constant-K", count=count, seed=1)
+
+
+@pytest.mark.parametrize(
+    "kind, floor, message",
+    [
+        ("afs2-minimal", -1.0, "probe floor must be finite and at least 0, got -1.0"),
+        ("afs2-constant-K", math.nan, "probe floor must be finite and at least 0, got nan"),
+        ("afs2-umbilic", 1e-4, "unknown probe kind 'afs2-umbilic' (known: "),
+    ],    ids=["negative-floor", "nan-floor", "unknown-kind"],
+)
+def test_probe_refuses_a_bad_kind_or_floor_before_drawing(monkeypatch, kind, floor, message):
+    # The floor was checked only after all `count` instances were drawn.
+    def fail(count, seed):
+        raise AssertionError("instances were drawn before the probe was checked")
+
+    monkeypatch.setattr("isocurv.verify.draw_nonplanar_type2", fail)
+    with pytest.raises(ValueError) as info:
+        probe_nonexistence(kind, count=10_000, seed=1, floor=floor)
+    assert str(info.value).startswith(message)
 
 
 def test_probe_rejects_unknown_kind():
