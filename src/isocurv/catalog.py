@@ -14,16 +14,20 @@ disagrees with the attached claim.  Their ids end in ``.printed`` when
 a corrected sibling exists.  Verification flags them instead of
 silently passing; the registry notes say what the discrepancy is.
 
-Naming scheme for ids: ``<ansatz>.<behavior>.<shape>`` where the ansatz
+Naming scheme for ids: ``<ansatz>.<behavior>.<shape>``.  The ansatz
 is AFS1/AFS2 (sheared product, a != 0) or FS1/FS2 (plain product,
-a = 0), and 1/2 distinguishes the z-graph from the x-graph ansatz.
+a = 0); 1 is the z-graph (TYPE1) and 2 the x-graph (TYPE2) ansatz.
+The behavior is the claim: ``flat`` (CLAIM_FLAT), ``min``
+(CLAIM_MINIMAL), ``K`` (CLAIM_CONST_K) or ``cmc`` (CLAIM_CONST_H).
+``FamilySpec.kind`` and ``FamilySpec.claim`` are read from the id, and
+nothing else states them.
 
 To add a family, add one ``_register(FamilySpec(...))`` row to the
-registry below: the defaults in ``params``, ``kind`` (TYPE1 or TYPE2),
-``factors`` and ``domain`` as functions of the merged parameters that
-return the profile pair (f1, f2) and the default chart rectangle (the
-unit square when omitted), and ``constraints`` as ``(text, predicate)``
-pairs checked in order.
+registry below: its id, the defaults in ``params``, ``factors`` and
+``domain`` as functions of the merged parameters that return the
+profile pair (f1, f2) and the default chart rectangle (the unit square
+when omitted), and ``constraints`` as ``(text, predicate)`` pairs
+checked in order.
 ``FamilySpec.builder`` runs every product family and adds two rules of
 its own: a family whose parameters include the shear ``a`` requires
 a != 0 before any constraint, and a type-2 surface is rejected when its
@@ -33,12 +37,13 @@ sampling, ``isocurv.factorable.grid_lines``.  A build whose arithmetic
 fails, whose default domain is not finite in its bounds and widths, or
 whose derived constant is not finite, is a ParameterError.
 A plain family that is a sheared one at a = 0 is registered from that
-twin, an AFS row registered before it, by ``_plain(twin, id, formula,
-**changes)``: it keeps the twin's parameters in order without ``a``
-(so a twin's ``factors`` and ``domain`` read ``p.get("a", 0.0)``) and
-every other field but those in ``changes``, in practice ``notes`` and
-``constraints``.  FS2.K.integral, whose profile inverts a closed-form
-integral, builds through ``build_integral_family`` instead.
+twin, an AFS row registered before it, by ``_plain(twin, formula,
+**changes)``: its id is the twin's without the leading A, and it keeps
+the twin's parameters in order without ``a`` (so a twin's ``factors``
+and ``domain`` read ``p.get("a", 0.0)``) and every other field but
+those in ``changes``, in practice ``notes`` and ``constraints``.
+FS2.K.integral, whose profile inverts a closed-form integral, builds
+through ``build_integral_family`` instead.
 """
 
 from __future__ import annotations
@@ -122,19 +127,28 @@ class CurvatureProfile(Record):
     __slots__ = __match_args__ = fields(__init__)
 
 
+#: What the first part of a family id, its ansatz, says of the surface's kind.
+_ANSATZ_KIND = {"AFS1": TYPE1, "FS1": TYPE1, "AFS2": TYPE2, "FS2": TYPE2}
+#: What the second part of a family id, its behavior, says the family claims.
+_BEHAVIOR_CLAIM = {
+    "flat": CLAIM_FLAT, "min": CLAIM_MINIMAL, "K": CLAIM_CONST_K, "cmc": CLAIM_CONST_H
+}
+
+
 class FamilySpec(Record):
     """A registered family as data; the module docstring describes its fields.
 
-    The repr leaves out ``factors``, ``domain`` and ``constraints``.
+    ``kind`` and ``claim`` are read from the id's first two parts, its
+    ansatz and behavior, so they are not fields.  A string id that does
+    not start with a known ansatz and behavior is a ValueError naming
+    it.  The repr leaves out ``factors``, ``domain`` and ``constraints``.
     """
 
     def __init__(
         self,
         id: str,
         formula: str,
-        claim: str,
         params: dict,
-        kind: str,
         factors: Callable[[dict], tuple[Profile, Profile]] | None,
         domain: Callable[[dict], Rect] = lambda p: _UNIT,
         constraints: tuple[tuple[str, Callable[[dict], bool]], ...] = (),
@@ -142,10 +156,24 @@ class FamilySpec(Record):
         has_derived_constant: bool = True,
         notes: str = "",
     ) -> None:
+        if isinstance(id, str):
+            ansatz, _, rest = id.partition(".")
+            if ansatz not in _ANSATZ_KIND or rest.partition(".")[0] not in _BEHAVIOR_CLAIM:
+                raise ValueError(f"unknown ansatz or behavior in family id {id!r}")
         self._set(locals())
 
     __slots__ = __match_args__ = fields(__init__)
     _hidden = ("factors", "domain", "constraints")
+
+    @property
+    def kind(self) -> str:
+        """TYPE1 or TYPE2, as the id's ansatz states it."""
+        return _ANSATZ_KIND[self.id.partition(".")[0]]
+
+    @property
+    def claim(self) -> str:
+        """The curvature claim, as the id's behavior states it."""
+        return _BEHAVIOR_CLAIM[self.id.split(".", 2)[1]]
 
     def builder(self, p: dict) -> AffineFactorable:
         """The surface for merged parameters ``p``.
@@ -168,7 +196,7 @@ class FamilySpec(Record):
                 f"must be finite, got {d.u!r} x {d.v!r}"
             )
         s = AffineFactorable(self.kind, f1, f2, p.get("a", 0.0), d, self.id)
-        if self.kind == TYPE2:
+        if s.kind == TYPE2:
             _check_regularity(s)
         return s
 
@@ -560,19 +588,20 @@ def _register(spec: FamilySpec) -> None:
     REGISTRY[spec.id] = spec
 
 
-def _plain(twin: str, id: str, formula: str, **changes) -> FamilySpec:
-    """The registered sheared family ``twin`` at a = 0, with the fields in ``changes``."""
+def _plain(twin: str, formula: str, **changes) -> FamilySpec:
+    """The registered sheared family ``twin`` at a = 0, with the fields in ``changes``.
+
+    Its id is the twin's without the leading A: AFS1.flat.exp gives FS1.flat.exp.
+    """
     spec = REGISTRY[twin]
     params = {name: value for name, value in spec.params.items() if name != "a"}
-    return spec.replace(id=id, formula=formula, params=params, **changes)
+    return spec.replace(id=twin[1:], formula=formula, params=params, **changes)
 
 
 _register(FamilySpec(
     id="AFS1.flat.scale",
     formula="z = c1*f2(y + a*x)",
-    claim=CLAIM_FLAT,
     params={"c1": 1.0, "a": 1.0, "fn": "quadratic"},
-    kind=TYPE1,
     factors=_cylinder_factors,
     constraints=(_nonzero("c1"), _KNOWN_FN),
     notes="a constant first factor kills both flatness terms, any profile works",
@@ -580,9 +609,7 @@ _register(FamilySpec(
 _register(FamilySpec(
     id="AFS1.flat.exp",
     formula="z = c1*exp(c2*x + c3*(y + a*x))",
-    claim=CLAIM_FLAT,
     params={"c1": 1.0, "c2": 1.0, "c3": 1.0, "a": 1.0},
-    kind=TYPE1,
     factors=_exp_factors,
     constraints=(_nonzero("c1"),),
     notes="exponential factors satisfy the flatness balance identically",
@@ -590,9 +617,7 @@ _register(FamilySpec(
 _register(FamilySpec(
     id="AFS1.flat.pow",
     formula="z = c1*x^(1/(1-c2))*(y + a*x)^(c2/(c2-1))",
-    claim=CLAIM_FLAT,
     params={"c1": 1.0, "c2": 2.0, "a": 1.0},
-    kind=TYPE1,
     factors=_pow_factors,
     domain=lambda p: _positive_box(TYPE1, p.get("a", 0.0)),
     constraints=(_nonzero("c1"), _C2_NOT_ONE),
@@ -601,9 +626,7 @@ _register(FamilySpec(
 _register(FamilySpec(
     id="AFS1.K.saddle",
     formula="z = sqrt(|K0|)*x*(y + a*x)",
-    claim=CLAIM_CONST_K,
     params={"K0": -1.0, "a": 1.0},
-    kind=TYPE1,
     factors=_saddle_factors,
     constraints=(_nonzero("K0"),),
     notes="the attained constant is -|K0|; a positive prescribed K0 is not realized",
@@ -611,18 +634,14 @@ _register(FamilySpec(
 _register(FamilySpec(
     id="AFS1.min.plane",
     formula="z = c1*(c2*(y + a*x) + c3)",
-    claim=CLAIM_MINIMAL,
     params={"c1": 1.0, "c2": 1.0, "c3": 0.0, "a": 1.0},
-    kind=TYPE1,
     factors=lambda p: (_const_profile(p["c1"]), _linear_profile(p["c2"], p["c3"])),
     notes="a graph plane, the trivial minimal case",
 ))
 _register(FamilySpec(
     id="AFS1.min.osc",
     formula="z = exp(c1*x)*exp(-a*c1*u/(1+a^2))*(c2*cos(c1*u/(1+a^2)) + c3*sin(c1*u/(1+a^2))), u = y + a*x",
-    claim=CLAIM_MINIMAL,
     params={"c1": 1.0, "a": 1.0, "c2": 1.0, "c3": 0.0},
-    kind=TYPE1,
     factors=_osc_factors,
     constraints=(_nonzero("c1"),),
     notes="second factor solves (1+a^2)*f2'' + 2*a*c1*f2' + c1^2*f2 = 0, decay rate included",
@@ -630,9 +649,7 @@ _register(FamilySpec(
 _register(FamilySpec(
     id="AFS1.min.osc.printed",
     formula="z = exp(c1*x)*(c2*cos(c1*u/(1+a^2)) + c3*sin(c1*u/(1+a^2))), u = y + a*x",
-    claim=CLAIM_MINIMAL,
     params={"c1": 1.0, "a": 1.0, "c2": 1.0, "c3": 0.0},
-    kind=TYPE1,
     factors=lambda p: _osc_factors(p, printed=True),
     constraints=(_nonzero("c1"),),
     as_printed=True,
@@ -643,9 +660,7 @@ _register(FamilySpec(
 _register(FamilySpec(
     id="AFS1.cmc.parabolic",
     formula="z = H0/(1+a^2)*(y + a*x)^2",
-    claim=CLAIM_CONST_H,
     params={"H0": 1.0, "a": 1.0},
-    kind=TYPE1,
     factors=lambda p: (
         _const_profile(1.0), _quadratic_monomial(p["H0"] / (1.0 + p["a"] * p["a"]))
     ),
@@ -655,9 +670,7 @@ _register(FamilySpec(
 _register(FamilySpec(
     id="AFS1.cmc.shear",
     formula="z = H0/a*x*(y + a*x)",
-    claim=CLAIM_CONST_H,
     params={"H0": 1.0, "a": 1.0},
-    kind=TYPE1,
     factors=lambda p: (_linear_profile(p["H0"] / p["a"]), _linear_profile(1.0)),
     constraints=(_nonzero("H0"),),
     notes="the cross term alone carries the mean curvature when a != 0",
@@ -665,9 +678,7 @@ _register(FamilySpec(
 _register(FamilySpec(
     id="AFS2.flat.scale",
     formula="x = c1*f1(y + a*z)",
-    claim=CLAIM_FLAT,
     params={"c1": 1.0, "a": 1.0, "fn": "quadratic"},
-    kind=TYPE2,
     factors=lambda p: (ARBITRARY_PROFILES[p["fn"]], _const_profile(p["c1"])),
     domain=_scale_domain,
     constraints=(_nonzero("c1"), _KNOWN_FN),
@@ -676,9 +687,7 @@ _register(FamilySpec(
 _register(FamilySpec(
     id="AFS2.flat.exp",
     formula="x = c1*exp(c2*(y + a*z) + c3*z)",
-    claim=CLAIM_FLAT,
     params={"c1": 1.0, "c2": 1.0, "c3": 1.0, "a": 1.0},
-    kind=TYPE2,
     factors=_exp_factors,
     constraints=(
         _nonzero("c1"),
@@ -692,9 +701,7 @@ _register(FamilySpec(
 _register(FamilySpec(
     id="AFS2.flat.pow",
     formula="x = c1*(y + a*z)^(1/(1-c2))*z^(c2/(c2-1))",
-    claim=CLAIM_FLAT,
     params={"c1": 1.0, "c2": 2.0, "a": 1.0},
-    kind=TYPE2,
     factors=_pow_factors,
     domain=lambda p: _positive_box(TYPE2, p.get("a", 0.0)),
     constraints=(_nonzero("c1"), _C2_NOT_ONE),
@@ -704,9 +711,7 @@ _register(FamilySpec(
 _register(FamilySpec(
     id="AFS2.cmc.sqrt",
     formula="x = c1/sqrt(|H0|)*sqrt(y + a*z)",
-    claim=CLAIM_CONST_H,
     params={"H0": 1.0, "c1": 1.0, "a": 1.0},
-    kind=TYPE2,
     factors=lambda p: (
         _scaled_power_profile(p["c1"] / math.sqrt(abs(p["H0"])), 0.5), _const_profile(1.0)
     ),
@@ -719,9 +724,7 @@ _register(FamilySpec(
 _register(FamilySpec(
     id="AFS2.cmc.f1const",
     formula="x = c1*f2(z) with f2'' = 2*H0*c1^2*(f2')^3",
-    claim=CLAIM_CONST_H,
     params={"H0": 1.0, "c1": 1.0, "c2": 1.0, "c3": 0.0, "a": 1.0},
-    kind=TYPE2,
     factors=lambda p: (
         _const_profile(p["c1"]), cmc_slope_profile(p["H0"], p["c1"], p["c2"], p["c3"])
     ),
@@ -731,23 +734,21 @@ _register(FamilySpec(
     "profile and meets H0 exactly",
 ))
 _register(_plain(
-    "AFS1.flat.scale", "FS1.flat.scale", "z = c1*f2(y)",
+    "AFS1.flat.scale", "z = c1*f2(y)",
     notes="cylinder over an arbitrary profile",
 ))
 _register(_plain(
-    "AFS1.flat.exp", "FS1.flat.exp", "z = c1*exp(c2*x + c3*y)",
+    "AFS1.flat.exp", "z = c1*exp(c2*x + c3*y)",
     notes="plain product of exponentials",
 ))
 _register(_plain(
-    "AFS1.flat.pow", "FS1.flat.pow", "z = c1*x^(1/(1-c2))*y^(c2/(c2-1))",
+    "AFS1.flat.pow", "z = c1*x^(1/(1-c2))*y^(c2/(c2-1))",
     notes="power product with exponents summing to 1",
 ))
 _register(FamilySpec(
     id="FS1.min.xy",
     formula="z = c1*x*y",
-    claim=CLAIM_MINIMAL,
     params={"c1": 1.0},
-    kind=TYPE1,
     factors=lambda p: (_linear_profile(p["c1"]), _linear_profile(1.0)),
     constraints=(_nonzero("c1"),),
     notes="the basic saddle; both pure second derivatives vanish",
@@ -755,20 +756,16 @@ _register(FamilySpec(
 _register(FamilySpec(
     id="FS1.min.exp-trig",
     formula="z = (c1*exp(c2*x) + c3*exp(-c2*x))*(c4*cos(c2*y) + c5*sin(c2*y))",
-    claim=CLAIM_MINIMAL,
     params={"c1": 1.0, "c2": 1.0, "c3": 1.0, "c4": 1.0, "c5": 0.0},
-    kind=TYPE1,
     factors=_exp_trig_factors,
     constraints=(_nonzero("c2"),),
     notes="f1'' = c2^2*f1 against f2'' = -c2^2*f2 cancels the mean curvature exactly",
 ))
-_register(_plain("AFS1.K.saddle", "FS1.K.saddle", "z = sqrt(|K0|)*x*y"))
+_register(_plain("AFS1.K.saddle", "z = sqrt(|K0|)*x*y"))
 _register(FamilySpec(
     id="FS1.cmc.parab",
     formula="z = H0/c1*y^2",
-    claim=CLAIM_CONST_H,
     params={"H0": 1.0, "c1": 1.0},
-    kind=TYPE1,
     factors=lambda p: (_const_profile(1.0), _quadratic_monomial(p["H0"] / p["c1"])),
     constraints=(_nonzero("H0"), _nonzero("c1")),
     notes="the attained constant is H0/c1; with c1 = 1 it equals the prescribed H0",
@@ -776,9 +773,7 @@ _register(FamilySpec(
 _register(FamilySpec(
     id="FS2.flat.scale",
     formula="x = c1*f2(z)",
-    claim=CLAIM_FLAT,
     params={"c1": 1.0, "fn": "quadratic"},
-    kind=TYPE2,
     factors=_cylinder_factors,
     domain=lambda p: Rect((0.0, 1.0), _FS2_SCALE_Z[p["fn"]]),
     constraints=(_nonzero("c1"), _KNOWN_FN),
@@ -786,21 +781,19 @@ _register(FamilySpec(
     "is admissible nowhere",
 ))
 _register(_plain(
-    "AFS2.flat.exp", "FS2.flat.exp", "x = c1*exp(c2*y + c3*z)",
+    "AFS2.flat.exp", "x = c1*exp(c2*y + c3*z)",
     constraints=(_nonzero("c1"), _nonzero("c3", _NEEDS_Z)),
     notes="admissible exactly when c3 != 0",
 ))
 _register(_plain(
-    "AFS2.flat.pow", "FS2.flat.pow", "x = c1*y^(1/(1-c2))*z^(c2/(c2-1))",
+    "AFS2.flat.pow", "x = c1*y^(1/(1-c2))*z^(c2/(c2-1))",
     constraints=(_nonzero("c1"), _C2_NOT_ONE, _nonzero("c2", _NEEDS_Z)),
     notes="power product on the x-graph side; c2 = 0 would drop the z dependence",
 ))
 _register(FamilySpec(
     id="FS2.min.tan",
     formula="x = y*tan(c1*z)",
-    claim=CLAIM_MINIMAL,
     params={"c1": 1.0},
-    kind=TYPE2,
     factors=lambda p: (_linear_profile(1.0), lambda t, _c=p["c1"]: jets.tan(_c * t)),
     domain=lambda p: Rect((0.5, 1.5), (-1.2 / abs(p["c1"]), 1.2 / abs(p["c1"]))),
     constraints=(_nonzero("c1"),),
@@ -809,9 +802,7 @@ _register(FamilySpec(
 _register(FamilySpec(
     id="FS2.min.ratio",
     formula="x = c1*z/y",
-    claim=CLAIM_MINIMAL,
     params={"c1": 1.0},
-    kind=TYPE2,
     factors=lambda p: (_scaled_power_profile(p["c1"], -1.0), _linear_profile(1.0)),
     domain=lambda p: _BOX,
     constraints=(_nonzero("c1"),),
@@ -821,9 +812,7 @@ _register(FamilySpec(
 _register(FamilySpec(
     id="FS2.min.ratio.printed",
     formula="x = c1*y/z",
-    claim=CLAIM_MINIMAL,
     params={"c1": 1.0},
-    kind=TYPE2,
     factors=lambda p: (_linear_profile(p["c1"]), _scaled_power_profile(1.0, -1.0)),
     domain=lambda p: _BOX,
     constraints=(_nonzero("c1"),),
@@ -835,9 +824,7 @@ _register(FamilySpec(
 _register(FamilySpec(
     id="FS2.K.hyperbolic",
     formula="x = sign*z/(sqrt(|K0|)*y)",
-    claim=CLAIM_CONST_K,
     params={"K0": -1.0, "sign": 1.0},
-    kind=TYPE2,
     factors=lambda p: (
         _scaled_power_profile(p["sign"] / math.sqrt(abs(p["K0"])), -1.0), _linear_profile(1.0)
     ),
@@ -849,9 +836,7 @@ _register(FamilySpec(
 _register(_IntegralFamilySpec(
     id="FS2.K.integral",
     formula="x = c1*f2(z)/y, z = integral of sqrt(c2/f2 - K0/c1^2) df2",
-    claim=CLAIM_CONST_K,
     params={"K0": -1.0, "c1": 1.0, "c2": 1.0, "f2_lo": 0.5, "f2_hi": 2.5},
-    kind=TYPE2,
     factors=None,
     notes="profile from a closed-form integral; the attained constant is K0/c1^4, equal to "
     "the prescribed K0 when c1 = 1",
@@ -859,9 +844,7 @@ _register(_IntegralFamilySpec(
 _register(FamilySpec(
     id="FS2.cmc.sqrt",
     formula="x = sign*sqrt(-z/H0)",
-    claim=CLAIM_CONST_H,
     params={"H0": 1.0, "sign": 1.0},
-    kind=TYPE2,
     factors=lambda p: (
         _const_profile(p["sign"]), lambda t, _h=p["H0"]: jets.sqrt((-1.0 / _h) * t)
     ),
@@ -941,24 +924,25 @@ def _build(spec: FamilySpec, merged: dict):
 
 
 def _profile(spec: FamilySpec, merged: dict, surface) -> CurvatureProfile:
-    if spec.claim == CLAIM_CONST_K:
+    claim = spec.claim
+    if claim == CLAIM_CONST_K:
         claimed = merged["K0"]
-    elif spec.claim == CLAIM_CONST_H:
+    elif claim == CLAIM_CONST_H:
         claimed = merged["H0"]
     else:
         claimed = 0.0
     if not spec.has_derived_constant:
-        return CurvatureProfile(spec.claim, claimed, None)
+        return CurvatureProfile(claim, claimed, None)
     center = surface.domain.center()
     try:
-        derived = getattr(surface.curvatures(center), quantity_for_claim(spec.claim))
+        derived = getattr(surface.curvatures(center), quantity_for_claim(claim))
         if not math.isfinite(derived):
             raise AdmissibilityError(NON_FINITE)
     except _EVAL_ERRORS as err:
         raise ParameterError(
             f"{spec.id}: evaluation failed at the domain center {center!r}: {err}"
         ) from None
-    return CurvatureProfile(spec.claim, claimed, derived)
+    return CurvatureProfile(claim, claimed, derived)
 
 
 def build_with_profile(family_id: str, **params) -> tuple[object, CurvatureProfile]:

@@ -233,8 +233,7 @@ def _cmd_cross_validate(args) -> int:
             )
         point_seed = args.seed
     else:
-        kind = TYPE1 if args.kind == "type-1" else TYPE2
-        instance = random_instance(SplitMix64(args.seed), kind)
+        instance = random_instance(SplitMix64(args.seed), args.kind)
         point_seed = args.seed + 1
     report = verify.cross_validate(
         instance, n_points=args.points, seed=point_seed, tol=args.tol
@@ -291,7 +290,7 @@ def _grid_options(p: argparse.ArgumentParser) -> None:
 def _cross_options(p: argparse.ArgumentParser) -> None:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--family")
-    group.add_argument("--kind", choices=("type-1", "type-2"))
+    group.add_argument("--kind", choices=(TYPE1, TYPE2))
     p.add_argument("--param", action="append", metavar="NAME=VALUE")
     p.add_argument("--points", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
@@ -300,7 +299,7 @@ def _cross_options(p: argparse.ArgumentParser) -> None:
 
 
 def _probe_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--kind", choices=("afs2-minimal", "afs2-constant-K"), required=True)
+    p.add_argument("--kind", choices=verify._PROBE_KINDS, required=True)
     p.add_argument("--count", type=int, default=100)
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--grid", type=int, default=11)
@@ -309,7 +308,7 @@ def _probe_options(p: argparse.ArgumentParser) -> None:
 
 
 def _ode_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--ode", choices=("afs1-minimal", "afs2-cmc"), required=True)
+    p.add_argument("--ode", choices=verify._ODE_DEFAULTS, required=True)
     p.add_argument("--param", action="append", metavar="NAME=VALUE")
     p.add_argument("--range", metavar="LO..HI")
     p.add_argument("--steps", type=int, default=1000)

@@ -471,17 +471,18 @@ def random_instance(rng: SplitMix64, kind: str) -> AffineFactorable:
     """Draw a random surface of the given kind from the test generator.
 
     The shear is sign * uniform[0.2, 2], so |a| stays bounded away from
-    both 0 and the domain-stretching extremes.
+    both 0 and the domain-stretching extremes.  An unknown kind is
+    refused before anything is drawn from ``rng``.
     """
-    f1, lab1 = random_profile(rng)
-    f2, lab2 = random_profile(rng)
-    a = rng.sign() * rng.uniform(0.2, 2.0)
     if kind == TYPE1:
         domain = Rect((-0.6, 0.6), (-0.6, 0.6))
     elif kind == TYPE2:
         domain = Rect((-0.5, 0.5), (-0.5, 0.5))
     else:
         raise ValueError(f"unknown surface kind {kind!r}")
+    f1, lab1 = random_profile(rng)
+    f2, lab2 = random_profile(rng)
+    a = rng.sign() * rng.uniform(0.2, 2.0)
     label = f"{kind} a={a:.6g} f1={lab1} f2={lab2}"
     return AffineFactorable(kind, f1, f2, a, domain, label)
 

@@ -40,6 +40,53 @@ def test_census():
     )
 
 
+#: Every family's (id, kind, claim), in registration order.
+KINDS_AND_CLAIMS = [
+    ("AFS1.flat.scale", "type-1", "flat"),
+    ("AFS1.flat.exp", "type-1", "flat"),
+    ("AFS1.flat.pow", "type-1", "flat"),
+    ("AFS1.K.saddle", "type-1", "K-const"),
+    ("AFS1.min.plane", "type-1", "minimal"),
+    ("AFS1.min.osc", "type-1", "minimal"),
+    ("AFS1.min.osc.printed", "type-1", "minimal"),
+    ("AFS1.cmc.parabolic", "type-1", "H-const"),
+    ("AFS1.cmc.shear", "type-1", "H-const"),
+    ("AFS2.flat.scale", "type-2", "flat"),
+    ("AFS2.flat.exp", "type-2", "flat"),
+    ("AFS2.flat.pow", "type-2", "flat"),
+    ("AFS2.cmc.sqrt", "type-2", "H-const"),
+    ("AFS2.cmc.f1const", "type-2", "H-const"),
+    ("FS1.flat.scale", "type-1", "flat"),
+    ("FS1.flat.exp", "type-1", "flat"),
+    ("FS1.flat.pow", "type-1", "flat"),
+    ("FS1.min.xy", "type-1", "minimal"),
+    ("FS1.min.exp-trig", "type-1", "minimal"),
+    ("FS1.K.saddle", "type-1", "K-const"),
+    ("FS1.cmc.parab", "type-1", "H-const"),
+    ("FS2.flat.scale", "type-2", "flat"),
+    ("FS2.flat.exp", "type-2", "flat"),
+    ("FS2.flat.pow", "type-2", "flat"),
+    ("FS2.min.tan", "type-2", "minimal"),
+    ("FS2.min.ratio", "type-2", "minimal"),
+    ("FS2.min.ratio.printed", "type-2", "minimal"),
+    ("FS2.K.hyperbolic", "type-2", "K-const"),
+    ("FS2.K.integral", "type-2", "K-const"),
+    ("FS2.cmc.sqrt", "type-2", "H-const"),
+]
+
+
+def test_each_family_has_the_kind_and_claim_its_id_names():
+    got = [(fid, get_family(fid).kind, get_family(fid).claim) for fid in family_ids()]
+    assert got == KINDS_AND_CLAIMS
+
+
+@pytest.mark.parametrize("fid", ["X.test", "FS1", "FS3.flat.x", "FS1.cmcx.x", "fs1.flat.x", ""])
+def test_an_id_without_a_known_ansatz_and_behavior_is_refused(fid):
+    with pytest.raises(ValueError) as err:
+        catalog.FamilySpec(fid, "z = x*y", {}, None)
+    assert str(err.value) == f"unknown ansatz or behavior in family id {fid!r}"
+
+
 def test_unknown_family_raises():
     with pytest.raises(UnknownFamilyError):
         get_family("FS9.does.not.exist")

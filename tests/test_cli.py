@@ -609,6 +609,20 @@ def test_ode_check_passes_by_default(capsys):
     assert payload["pass"] is True and payload["max_error"] <= 1e-6
 
 
+@pytest.mark.parametrize(
+    "ode, param, message",
+    [
+        ("afs1-minimal", "c1=0", "afs1-minimal needs c1 != 0 and a != 0"),
+        ("afs1-minimal", "a=0", "afs1-minimal needs c1 != 0 and a != 0"),
+        ("afs2-cmc", "H0=0", "afs2-cmc needs H0 != 0 and c1 != 0"),
+        ("afs2-cmc", "c1=0", "afs2-cmc needs H0 != 0 and c1 != 0"),
+    ],
+)
+def test_ode_check_refuses_a_vanishing_parameter(capsys, ode, param, message):
+    code, out, err = run_cli(capsys, "ode-check", "--ode", ode, "--param", param)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_ode_check_never_prints_non_finite_json(capsys):
     # c1 = 1e100 overflows the integration to an infinite gap.
     code, out, err = run_cli(
@@ -813,6 +827,23 @@ def test_a_closed_stdout_ends_the_run_quietly():
     proc.stderr.close()
     # 141 = 128 + SIGPIPE, what a shell reports for a command a closed pipe ends.
     assert (proc.wait(timeout=120), first, err) == (141, b"x,y,z,K,H\n", b"")
+
+
+def test_a_stdout_closed_before_the_first_write_ends_the_run_quietly():
+    # The pipe closes before the child has started, so the flush of the
+    # listing at the end of main is the first write, and it fails.
+    src = str(Path(catalog.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "isocurv", "list"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=120), err) == (141, b"")
 
 
 @pytest.mark.parametrize(

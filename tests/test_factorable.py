@@ -269,6 +269,14 @@ def test_random_instance_shapes():
         assert abs(pair.K) < 1e6 and abs(pair.H) < 1e6, f"wild curvature {pair}"
 
 
+def test_random_instance_refuses_an_unknown_kind_before_drawing():
+    rng = SplitMix64(11)
+    with pytest.raises(ValueError) as err:
+        random_instance(rng, "type-3")
+    assert str(err.value) == "unknown surface kind 'type-3'"
+    assert rng.state == SplitMix64(11).state
+
+
 def test_is_planar_classification():
     plane = _type1(lambda t: 2.0 * t + 1.0, lambda t: jets.const(1.5), 0.5)
     assert is_planar(plane), "an affine times a constant is a plane"

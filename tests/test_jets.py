@@ -134,6 +134,61 @@ def test_bool_is_not_a_real_number():
         jets.eval_field(lambda a, b: True, 0.0, 0.0)
 
 
+#: Each elementary function, called on a plain number.
+ELEMENTARY = {
+    "exp": jets.exp,
+    "log": jets.log,
+    "sin": jets.sin,
+    "cos": jets.cos,
+    "tan": jets.tan,
+    "sqrt": jets.sqrt,
+    "power": lambda a: jets.power(a, 2.5),
+}
+
+
+@pytest.mark.parametrize("name", list(ELEMENTARY))
+def test_elementary_functions_take_an_int_as_its_float(name):
+    fn = ELEMENTARY[name]
+    got, want = fn(2), fn(2.0)
+    assert got.__class__ is want.__class__ is Jet2
+    assert got.components() == want.components()
+
+
+@pytest.mark.parametrize("name", list(ELEMENTARY))
+def test_elementary_functions_refuse_a_string_by_name(name):
+    with pytest.raises(TypeError) as err:
+        ELEMENTARY[name]("2")
+    assert str(err.value) == f"{name} expects a jet or a real number, got str"
+
+
+class _Float(float):
+    """A float subclass, which misses the scalar fast path's class check."""
+
+
+def _bits(jet) -> list[str]:
+    return [v.hex() for v in jet.components()]
+
+
+@pytest.mark.parametrize("op", ["+", "-", "*", "/"])
+def test_jet1_takes_a_float_subclass_as_its_float(op):
+    t = Jet1(1.5, -0.75, 2.25)
+    apply = {
+        "+": lambda a, b: a + b,
+        "-": lambda a, b: a - b,
+        "*": lambda a, b: a * b,
+        "/": lambda a, b: a / b,
+    }[op]
+    for c in (2.5, -0.5, 3.0):
+        for left, right, plain_left, plain_right in ((t, _Float(c), t, c), (_Float(c), t, c, t)):
+            got, want = apply(left, right), apply(plain_left, plain_right)
+            assert got.__class__ is want.__class__ is Jet1, (op, c)
+            assert _bits(got) == _bits(want), (op, c, left, right)
+    with pytest.raises(TypeError):
+        apply(t, "2")
+    with pytest.raises(TypeError):
+        apply("2", t)
+
+
 def test_jet_equality_hash_and_repr():
     a = Jet2(1.0, 2.0, dyy=-0.0)
     assert a == Jet2(1.0, 2.0, 0.0, 0.0, 0.0, -0.0)

@@ -32,7 +32,7 @@ SIGNATURES = {
         "(claim: 'str', claimed_value: 'float', derived_value: 'float | None') -> 'None'"
     ),
     FamilySpec: (
-        "(id: 'str', formula: 'str', claim: 'str', params: 'dict', kind: 'str', "
+        "(id: 'str', formula: 'str', params: 'dict', "
         "factors: 'Callable[[dict], tuple[Profile, Profile]] | None', "
         "domain: 'Callable[[dict], Rect]' = <function FamilySpec.<lambda> at ADDRESS>, "
         "constraints: 'tuple[tuple[str, Callable[[dict], bool]], ...]' = (), "

@@ -123,12 +123,12 @@ CASES = [
     ),
     (
         FamilySpec,
-        {"id": "X.test", "formula": "z = x*y", "claim": "flat", "params": {"a": 1.0},
-         "kind": TYPE1, "factors": factors, "domain": domain,
+        {"id": "FS1.flat.test", "formula": "z = x*y", "params": {"a": 1.0},
+         "factors": factors, "domain": domain,
          "constraints": (("a != 2", not_two),), "as_printed": True,
          "has_derived_constant": False, "notes": "n"},
-        "FamilySpec(id='X.test', formula='z = x*y', claim='flat', params={'a': 1.0}, "
-        "kind='type-1', as_printed=True, has_derived_constant=False, notes='n')",
+        "FamilySpec(id='FS1.flat.test', formula='z = x*y', params={'a': 1.0}, "
+        "as_printed=True, has_derived_constant=False, notes='n')",
     ),
 ]
 
@@ -232,12 +232,12 @@ def test_defaults():
     assert AffineFactorable(TYPE1, square, cube, 0.0, BOX).label == ""
     report = VerificationReport("s", None, 2, "H", None, 0.0, 0.0, 1e-9, True)
     assert (report.excluded_points, report.notes) == ((), "")
-    spec = FamilySpec("X.test", "z = x*y", "flat", {}, TYPE1, factors)
+    spec = FamilySpec("FS1.flat.test", "z = x*y", {}, factors)
     assert spec.domain({}) == Rect((0.0, 1.0), (0.0, 1.0))
     assert (spec.constraints, spec.as_printed, spec.has_derived_constant, spec.notes) == (
         (), False, True, ""
     )
-    assert spec == FamilySpec("X.test", "z = x*y", "flat", {}, TYPE1, factors=factors)
+    assert spec == FamilySpec("FS1.flat.test", "z = x*y", {}, factors=factors)
 
 
 def test_validation_text():

@@ -978,6 +978,29 @@ def test_ode_crosscheck_refuses_a_bad_parameter_before_any_evaluation(
     assert str(info.value) == message
 
 
+#: Each ODE refusal that comes before the integration, with its text.
+ODE_REFUSALS = [
+    ("afs1-minimal", {"c1": 0.0}, None, 1000, "afs1-minimal needs c1 != 0 and a != 0"),
+    ("afs1-minimal", {"a": 0.0}, None, 1000, "afs1-minimal needs c1 != 0 and a != 0"),
+    ("afs2-cmc", {"H0": 0.0}, None, 1000, "afs2-cmc needs H0 != 0 and c1 != 0"),
+    ("afs2-cmc", {"c1": 0.0}, None, 1000, "afs2-cmc needs H0 != 0 and c1 != 0"),
+    ("afs1-minimal", None, (1.0, 0.0), 1000, "ode range must satisfy hi > lo"),
+    ("afs2-cmc", None, None, 0, "steps must be at least 1"),
+]
+
+
+@pytest.mark.parametrize(
+    "ode, params, trange, steps, message",
+    ODE_REFUSALS,
+    ids=["afs1-c1-zero", "afs1-a-zero", "afs2-H0-zero", "afs2-c1-zero", "reversed", "no-steps"],
+)
+def test_ode_crosscheck_refuses_a_degenerate_setup(ode, params, trange, steps, message):
+    with pytest.raises(ValueError) as info:
+        ode_crosscheck(ode, params, trange, steps)
+    assert type(info.value) is ValueError
+    assert str(info.value) == message
+
+
 def test_ode_crosscheck_guards_the_radicand():
     # H0 = c1 = c2 = 1 keeps the slope finite only while 1 - 4t > 0.
     with pytest.raises(ValueError):
