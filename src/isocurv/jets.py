@@ -13,17 +13,19 @@ assigns a component after construction, every operation returns a new
 jet.  That is what keeps evaluating the same field at many points
 concurrently safe, since threads share jets but never write to them.
 
-Mixing a jet with a plain ``float`` or ``int`` c takes a fast path that
-builds no constant jet, and it is exact: every component comes out bit
-for bit as the jet-jet rule gives it with ``Jet2(float(c))``, because
-the fast path keeps each term that rule would compute from the zero
-derivatives of c (``x + 0.0``, ``x * 0.0``, ``0.0 - x``), in the same
-operand order, so signed zeros, infinities and NaN come out unchanged.
-The reflected forms stay aliases (``__radd__ = __add__``,
-``__rmul__ = __mul__``): ``c * t`` means ``t * Jet2(c)``, and
-``Jet2(c) * t`` groups its terms differently, so it can differ in the
-last bit or in a NaN.  ``bool`` is not a number here and raises
-``TypeError``.
+A plain ``float`` or ``int`` c mixes in as the constant jet
+``Jet2(float(c))``.  Only addition and multiplication, which every
+workload applies to numbers and jets thousands of times a pass, take a
+fast path that builds no constant jet.  It is exact: it keeps each term
+that the jet-jet rule computes from the zero derivatives of c
+(``x + 0.0``, ``x * 0.0``) in the same operand order, so signed zeros,
+infinities and NaN come out unchanged.  Subtraction and division apply
+the jet-jet rule to the constant jet; ``c - t`` and ``c / t`` use t's
+own rule.  The reflected forms of addition and multiplication stay aliases
+(``__radd__ = __add__``, ``__rmul__ = __mul__``): ``c * t`` means
+``t * Jet2(c)``, and ``Jet2(c) * t`` groups its terms differently, so
+it can differ in the last bit or in a NaN.  ``bool`` is not a number
+here and raises ``TypeError``.
 
 A division ``a / b`` builds one jet.  It keeps the components of the
 reciprocal jet of b, ``compose(r, -r*r, 2*r*r*r, b)`` with r = 1/b.v,
@@ -34,7 +36,7 @@ does.  |b.v| below :data:`MIN_DIVISOR` raises ZeroDivisionError.
 
 A :class:`Jet1` is the univariate 2-jet (f, f', f'') of a profile:
 the x slots (v, dx, dxx) of a Jet2 and nothing else.  Each of its
-operations is Jet2's formula restricted to those slots, scalar fast path
+operations is Jet2's formula restricted to those slots, scalar fast paths
 and operand order included, and the x slots of a Jet2 result depend on
 the operands' x slots alone, so a Jet1 result carries bit for bit the
 (v, dx, dxx) that the Jet2 operation would give.  A Jet2 mixed with a
@@ -158,7 +160,13 @@ class _Jet(Value):
     def is_finite(self) -> bool:
         return all(map(math.isfinite, self._values()))
 
-    # c / t divides Jet2(float(c)) by t with t's own rule.
+    # c - t and c / t apply t's own rule to Jet2(float(c)) and t.
+    def __rsub__(self, other):
+        o = _as_jet(other)
+        if o is None:
+            return NotImplemented
+        return self.__class__.__sub__(o, self)
+
     def __rtruediv__(self, other):
         o = _as_jet(other)
         if o is None:
@@ -200,10 +208,11 @@ class Jet2(_Jet):
 
     # arithmetic ---------------------------------------------------------
     #
-    # The float/int branches are the exact scalar fast paths described in
-    # the module docstring: each keeps every zero term of the jet-jet rule.
-    # A Jet1 operand goes to Jet1's rule, which reads this jet's x slots
-    # with the operands in the same order.
+    # The float/int branches of + and * are the exact scalar fast paths
+    # described in the module docstring: each keeps every zero term of the
+    # jet-jet rule.  - and / coerce a number with _as_jet instead.  A Jet1
+    # operand goes to Jet1's rule, which reads this jet's x slots with the
+    # operands in the same order.
 
     def __add__(self, other):
         k = other.__class__
@@ -241,15 +250,6 @@ class Jet2(_Jet):
     def __sub__(self, other):
         k = other.__class__
         if k is not Jet2:
-            if k is float or k is int:
-                return Jet2(
-                    self.v - float(other),
-                    self.dx - 0.0,
-                    self.dy - 0.0,
-                    self.dxx - 0.0,
-                    self.dxy - 0.0,
-                    self.dyy - 0.0,
-                )
             if k is Jet1:
                 return Jet1.__sub__(self, other)
             other = _as_jet(other)
@@ -263,22 +263,6 @@ class Jet2(_Jet):
             self.dxy - other.dxy,
             self.dyy - other.dyy,
         )
-
-    def __rsub__(self, other):
-        k = other.__class__
-        if k is float or k is int:
-            return Jet2(
-                float(other) - self.v,
-                0.0 - self.dx,
-                0.0 - self.dy,
-                0.0 - self.dxx,
-                0.0 - self.dxy,
-                0.0 - self.dyy,
-            )
-        o = _as_jet(other)
-        if o is None:
-            return NotImplemented
-        return o.__sub__(self)
 
     def __mul__(self, other):
         k = other.__class__
@@ -381,21 +365,10 @@ class Jet1(_Jet):
     def __sub__(self, other):
         k = other.__class__
         if k is not Jet1 and k is not Jet2:
-            if k is float or k is int:
-                return Jet1(self.v - float(other), self.dx - 0.0, self.dxx - 0.0)
             other = _as_jet(other)
             if other is None:
                 return NotImplemented
         return Jet1(self.v - other.v, self.dx - other.dx, self.dxx - other.dxx)
-
-    def __rsub__(self, other):
-        k = other.__class__
-        if k is float or k is int:
-            return Jet1(float(other) - self.v, 0.0 - self.dx, 0.0 - self.dxx)
-        o = _as_jet(other)
-        if o is None:
-            return NotImplemented
-        return Jet1.__sub__(o, self)
 
     def __mul__(self, other):
         k = other.__class__

@@ -472,9 +472,12 @@ def finite_difference_check(
 
     Returns max over the five derivative components of
     |jet - fd| / (1 + |jet|).  When a domain is given, the point must
-    sit at least 2h inside it so the stencil stays evaluable.  A
-    non-finite gap raises ValueError instead of being skipped.
+    sit at least 2h inside it so the stencil stays evaluable.  A step h
+    that is not finite and positive, or a non-finite gap, raises
+    ValueError; the step is checked before any evaluation.
     """
+    if not (math.isfinite(h) and h > 0.0):
+        raise ValueError(f"finite-difference step h must be finite and > 0, got {h!r}")
     if domain is not None and not domain.contains(point, margin=2.0 * h):
         raise ValueError(
             f"finite-difference stencil at {point!r} leaves the domain "
@@ -519,9 +522,7 @@ def finite_difference_check(
 
 
 def _rk4(deriv, t0: float, y0: Sequence[float], t1: float, steps: int):
-    """Classic fixed-step fourth-order Runge-Kutta over [t0, t1]."""
-    if steps < 1:
-        raise ValueError("steps must be at least 1")
+    """Classic fixed-step fourth-order Runge-Kutta over [t0, t1] in steps >= 1 steps."""
     h = (t1 - t0) / steps
     t = t0
     y = tuple(float(v) for v in y0)
@@ -576,6 +577,8 @@ def ode_crosscheck(
     t0, t1 = trange if trange is not None else default_range
     if not t1 > t0:
         raise ValueError("ode range must satisfy hi > lo")
+    if steps < 1:
+        raise ValueError("steps must be at least 1")
 
     if ode == "afs1-minimal":
         c1, a = merged["c1"], merged["a"]

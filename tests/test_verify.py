@@ -916,6 +916,23 @@ def test_fd_check_refuses_a_nan_at_one_stencil_point():
         finite_difference_check(lambda x, y: x * (nan if x.v > 1.00005 else 1.0), (1.0, 1.0))
 
 
+@pytest.mark.parametrize("domain", [None, UNIT], ids=["no-domain", "unit-square"])
+@pytest.mark.parametrize("h", [0.0, -1e-4, math.nan, math.inf])
+def test_fd_check_refuses_a_bad_step_before_any_evaluation(h, domain):
+    # With h < 0 the margin 2h is negative, so the domain guard alone
+    # would let (1e-4, 0.5) through and log would meet x = 0.0; h = 0.0
+    # would evaluate the whole stencil and then divide by zero.
+    calls = []
+
+    def field(x, y):
+        calls.append((x.v, y.v))
+        return jets.log(x) * y
+
+    with pytest.raises(ValueError, match=r"step h must be finite and > 0"):
+        finite_difference_check(field, (1e-4, 0.5), h=h, domain=domain)
+    assert calls == []
+
+
 # ODE cross-checks -------------------------------------------------------
 
 
@@ -999,6 +1016,19 @@ def test_ode_crosscheck_refuses_a_degenerate_setup(ode, params, trange, steps, m
         ode_crosscheck(ode, params, trange, steps)
     assert type(info.value) is ValueError
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("ode", ["afs1-minimal", "afs2-cmc"])
+def test_ode_crosscheck_refuses_no_steps_before_building_the_closed_form(monkeypatch, ode):
+    # The step count is checked with the range, before the closed form
+    # is built and evaluated at the range start.
+    def fail(*args):
+        raise AssertionError("a profile was built before the step count was checked")
+
+    monkeypatch.setattr("isocurv.verify.cmc_slope_profile", fail)
+    monkeypatch.setattr("isocurv.verify.minimal_oscillation_profile", fail)
+    with pytest.raises(ValueError, match=r"^steps must be at least 1$"):
+        ode_crosscheck(ode, steps=0)
 
 
 def test_ode_crosscheck_guards_the_radicand():
@@ -1085,15 +1115,34 @@ def test_probe_report_serialization():
 
 
 def test_probe_detectors_trip_on_known_positives():
-    # Positive control: the probes draw only sheared instances, but the
+    # Positive controls: the probes draw only sheared instances, but the
     # detectors themselves must fire when handed a surface that realizes
-    # the probed property.  The unsheared ratio surface has K = -1 and
-    # H = 0 exactly, so it trips both detectors.
+    # the probed property, at the default floor and grid.  The unsheared
+    # ratio surface has K = -1 and H = 0 exactly, so it trips both.
     ratio = build_family("FS2.min.ratio")
-    const_k = probe_instances("afs2-constant-K", [ratio]).instances[0]
-    assert const_k.bad and not const_k.flat, f"constant-K control: {const_k.to_dict()}"
-    minimal = probe_instances("afs2-minimal", [ratio]).instances[0]
-    assert minimal.bad, f"minimal control: {minimal.to_dict()}"
+    # z = (2x + 1)(3(y + x/2) - 1/2): z_xy = 6 and z_yy = 0, so K = -36.
+    square = Rect((-1.0, 1.0), (-1.0, 1.0))
+    linear = AffineFactorable(TYPE1, lambda t: 2.0 * t + 1.0, lambda t: 3.0 * t - 0.5, 0.5, square)
+    controls = [
+        ("afs2-minimal", ratio),
+        ("afs2-minimal", build_family("FS2.min.tan")),
+        ("afs2-constant-K", ratio),
+        ("afs2-constant-K", build_family("FS2.K.hyperbolic")),
+        ("afs2-constant-K", linear),
+    ]
+    for kind, surface in controls:
+        report = probe_instances(kind, [surface])
+        inst = report.instances[0]
+        assert inst.bad and not inst.flat, f"{kind} control: {inst.to_dict()}"
+        assert report.counterexamples == 1, f"{kind} control: {inst.to_dict()}"
+
+
+def test_probe_detector_passes_a_known_negative():
+    # Negative control: AFS2.cmc.sqrt has H = 1, far above the floor.
+    report = probe_instances("afs2-minimal", [build_family("AFS2.cmc.sqrt")])
+    inst = report.instances[0]
+    assert inst.stat == pytest.approx(1.0) and not inst.bad, f"negative control: {inst.to_dict()}"
+    assert report.counterexamples == 0
 
 
 def test_probe_instances_classifies_flat_draws():
