@@ -336,16 +336,9 @@ class _MonotoneTable:
     starts at their secant and takes at most 64 Newton steps, where a
     step that would leave the bracket bisects it.  It stops at a zero
     residual, at a step that does not move t, or at a bracket with no
-    float inside, so equal inputs give identical floats.
-
-    Each table remembers its inversions, keyed by the ``z0`` passed in:
-    a grid repeats each height parameter along a whole grid line, so all
-    but the first inversion of each are lookups.  The memo holds at most
-    ``len(self.nodes)`` entries, more than the 1001 height parameters of
-    the largest grid, and is cleared when full.  Concurrent callers need
-    no lock: each key only ever receives the one value that the
-    deterministic steps compute.  Out-of-range values are never stored:
-    they raise :class:`BranchDomainError`, and a grid walk excludes them.
+    float inside, so equal inputs give identical floats.  ``invert`` is
+    pure: it remembers nothing, and a z0 outside the table raises
+    :class:`BranchDomainError`, which a grid walk excludes.
     """
 
     def __init__(self, antiderivative, slope, lo: float, hi: float) -> None:
@@ -357,7 +350,6 @@ class _MonotoneTable:
             raise ParameterError("integral table is not finite")
         if not all(a < b for a, b in zip(zs, zs[1:])):
             raise ParameterError("integral table is not strictly increasing")
-        self._inverted: dict[float, float] = {}
 
     @property
     def z_end(self) -> float:
@@ -365,10 +357,6 @@ class _MonotoneTable:
 
     def invert(self, z0: float) -> float:
         """The t with z(t) = z0, for z0 inside the tabulated range."""
-        memo = self._inverted
-        t = memo.get(z0)
-        if t is not None:
-            return t
         zs, nodes = self.zs, self.nodes
         if not (-1e-9 <= z0 <= zs[-1] + 1e-9):
             raise BranchDomainError("f2", z0, "a height parameter inside the tabulated range")
@@ -388,9 +376,6 @@ class _MonotoneTable:
             if step == a or step == b:
                 break
             t = step
-        if len(memo) >= len(nodes):
-            memo.clear()
-        memo[z0] = t
         return t
 
 
@@ -406,6 +391,14 @@ def build_integral_family(
     curvature of the chart collapses to (c2/t - radicand(t)) / c1^4.
     The heights and the domain carry only the rounding of the closed
     form and of its inversion, whose Newton slope is the integrand.
+
+    The height remembers the jet of its numerator c1 * f2(z), keyed by
+    the z seed's six components, since a grid repeats each z down a
+    whole column.  It is cleared once it holds one entry per table node,
+    more than the 1001 columns of the largest grid.  It is exact: equal keys
+    differ at most in the sign of a zero slot, which gives the same t
+    and which the scalar multiply by c1 turns into +0.0.  An equal key
+    only ever receives one value, so concurrent callers need no lock.
     """
     fid = "FS2.K.integral"
     _require(K0 != 0.0, fid, "K0 != 0")
@@ -435,15 +428,21 @@ def build_integral_family(
     except ParameterError as err:
         raise ParameterError(f"{fid}: {err}") from None
 
-    def slope_profile(zj: Jet2) -> Jet2:
-        t = table.invert(zj.v)
-        r = radicand(t)
-        d1 = 1.0 / math.sqrt(r)
-        d2 = c2 / (2.0 * t * t * r * r)
-        return jets.compose(t, d1, d2, zj)
+    numerators: dict[tuple[float, ...], Jet2] = {}
 
     def height(yj: Jet2, zj: Jet2) -> Jet2:
-        return c1 * slope_profile(zj) / yj
+        key = (zj.v, zj.dx, zj.dy, zj.dxx, zj.dxy, zj.dyy)
+        num = numerators.get(key)
+        if num is None:
+            t = table.invert(zj.v)
+            r = radicand(t)
+            d1 = 1.0 / math.sqrt(r)
+            d2 = c2 / (2.0 * t * t * r * r)
+            num = c1 * jets.compose(t, d1, d2, zj)
+            if len(numerators) >= len(table.nodes):
+                numerators.clear()
+            numerators[key] = num
+        return num / yj
 
     span = table.z_end
     pad = 0.01 * span

@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import math
 import operator
+import sys
 from collections.abc import Callable, Sequence
 from functools import partial
 from itertools import repeat
@@ -473,11 +474,13 @@ def finite_difference_check(
     Returns max over the five derivative components of
     |jet - fd| / (1 + |jet|).  When a domain is given, the point must
     sit at least 2h inside it so the stencil stays evaluable.  A step h
-    that is not finite and positive, or a non-finite gap, raises
-    ValueError; the step is checked before any evaluation.
+    that is not finite and > 0 or whose square underflows, or a
+    non-finite gap, raises ValueError; h is checked before evaluating.
     """
     if not (math.isfinite(h) and h > 0.0):
         raise ValueError(f"finite-difference step h must be finite and > 0, got {h!r}")
+    if h * h < sys.float_info.min:
+        raise ValueError(f"finite-difference step h must have a normal square, got {h!r}")
     if domain is not None and not domain.contains(point, margin=2.0 * h):
         raise ValueError(
             f"finite-difference stencil at {point!r} leaves the domain "
@@ -577,6 +580,8 @@ def ode_crosscheck(
     t0, t1 = trange if trange is not None else default_range
     if not t1 > t0:
         raise ValueError("ode range must satisfy hi > lo")
+    if type(steps) is not int:
+        raise ValueError(f"steps must be an integer, got {steps!r}")
     if steps < 1:
         raise ValueError("steps must be at least 1")
 

@@ -413,58 +413,127 @@ def test_table_inversion_round_trips_to_a_few_ulp(name):
     targets = [rng.uniform(0.0, z_end) for _ in range(10_000)] + table.zs + [0.0, z_end]
     worst = 0.0
     for z0 in targets:
-        table._inverted.clear()
         t = table.invert(z0)
         assert table.nodes[0] <= t <= table.nodes[-1], f"{name}: invert({z0!r}) = {t!r}"
         worst = max(worst, abs(F(t) - f_lo - z0))
     assert worst <= 4 * math.ulp(z_end), f"{name}: round trip off by {worst / math.ulp(z_end)} ulp"
 
 
-class _CountingIntegrand:
-    def __init__(self, fn):
-        self.fn = fn
-        self.calls = 0
+class _CountedTables:
+    """Counts, from here on, the inversions and Newton slope calls of every integral table."""
 
-    def __call__(self, t):
-        self.calls += 1
-        return self.fn(t)
+    def __init__(self, monkeypatch):
+        self.inverts = self.slopes = 0
+        init, invert = _MonotoneTable.__init__, _MonotoneTable.invert
+
+        def counted_init(table, antiderivative, slope, lo, hi):
+            def counted_slope(t):
+                self.slopes += 1
+                return slope(t)
+
+            init(table, antiderivative, counted_slope, lo, hi)
+
+        def counted_invert(table, z0):
+            self.inverts += 1
+            return invert(table, z0)
+
+        monkeypatch.setattr(_MonotoneTable, "__init__", counted_init)
+        monkeypatch.setattr(_MonotoneTable, "invert", counted_invert)
 
 
-def test_table_inversion_is_remembered_and_bit_identical():
-    slope = _CountingIntegrand(_radicand_slope(1.0, -1.0))
-    table = _integral_table("asinh", slope)
-    z0 = 0.37 * table.z_end
-    first = table.invert(z0)
-    slope.calls = 0
-    again = table.invert(z0)
-    assert slope.calls == 0, f"a repeated inversion called the slope {slope.calls} times"
-    fresh = _integral_table("asinh").invert(z0)
-    for got in (first, again):
-        assert got == fresh and repr(got) == repr(fresh), f"{got!r} != fresh {fresh!r}"
+def _integral_chart(name):
+    c2, K0, c1, lo, hi = _INTEGRAL_CASES[name]
+    return build_integral_family(K0=K0, c1=c1, c2=c2, f2_range=(lo, hi))
 
 
-def test_table_memo_is_bounded_by_its_nodes():
-    # The bound holds every height parameter of the largest grid, 1001.
-    table = _integral_table("asin")
-    fresh = _integral_table("asin")
-    bound = len(table.nodes)
+def _hex(j):
+    return tuple(map(float.hex, j.components()))
+
+
+def test_table_inversion_is_remembered_and_bit_identical(monkeypatch):
+    # The height remembers c1*f2(z) per z seed: a repeated z, under any
+    # y, neither inverts the table nor calls its Newton slope.
+    counts = _CountedTables(monkeypatch)
+    chart = _integral_chart("asinh")
+    lo, hi = chart.domain.v
+    z0 = lo + 0.37 * (hi - lo)
+    got = [jets.eval_field(chart.height, 0.7, z0)]
+    assert counts.inverts == 1 and counts.slopes > 0
+    counts.inverts = counts.slopes = 0
+    got += [jets.eval_field(chart.height, y, z0) for y in (0.7, 1.3)]
+    assert (counts.inverts, counts.slopes) == (0, 0), "a repeated z seed was inverted again"
+    for y, j in zip((0.7, 0.7, 1.3), got):
+        fresh = jets.eval_field(_integral_chart("asinh").height, y, z0)
+        assert _hex(j) == _hex(fresh), f"at y={y}: {j!r} != fresh {fresh!r}"
+
+
+def test_table_memo_is_bounded_by_its_nodes(monkeypatch):
+    # The memo holds one numerator per table node, more than the 1001
+    # columns of the largest grid, and is cleared when full.  The fresh
+    # chart sees each z once, so each of its values is computed anew.
+    bound = len(_integral_table("asin").nodes)
     assert bound >= 1001
-    for k in range(3 * bound + 1):
-        z0 = table.z_end * k / (3 * bound)
-        got = table.invert(z0)
-        assert len(table._inverted) <= bound, f"memo grew to {len(table._inverted)} > {bound}"
-        want = fresh.invert(z0)
-        fresh._inverted.clear()
-        assert got == want and repr(got) == repr(want), f"at {z0!r}: {got!r} != {want!r}"
-    assert table.invert(table.z_end) == fresh.invert(table.z_end)
+    counts = _CountedTables(monkeypatch)
+    chart, fresh = _integral_chart("asin"), _integral_chart("asin")
+    lo, hi = chart.domain.v
+    zs = [lo + (hi - lo) * k / bound for k in range(bound + 1)]
+    want = [_hex(jets.eval_field(fresh.height, 1.1, z)) for z in zs]
+
+    def inversions(k):
+        before = counts.inverts
+        got = _hex(jets.eval_field(chart.height, 1.1, zs[k]))
+        assert got == want[k], f"at z={zs[k]!r}: {got} != fresh {want[k]}"
+        return counts.inverts - before
+
+    assert [inversions(k) for k in range(bound)] == [1] * bound
+    assert inversions(0) == 0, "the memo dropped an entry before it was full"
+    assert inversions(bound) == 1
+    assert inversions(0) == 1, "the memo outgrew its bound"
 
 
-def test_table_rejects_out_of_range_without_storing():
-    table = _integral_table("linear")
-    for z0 in (-1.0, table.z_end + 1.0, float("nan")):
-        with pytest.raises(BranchDomainError):
-            table.invert(z0)
-    assert not table._inverted
+def test_table_rejects_out_of_range_without_storing(monkeypatch):
+    counts = _CountedTables(monkeypatch)
+    chart = _integral_chart("linear")
+    for z0 in (-1.0, 2.0 * chart.domain.v[1], float("nan")):
+        counts.inverts = 0
+        for _ in range(2):
+            with pytest.raises(BranchDomainError):
+                jets.eval_field(chart.height, 1.0, z0)
+        assert counts.inverts == 2, f"z={z0!r} was stored: {counts.inverts} inversions"
+
+
+def test_integral_grid_inverts_each_column_once(monkeypatch):
+    # Each of the 201 z values comes back on all 201 grid rows.
+    counts = _CountedTables(monkeypatch)
+    surface = build_family("FS2.K.integral")
+    counts.inverts = 0
+    run = sample_grid(surface, n=201)
+    assert not run.excluded
+    assert counts.inverts == 201, f"{counts.inverts} inversions"
+
+
+def test_integral_height_memo_is_exact_under_signed_zeros():
+    # Equal keys differ at most in the sign of a zero slot.  A seed with
+    # -0.0 slots, asked after its +0.0 twin, gets the twin's numerator:
+    # it must have the bits a fresh build gives the -0.0 seed itself.
+    # Seeds share their z values, so a key without the derivative slots
+    # would hand one seed another's numerator; each mask has its own
+    # fresh build, which sees each z once.
+    rng = SplitMix64(2604)
+    chart = _integral_chart("asinh")
+    lo, hi = chart.domain.v
+    zs = [rng.uniform(lo, hi) for _ in range(3)]
+    y = jets.coord1(0.9)
+    for mask in range(64):
+        fresh = _integral_chart("asinh")
+        for z in zs:
+            slots = [z] + [rng.uniform(-2.0, 2.0) for _ in range(5)]
+            zeroed = [bool(mask >> i & 1) for i in range(6)]
+            plus = jets.Jet2(*(0.0 if zero else s for zero, s in zip(zeroed, slots)))
+            minus = jets.Jet2(*(-0.0 if zero else s for zero, s in zip(zeroed, slots)))
+            chart.height(y, plus)
+            got, want = chart.height(y, minus), fresh.height(y, minus)
+            assert _hex(got) == _hex(want), f"mask {mask:06b}: {got!r} != fresh {want!r}"
 
 
 def test_table_that_does_not_increase_is_a_parameter_error():

@@ -933,6 +933,21 @@ def test_fd_check_refuses_a_bad_step_before_any_evaluation(h, domain):
     assert calls == []
 
 
+@pytest.mark.parametrize("h", [1e-160, 1e-200, 1e-300])
+def test_fd_check_refuses_a_step_whose_square_underflows(h):
+    # h*h is subnormal at 1e-160, where the gap read a meaningless 0.5,
+    # and 0.0 below, where the stencil was divided by zero.
+    calls = []
+
+    def field(x, y):
+        calls.append((x.v, y.v))
+        return x * y
+
+    with pytest.raises(ValueError, match=r"^finite-difference step h must have a normal square, got "):
+        finite_difference_check(field, (0.5, 0.5), h=h)
+    assert calls == []
+
+
 # ODE cross-checks -------------------------------------------------------
 
 
@@ -1029,6 +1044,21 @@ def test_ode_crosscheck_refuses_no_steps_before_building_the_closed_form(monkeyp
     monkeypatch.setattr("isocurv.verify.minimal_oscillation_profile", fail)
     with pytest.raises(ValueError, match=r"^steps must be at least 1$"):
         ode_crosscheck(ode, steps=0)
+
+
+@pytest.mark.parametrize("ode", ["afs1-minimal", "afs2-cmc"])
+@pytest.mark.parametrize("steps", [1.5, math.nan, True], ids=["fraction", "nan", "bool"])
+def test_ode_crosscheck_refuses_a_step_count_that_is_not_an_integer(monkeypatch, ode, steps):
+    # 1.5 and nan once built the closed form and then failed in range();
+    # True integrated one step.
+    def fail(*args):
+        raise AssertionError("a profile was built before the step count was checked")
+
+    monkeypatch.setattr("isocurv.verify.cmc_slope_profile", fail)
+    monkeypatch.setattr("isocurv.verify.minimal_oscillation_profile", fail)
+    with pytest.raises(ValueError) as info:
+        ode_crosscheck(ode, steps=steps)
+    assert str(info.value) == f"steps must be an integer, got {steps!r}"
 
 
 def test_ode_crosscheck_guards_the_radicand():
