@@ -28,14 +28,15 @@ Each formula is written once, in a line kernel: :func:`afs1_line` and
 :func:`afs2_line` apply it along one grid row and fill ``array('d')``
 columns of K, H and the height, or exclude the point with a text.
 :func:`grid_lines` is the one walk of a product grid: it yields each
-row's profile jets to grid sampling (``isocurv.verify.sample_grid``),
-which runs the kernels, and to the type-2 build check in
+row's profile jets to grid sampling, whose :func:`sample_lines` runs
+the kernel of the surface's kind, and to the type-2 build check in
 ``isocurv.catalog``, which runs :func:`regularity`.  The per-point
-routes :func:`afs1_curvatures` and :func:`afs2_curvatures` run their
-kind's kernel on a one-point row: an exclusion raises
-:class:`AdmissibilityError` with its text, and a non-finite K or H
-gives a NaN pair.  The tests compare the kernels bit for bit with the
-frozen point-by-point formulas in ``tests/reference_routes.py``.
+route of a kind, :attr:`AffineFactorable.route`, is
+:func:`afs1_curvatures` or :func:`afs2_curvatures`: its kernel on a
+one-point row.  An exclusion raises :class:`AdmissibilityError` with
+its text, and a non-finite K or H gives a NaN pair.  The tests compare
+the kernels bit for bit with the frozen point-by-point formulas in
+``tests/reference_routes.py``.
 
 These specialized routes are deliberately kept separate from the
 generic chart formulas in :mod:`isocurv.geometry` so the two can be
@@ -72,6 +73,7 @@ __all__ = [
     "afs2_curvatures",
     "afs2_line",
     "grid_lines",
+    "sample_lines",
     "regularity",
     "as_chart",
     "random_profile",
@@ -137,9 +139,13 @@ class AffineFactorable(Record):
         u1, u2 = self.profile_arguments(p)
         return jets.eval_profile(self.factor1, u1), jets.eval_profile(self.factor2, u2)
 
+    @property
+    def route(self) -> Callable[..., CurvaturePair]:
+        """This kind's closed-form route: :func:`afs1_curvatures` or :func:`afs2_curvatures`."""
+        return afs1_curvatures if self.kind == TYPE1 else afs2_curvatures
+
     def curvatures(self, p: tuple[float, float]) -> CurvaturePair:
-        route = afs1_curvatures if self.kind == TYPE1 else afs2_curvatures
-        return route(self, p, *self.profile_jets(p))
+        return self.route(self, p, *self.profile_jets(p))
 
 
 def afs1_curvatures(
@@ -155,14 +161,14 @@ def afs1_curvatures(
     """
     if s.kind != TYPE1:
         raise ValueError(f"afs1_curvatures needs a {TYPE1} surface, got {s.kind}")
-    return _one_point(afs1_line, s.shear, p[0], j1, (p[1],), (j2,))
+    return _one_point(afs1_line, s.shear, p[0], (p[1],), j1, (j2,))
 
 
 def afs1_line(
     a: float,
     x: float,
-    j1: Jet1 | str,
     ys: Sequence[float],
+    j1: Jet1 | str,
     j2s: Sequence[Jet1 | str],
     columns: Columns,
 ) -> None:
@@ -292,6 +298,15 @@ def _one_point(line: Callable[..., None], *args) -> CurvaturePair:
     if text == NON_FINITE:
         return CurvaturePair(math.nan, math.nan, math.nan)
     raise AdmissibilityError(text)
+
+
+def sample_lines(
+    s: AffineFactorable, us: Sequence[float], vs: Sequence[float], columns: Columns
+) -> None:
+    """Grid sampling's columns over us x vs: each :func:`grid_lines` row through s's kernel."""
+    line = afs1_line if s.kind == TYPE1 else afs2_line
+    for u, j1, j2s in grid_lines(s, us, vs):
+        line(s.shear, u, vs, j1, j2s, columns)
 
 
 def grid_lines(s: AffineFactorable, us: Sequence[float], vs: Sequence[float]) -> Iterator[tuple]:

@@ -266,10 +266,13 @@ class SurfaceChart(Record):
     def axes(self) -> tuple[str, str]:
         return ("x", "y") if self.orientation == Z_OVER_XY else ("y", "z")
 
+    @property
+    def route(self) -> Callable[..., CurvaturePair]:
+        """This orientation's route: :func:`monge_z_curvatures` or :func:`monge_x_curvatures`."""
+        return monge_z_curvatures if self.orientation == Z_OVER_XY else monge_x_curvatures
+
     def curvatures(self, p: tuple[float, float]) -> CurvaturePair:
-        if self.orientation == Z_OVER_XY:
-            return monge_z_curvatures(self.height, p)
-        return monge_x_curvatures(self.height, p)
+        return self.route(self.height, p)
 
     def point3d(self, p: tuple[float, float], w: float) -> tuple[float, float, float]:
         """The ambient (x, y, z) point at height w over chart coordinates p.

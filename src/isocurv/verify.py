@@ -17,11 +17,9 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 import sys
 from collections.abc import Callable, Sequence
 from functools import partial
-from itertools import repeat
 
 from . import jets
 from .jets import Jet2
@@ -30,29 +28,21 @@ from .geometry import (
     Record,
     Rect,
     SurfaceChart,
-    Z_OVER_XY,
     apply_motion,
     as_parametric,
     fields,
-    monge_x_curvatures,
-    monge_z_curvatures,
     parametric_curvatures,
 )
 from .factorable import (
-    TYPE1,
     TYPE2,
     _EVAL_ERRORS,
     NON_FINITE,
     AffineFactorable,
-    afs1_curvatures,
-    afs1_line,
-    afs2_curvatures,
-    afs2_line,
     as_chart,
-    grid_lines,
     is_planar,
     random_instance,
     regularity,
+    sample_lines,
 )
 from .catalog import _merged_params, cmc_slope_profile, minimal_oscillation_profile
 from .rng import SplitMix64
@@ -193,10 +183,9 @@ def sample_grid(surface, domain: Rect | None = None, n: int = 21, subject: str =
     with a reason instead of aborting the run.
 
     An :class:`AffineFactorable` is walked by grid lines, as its type-2
-    build check is (see :func:`_sample_product`), so its profiles must
-    be pure.  The line kernels ``afs1_line``/``afs2_line`` apply the
-    afs formulas per grid row, and ``surface.curvatures`` runs them on
-    one point.  Any other surface is evaluated point by point.
+    build check is: ``isocurv.factorable.sample_lines`` runs the line
+    kernel of its kind per grid row, so its profiles must be pure.  Any
+    other surface is evaluated point by point, by its own route.
 
     K, H and the heights go to ``array('d')`` columns, 8 bytes a value,
     and an included point is not stored (see :class:`GridRun`), so a
@@ -212,29 +201,26 @@ def sample_grid(surface, domain: Rect | None = None, n: int = 21, subject: str =
 
     graph = isinstance(surface, (AffineFactorable, SurfaceChart))
     columns = (array("d"), array("d"), array("d") if graph else None, [])
-    sample = _sample_product if isinstance(surface, AffineFactorable) else _sample_points
-    sample(surface, domain, n, columns)
+    sample = sample_lines if isinstance(surface, AffineFactorable) else _sample_points
+    sample(surface, *domain.coordinates(n), columns)
     ks, hs, heights, excluded = columns
     return GridRun(subject, domain, n, ks, hs, heights, tuple(excluded))
 
 
-def _sample_points(surface, domain: Rect, n: int, columns) -> None:
+def _sample_points(surface, us: Sequence[float], vs: Sequence[float], columns) -> None:
     """sample_grid's columns for a surface that is not a product, point by point.
 
-    The route that ``surface.curvatures`` would dispatch to is resolved
-    once per grid; a chart's is bound to its height by ``partial``, so a
-    point costs the route's own call and no other Python frame.  The
-    third column, the heights, is None for a surface that has no graph
-    height, and stays None.
+    A chart's route (``SurfaceChart.route``) is bound to its height by
+    ``partial`` once per grid, so a point costs the route's own call
+    and no other Python frame.  The third column, the heights, is None
+    for a surface that has no graph height, and stays None.
     """
     if isinstance(surface, SurfaceChart):
-        route = monge_z_curvatures if surface.orientation == Z_OVER_XY else monge_x_curvatures
-        curvatures = partial(route, surface.height)
+        curvatures = partial(surface.route, surface.height)
     else:
         curvatures = surface.curvatures
     ks, hs, heights, excluded = columns
     isfinite = math.isfinite
-    us, vs = domain.coordinates(n)
     for u in us:
         for v in vs:
             p = (u, v)
@@ -251,22 +237,6 @@ def _sample_points(surface, domain: Rect, n: int, columns) -> None:
                     heights.append(pair.w)
             else:
                 excluded.append((p, NON_FINITE))
-
-
-def _sample_product(s: AffineFactorable, domain: Rect, n: int, columns) -> None:
-    """sample_grid's columns for a product surface, one grid row at a time.
-
-    :func:`isocurv.factorable.grid_lines` gives each row's profile jets,
-    and the line kernel of the surface's kind appends the row's points
-    to the columns ``(ks, hs, heights, excluded)``.
-    """
-    us, vs = domain.coordinates(n)
-    if s.kind == TYPE1:
-        for u, j1, j2s in grid_lines(s, us, vs):
-            afs1_line(s.shear, u, j1, vs, j2s, columns)
-    else:
-        for u, j1s, j2s in grid_lines(s, us, vs):
-            afs2_line(s.shear, u, vs, j1s, j2s, columns)
 
 
 def check_constancy(
@@ -331,12 +301,20 @@ def _reduce(
         i, v = next((i, v) for i, v in enumerate(values) if not math.isfinite(v))
         raise ValueError(f"{check} got a non-finite sample at index {i}: {v!r}")
     mean = sum(values) / len(values)
-    if center is None:
-        center = mean
-    max_dev = max(map(abs, map(operator.sub, values, repeat(center))))
+    max_dev = _max_deviation(values, mean if center is None else center)
     return VerificationReport(
         max_abs_deviation=max_dev, mean=mean, passed=max_dev <= report["tolerance"], **report
     )
+
+
+def _max_deviation(values: Sequence[float], center: float) -> float:
+    """max |v - center| over finite values, from their extremes: the same float.
+
+    v - center rounds monotonically in v and center - v is its exact
+    negation; + 0.0 turns an all-zero -0.0 into abs's 0.0 and keeps a
+    NaN center's NaN.
+    """
+    return max(max(values) - center, center - min(values)) + 0.0
 
 
 def _require_finite_nonnegative(what: str, value: float) -> None:
@@ -371,7 +349,7 @@ def cross_validate(
     _require_finite_nonnegative("cross-validation tolerance", tol)
     chart = as_chart(instance)
     type2 = instance.kind == TYPE2
-    route = afs2_curvatures if type2 else afs1_curvatures
+    route = instance.route
     rng = SplitMix64(seed)
     (u_lo, u_hi), (v_lo, v_hi) = instance.domain.u, instance.domain.v
     deviations = []
@@ -708,12 +686,11 @@ def probe_instances(
             results.append(ProbeInstance(s.label, -1.0, False, True, False))
             continue
         if kind == "afs2-minimal":
-            stat = max(abs(v) for v in run.values("H"))
+            stat = _max_deviation(run.H, 0.0)
             results.append(ProbeInstance(s.label, stat, False, False, stat <= floor))
         else:
-            ks = run.values("K")
-            max_abs = max(abs(v) for v in ks)
-            spread = max(ks) - min(ks)
+            max_abs = _max_deviation(run.K, 0.0)
+            spread = max(run.K) - min(run.K)
             if max_abs <= floor:
                 results.append(ProbeInstance(s.label, spread, True, False, False))
             else:

@@ -8,8 +8,10 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from isocurv import jets
+from isocurv import jets, verify
 from isocurv.catalog import ParameterError, build_family, family_ids
 from isocurv.factorable import (
     NON_FINITE,
@@ -79,6 +81,30 @@ def test_constancy_refuses_a_non_finite_sample():
         check_constancy([1.0, 1.0, float("nan"), 1.0, 1.0], target=1.0)
     with pytest.raises(ValueError, match=r"index 4: -inf"):
         check_constancy([1.0, 1.0, 1.0, 1.0, float("-inf")])
+
+
+# Zeros of both signs, the smallest subnormal and normal, and the largest magnitudes.
+EDGE_SAMPLES = (
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -2.2250738585072014e-308, 1e308, -1e308
+)
+samples = st.one_of(st.sampled_from(EDGE_SAMPLES), st.floats(allow_nan=False, allow_infinity=False))
+
+
+@given(
+    values=st.lists(samples, min_size=4, max_size=12),
+    center=st.one_of(st.none(), samples, st.sampled_from((math.inf, -math.inf, math.nan))),
+)
+# All -0.0 about 0.0: the extremes give -0.0 where abs gives 0.0.
+@example(values=[-0.0] * 4, center=0.0)
+# A NaN target keeps its NaN, so the report refuses to serialize.
+@example(values=[1.0] * 4, center=math.nan)
+def test_max_deviation_from_the_extremes_is_the_max_of_every_deviation(values, center):
+    # The deviation comes from max(values) and min(values); it must be the
+    # float that the max of every |v - center| gives, sign of zero included.
+    report = check_constancy(values, target=center, tol=0.0)
+    c = sum(values) / len(values) if center is None else center
+    want = max(abs(v - c) for v in values)
+    assert report.max_abs_deviation.hex() == want.hex(), (values, center)
 
 
 def test_reports_never_serialize_nan():
@@ -1080,6 +1106,20 @@ def test_ode_crosscheck_refuses_a_non_finite_gap():
 def test_drawn_instances_are_never_planar():
     for inst in draw_nonplanar_type2(20, seed=5):
         assert not is_planar(inst), f"planar draw slipped through: {inst.label}"
+
+
+def test_draw_nonplanar_type2_gives_up_after_50_draws_per_instance(monkeypatch):
+    drawn = []
+
+    def counting(rng, kind):
+        drawn.append(random_instance(rng, kind))
+        return drawn[-1]
+
+    monkeypatch.setattr(verify, "is_planar", lambda s: True)
+    monkeypatch.setattr(verify, "random_instance", counting)
+    with pytest.raises(RuntimeError, match="^too many planar draws; generator looks degenerate$"):
+        draw_nonplanar_type2(3, seed=1)
+    assert len(drawn) == 150
 
 
 def test_probe_smoke_finds_no_counterexamples():
