@@ -3,8 +3,10 @@
 Each family couples a concrete construction (profiles, shear, default
 domain) with the curvature behavior it is supposed to have: identically
 flat (K = 0), minimal (H = 0), constant Gaussian curvature K0, or
-constant mean curvature H0.  ``build_family`` instantiates a family,
-``expected_profile`` reports both the claimed constant and the constant
+constant mean curvature H0; ``_CLAIM_MEANING`` states, once, which
+curvature each claim constrains and which parameter holds its constant.
+``build_family`` instantiates a family, ``expected_profile`` builds it
+the same way and reports both the claimed constant and the constant
 obtained by direct differentiation at the domain center, and
 ``isocurv.verify`` checks constancy over whole grids.
 
@@ -13,6 +15,8 @@ circulating closed form verbatim even though direct differentiation
 disagrees with the attached claim.  Their ids end in ``.printed`` when
 a corrected sibling exists.  Verification flags them instead of
 silently passing; the registry notes say what the discrepancy is.
+Those with ``has_derived_constant = False`` are built like any other
+family, and their profile reports no derived constant.
 
 Naming scheme for ids: ``<ansatz>.<behavior>.<shape>``.  The ansatz
 is AFS1/AFS2 (sheared product, a != 0) or FS1/FS2 (plain product,
@@ -133,6 +137,14 @@ _ANSATZ_KIND = {"AFS1": TYPE1, "FS1": TYPE1, "AFS2": TYPE2, "FS2": TYPE2}
 _BEHAVIOR_CLAIM = {
     "flat": CLAIM_FLAT, "min": CLAIM_MINIMAL, "K": CLAIM_CONST_K, "cmc": CLAIM_CONST_H
 }
+#: What each claim means: the curvature it constrains, and the parameter
+#: that holds its claimed constant (None for a claimed 0).
+_CLAIM_MEANING = {
+    CLAIM_FLAT: ("K", None),
+    CLAIM_MINIMAL: ("H", None),
+    CLAIM_CONST_K: ("K", "K0"),
+    CLAIM_CONST_H: ("H", "H0"),
+}
 
 
 class FamilySpec(Record):
@@ -203,11 +215,9 @@ class FamilySpec(Record):
 
 def quantity_for_claim(claim: str) -> str:
     """Which curvature a claim constrains: 'K' or 'H'."""
-    if claim in (CLAIM_FLAT, CLAIM_CONST_K):
-        return "K"
-    if claim in (CLAIM_MINIMAL, CLAIM_CONST_H):
-        return "H"
-    raise ValueError(f"unknown claim {claim!r}")
+    if claim not in _CLAIM_MEANING:
+        raise ValueError(f"unknown claim {claim!r}")
+    return _CLAIM_MEANING[claim][0]
 
 
 def _require(ok: bool, family_id: str, constraint: str) -> None:
@@ -565,7 +575,7 @@ def _nonzero(name: str, why: str = "") -> tuple[str, Callable[[dict], bool]]:
 
 
 _KNOWN_FN = (
-    "fn must be one of 'quadratic', 'exp', 'sin'",
+    f"fn must be one of {', '.join(map(repr, ARBITRARY_PROFILES))}",
     lambda p: p["fn"] in ARBITRARY_PROFILES,
 )
 _C2_NOT_ONE = ("c2 != 1", lambda p: p["c2"] != 1.0)
@@ -922,34 +932,26 @@ def _build(spec: FamilySpec, merged: dict):
         raise ParameterError(f"{spec.id}: evaluation failed while building: {err}") from None
 
 
-def _profile(spec: FamilySpec, merged: dict, surface) -> CurvatureProfile:
+def build_with_profile(family_id: str, **params) -> tuple[object, CurvatureProfile]:
+    """``build_family`` and ``expected_profile`` together, from a single build."""
+    spec = get_family(family_id)
+    merged = _merged_params(spec.id, spec.params, params)
+    surface = _build(spec, merged)
     claim = spec.claim
-    if claim == CLAIM_CONST_K:
-        claimed = merged["K0"]
-    elif claim == CLAIM_CONST_H:
-        claimed = merged["H0"]
-    else:
-        claimed = 0.0
+    quantity, name = _CLAIM_MEANING[claim]
+    claimed = 0.0 if name is None else merged[name]
     if not spec.has_derived_constant:
-        return CurvatureProfile(claim, claimed, None)
+        return surface, CurvatureProfile(claim, claimed, None)
     center = surface.domain.center()
     try:
-        derived = getattr(surface.curvatures(center), quantity_for_claim(claim))
+        derived = getattr(surface.curvatures(center), quantity)
         if not math.isfinite(derived):
             raise AdmissibilityError(NON_FINITE)
     except _EVAL_ERRORS as err:
         raise ParameterError(
             f"{spec.id}: evaluation failed at the domain center {center!r}: {err}"
         ) from None
-    return CurvatureProfile(claim, claimed, derived)
-
-
-def build_with_profile(family_id: str, **params) -> tuple[object, CurvatureProfile]:
-    """``build_family`` and ``expected_profile`` together, from a single build."""
-    spec = get_family(family_id)
-    merged = _merged_params(spec.id, spec.params, params)
-    surface = _build(spec, merged)
-    return surface, _profile(spec, merged, surface)
+    return surface, CurvatureProfile(claim, claimed, derived)
 
 
 def expected_profile(family_id: str, **params) -> CurvatureProfile:
@@ -957,10 +959,9 @@ def expected_profile(family_id: str, **params) -> CurvatureProfile:
 
     The derived value is the claim quantity evaluated by forward-mode
     differentiation at the center of the default domain; constancy over
-    grids is the verifier's job, not this function's.  A family without
-    a derived constant is not built.
+    grids is the verifier's job, not this function's.  The family is
+    built first, as ``build_family`` builds it, so every parameter set
+    the builder refuses is refused here with the same ParameterError,
+    also for a family without a derived constant.
     """
-    spec = get_family(family_id)
-    merged = _merged_params(spec.id, spec.params, params)
-    surface = _build(spec, merged) if spec.has_derived_constant else None
-    return _profile(spec, merged, surface)
+    return build_with_profile(family_id, **params)[1]

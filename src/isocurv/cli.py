@@ -391,11 +391,8 @@ def main(argv=None) -> int:
         # devnull, so that the flush at exit cannot fail again, and end quietly.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
-    except (UnknownFamilyError, ParameterError, ValueError) as err:
+    except (UnknownFamilyError, ValueError, OSError) as err:
         print(f"error: {_error_text(err)}", file=sys.stderr)
-        return 2
-    except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
         return 2
 
 

@@ -210,9 +210,12 @@ class Jet2(_Jet):
     #
     # The float/int branches of + and * are the exact scalar fast paths
     # described in the module docstring: each keeps every zero term of the
-    # jet-jet rule.  - and / coerce a number with _as_jet instead.  A Jet1
-    # operand goes to Jet1's rule, which reads this jet's x slots with the
-    # operands in the same order.
+    # jet-jet rule.  - and / coerce a number with _as_jet instead.  Only +
+    # and * forward a Jet1 operand to Jet1's rule themselves: Jet1's
+    # reflected + and * are aliases that would swap the operands, which
+    # changes which NaN payload survives and the order of the product's
+    # sums.  - and / leave a Jet1 to Jet1's __rsub__ and __rtruediv__,
+    # which keep the operands in order.
 
     def __add__(self, other):
         k = other.__class__
@@ -250,8 +253,6 @@ class Jet2(_Jet):
     def __sub__(self, other):
         k = other.__class__
         if k is not Jet2:
-            if k is Jet1:
-                return Jet1.__sub__(self, other)
             other = _as_jet(other)
             if other is None:
                 return NotImplemented
@@ -303,14 +304,12 @@ class Jet2(_Jet):
 
     # Division as the module docstring states it: the reciprocal jet's
     # components stay in locals, and the jet-jet product rule reads them
-    # in its own order.  A Jet1 divisor goes to Jet1's rule, as a Jet1
-    # factor does.
+    # in its own order.  A Jet1 divisor reaches Jet1's rule through
+    # Jet1.__rtruediv__, with the operands in order.
 
     def __truediv__(self, other):
         k = other.__class__
         if k is not Jet2:
-            if k is Jet1:
-                return Jet1.__truediv__(self, other)
             other = _as_jet(other)
             if other is None:
                 return NotImplemented

@@ -154,9 +154,10 @@ def test_verify_builds_the_family_once(capsys, monkeypatch):
         code, out, err = run_cli(capsys, "verify", "--family", fid, "--grid", "5")
         assert code in (0, 1) and json.loads(out)["subject"] == fid, f"{fid}: {err}"
     assert builds == families, f"builds: {builds}"
-    # A family without a derived constant has no profile to build for.
+    # expected_profile builds once, also a family without a derived
+    # constant, so that it refuses what the builder refuses.
     catalog.expected_profile("FS2.min.ratio.printed")
-    assert builds == families
+    assert builds == families + ["FS2.min.ratio.printed"]
 
 
 def test_non_finite_parameters_exit_2(capsys, tmp_path):

@@ -19,6 +19,14 @@ run includes it and the other does not (a value crossed a fixed floor)
 or where a compared value is subnormal; skips are counted and must be
 few.  So must the points set apart because a kernel's float ``** 2``
 rounded a scaled square differently (see :func:`_pow_rounds_apart`).
+
+Reflections are exact too, since negation is.  Mirroring a product's
+chart in one coordinate, with the shear negated, gives a product of the
+same kind whose profile on that side takes -t (:func:`_mirror`).  Its K
+and H at the mirrored point equal the original's bit for bit, except
+that mirroring z, the isotropic direction, flips the sign of type 2's H.
+These are compared through the per-point routes, since a mirrored
+rectangle's grid coordinates are not exact negations of the original's.
 """
 
 import math
@@ -29,7 +37,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from isocurv.catalog import build_family, family_ids
-from isocurv.factorable import TYPE1, TYPE2, AffineFactorable, random_instance
+from isocurv.factorable import _EVAL_ERRORS, TYPE1, TYPE2, AffineFactorable, random_instance
 from isocurv.geometry import Rect
 from isocurv.rng import SplitMix64
 from isocurv.verify import sample_grid
@@ -159,3 +167,71 @@ def test_every_product_family_scales_exactly(k, m):
 def test_random_instances_scale_exactly(seed, kind, k, m):
     assume(k != m)
     _require_few(_compare(random_instance(SplitMix64(seed), kind), k, m, 7))
+
+
+def _mirror(s: AffineFactorable, axis: int) -> AffineFactorable:
+    """s mirrored in its chart's coordinate ``axis`` (0 or 1), with the shear negated.
+
+    Type 1, z = f1(x)*f2(y + a*x): mirroring x gives f1(-t), mirroring y
+    f2(-t).  Type 2, x = f1(y + a*z)*f2(z): mirroring y gives f1(-t),
+    mirroring z f2(-t).  The shifted arguments at the mirrored point are
+    the originals, negated on the mirrored side, with no rounding.
+    """
+    f1, f2 = s.factor1, s.factor2
+    (u0, u1), (v0, v1) = s.domain.u, s.domain.v
+    if axis == 0:
+        return AffineFactorable(
+            s.kind, lambda t: f1(-t), f2, -s.shear, Rect((-u1, -u0), (v0, v1))
+        )
+    return AffineFactorable(s.kind, f1, lambda t: f2(-t), -s.shear, Rect((u0, u1), (-v1, -v0)))
+
+
+def _per_point(s: AffineFactorable, p: tuple[float, float]):
+    """(K, H) of s's per-point route at p, or the class of the error that excludes p."""
+    try:
+        c = s.curvatures(p)
+    except _EVAL_ERRORS as err:
+        return type(err)
+    return c.K, c.H
+
+
+def _same(x: float, y: float) -> bool:
+    return _bits(x) == _bits(y) or (math.isnan(x) and math.isnan(y))
+
+
+def _compare_mirrors(s: AffineFactorable, n: int) -> dict:
+    """Counts of compared and skipped points for s and both of its mirrors on an n^2 grid.
+
+    A point that s excludes is skipped, and each mirror must exclude it
+    with the same error class.  Elsewhere K and H must match in every bit.
+    """
+    counts = {"compared": 0, "skipped": 0}
+    for axis in (0, 1):
+        t = _mirror(s, axis)
+        h_sign = -1.0 if s.kind == TYPE2 and axis == 1 else 1.0
+        for p in s.domain.grid(n):
+            q = (-p[0], p[1]) if axis == 0 else (p[0], -p[1])
+            base, got = _per_point(s, p), _per_point(t, q)
+            if isinstance(base, type):
+                assert got is base, f"{s.label} at {p!r}, axis {axis}: {base} -> {got}"
+                counts["skipped"] += 1
+                continue
+            want = (base[0], h_sign * base[1])
+            assert not isinstance(got, type) and all(map(_same, got, want)), (
+                f"{s.label} at {p!r}, axis {axis}: got {got!r}, want {want!r}"
+            )
+            counts["compared"] += 1
+    return counts
+
+
+def test_every_product_family_mirrors_exactly():
+    for s in PRODUCTS:
+        assert _compare_mirrors(s, 9) == {"compared": 162, "skipped": 0}, s.label
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1))
+def test_random_instances_mirror_exactly(seed):
+    for kind in (TYPE1, TYPE2):
+        counts = _compare_mirrors(random_instance(SplitMix64(seed), kind), 7)
+        assert 20 * counts["skipped"] <= counts["compared"], counts
