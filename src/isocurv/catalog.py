@@ -103,7 +103,9 @@ _RADICAND_FLOOR = 1e-6
 
 
 class UnknownFamilyError(KeyError):
-    """Raised for a family id that is not in the registry."""
+    """Raised for a family id that is not in the registry; its text is the bare message."""
+
+    __str__ = Exception.__str__
 
 
 class ParameterError(ValueError):

@@ -13,7 +13,6 @@ SIGPIPE) when the reader of stdout closes it early.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import re
 import sys
@@ -37,12 +36,6 @@ SIZE_LIMITS = {
     "points": (1, 100_000),
     "steps": (1, 100_000),
 }
-
-
-def _error_text(err: BaseException) -> str:
-    if isinstance(err, KeyError) and err.args:
-        return str(err.args[0])
-    return str(err)
 
 
 def _parse_params(pairs) -> dict:
@@ -93,6 +86,12 @@ def _parse_domain(text: str, axes: tuple[str, str]) -> Rect:
     return Rect(intervals[0], intervals[1])
 
 
+def _sample(args, surface) -> verify.GridRun:
+    """``surface`` sampled on ``--grid``'s grid over ``--domain``, or over its own domain."""
+    domain = _parse_domain(args.domain, _chart(surface).axes()) if args.domain else None
+    return verify.sample_grid(surface, domain=domain, n=args.grid, subject=args.family)
+
+
 def _check_sizes(args) -> None:
     for name, (lo, hi) in SIZE_LIMITS.items():
         value = getattr(args, name, None)
@@ -133,10 +132,7 @@ def _cmd_verify(args) -> int:
     spec = catalog.get_family(args.family)
     surface, profile = catalog.build_with_profile(args.family, **params)
     quantity = catalog.quantity_for_claim(profile.claim)
-    domain = None
-    if args.domain:
-        domain = _parse_domain(args.domain, _chart(surface).axes())
-    run = verify.sample_grid(surface, domain=domain, n=args.grid, subject=args.family)
+    run = _sample(args, surface)
     notes = spec.notes
     if profile.derived_value is None:
         target = profile.claimed_value
@@ -179,11 +175,7 @@ def _vertex_rows(point3d, us, v_texts, heights, sep):
 def _cmd_grid(args) -> int:
     params = _parse_params(args.param)
     surface = catalog.build_family(args.family, **params)
-    chart = _chart(surface)
-    domain = None
-    if args.domain:
-        domain = _parse_domain(args.domain, chart.axes())
-    run = verify.sample_grid(surface, domain=domain, n=args.grid, subject=args.family)
+    run = _sample(args, surface)
     if run.excluded:
         first_point, first_reason = run.excluded[0]
         print(
@@ -192,6 +184,7 @@ def _cmd_grid(args) -> int:
             file=sys.stderr,
         )
         return 1
+    point3d = _chart(surface).point3d
     n = run.n
     us, vs = run.domain.coordinates(n)
     v_texts = ["%.17g" % v for v in vs]
@@ -203,12 +196,12 @@ def _cmd_grid(args) -> int:
         write = fh.write
         if args.format == "csv":
             write("x,y,z,K,H\n")
-            for row, spec, columns in _vertex_rows(chart.point3d, us, v_texts, run.heights, ","):
+            for row, spec, columns in _vertex_rows(point3d, us, v_texts, run.heights, ","):
                 line = spec + ",%.17g,%.17g\n"
                 write("".join(map(line.__mod__, zip(*columns, run.K[row], run.H[row]))))
         else:
             write(f"# {args.family} sampled on a {n}x{n} grid\n")
-            for _, spec, columns in _vertex_rows(chart.point3d, us, v_texts, run.heights, " "):
+            for _, spec, columns in _vertex_rows(point3d, us, v_texts, run.heights, " "):
                 write("".join(map(f"v {spec}\n".__mod__, zip(*columns))))
             # Two triangles per cell, whose first corner is vertex a =
             # i*n + j + 1 (rows i, columns j, both up to n - 2).
@@ -255,16 +248,9 @@ def _cmd_ode_check(args) -> int:
     params = _parse_params(args.param)
     trange = _parse_interval(args.range, "--range") if args.range else None
     max_error = verify.ode_crosscheck(args.ode, params or None, trange, args.steps)
-    passed = max_error <= args.tol
-    payload = {
-        "ode": args.ode,
-        "steps": args.steps,
-        "max_error": max_error,
-        "tolerance": args.tol,
-        "pass": passed,
-    }
-    print(json.dumps(payload, indent=2, allow_nan=False))
-    return 0 if passed else 1
+    report = verify.OdeReport(args.ode, args.steps, max_error, args.tol, max_error <= args.tol)
+    _print_report(report, None)
+    return 0 if report.passed else 1
 
 
 def _family_grid_options(p: argparse.ArgumentParser) -> None:
@@ -392,7 +378,7 @@ def main(argv=None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
     except (UnknownFamilyError, ValueError, OSError) as err:
-        print(f"error: {_error_text(err)}", file=sys.stderr)
+        print(f"error: {err}", file=sys.stderr)
         return 2
 
 

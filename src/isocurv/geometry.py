@@ -281,8 +281,8 @@ class SurfaceChart(Record):
         (``CurvaturePair.w``); nothing is evaluated here.  This is the
         one place that puts chart coordinates and height in (x, y, z)
         order, and it only permutes its arguments, so it takes any
-        values in their places: ``isocurv grid`` passes a grid row's
-        coordinate text, the column texts and the row's heights.
+        values in their places: :func:`as_parametric` passes fields,
+        ``isocurv grid`` a row's coordinate text, column texts and heights.
         """
         if self.orientation == Z_OVER_XY:
             return (p[0], p[1], w)
@@ -381,11 +381,6 @@ def parametric_curvatures(r: tuple[Jet2, Jet2, Jet2], p: tuple[float, float]) ->
 
 
 def as_parametric(chart: SurfaceChart) -> ParametricSurface:
-    """The obvious parametrization of a graph surface by its chart plane."""
-    if chart.orientation == Z_OVER_XY:
-        return ParametricSurface(
-            x=lambda u, v: u, y=lambda u, v: v, z=chart.height, domain=chart.domain
-        )
-    return ParametricSurface(
-        x=chart.height, y=lambda u, v: u, z=lambda u, v: v, domain=chart.domain
-    )
+    """The obvious parametrization of a graph surface by its chart plane, in point3d's order."""
+    u, v = (lambda u, v: u), (lambda u, v: v)
+    return ParametricSurface(*chart.point3d((u, v), chart.height), domain=chart.domain)

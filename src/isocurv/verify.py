@@ -61,6 +61,7 @@ __all__ = [
     "ode_crosscheck",
     "ProbeInstance",
     "ProbeReport",
+    "OdeReport",
     "draw_nonplanar_type2",
     "probe_instances",
     "probe_nonexistence",
@@ -625,6 +626,17 @@ class ProbeReport(_Report):
         counterexamples: int,
         min_stat: float,
         instances: tuple[ProbeInstance, ...],
+    ) -> None:
+        self._set(locals())
+
+    __slots__ = __match_args__ = fields(__init__)
+
+
+class OdeReport(_Report):
+    """An ``ode_crosscheck`` error against its tolerance, as ``isocurv ode-check`` prints it."""
+
+    def __init__(
+        self, ode: str, steps: int, max_error: float, tolerance: float, passed: bool
     ) -> None:
         self._set(locals())
 

@@ -94,6 +94,13 @@ def test_unknown_family_raises():
         build_family("FS9.does.not.exist")
 
 
+def test_an_unknown_family_error_is_a_key_error_with_the_bare_message():
+    with pytest.raises(KeyError) as err:
+        get_family("nope")
+    assert isinstance(err.value, UnknownFamilyError)
+    assert str(err.value) == "unknown family id 'nope'"
+
+
 def test_unknown_parameter_raises():
     with pytest.raises(ParameterError) as err:
         build_family("FS1.min.xy", c9=1.0)

@@ -266,7 +266,7 @@ def test_bad_arguments_are_refused_before_any_work(capsys, monkeypatch, argv, ta
 
 def test_verify_unknown_family(capsys):
     code, out, err = run_cli(capsys, "verify", "--family", "FS9.not.here")
-    assert code == 2 and err.startswith("error:"), f"exit {code}, stderr {err!r}"
+    assert (code, out, err) == (2, "", "error: unknown family id 'FS9.not.here'\n")
 
 
 def test_verify_rejects_bad_parameter_syntax(capsys):
@@ -633,6 +633,19 @@ def test_ode_check_never_prints_non_finite_json(capsys):
     assert err.startswith("error:"), f"stderr {err!r}"
 
 
+def test_ode_check_prints_its_report_through_the_report_serializer(capsys):
+    code, out, err = run_cli(
+        capsys, "ode-check", "--ode", "afs1-minimal", "--steps", "3", "--tol", "0"
+    )
+    max_error = verify.ode_crosscheck("afs1-minimal", None, None, 3)
+    report = verify.OdeReport("afs1-minimal", 3, max_error, 0.0, False)
+    assert (code, out, err) == (1, report.to_json() + "\n", "")
+    assert out == (
+        '{\n  "ode": "afs1-minimal",\n  "steps": 3,\n  "max_error": %r,\n'
+        '  "tolerance": 0.0,\n  "pass": false\n}\n' % max_error
+    )
+
+
 def test_ode_check_with_explicit_range_and_steps(capsys):
     code, out, err = run_cli(
         capsys,
@@ -806,6 +819,33 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0, f"stderr: {proc.stderr}"
     assert "AFS1.K.saddle" in proc.stdout
+
+
+def test_the_runtime_imports_only_the_standard_library():
+    # -S leaves site-packages off sys.path, so the commands below can
+    # import only the standard library and isocurv; every module they
+    # load must be one of those.
+    src = str(Path(catalog.__file__).resolve().parents[1])
+    child = f"""
+import contextlib, io, sys
+sys.path.insert(0, {src!r})
+from isocurv.cli import main
+for argv in (
+    ["list"],
+    ["verify", "--family", "FS2.K.integral", "--grid", "5"],
+    ["cross-validate", "--kind", "type-2", "--points", "10"],
+    ["probe", "--kind", "afs2-minimal", "--count", "2"],
+    ["ode-check", "--ode", "afs2-cmc"],
+):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0, argv
+allowed = {{*sys.stdlib_module_names, "isocurv", "__main__"}}
+print(sorted({{name.partition(".")[0] for name in sys.modules}} - allowed))
+"""
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", child], capture_output=True, text=True, timeout=120
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
 def test_a_closed_stdout_ends_the_run_quietly():

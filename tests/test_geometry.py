@@ -331,6 +331,18 @@ def test_point3d_evaluates_nothing():
     assert chart.point3d((2.0, 3.0), -0.0) == (-0.0, 2.0, 3.0)
 
 
+def test_as_parametric_puts_its_coordinates_in_point3d_order():
+    for orientation in (Z_OVER_XY, X_OVER_YZ):
+        chart = SurfaceChart(orientation, lambda P, Q: P * Q + 2.0 * P, UNIT)
+        patch = as_parametric(chart)
+        assert patch.domain == chart.domain
+        height_slot = patch.z if orientation == Z_OVER_XY else patch.x
+        assert height_slot is chart.height
+        p = (0.25, 0.75)
+        values = tuple(j.v for j in patch.jets(p))
+        assert values == chart.point3d(p, chart.curvatures(p).w)
+
+
 def test_curvature_pairs_compare_without_the_height():
     pair = monge_z_curvatures(lambda x, y: x * y + 1.0, (2.0, 3.0))
     assert (pair.K, pair.H, pair.w) == (-1.0, 0.0, 7.0)

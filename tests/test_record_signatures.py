@@ -14,7 +14,7 @@ import pytest
 from isocurv.catalog import CurvatureProfile, FamilySpec
 from isocurv.factorable import AffineFactorable
 from isocurv.geometry import Motion, ParametricSurface, Rect, SurfaceChart
-from isocurv.verify import GridRun, ProbeInstance, ProbeReport, VerificationReport
+from isocurv.verify import GridRun, OdeReport, ProbeInstance, ProbeReport, VerificationReport
 
 SIGNATURES = {
     Rect: "(u: 'tuple[float, float]', v: 'tuple[float, float]') -> 'None'",
@@ -58,6 +58,10 @@ SIGNATURES = {
         "(kind: 'str', count: 'int', seed: 'int', grid: 'int', floor: 'float', "
         "counterexamples: 'int', min_stat: 'float', "
         "instances: 'tuple[ProbeInstance, ...]') -> 'None'"
+    ),
+    OdeReport: (
+        "(ode: 'str', steps: 'int', max_error: 'float', tolerance: 'float', "
+        "passed: 'bool') -> 'None'"
     ),
 }
 

@@ -21,7 +21,7 @@ from isocurv import catalog
 from isocurv.catalog import CurvatureProfile, FamilySpec
 from isocurv.factorable import TYPE1, TYPE2, AffineFactorable
 from isocurv.geometry import Motion, ParametricSurface, Rect, SurfaceChart, X_OVER_YZ, Z_OVER_XY
-from isocurv.verify import GridRun, ProbeInstance, ProbeReport, VerificationReport
+from isocurv.verify import GridRun, OdeReport, ProbeInstance, ProbeReport, VerificationReport
 
 BOX = Rect((0.0, 1.0), (0.5, 1.5))
 BOX_REPR = "Rect(u=(0.0, 1.0), v=(0.5, 1.5))"
@@ -117,6 +117,11 @@ CASES = [
         "flat=False, degenerate=False, bad=True),))",
     ),
     (
+        OdeReport,
+        {"ode": "afs2-cmc", "steps": 1000, "max_error": 3e-13, "tolerance": 1e-6, "passed": True},
+        "OdeReport(ode='afs2-cmc', steps=1000, max_error=3e-13, tolerance=1e-06, passed=True)",
+    ),
+    (
         CurvatureProfile,
         {"claim": "K-const", "claimed_value": -1.0, "derived_value": None},
         "CurvatureProfile(claim='K-const', claimed_value=-1.0, derived_value=None)",
@@ -133,7 +138,10 @@ CASES = [
 ]
 
 #: Classes none of whose fields hold a function, so pickle can round-trip them.
-PICKLABLE = {Rect, Motion, GridRun, VerificationReport, ProbeInstance, ProbeReport, CurvatureProfile}
+PICKLABLE = {
+    Rect, Motion, GridRun, VerificationReport, ProbeInstance, ProbeReport, OdeReport,
+    CurvatureProfile,
+}
 
 ids = [case[0].__name__ for case in CASES]
 

@@ -27,6 +27,13 @@ and H at the mirrored point equal the original's bit for bit, except
 that mirroring z, the isotropic direction, flips the sign of type 2's H.
 These are compared through the per-point routes, since a mirrored
 rectangle's grid coordinates are not exact negations of the original's.
+
+The chart route and the parametric route answer to the same relations
+through a chart's height alone, with no knowledge of its profiles
+(:func:`_scaled_chart`, :func:`_mirrored_chart`).  That covers
+FS2.K.integral, which is built as a chart, next to the product families.
+Mirroring z on an x-graph flips the chart route's H but not the
+parametric route's, whose H takes its sign from the parametrization.
 """
 
 import math
@@ -37,8 +44,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from isocurv.catalog import build_family, family_ids
-from isocurv.factorable import _EVAL_ERRORS, TYPE1, TYPE2, AffineFactorable, random_instance
-from isocurv.geometry import Rect
+from isocurv.factorable import (
+    _EVAL_ERRORS,
+    TYPE1,
+    TYPE2,
+    AffineFactorable,
+    as_chart,
+    random_instance,
+)
+from isocurv.geometry import X_OVER_YZ, Z_OVER_XY, Rect, SurfaceChart, as_parametric
 from isocurv.rng import SplitMix64
 from isocurv.verify import sample_grid
 
@@ -186,7 +200,7 @@ def _mirror(s: AffineFactorable, axis: int) -> AffineFactorable:
     return AffineFactorable(s.kind, f1, lambda t: f2(-t), -s.shear, Rect((u0, u1), (-v1, -v0)))
 
 
-def _per_point(s: AffineFactorable, p: tuple[float, float]):
+def _per_point(s, p: tuple[float, float]):
     """(K, H) of s's per-point route at p, or the class of the error that excludes p."""
     try:
         c = s.curvatures(p)
@@ -235,3 +249,92 @@ def test_random_instances_mirror_exactly(seed):
     for kind in (TYPE1, TYPE2):
         counts = _compare_mirrors(random_instance(SplitMix64(seed), kind), 7)
         assert 20 * counts["skipped"] <= counts["compared"], counts
+
+
+#: Every catalog chart by family id: as_chart of the 29 products, and FS2.K.integral's own.
+CHARTS = {s.label: as_chart(s) for s in PRODUCTS}
+CHARTS["FS2.K.integral"] = build_family("FS2.K.integral")
+#: The surface each route evaluates for a chart: the chart itself, or its patch.
+ROUTES = {"chart": lambda c: c, "parametric": as_parametric}
+
+
+def _scaled_chart(c: SurfaceChart, k: int, m: int) -> tuple[SurfaceChart, float, float]:
+    """c's image under the similarity with l = 2^k, n = 2^m, and its chart coordinates' factors.
+
+    Only c's height h is used: a z-graph's image is n*h(X/l, Y/l) over
+    (l*x, l*y), an x-graph's is l*h(Y/l, Z/n) over (l*y, n*z).
+    """
+    lam, nu = math.ldexp(1.0, k), math.ldexp(1.0, m)
+    su, sv, out = (lam, lam, nu) if c.orientation == Z_OVER_XY else (lam, nu, lam)
+    h = c.height
+
+    def g(P, Q):
+        return out * h(P * (1.0 / su), Q * (1.0 / sv))
+
+    (u0, u1), (v0, v1) = c.domain.u, c.domain.v
+    return SurfaceChart(c.orientation, g, Rect((su * u0, su * u1), (sv * v0, sv * v1))), su, sv
+
+
+def _mirrored_chart(c: SurfaceChart, axis: int) -> SurfaceChart:
+    """c mirrored in its chart coordinate ``axis`` (0 or 1): h(-P, Q) or h(P, -Q)."""
+    h = c.height
+    (u0, u1), (v0, v1) = c.domain.u, c.domain.v
+    if axis == 0:
+        return SurfaceChart(c.orientation, lambda P, Q: h(-P, Q), Rect((-u1, -u0), (v0, v1)))
+    return SurfaceChart(c.orientation, lambda P, Q: h(P, -Q), Rect((u0, u1), (-v1, -v0)))
+
+
+def _compare_points(base, image, points, to_image, scales, what: str) -> dict:
+    """Counts of compared and skipped points of base against its image.
+
+    At each point p of ``points``, the image at ``to_image(p)`` must
+    give base's K and H times ``scales`` in every bit.  A point is
+    skipped where either excludes it or a compared value is not normal.
+    """
+    counts = {"compared": 0, "skipped": 0}
+    for p in points:
+        q = to_image(p)
+        got, img = _per_point(base, p), _per_point(image, q)
+        if isinstance(got, type) or isinstance(img, type):
+            counts["skipped"] += 1
+            continue
+        want = (got[0] * scales[0], got[1] * scales[1])
+        if not all(map(_normal, (*got, *img, *want))):
+            counts["skipped"] += 1
+            continue
+        assert all(map(_same, img, want)), (
+            f"{what} at {p!r} -> {q!r}: got {img!r}, want {want!r}"
+        )
+        counts["compared"] += 1
+    return counts
+
+
+@settings(max_examples=5, deadline=None)
+@given(k=exponents, m=exponents)
+def test_charts_and_patches_scale_exactly(k, m):
+    assume(k != m)
+    assert len(CHARTS) == 30
+    scales = (math.ldexp(1.0, 2 * m - 4 * k), math.ldexp(1.0, m - 2 * k))
+    for fid, c in CHARTS.items():
+        t, su, sv = _scaled_chart(c, k, m)
+        points = c.domain.grid(9)
+        for route, surface in ROUTES.items():
+            what = f"{fid}, {route} route, k={k} m={m}"
+            found = _compare_points(
+                surface(c), surface(t), points, lambda p: (su * p[0], sv * p[1]), scales, what
+            )
+            assert found == {"compared": 81, "skipped": 0}, what
+
+
+def test_charts_and_patches_mirror_exactly():
+    for fid, c in CHARTS.items():
+        points = c.domain.grid(9)
+        for axis in (0, 1):
+            t = _mirrored_chart(c, axis)
+            mirror = (lambda p: (-p[0], p[1])) if axis == 0 else (lambda p: (p[0], -p[1]))
+            flip = c.orientation == X_OVER_YZ and axis == 1
+            for route, surface in ROUTES.items():
+                what = f"{fid}, {route} route, axis {axis}"
+                h_sign = -1.0 if flip and route == "chart" else 1.0
+                found = _compare_points(surface(c), surface(t), points, mirror, (1.0, h_sign), what)
+                assert found == {"compared": 81, "skipped": 0}, what
