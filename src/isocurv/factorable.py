@@ -49,7 +49,7 @@ import math
 from collections.abc import Callable, Iterator, MutableSequence, Sequence
 
 from . import jets
-from .jets import BranchDomainError, Jet1, Jet2
+from .jets import BranchDomainError, Jet1, Jet2, _new
 from .geometry import (
     ADMISSIBILITY_EPS,
     AdmissibilityError,
@@ -293,7 +293,11 @@ def _one_point(line: Callable[..., None], *args) -> CurvaturePair:
     ks, hs, heights, excluded = columns = ([], [], [], [])
     line(*args, columns)
     if ks:
-        return CurvaturePair(ks[0], hs[0], heights[0])
+        r = _new(CurvaturePair)
+        r.K = ks[0]
+        r.H = hs[0]
+        r.w = heights[0]
+        return r
     text = excluded[0][1]
     if text == NON_FINITE:
         return CurvaturePair(math.nan, math.nan, math.nan)

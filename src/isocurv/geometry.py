@@ -36,7 +36,7 @@ import math
 from collections.abc import Callable
 
 from . import jets
-from .jets import Jet2, Value
+from .jets import Jet2, Value, _new
 
 __all__ = [
     "ADMISSIBILITY_EPS",
@@ -78,8 +78,8 @@ class CurvaturePair(Value):
 
     A :class:`~isocurv.jets.Value` rather than a :class:`Record`, as
     :class:`~isocurv.jets.Jet2` is: every route builds one per point,
-    and a record's construction costs more.  Pairs are immutable by
-    convention; no code assigns a field after construction.
+    in place as jets are, and enters no ``__init__``; that is there for
+    callers, with equal pairs.  Pairs are immutable by convention.
     """
 
     __slots__ = ("K", "H", "w")
@@ -315,7 +315,11 @@ def monge_z_curvatures(height: Field, p: tuple[float, float]) -> CurvaturePair:
     j = jets.eval_field(height, p[0], p[1])
     K = j.dxx * j.dyy - j.dxy * j.dxy
     H = 0.5 * (j.dxx + j.dyy)
-    return CurvaturePair(K, H, j.v)
+    r = _new(CurvaturePair)
+    r.K = K
+    r.H = H
+    r.w = j.v
+    return r
 
 
 def monge_x_curvatures(height: Field, p: tuple[float, float]) -> CurvaturePair:
@@ -333,7 +337,11 @@ def monge_x_curvatures(height: Field, p: tuple[float, float]) -> CurvaturePair:
     wz2 = wz * wz
     K = (wyy * wzz - wyz * wyz) / (wz2 * wz2)
     H = (wz2 * wyy - 2.0 * wy * wz * wyz + (1.0 + wy * wy) * wzz) / (2.0 * wz2 * wz)
-    return CurvaturePair(K, H, j.v)
+    r = _new(CurvaturePair)
+    r.K = K
+    r.H = H
+    r.w = j.v
+    return r
 
 
 def _det3(r0, r1, r2) -> float:
@@ -377,7 +385,11 @@ def parametric_curvatures(r: tuple[Jet2, Jet2, Jet2], p: tuple[float, float]) ->
 
     K = (h11 * h22 - h12 * h12) / det_g
     H = (g11 * h22 - 2.0 * g12 * h12 + g22 * h11) / (2.0 * det_g)
-    return CurvaturePair(K, H)
+    pair = _new(CurvaturePair)
+    pair.K = K
+    pair.H = H
+    pair.w = None
+    return pair
 
 
 def as_parametric(chart: SurfaceChart) -> ParametricSurface:

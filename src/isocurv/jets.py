@@ -9,9 +9,11 @@ jets carry no truncation error; the only noise left is float64 rounding.
 
 The mixed partial is stored once: symmetry of second partials is
 structural, not checked.  Jets are immutable by convention: no code
-assigns a component after construction, every operation returns a new
-jet.  That is what keeps evaluating the same field at many points
-concurrently safe, since threads share jets but never write to them.
+assigns a component once the operation that built it has returned, so
+threads can share jets while evaluating a field at many points.  Each
+operation builds its result in place, with ``object.__new__`` and one
+store per slot: an ``__init__`` frame per jet was the unit of cost of
+jet arithmetic.  ``Jet2(...)`` and ``Jet1(...)`` give equal jets.
 
 A plain ``float`` or ``int`` c mixes in as the constant jet
 ``Jet2(float(c))``.  Only addition and multiplication, which every
@@ -87,6 +89,9 @@ MIN_DIVISOR = 1e-300
 
 #: |cos| at or below this counts as a tangent pole.
 TAN_COS_FLOOR = 1e-8
+
+#: Allocates a value without entering its ``__init__``: the caller sets every slot.
+_new = object.__new__
 
 
 class BranchDomainError(ArithmeticError):
@@ -183,8 +188,8 @@ class Jet2(_Jet):
     """Value and partial derivatives (through second order) at one point.
 
     A plain ``__slots__`` class rather than a frozen dataclass, whose
-    ``__init__`` routes every field through ``object.__setattr__``:
-    constructing a jet is the unit of cost of every jet operation.
+    ``__init__`` routes every field through ``object.__setattr__``.  The
+    package builds jets in place; ``__init__``, for callers, gives equal jets.
     """
 
     __slots__ = ("v", "dx", "dy", "dxx", "dxy", "dyy")
@@ -221,34 +226,41 @@ class Jet2(_Jet):
         k = other.__class__
         if k is not Jet2:
             if k is float or k is int:
-                return Jet2(
-                    self.v + float(other),
-                    self.dx + 0.0,
-                    self.dy + 0.0,
-                    self.dxx + 0.0,
-                    self.dxy + 0.0,
-                    self.dyy + 0.0,
-                )
+                r = _new(Jet2)
+                r.v = self.v + float(other)
+                r.dx = self.dx + 0.0
+                r.dy = self.dy + 0.0
+                r.dxx = self.dxx + 0.0
+                r.dxy = self.dxy + 0.0
+                r.dyy = self.dyy + 0.0
+                return r
             if k is Jet1:
                 return Jet1.__add__(self, other)
             other = _as_jet(other)
             if other is None:
                 return NotImplemented
-        return Jet2(
-            self.v + other.v,
-            self.dx + other.dx,
-            self.dy + other.dy,
-            self.dxx + other.dxx,
-            self.dxy + other.dxy,
-            self.dyy + other.dyy,
-        )
+        r = _new(Jet2)
+        r.v = self.v + other.v
+        r.dx = self.dx + other.dx
+        r.dy = self.dy + other.dy
+        r.dxx = self.dxx + other.dxx
+        r.dxy = self.dxy + other.dxy
+        r.dyy = self.dyy + other.dyy
+        return r
 
     # c + t means t + Jet2(c); the alias keeps that operand
     # order (it picks which NaN payload survives when both are NaN).
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet2(-self.v, -self.dx, -self.dy, -self.dxx, -self.dxy, -self.dyy)
+        r = _new(Jet2)
+        r.v = -self.v
+        r.dx = -self.dx
+        r.dy = -self.dy
+        r.dxx = -self.dxx
+        r.dxy = -self.dxy
+        r.dyy = -self.dyy
+        return r
 
     def __sub__(self, other):
         k = other.__class__
@@ -256,14 +268,14 @@ class Jet2(_Jet):
             other = _as_jet(other)
             if other is None:
                 return NotImplemented
-        return Jet2(
-            self.v - other.v,
-            self.dx - other.dx,
-            self.dy - other.dy,
-            self.dxx - other.dxx,
-            self.dxy - other.dxy,
-            self.dyy - other.dyy,
-        )
+        r = _new(Jet2)
+        r.v = self.v - other.v
+        r.dx = self.dx - other.dx
+        r.dy = self.dy - other.dy
+        r.dxx = self.dxx - other.dxx
+        r.dxy = self.dxy - other.dxy
+        r.dyy = self.dyy - other.dyy
+        return r
 
     def __mul__(self, other):
         k = other.__class__
@@ -272,28 +284,28 @@ class Jet2(_Jet):
                 c = float(other)
                 a = self
                 z = a.v * 0.0
-                return Jet2(
-                    a.v * c,
-                    a.dx * c + z,
-                    a.dy * c + z,
-                    a.dxx * c + 2.0 * a.dx * 0.0 + z,
-                    a.dxy * c + a.dx * 0.0 + a.dy * 0.0 + z,
-                    a.dyy * c + 2.0 * a.dy * 0.0 + z,
-                )
+                r = _new(Jet2)
+                r.v = a.v * c
+                r.dx = a.dx * c + z
+                r.dy = a.dy * c + z
+                r.dxx = a.dxx * c + 2.0 * a.dx * 0.0 + z
+                r.dxy = a.dxy * c + a.dx * 0.0 + a.dy * 0.0 + z
+                r.dyy = a.dyy * c + 2.0 * a.dy * 0.0 + z
+                return r
             if k is Jet1:
                 return Jet1.__mul__(self, other)
             other = _as_jet(other)
             if other is None:
                 return NotImplemented
         a, b = self, other
-        return Jet2(
-            a.v * b.v,
-            a.dx * b.v + a.v * b.dx,
-            a.dy * b.v + a.v * b.dy,
-            a.dxx * b.v + 2.0 * a.dx * b.dx + a.v * b.dxx,
-            a.dxy * b.v + a.dx * b.dy + a.dy * b.dx + a.v * b.dxy,
-            a.dyy * b.v + 2.0 * a.dy * b.dy + a.v * b.dyy,
-        )
+        r = _new(Jet2)
+        r.v = a.v * b.v
+        r.dx = a.dx * b.v + a.v * b.dx
+        r.dy = a.dy * b.v + a.v * b.dy
+        r.dxx = a.dxx * b.v + 2.0 * a.dx * b.dx + a.v * b.dxx
+        r.dxy = a.dxy * b.v + a.dx * b.dy + a.dy * b.dx + a.v * b.dxy
+        r.dyy = a.dyy * b.v + 2.0 * a.dy * b.dy + a.v * b.dyy
+        return r
 
     # c * t means t * Jet2(c), not Jet2(c) * t.  Swapping the
     # operands regroups the terms: 2.0 * a.dx * b.dx doubles the left
@@ -319,14 +331,14 @@ class Jet2(_Jet):
         rx = d1 * bx
         ry = d1 * by
         av, ax, ay = a.v, a.dx, a.dy
-        return Jet2(
-            av * r,
-            ax * r + av * rx,
-            ay * r + av * ry,
-            a.dxx * r + 2.0 * ax * rx + av * (d2 * bx * bx + d1 * b.dxx),
-            a.dxy * r + ax * ry + ay * rx + av * (d2 * bx * by + d1 * b.dxy),
-            a.dyy * r + 2.0 * ay * ry + av * (d2 * by * by + d1 * b.dyy),
-        )
+        q = _new(Jet2)
+        q.v = av * r
+        q.dx = ax * r + av * rx
+        q.dy = ay * r + av * ry
+        q.dxx = a.dxx * r + 2.0 * ax * rx + av * (d2 * bx * bx + d1 * b.dxx)
+        q.dxy = a.dxy * r + ax * ry + ay * rx + av * (d2 * bx * by + d1 * b.dxy)
+        q.dyy = a.dyy * r + 2.0 * ay * ry + av * (d2 * by * by + d1 * b.dyy)
+        return q
 
 
 class Jet1(_Jet):
@@ -350,16 +362,28 @@ class Jet1(_Jet):
         k = other.__class__
         if k is not Jet1 and k is not Jet2:
             if k is float or k is int:
-                return Jet1(self.v + float(other), self.dx + 0.0, self.dxx + 0.0)
+                r = _new(Jet1)
+                r.v = self.v + float(other)
+                r.dx = self.dx + 0.0
+                r.dxx = self.dxx + 0.0
+                return r
             other = _as_jet(other)
             if other is None:
                 return NotImplemented
-        return Jet1(self.v + other.v, self.dx + other.dx, self.dxx + other.dxx)
+        r = _new(Jet1)
+        r.v = self.v + other.v
+        r.dx = self.dx + other.dx
+        r.dxx = self.dxx + other.dxx
+        return r
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet1(-self.v, -self.dx, -self.dxx)
+        r = _new(Jet1)
+        r.v = -self.v
+        r.dx = -self.dx
+        r.dxx = -self.dxx
+        return r
 
     def __sub__(self, other):
         k = other.__class__
@@ -367,7 +391,11 @@ class Jet1(_Jet):
             other = _as_jet(other)
             if other is None:
                 return NotImplemented
-        return Jet1(self.v - other.v, self.dx - other.dx, self.dxx - other.dxx)
+        r = _new(Jet1)
+        r.v = self.v - other.v
+        r.dx = self.dx - other.dx
+        r.dxx = self.dxx - other.dxx
+        return r
 
     def __mul__(self, other):
         k = other.__class__
@@ -376,16 +404,20 @@ class Jet1(_Jet):
                 c = float(other)
                 a = self
                 z = a.v * 0.0
-                return Jet1(a.v * c, a.dx * c + z, a.dxx * c + 2.0 * a.dx * 0.0 + z)
+                r = _new(Jet1)
+                r.v = a.v * c
+                r.dx = a.dx * c + z
+                r.dxx = a.dxx * c + 2.0 * a.dx * 0.0 + z
+                return r
             other = _as_jet(other)
             if other is None:
                 return NotImplemented
         a, b = self, other
-        return Jet1(
-            a.v * b.v,
-            a.dx * b.v + a.v * b.dx,
-            a.dxx * b.v + 2.0 * a.dx * b.dx + a.v * b.dxx,
-        )
+        r = _new(Jet1)
+        r.v = a.v * b.v
+        r.dx = a.dx * b.v + a.v * b.dx
+        r.dxx = a.dxx * b.v + 2.0 * a.dx * b.dx + a.v * b.dxx
+        return r
 
     # As in Jet2, c * t means t * c.
     __rmul__ = __mul__
@@ -402,11 +434,11 @@ class Jet1(_Jet):
         bx = b.dx
         rx = d1 * bx
         av, ax = a.v, a.dx
-        return Jet1(
-            av * r,
-            ax * r + av * rx,
-            a.dxx * r + 2.0 * ax * rx + av * (d2 * bx * bx + d1 * b.dxx),
-        )
+        q = _new(Jet1)
+        q.v = av * r
+        q.dx = ax * r + av * rx
+        q.dxx = a.dxx * r + 2.0 * ax * rx + av * (d2 * bx * bx + d1 * b.dxx)
+        return q
 
 
 def _reciprocal_derivatives(v: float) -> tuple[float, float, float]:
@@ -424,10 +456,7 @@ def _reciprocal_derivatives(v: float) -> tuple[float, float, float]:
 
 
 def coord1(value: float) -> Jet2:
-    """The first coordinate as a field: ``Jet2(float(value), dx=1.0)`` by position.
-
-    :func:`eval_field` builds the same two seeds in place.
-    """
+    """The first coordinate as a field: ``Jet2(float(value), dx=1.0)`` by position."""
     return Jet2(float(value), 1.0)
 
 
@@ -447,7 +476,21 @@ def eval_field(field, p1: float, p2: float) -> Jet2:
     The seeds are ``coord1(p1)`` and ``coord2(p2)``, built in place:
     every chart point comes through here.
     """
-    out = field(Jet2(float(p1), 1.0), Jet2(float(p2), 0.0, 1.0))
+    s1 = _new(Jet2)
+    s1.v = float(p1)
+    s1.dx = 1.0
+    s1.dy = 0.0
+    s1.dxx = 0.0
+    s1.dxy = 0.0
+    s1.dyy = 0.0
+    s2 = _new(Jet2)
+    s2.v = float(p2)
+    s2.dx = 0.0
+    s2.dy = 1.0
+    s2.dxx = 0.0
+    s2.dxy = 0.0
+    s2.dyy = 0.0
+    out = field(s1, s2)
     if out.__class__ is not Jet2:
         out = _as_jet(out)
         if out is None:
@@ -458,11 +501,15 @@ def eval_field(field, p1: float, p2: float) -> Jet2:
 def eval_profile(profile, t: float) -> Jet1:
     """Evaluate a one-variable profile at t: its :class:`Jet1` (f, f', f'').
 
-    The profile gets ``Jet1(float(t), 1.0)``.  A profile that returns a
+    The profile gets ``Jet1(float(t), 1.0)``, built in place.  A profile that returns a
     Jet2 (a constant such as ``const(c)``, say) or a plain number gives
     the x slots of that jet, which are the same bits as a Jet1 result.
     """
-    out = profile(Jet1(float(t), 1.0))
+    s = _new(Jet1)
+    s.v = float(t)
+    s.dx = 1.0
+    s.dxx = 0.0
+    out = profile(s)
     if out.__class__ is not Jet1:
         j = _as_jet(out)
         if j is None:
@@ -482,15 +529,19 @@ def compose(value: float, d1: float, d2: float, inner: Jet1 | Jet2) -> Jet1 | Je
     """
     f = inner
     if f.__class__ is Jet2:
-        return Jet2(
-            value,
-            d1 * f.dx,
-            d1 * f.dy,
-            d2 * f.dx * f.dx + d1 * f.dxx,
-            d2 * f.dx * f.dy + d1 * f.dxy,
-            d2 * f.dy * f.dy + d1 * f.dyy,
-        )
-    return Jet1(value, d1 * f.dx, d2 * f.dx * f.dx + d1 * f.dxx)
+        r = _new(Jet2)
+        r.v = value
+        r.dx = d1 * f.dx
+        r.dy = d1 * f.dy
+        r.dxx = d2 * f.dx * f.dx + d1 * f.dxx
+        r.dxy = d2 * f.dx * f.dy + d1 * f.dxy
+        r.dyy = d2 * f.dy * f.dy + d1 * f.dyy
+        return r
+    r = _new(Jet1)
+    r.v = value
+    r.dx = d1 * f.dx
+    r.dxx = d2 * f.dx * f.dx + d1 * f.dxx
+    return r
 
 
 # elementary functions -------------------------------------------------
