@@ -227,10 +227,21 @@ def _require(ok: bool, family_id: str, constraint: str) -> None:
         raise ParameterError(f"{family_id}: constraint violated: {constraint}")
 
 
+def _real(value) -> float | None:
+    """``float(value)``, or None where float() refuses it or it is a bool, which is a flag."""
+    if isinstance(value, bool):
+        return None
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        return None
+
+
 def _normalized_sign(value, family_id: str) -> float:
-    if isinstance(value, str):
-        value = {"+": 1.0, "+1": 1.0, "1": 1.0, "-": -1.0, "-1": -1.0}.get(value.strip(), 0.0)
-    v = float(value)
+    """+1 or -1, as ``_real`` reads it or written as a bare ``+`` or ``-``."""
+    if isinstance(value, str) and value.strip() in ("+", "-"):
+        value = value.strip() + "1"
+    v = _real(value)
     _require(v in (1.0, -1.0), family_id, "sign must be +1 or -1")
     return v
 
@@ -885,10 +896,11 @@ def get_family(family_id: str) -> FamilySpec:
 def _merged_params(owner: str, defaults: dict, overrides: dict) -> dict:
     """``defaults`` with ``overrides`` applied, each checked before any evaluation.
 
-    The rule for a family's parameters and for an ODE check's
-    (``verify.ode_crosscheck``): a name must be one of the defaults, and
-    a value a finite real number, except the profile name ``fn`` and the
-    ``sign``.  A ParameterError names ``owner`` and the parameter.
+    The one reader of a family's or an ODE check's parameter values,
+    from a caller or as ``--param`` text.  A name must be one of the
+    defaults; ``fn`` is a profile name, ``sign`` is ``_normalized_sign``'s,
+    any other value a finite number as ``_real`` reads it.  A
+    ParameterError names ``owner`` and the parameter.
     """
     merged = dict(defaults)
     for name, value in overrides.items():
@@ -902,12 +914,11 @@ def _merged_params(owner: str, defaults: dict, overrides: dict) -> dict:
         elif name == "sign":
             merged[name] = _normalized_sign(value, owner)
         else:
-            try:
-                merged[name] = float(value)
-            except (TypeError, ValueError):
+            merged[name] = _real(value)
+            if merged[name] is None:
                 raise ParameterError(
                     f"{owner}: parameter {name!r} must be a real number, got {value!r}"
-                ) from None
+                )
             if not math.isfinite(merged[name]):
                 raise ParameterError(
                     f"{owner}: parameter {name!r} must be finite, got {merged[name]!r}"

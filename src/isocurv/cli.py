@@ -39,15 +39,13 @@ SIZE_LIMITS = {
 
 
 def _parse_params(pairs) -> dict:
+    """The ``name=value`` pairs as texts, which ``catalog._merged_params`` reads."""
     params = {}
     for item in pairs or ():
         name, sep, text = item.partition("=")
         if not sep or not name:
             raise ValueError(f"--param expects name=value, got {item!r}")
-        try:
-            params[name] = float(text)
-        except ValueError:
-            params[name] = text
+        params[name] = text
     return params
 
 
@@ -151,27 +149,6 @@ def _cmd_verify(args) -> int:
     return 0 if report.passed else 1
 
 
-def _vertex_rows(point3d, us, v_texts, heights, sep):
-    """Per grid row: its slice of the grid columns, a vertex format and the format's columns.
-
-    ``point3d`` only permutes its arguments, so on the row coordinate's
-    text, the column texts ``v_texts`` and the row's heights it gives
-    the vertex fields in (x, y, z) order.  The format joins them with
-    ``sep``: the row text as it is, ``%s`` for the column text and
-    ``%.17g`` for the height, and its columns are those two sequences
-    in the same order.  ``%.17g`` is deterministic, so a vertex reads
-    as it does formatted point by point.
-    """
-    n = len(v_texts)
-    for i, u in enumerate(us):
-        row = slice(i * n, i * n + n)
-        fields = point3d(("%.17g" % u, v_texts), heights[row])
-        spec = sep.join(
-            f if f.__class__ is str else "%s" if f is v_texts else "%.17g" for f in fields
-        )
-        yield row, spec, [f for f in fields if f.__class__ is not str]
-
-
 def _cmd_grid(args) -> int:
     params = _parse_params(args.param)
     surface = catalog.build_family(args.family, **params)
@@ -189,19 +166,27 @@ def _cmd_grid(args) -> int:
     us, vs = run.domain.coordinates(n)
     v_texts = ["%.17g" % v for v in vs]
     # The grid has no exclusions, so its k-th point is (us[k // n],
-    # vs[k % n]): each coordinate is formatted once per grid line, and
-    # each grid row goes to the file in one write as soon as it is
-    # formatted, so the export holds the sampled grid and one row's text.
+    # vs[k % n]).  point3d orders a row's (format, column) pairs: the row
+    # coordinate's text, which needs no column, %s for the column texts
+    # and %.17g for the heights.  So each coordinate is formatted once per
+    # grid line, and each row goes to the file in one write as soon as it
+    # is formatted: the export holds the sampled grid and one row's text.
+    def rows(sep):
+        for i, u in enumerate(us):
+            row = slice(i * n, i * n + n)
+            fields = point3d((("%.17g" % u, None), ("%s", v_texts)), ("%.17g", run.heights[row]))
+            yield row, sep.join(f for f, _ in fields), [c for _, c in fields if c is not None]
+
     with open(args.out, "w", encoding="utf-8") as fh:
         write = fh.write
         if args.format == "csv":
             write("x,y,z,K,H\n")
-            for row, spec, columns in _vertex_rows(point3d, us, v_texts, run.heights, ","):
+            for row, spec, columns in rows(","):
                 line = spec + ",%.17g,%.17g\n"
                 write("".join(map(line.__mod__, zip(*columns, run.K[row], run.H[row]))))
         else:
             write(f"# {args.family} sampled on a {n}x{n} grid\n")
-            for _, spec, columns in _vertex_rows(point3d, us, v_texts, run.heights, " "):
+            for _, spec, columns in rows(" "):
                 write("".join(map(f"v {spec}\n".__mod__, zip(*columns))))
             # Two triangles per cell, whose first corner is vertex a =
             # i*n + j + 1 (rows i, columns j, both up to n - 2).

@@ -279,10 +279,9 @@ class SurfaceChart(Record):
 
         ``w`` is the height at p as a curvature route returns it
         (``CurvaturePair.w``); nothing is evaluated here.  This is the
-        one place that puts chart coordinates and height in (x, y, z)
         order, and it only permutes its arguments, so it takes any
-        values in their places: :func:`as_parametric` passes fields,
-        ``isocurv grid`` a row's coordinate text, column texts and heights.
+        values in their places: :func:`as_parametric` passes fields, and
+        ``isocurv grid`` a grid row's (line format, column) pairs.
         """
         if self.orientation == Z_OVER_XY:
             return (p[0], p[1], w)

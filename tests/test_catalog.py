@@ -216,6 +216,12 @@ _PARAMETER_ERRORS = [
     ),
     ("FS1.min.xy", {"c9": 1.0}, "unknown parameter 'c9' (expected: c1)"),
     ("FS1.flat.scale", {"fn": 3.0}, "parameter 'fn' must be a profile name"),
+    # A bool is a flag, not a number; None and a list are no sign.
+    ("FS1.min.xy", {"c1": None}, "parameter 'c1' must be a real number, got None"),
+    ("FS1.min.xy", {"c1": True}, "parameter 'c1' must be a real number, got True"),
+    ("FS2.K.hyperbolic", {"sign": None}, "constraint violated: sign must be +1 or -1"),
+    ("FS2.K.hyperbolic", {"sign": [1]}, "constraint violated: sign must be +1 or -1"),
+    ("FS2.K.hyperbolic", {"sign": True}, "constraint violated: sign must be +1 or -1"),
 ]
 
 
@@ -302,12 +308,13 @@ def test_quantity_for_claim():
 
 
 def test_sign_parameter_accepts_strings():
-    plus = as_chart(build_family("FS2.K.hyperbolic", sign="+1"))
-    minus = as_chart(build_family("FS2.K.hyperbolic", sign="-1"))
-    p = (1.0, 1.0)
-    wp = jets.eval_field(plus.height, *p).v
-    wm = jets.eval_field(minus.height, *p).v
-    assert abs(wp + wm) <= 1e-15, f"sign branches {wp} and {wm} are not mirrored"
+    # A bare + or - is +1 or -1, and any other text is what float() reads.
+    for texts in (("+1", "-1"), ("+", "-"), ("1e0", " -1.0 ")):
+        plus, minus = (as_chart(build_family("FS2.K.hyperbolic", sign=t)) for t in texts)
+        p = (1.0, 1.0)
+        wp = jets.eval_field(plus.height, *p).v
+        wm = jets.eval_field(minus.height, *p).v
+        assert abs(wp + wm) <= 1e-15, f"sign branches {wp} and {wm} are not mirrored"
     with pytest.raises(ParameterError):
         build_family("FS2.K.hyperbolic", sign="up")
 

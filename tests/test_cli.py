@@ -276,6 +276,50 @@ def test_verify_rejects_bad_parameter_syntax(capsys):
     assert code == 2 and "name=value" in err
 
 
+_SIGN_TEXTS = ["-1.0", "1e0", "+1.0", "+", "-", " -1 ", "up"]
+_C1_TEXTS = ["2", ".5", "-0.0", "nan", "inf", "abc", ""]
+
+
+def _cross_validate(fid):
+    """The report of ``cross-validate --family fid --points 5``, taken through the library."""
+    return lambda params: verify.cross_validate(
+        catalog.build_family(fid, **params), n_points=5, seed=0, tol=1e-10
+    )
+
+
+def _ode_check(params):
+    """The report of ``ode-check --ode afs2-cmc``, taken through the library."""
+    max_error = verify.ode_crosscheck("afs2-cmc", params)
+    return verify.OdeReport("afs2-cmc", 1000, max_error, 1e-6, max_error <= 1e-6)
+
+
+_FAMILY_ARGV = ("cross-validate", "--points", "5", "--family")
+_PARAMETER_TEXTS = [
+    *((_FAMILY_ARGV + ("FS2.cmc.sqrt",), "sign", t) for t in _SIGN_TEXTS),
+    *((_FAMILY_ARGV + ("FS2.K.hyperbolic",), "sign", t) for t in _SIGN_TEXTS),
+    *((_FAMILY_ARGV + ("FS1.min.xy",), "c1", t) for t in _C1_TEXTS),
+    (_FAMILY_ARGV + ("FS1.flat.scale",), "fn", "quadratic"),
+    (_FAMILY_ARGV + ("FS1.flat.scale",), "fn", "3"),
+    (("ode-check", "--ode", "afs2-cmc"), "c1", "2"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, name, text", _PARAMETER_TEXTS, ids=[f"{a[-1]}:{n}={t}" for a, n, t in _PARAMETER_TEXTS]
+)
+def test_the_cli_and_the_library_read_a_parameter_alike(capsys, argv, name, text):
+    # A --param value reaches the catalog as its text, so the CLI prints
+    # the report or the error that the library gives for that text.
+    code, out, err = run_cli(capsys, *argv, "--param", f"{name}={text}")
+    report_of = _ode_check if argv[0] == "ode-check" else _cross_validate(argv[-1])
+    try:
+        report = report_of({name: text})
+    except catalog.ParameterError as exc:
+        assert (code, out, err) == (2, "", f"error: {exc}\n")
+    else:
+        assert (code, out, err) == (0 if report.passed else 1, report.to_json() + "\n", "")
+
+
 def test_verify_rejects_mismatched_domain_axes(capsys):
     code, out, err = run_cli(
         capsys,

@@ -1018,7 +1018,13 @@ def test_ode_crosscheck_rejects_unknown_ids_and_params():
             {"c9": 1.0},
             "afs1-minimal: unknown parameter 'c9' (expected: c1, a, c2, c3)",
         ),
-    ],    ids=["not-a-number", "infinite", "nan", "unknown"],
+        (
+            "afs1-minimal",
+            {"c1": True},
+            "afs1-minimal: parameter 'c1' must be a real number, got True",
+        ),
+    ],
+    ids=["not-a-number", "infinite", "nan", "unknown", "bool"],
 )
 def test_ode_crosscheck_refuses_a_bad_parameter_before_any_evaluation(
     monkeypatch, ode, params, message
