@@ -1,8 +1,10 @@
 """Command-line front end.
 
 Commands: ``list``, ``verify``, ``grid``, ``cross-validate``, ``probe`` and
-``ode-check``, each described once in :data:`_COMMANDS`.  A call builds only
-its command's parser.
+``ode-check``, each described once in :data:`_COMMANDS`.  A well-formed
+argv is read from that table and builds no parser (see
+:func:`_parse_well_formed`); any other goes to argparse, with its command's
+parser alone if it can, so help, usage and error texts are argparse's.
 
 Exit codes: 0 success (and verification passed), 1 a check ran and
 failed (reports are still written), 2 usage or parameter errors,
@@ -12,10 +14,9 @@ SIGPIPE) when the reader of stdout closes it early.
 
 from __future__ import annotations
 
-import argparse
 import os
-import re
 import sys
+from types import SimpleNamespace
 
 from . import catalog, verify
 from .catalog import ParameterError, UnknownFamilyError
@@ -98,12 +99,12 @@ def _check_sizes(args) -> None:
 
 
 def _print_report(report, out: str | None) -> None:
-    """Print a report's JSON, then write it with a final newline to ``out`` if given."""
+    """Write a report's JSON with a final newline to ``out`` if given, then print it."""
     text = report.to_json()
-    print(text)
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
+    print(text)
 
 
 def _cmd_list(args) -> int:
@@ -238,77 +239,97 @@ def _cmd_ode_check(args) -> int:
     return 0 if report.passed else 1
 
 
-def _family_grid_options(p: argparse.ArgumentParser) -> None:
-    """The options ``verify`` and ``grid`` share: a family and its grid."""
-    p.add_argument("--family", required=True)
-    p.add_argument("--param", action="append", metavar="NAME=VALUE")
-    p.add_argument("--domain", metavar="AX:LO..HI,AX:LO..HI")
-    p.add_argument("--grid", type=int, default=21)
+_PARAM = {"--param": dict(action="append", metavar="NAME=VALUE")}
+_FAMILY_GRID = {
+    "--family": dict(required=True), **_PARAM,
+    "--domain": dict(metavar="AX:LO..HI,AX:LO..HI"), "--grid": dict(type=int, default=21),
+}
 
-
-def _verify_options(p: argparse.ArgumentParser) -> None:
-    _family_grid_options(p)
-    p.add_argument("--tol", type=float, default=verify.DEFAULT_TOL)
-    p.add_argument("--out", metavar="PATH")
-
-
-def _grid_options(p: argparse.ArgumentParser) -> None:
-    _family_grid_options(p)
-    p.add_argument("--format", choices=("csv", "obj"), required=True)
-    p.add_argument("--out", required=True, metavar="PATH")
-
-
-def _cross_options(p: argparse.ArgumentParser) -> None:
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--family")
-    group.add_argument("--kind", choices=(TYPE1, TYPE2))
-    p.add_argument("--param", action="append", metavar="NAME=VALUE")
-    p.add_argument("--points", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--out", metavar="PATH")
-
-
-def _probe_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--kind", choices=verify._PROBE_KINDS, required=True)
-    p.add_argument("--count", type=int, default=100)
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--grid", type=int, default=11)
-    p.add_argument("--floor", type=float, default=verify.PROBE_FLOOR)
-    p.add_argument("--out", metavar="PATH")
-
-
-def _ode_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--ode", choices=verify._ODE_DEFAULTS, required=True)
-    p.add_argument("--param", action="append", metavar="NAME=VALUE")
-    p.add_argument("--range", metavar="LO..HI")
-    p.add_argument("--steps", type=int, default=1000)
-    p.add_argument("--tol", type=float, default=1e-6)
-
-
-#: Each command once: its help line, a function that adds its options, its handler.
+#: Each command once: its help line, its options in help order (each
+#: flag with its ``add_argument`` keywords; ``one_of`` puts it in the
+#: command's required mutually exclusive group), its handler.
 _COMMANDS = {
-    "list": ("list the registered families", lambda p: None, _cmd_list),
-    "verify": ("check a family's constancy claim on a grid", _verify_options, _cmd_verify),
-    "grid": ("export a sampled grid", _grid_options, _cmd_grid),
-    "cross-validate": (
-        "compare specialized and generic curvature routes", _cross_options, _cmd_cross_validate
-    ),
-    "probe": ("randomized nonexistence probe", _probe_options, _cmd_probe),
-    "ode-check": ("closed-form profile vs numeric integration", _ode_options, _cmd_ode_check),
+    "list": ("list the registered families", {}, _cmd_list),
+    "verify": ("check a family's constancy claim on a grid", {
+        **_FAMILY_GRID, "--tol": dict(type=float, default=verify.DEFAULT_TOL),
+        "--out": dict(metavar="PATH"),
+    }, _cmd_verify),
+    "grid": ("export a sampled grid", {
+        **_FAMILY_GRID, "--format": dict(choices=("csv", "obj"), required=True),
+        "--out": dict(required=True, metavar="PATH"),
+    }, _cmd_grid),
+    "cross-validate": ("compare specialized and generic curvature routes", {
+        "--family": dict(one_of=True), "--kind": dict(choices=(TYPE1, TYPE2), one_of=True),
+        **_PARAM, "--points": dict(type=int, default=100), "--seed": dict(type=int, default=0),
+        "--tol": dict(type=float, default=1e-10), "--out": dict(metavar="PATH"),
+    }, _cmd_cross_validate),
+    "probe": ("randomized nonexistence probe", {
+        "--kind": dict(choices=verify._PROBE_KINDS, required=True),
+        "--count": dict(type=int, default=100), "--seed": dict(type=int, default=42),
+        "--grid": dict(type=int, default=11),
+        "--floor": dict(type=float, default=verify.PROBE_FLOOR), "--out": dict(metavar="PATH"),
+    }, _cmd_probe),
+    "ode-check": ("closed-form profile vs numeric integration", {
+        "--ode": dict(choices=verify._ODE_DEFAULTS, required=True), **_PARAM,
+        "--range": dict(metavar="LO..HI"), "--steps": dict(type=int, default=1000),
+        "--tol": dict(type=float, default=1e-6),
+    }, _cmd_ode_check),
 }
 
 
-def _command_parser(name: str, parser: argparse.ArgumentParser) -> argparse.ArgumentParser:
-    """``parser`` with command ``name``'s options, and its name and handler as defaults."""
-    _, add_options, handler = _COMMANDS[name]
-    add_options(parser)
+def _parse_well_formed(argv: list[str]) -> SimpleNamespace | None:
+    """``argv``'s namespace, equal to argparse's, if it is well formed, else None.
+
+    Well formed: a command, then only its exact long options, as ``--name value``
+    or ``--name=value``, each value of its option's type and choices and neither
+    ``--`` nor a spaced value that starts with "-"; every required option,
+    exactly one of a ``one_of`` group, no option twice but ``--param``."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    _, options, handler = _COMMANDS[argv[0]]
+    given: dict = {}
+    rest = iter(argv[1:])
+    for arg in rest:
+        flag, eq, text = arg.partition("=")
+        spec = options.get(flag)
+        if spec is None:
+            return None  # such as -h, an abbreviation or a positional
+        text = text if eq else next(rest, "-")
+        if text == "--" or not eq and text.startswith("-"):
+            return None  # argparse may take it for an option, or drop it
+        try:
+            value = spec.get("type", str)(text)
+        except ValueError:
+            return None
+        appends = spec.get("action") == "append"
+        if value not in spec.get("choices", (value,)) or flag in given and not appends:
+            return None  # a bad choice, or a repeat, which argparse lets win or refuses
+        given[flag] = given.get(flag, []) + [value] if appends else value
+    one_of = [flag in given for flag, spec in options.items() if spec.get("one_of")]
+    missing = [flag for flag, spec in options.items() if spec.get("required") and flag not in given]
+    if missing or sum(one_of) != bool(one_of):
+        return None
+    values = {flag[2:]: given.get(flag, spec.get("default")) for flag, spec in options.items()}
+    return SimpleNamespace(**values, command=argv[0], handler=handler)
+
+
+def _command_parser(name: str, parser):
+    """argparse ``parser`` with command ``name``'s options, and its name and handler as defaults."""
+    _, options, handler = _COMMANDS[name]
+    group = None
+    for flag, spec in options.items():
+        if spec.get("one_of"):
+            group = group or parser.add_mutually_exclusive_group(required=True)
+        target = group if spec.get("one_of") else parser
+        target.add_argument(flag, **{key: v for key, v in spec.items() if key != "one_of"})
     parser.set_defaults(command=name, handler=handler)
     return parser
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    """The full parser: the top level and one subparser per command."""
+def _build_parser():
+    """The full argparse parser: the top level and one subparser per command."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="isocurv",
         description="curvature checks for product surfaces of the isotropic 3-space",
@@ -319,26 +340,28 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_args(argv: list[str]) -> argparse.Namespace:
-    """Parse ``argv`` as the full parser would, with its command's parser alone if it can."""
-    if argv and argv[0] in _COMMANDS:
-        parser = argparse.ArgumentParser(prog=f"isocurv {argv[0]}")
-        args, unrecognized = _command_parser(argv[0], parser).parse_known_args(argv[1:])
-        if not unrecognized:  # else the full parser reports them, under its own usage
-            return args
-    return _build_parser().parse_args(argv)
+def _parse_args(argv: list[str]):
+    """Parse ``argv`` as the full parser would: well formed from the table, else
+    with its command's parser alone if it can."""
+    args = _parse_well_formed(argv)
+    if args is not None or not argv or argv[0] not in _COMMANDS:
+        return args or _build_parser().parse_args(argv)
+    import argparse
 
-
-#: A value that starts with "-" and a digit, such as the range -1..0:
-#: argparse takes it for an option unless it is a plain negative number.
-_NEGATIVE_START = re.compile(r"-\.?\d")
+    parser = _command_parser(argv[0], argparse.ArgumentParser(prog=f"isocurv {argv[0]}"))
+    args, unrecognized = parser.parse_known_args(argv[1:])
+    # The full parser reports unrecognized arguments, under its own usage.
+    return _build_parser().parse_args(argv) if unrecognized else args
 
 
 def _attach_negative_ranges(argv: list[str]) -> list[str]:
     """Rewrite ``--range -1..0`` as ``--range=-1..0``, which argparse accepts."""
     out: list[str] = []
     for arg in argv:
-        if out and out[-1] == "--range" and _NEGATIVE_START.match(arg):
+        # A value that starts with "-", an optional "." and a digit, such as
+        # -1..0: argparse takes it for an option unless it is a plain number.
+        negative = arg[:1] == "-" and arg[1:].removeprefix(".")[:1].isdecimal()
+        if out and out[-1] == "--range" and negative:
             out[-1] = f"--range={arg}"
         else:
             out.append(arg)

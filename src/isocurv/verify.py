@@ -9,13 +9,13 @@ defining equations; and the nonexistence claims for type-2 surfaces
 (no nonplanar minimal ones, no nonflat constant-K ones) are probed
 with randomized counterexample searches.
 
-Every report serializes to JSON with a fixed key order so repeated
-runs with the same seeds are byte-identical.
+Every report serializes to JSON with a fixed key order, json's bytes
+written without json for a report's own values (see ``_dumps``), so
+repeated runs with the same seeds are byte-identical.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import sys
 from collections.abc import Callable, Sequence
@@ -142,7 +142,7 @@ class _Report(Record):
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, allow_nan=False)
+        return _dumps(self.to_dict())
 
 
 def _json_value(value):
@@ -154,6 +154,43 @@ def _json_value(value):
     if isinstance(value, tuple):
         return [_json_value(item) for item in value]
     return value
+
+
+def _dumps(value) -> str:
+    """``json.dumps(value, indent=2, allow_nan=False)``: :func:`_write`'s text if
+    ``value`` holds only finite floats, ints, bools, None, lists, dicts and strings
+    of printable ASCII without ``"`` or ``\\``, each of exactly its type, else json's."""
+    try:
+        return _write(value, "\n")
+    except TypeError:
+        import json
+
+        return json.dumps(value, indent=2, allow_nan=False)
+
+
+def _plain(text) -> bool:
+    return type(text) is str and text.isascii() and text.isprintable() and not (
+        '"' in text or "\\" in text)
+
+
+def _write(value, newline: str) -> str:
+    """``value``'s JSON, its lines indented after ``newline``; TypeError if json must write it."""
+    kind = type(value)
+    if kind is int or kind is float and math.isfinite(value):
+        return repr(value)
+    if _plain(value):
+        return f'"{value}"'
+    if value is None or kind is bool:
+        return "null" if value is None else "true" if value else "false"
+    inner = newline + "  "
+    if kind is list:
+        items = [inner + _write(item, inner) for item in value]
+    elif kind is dict and all(map(_plain, value)):
+        items = [f'{inner}"{key}": {_write(item, inner)}' for key, item in value.items()]
+    else:
+        raise TypeError
+    ends = "[]" if kind is list else "{}"
+    return f"{ends[0]}{','.join(items)}{newline}{ends[1]}" if items else ends
 
 
 class VerificationReport(_Report):

@@ -1,15 +1,22 @@
 """Unit tests for the command-line interface, driven in process."""
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from isocurv import catalog, cli, jets, verify
 from isocurv.cli import SIZE_LIMITS, main
@@ -112,15 +119,15 @@ def test_verify_parabolic_family(capsys, tmp_path):
     assert json.loads(out_path.read_text()) == payload, "file and stdout differ"
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("verify", "--family", "FS1.min.xy", "--grid", "5"),
-        ("cross-validate", "--kind", "type-1", "--points", "20", "--seed", "3"),
-        ("probe", "--kind", "afs2-constant-K", "--count", "3", "--seed", "8"),
-    ],
-    ids=lambda argv: argv[0],
-)
+#: One argv for each command that takes a report's ``--out``.
+_REPORT_ARGV = [
+    ("verify", "--family", "FS1.min.xy", "--grid", "5"),
+    ("cross-validate", "--kind", "type-1", "--points", "20", "--seed", "3"),
+    ("probe", "--kind", "afs2-constant-K", "--count", "3", "--seed", "8"),
+]
+
+
+@pytest.mark.parametrize("argv", _REPORT_ARGV, ids=lambda argv: argv[0])
 def test_report_file_holds_the_printed_bytes(capsys, tmp_path, argv):
     # --out receives exactly what the verb prints: the JSON and a newline.
     out_path = tmp_path / "report.json"
@@ -809,27 +816,155 @@ PARSE_CASES = [
     ("--family", "AFS1.flat.exp", "verify"),
     ("-h", "verify"),
     ("--grid", "5"),
+    ("verify", "--family", "AFS1.flat.exp", "--domain=--"),
+    ("verify", "--family=", "--grid", "5", "--grid", "5"),
+    ("cross-validate", "--kind=type-1", "--tol=-1", "--param", "a=1", "--param=c1=2"),
 ]
 
 
-@pytest.mark.parametrize("argv", PARSE_CASES, ids=" ".join)
-def test_the_cli_parses_as_the_frozen_full_parser(capsys, monkeypatch, argv):
+#: The PARSE_CASES that are well formed: read from the table, without argparse.
+_WELL_FORMED = {
+    ("list",),
+    ("verify", "--family", "AFS1.flat.exp"),
+    PARSE_CASES[2],
+    ("grid", "--family", "FS1.min.xy", "--format", "obj", "--out", "g.obj"),
+    ("grid", "--family", "FS1.min.xy", "--grid", "9", "--format", "csv", "--out", "g.csv"),
+    ("cross-validate", "--family", "AFS1.flat.exp", "--param", "a=1"),
+    ("cross-validate", "--kind", "type-2", "--points", "5", "--seed", "7", "--tol", "1e-9"),
+    ("probe", "--kind", "afs2-minimal", "--count", "3", "--grid", "5", "--floor", "1e-3"),
+    ("ode-check", "--ode", "afs1-minimal", "--steps", "10", "--tol", "1e-3"),
+    ("ode-check", "--ode", "afs2-cmc", "--range", "-1..0"),
+    ("ode-check", "--ode", "afs2-cmc", "--range=-1..0"),
+    PARSE_CASES[-1],
+}
+
+
+def _fields(args) -> list:
+    """A namespace's fields as sorted (name, repr) pairs, so that a NaN equals a NaN."""
+    return sorted((name, repr(value)) for name, value in vars(args).items())
+
+
+def _outcome(parse, argv):
+    """``parse(argv)``'s exit code or namespace fields, then its stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            got = (None, _fields(parse(argv)))
+        except SystemExit as exc:
+            got = (int(exc.code or 0), None)
+        except _Parsed as exc:
+            got = (None, _fields(exc.args[0]))
+    return got + (out.getvalue(), err.getvalue())
+
+
+def _through_main(argv):
+    """``main(argv)``'s namespace, raised as _Parsed; or its exit code, as SystemExit."""
     def parsed(args):
         raise _Parsed(args)
 
-    monkeypatch.setattr(cli, "_check_sizes", parsed)
-    try:
-        got = (main(list(argv)), None)
-    except _Parsed as exc:
-        got = (None, vars(exc.args[0]))
-    got += tuple(capsys.readouterr())
-    try:
-        args = reference_cli.build_parser().parse_args(cli._attach_negative_ranges(list(argv)))
-        want = (None, vars(args))
-    except SystemExit as exc:
-        want = (int(exc.code or 0), None)
-    want += tuple(capsys.readouterr())
-    assert got == want
+    with mock.patch.object(cli, "_check_sizes", parsed):
+        raise SystemExit(main(list(argv)))
+
+
+def _frozen(argv):
+    return reference_cli.build_parser().parse_args(cli._attach_negative_ranges(list(argv)))
+
+
+def _parses_as_the_frozen_parser(argv):
+    """Require ``main`` to parse ``argv`` as the frozen full parser; return the fast path's parse."""
+    want = _outcome(_frozen, argv)
+    assert _outcome(_through_main, argv) == want
+    args = cli._parse_well_formed(cli._attach_negative_ranges(list(argv)))
+    if args is not None:
+        assert want[:2] == (None, _fields(args))
+    return args
+
+
+@pytest.mark.parametrize("argv", PARSE_CASES, ids=" ".join)
+def test_the_cli_parses_as_the_frozen_full_parser(argv):
+    # The same exit code, namespace, stdout and stderr; and only the
+    # _WELL_FORMED argv skip argparse.
+    assert (_parses_as_the_frozen_parser(argv) is not None) == (argv in _WELL_FORMED)
+
+
+_FLAGS = sorted({flag for _, options, _ in cli._COMMANDS.values() for flag in options})
+#: Values each option takes, by option; any option may also get one of _ODD_VALUES.
+_GOOD_VALUES = {
+    "--family": ("AFS1.flat.exp", "FS1.min.xy"),
+    "--kind": ("type-1", "type-2", "afs2-minimal", "afs2-constant-K"),
+    "--ode": ("afs1-minimal", "afs2-cmc"),
+    "--format": ("csv", "obj"),
+    "--param": ("c1=2", "a=0.5"),
+    "--domain": ("x:0..1,y:0..1",),
+    "--range": ("0..1", "-1..0"),
+    "--out": ("r.json",),
+}
+_ODD_VALUES = (
+    "7", "0", " 3 ", "\u0663", "1_0", "1e-8", "nan", "-inf", "five", "1.5", "ply", "Type-1",
+    "-5", "-1..0", "-.5", "-x", "--", "-", "", "x y", "=", "-h",
+)
+
+
+@st.composite
+def _argvs(draw):
+    """A command, maybe its required options, then option tokens and strays."""
+    command = draw(st.sampled_from([*cli._COMMANDS, "bogus"]))
+    options = cli._COMMANDS.get(command, (None, {}))[1]
+    own = list(options)
+    argv = [command]
+    for flag, spec in options.items():
+        if (spec.get("required") or spec.get("one_of")) and draw(st.booleans()):
+            argv += [flag, draw(st.sampled_from(_GOOD_VALUES[flag]))]
+    for _ in range(draw(st.integers(0, 4))):
+        flag = draw(st.sampled_from(own or _FLAGS) | st.sampled_from(_FLAGS))
+        value = draw(st.sampled_from(_GOOD_VALUES.get(flag, ("7", "1e-8")) + _ODD_VALUES))
+        spelled = draw(st.sampled_from([flag, flag, flag[: draw(st.integers(3, len(flag)))]]))
+        form = draw(st.sampled_from(["space", "space", "equals", "bare", "stray"]))
+        argv += {"space": [spelled, value], "equals": [f"{spelled}={value}"], "bare": [spelled],
+                 "stray": [value]}[form]
+    return argv
+
+
+@settings(max_examples=400, deadline=None)
+@given(argv=_argvs())
+def test_every_argv_parses_as_the_frozen_full_parser(argv):
+    _parses_as_the_frozen_parser(argv)
+
+
+@st.composite
+def _report_values(draw):
+    text = st.text() | st.text(st.characters(min_codepoint=32, max_codepoint=126))
+    scalars = (
+        st.none() | st.booleans() | st.integers() | st.floats() | text
+        | st.sampled_from([-0.0, 0.0, math.nan, math.inf, -math.inf, "\x7f", '"', "\\"])
+    )
+    return draw(st.recursive(
+        scalars, lambda inner: st.lists(inner, max_size=4) | st.dictionaries(text, inner, max_size=4),
+        max_leaves=10,
+    ))
+
+
+@settings(max_examples=200, deadline=None)
+@given(value=_report_values())
+def test_the_report_writer_writes_what_json_dumps_writes(value):
+    def written(dumps):
+        try:
+            return dumps(value)
+        except ValueError as err:
+            return f"ValueError: {err}"
+
+    assert written(verify._dumps) == written(
+        lambda v: json.dumps(v, indent=2, allow_nan=False))
+
+
+@example(text="-\u0663..0")  # an Arabic-Indic digit: \d and str.isdecimal take it
+@example(text="-.\uff15")
+@given(text=st.tuples(st.sampled_from(["", "-", "-.", "--", "-..", ".", "-0"]), st.text(max_size=4))
+       .map("".join))
+def test_a_range_is_attached_where_the_pattern_it_replaced_matches(text):
+    attached = bool(re.match(r"-\.?\d", text))
+    assert cli._attach_negative_ranges(["--range", text]) == (
+        [f"--range={text}"] if attached else ["--range", text])
 
 
 def test_a_call_builds_only_its_commands_parser(capsys, monkeypatch):
@@ -841,8 +976,11 @@ def test_a_call_builds_only_its_commands_parser(capsys, monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
-    code, out, err = run_cli(capsys, "verify", "--family", "AFS1.flat.exp", "--grid", "5")
+    code, out, err = run_cli(capsys, "verify", "--family", "AFS1.flat.exp", "--grid", "7")
     assert (code, err) == (0, "") and json.loads(out)["pass"] is True
+    assert built == []  # well formed: read from the table, no parser
+    abbreviated = run_cli(capsys, "verify", "--fam=AFS1.flat.exp", "--gr", "7")
+    assert abbreviated == (code, out, err)
     assert built == ["isocurv verify"]
     built.clear()
     reference_cli.build_parser()
@@ -890,6 +1028,37 @@ print(sorted({{name.partition(".")[0] for name in sys.modules}} - allowed))
         [sys.executable, "-S", "-c", child], capture_output=True, text=True, timeout=120
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
+def test_a_well_formed_call_imports_no_parser_or_json_module(tmp_path):
+    # A fresh -S interpreter runs one well-formed argv of each command:
+    # none may load argparse, json or re.  Help still comes from argparse,
+    # with the frozen parser's bytes.
+    src = str(Path(catalog.__file__).resolve().parents[1])
+    child = f"""
+import contextlib, io, sys
+sys.path.insert(0, {src!r})
+from isocurv.cli import main
+for argv in (
+    ["list"],
+    ["verify", "--family", "AFS1.min.osc", "--grid", "5", "--out", {str(tmp_path / "r.json")!r}],
+    ["grid", "--family", "FS1.min.xy", "--grid", "3", "--format=obj", "--out", {str(tmp_path / "g")!r}],
+    ["cross-validate", "--kind", "type-2", "--seed", "7", "--points", "10"],
+    ["probe", "--kind", "afs2-minimal", "--count", "2"],
+    ["ode-check", "--ode", "afs2-cmc", "--range", "-1..0", "--param", "H0=2"],
+):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0, argv
+print([name for name in ("argparse", "json", "re") if name in sys.modules])
+print(main(["-h"]))
+"""
+    env = {**os.environ, "COLUMNS": "80"}
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", child], capture_output=True, text=True, timeout=120, env=env
+    )
+    with mock.patch.dict(os.environ, {"COLUMNS": "80"}):
+        help_text = _outcome(_frozen, ["-h"])[2]
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"[]\n{help_text}0\n", "")
 
 
 def test_a_closed_stdout_ends_the_run_quietly():
@@ -971,6 +1140,17 @@ def test_grid_into_a_missing_directory_exits_2(capsys, tmp_path):
         capsys, "grid", "--family", "FS1.min.xy", "--grid", "3", "--format", "csv",
         "--out", str(path),
     )
+    assert (code, out) == (2, "")
+    assert err == f"error: [Errno 2] No such file or directory: {str(path)!r}\n"
+    assert not path.parent.exists()
+
+
+@pytest.mark.parametrize("argv", _REPORT_ARGV, ids=lambda argv: argv[0])
+def test_a_report_into_a_missing_directory_exits_2_and_prints_nothing(capsys, tmp_path, argv):
+    # The file is written before the report is printed, so a failed
+    # write leaves stdout empty, as it does for grid.
+    path = tmp_path / "missing" / "report.json"
+    code, out, err = run_cli(capsys, *argv, "--out", str(path))
     assert (code, out) == (2, "")
     assert err == f"error: [Errno 2] No such file or directory: {str(path)!r}\n"
     assert not path.parent.exists()

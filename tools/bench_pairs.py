@@ -10,16 +10,27 @@ each tree's ``bench/results/``.  ``--traced`` adds a traced run (seed 1, 1 s)
 per tree and workload; ``--digests`` the sha256 of ``isocurv list``, of
 ``verify --grid 41`` on every family and of the 201² FS2.K.integral CSV and
 OBJ exports.  Exits 1 if any run is not correct.
+
+``--fresh``, with or without ``--workload``, times fresh ``python -S``
+processes, start-up and import included: ``-c pass`` and a ``cli.main`` call per command in ``FRESH``, each
+tree in turn per pair, the parent first in even pairs.  Their wall times go
+to the output's ``fresh`` entry, in ms; it exits 1 if the trees' stdout and
+exit codes differ.
+
+    python3 tools/bench_pairs.py --parent ../parent --change . --fresh --pairs 30 \
+        --out BENCH.json --append
 """
 
 from __future__ import annotations
 
 import argparse
 import compileall
+import hashlib
 import json
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 WORKLOADS = ("catalog-audit", "integral-export", "random-instances")
@@ -43,6 +54,38 @@ for fmt in ("csv", "obj"):
     out[f"grid 201 {fmt}"] = sha(open("g", "rb").read())
 print(json.dumps(out))
 """
+#: The ``--fresh`` processes: ``python -S -c pass``, then ``cli.main(argv)``.
+FRESH = {
+    "pass": None,
+    "list": ["list"],
+    "verify AFS1.min.osc 41": ["verify", "--family", "AFS1.min.osc", "--grid", "41"],
+    "cross-validate type-2 seed 7": ["cross-validate", "--kind", "type-2", "--seed", "7"],
+}
+FRESH_CODE = "import sys; sys.path.insert(0, 'src'); from isocurv.cli import main; sys.exit(main(ARGV))"
+
+
+def fresh(tree: Path, argv: list[str] | None) -> tuple[float, str]:
+    """Wall ms of one fresh ``python -S`` process in ``tree``, and the sha256 of its exit and stdout."""
+    code = "pass" if argv is None else FRESH_CODE.replace("ARGV", repr(argv))
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, "-S", "-c", code], cwd=tree, capture_output=True)
+    wall_ms = (time.perf_counter() - start) * 1e3
+    return wall_ms, hashlib.sha256(b"exit %d\n" % done.returncode + done.stdout).hexdigest()
+
+
+def fresh_series(trees: dict, pairs: int) -> dict:
+    walls = {name: {t: [] for t in TREES} for name in FRESH}
+    digests = {name: {t: set() for t in TREES} for name in FRESH}
+    for i in range(pairs):
+        for t in TREES if i % 2 == 0 else TREES[::-1]:
+            for name, argv in FRESH.items():
+                wall_ms, digest = fresh(trees[t], argv)
+                walls[name][t].append(wall_ms)
+                digests[name][t].add(digest)
+    return {"command": f"python -S -c {FRESH_CODE!r}", "unit": "ms", "series": {
+        name: compare(walls[name], "lower") | {
+            "equal_stdout": len(digests[name]["parent"] | digests[name]["change"]) == 1}
+        for name in FRESH}}
 
 
 def bench(tree: Path, workload: str, seed: int, seconds: int, trace: int) -> dict:
@@ -58,25 +101,28 @@ def bench(tree: Path, workload: str, seed: int, seconds: int, trace: int) -> dic
     return dict(record, correct=record["failed"] == 0)  # run.py's own "correct"
 
 
+def compare(got: dict, better: str) -> dict:
+    """Each tree's median and quartiles of its values, and the pairs the change won."""
+    wins = sum((c > p) if better == "higher" else (c < p) for p, c in zip(*got.values()))
+    row = {"better": better}
+    for t in TREES:
+        q = got[t] * 3 if len(got[t]) < 2 else statistics.quantiles(
+            got[t], n=4, method="inclusive")
+        row |= {f"{t}_median": statistics.median(got[t]), f"{t}_quartiles": [q[0], q[2]]}
+    return row | {"change_wins": wins, "pairs": len(got["parent"])}
+
+
 def summary(pairs: list[dict]) -> dict:
-    out = {}
-    for name, better in METRICS.items():
-        got = {t: [p[t]["metrics"][name]["value"] for p in pairs] for t in TREES}
-        wins = sum((c > p) if better == "higher" else (c < p) for p, c in zip(*got.values()))
-        row = {"better": better}
-        for t in TREES:
-            q = got[t] * 3 if len(pairs) < 2 else statistics.quantiles(
-                got[t], n=4, method="inclusive")
-            row |= {f"{t}_median": statistics.median(got[t]), f"{t}_quartiles": [q[0], q[2]]}
-        out[name] = row | {"change_wins": wins, "pairs": len(pairs)}
-    return out
+    return {name: compare({t: [p[t]["metrics"][name]["value"] for p in pairs] for t in TREES},
+                          better) for name, better in METRICS.items()}
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", type=Path, required=True)
     ap.add_argument("--change", type=Path, required=True)
-    ap.add_argument("--workload", required=True, choices=WORKLOADS + ("all",))
+    ap.add_argument("--workload", choices=WORKLOADS + ("all",))
+    ap.add_argument("--fresh", action="store_true", help="time fresh -S processes (FRESH)")
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seconds", type=int, default=20)
     ap.add_argument("--seed-base", type=int, default=1)
@@ -86,6 +132,8 @@ def main(argv=None) -> int:
     ap.add_argument("--out", type=Path, required=True)
     ap.add_argument("--append", action="store_true", help="add to an existing --out file")
     args = ap.parse_args(argv)
+    if not (args.workload or args.fresh):
+        ap.error("give --workload, --fresh or both")
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     if not all(compileall.compile_dir(tree / sub, quiet=1)
                for tree in trees.values() for sub in ("src", "bench")):
@@ -94,7 +142,7 @@ def main(argv=None) -> int:
         "description": args.note, "series": [],
         "command": "python3 bench/run.py --workload W --seed S --seconds N --trace 0"}
     records = []
-    for w in WORKLOADS if args.workload == "all" else (args.workload,):
+    for w in WORKLOADS if args.workload == "all" else (args.workload,) if args.workload else ():
         pairs = []
         for i in range(args.pairs):
             seed, order = args.seed_base + i, TREES if i % 2 == 0 else TREES[::-1]
@@ -118,8 +166,12 @@ def main(argv=None) -> int:
         doc["byte_identity"] = {t: json.loads(subprocess.run(
             [sys.executable, "-I", "-c", DIGESTS], cwd=tree, check=True, capture_output=True,
             text=True).stdout) for t, tree in trees.items()}
+    if args.fresh:
+        doc["fresh"] = fresh_series(trees, args.pairs)
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
     bad = [f"{r['workload']} seed {r['seed']}" for r in records if not r["correct"]]
+    bad += [f"fresh {name} (stdout differs)" for name, row in doc.get("fresh", {}).get(
+        "series", {}).items() if not row["equal_stdout"]]
     if bad:
         print(f"error: runs not correct: {', '.join(bad)}", file=sys.stderr)
     return 1 if bad else 0
