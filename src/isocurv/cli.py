@@ -3,8 +3,8 @@
 Commands: ``list``, ``verify``, ``grid``, ``cross-validate``, ``probe`` and
 ``ode-check``, each described once in :data:`_COMMANDS`.  A well-formed
 argv is read from that table and builds no parser (see
-:func:`_parse_well_formed`); any other goes to argparse, with its command's
-parser alone if it can, so help, usage and error texts are argparse's.
+:func:`_parse_well_formed`); any other goes to the full argparse parser,
+so help, usage and error texts are argparse's.
 
 Exit codes: 0 success (and verification passed), 1 a check ran and
 failed (reports are still written), 2 usage or parameter errors,
@@ -92,6 +92,13 @@ def _sample(args, surface) -> verify.GridRun:
 
 
 def _check_sizes(args) -> None:
+    """Refuse a list where an option takes one value, then a size outside
+    :data:`SIZE_LIMITS`.  argparse before Python 3.13 reads ``--name=--`` as []."""
+    for flag, spec in _COMMANDS[args.command][1].items():
+        value = getattr(args, flag[2:])
+        values = (value or ()) if spec.get("action") == "append" else (value,)
+        if list in map(type, values):
+            raise ParameterError(f"{flag} expects one value, got '--'")
     for name, (lo, hi) in SIZE_LIMITS.items():
         value = getattr(args, name, None)
         if value is not None and not lo <= value <= hi:
@@ -313,21 +320,9 @@ def _parse_well_formed(argv: list[str]) -> SimpleNamespace | None:
     return SimpleNamespace(**values, command=argv[0], handler=handler)
 
 
-def _command_parser(name: str, parser):
-    """argparse ``parser`` with command ``name``'s options, and its name and handler as defaults."""
-    _, options, handler = _COMMANDS[name]
-    group = None
-    for flag, spec in options.items():
-        if spec.get("one_of"):
-            group = group or parser.add_mutually_exclusive_group(required=True)
-        target = group if spec.get("one_of") else parser
-        target.add_argument(flag, **{key: v for key, v in spec.items() if key != "one_of"})
-    parser.set_defaults(command=name, handler=handler)
-    return parser
-
-
 def _build_parser():
-    """The full argparse parser: the top level and one subparser per command."""
+    """The full argparse parser: the top level, and per command a subparser with
+    its options, and its name and handler as defaults."""
     import argparse
 
     parser = argparse.ArgumentParser(
@@ -335,23 +330,16 @@ def _build_parser():
         description="curvature checks for product surfaces of the isotropic 3-space",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_line, _, _) in _COMMANDS.items():
-        _command_parser(name, sub.add_parser(name, help=help_line))
+    for name, (help_line, options, handler) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_line)
+        group = None
+        for flag, spec in options.items():
+            if spec.get("one_of"):
+                group = group or command.add_mutually_exclusive_group(required=True)
+            target = group if spec.get("one_of") else command
+            target.add_argument(flag, **{key: v for key, v in spec.items() if key != "one_of"})
+        command.set_defaults(command=name, handler=handler)
     return parser
-
-
-def _parse_args(argv: list[str]):
-    """Parse ``argv`` as the full parser would: well formed from the table, else
-    with its command's parser alone if it can."""
-    args = _parse_well_formed(argv)
-    if args is not None or not argv or argv[0] not in _COMMANDS:
-        return args or _build_parser().parse_args(argv)
-    import argparse
-
-    parser = _command_parser(argv[0], argparse.ArgumentParser(prog=f"isocurv {argv[0]}"))
-    args, unrecognized = parser.parse_known_args(argv[1:])
-    # The full parser reports unrecognized arguments, under its own usage.
-    return _build_parser().parse_args(argv) if unrecognized else args
 
 
 def _attach_negative_ranges(argv: list[str]) -> list[str]:
@@ -371,7 +359,7 @@ def _attach_negative_ranges(argv: list[str]) -> list[str]:
 def main(argv=None) -> int:
     argv = _attach_negative_ranges(sys.argv[1:] if argv is None else list(argv))
     try:
-        args = _parse_args(argv)
+        args = _parse_well_formed(argv) or _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -1,10 +1,10 @@
-"""The command-line parser as it stood before each call built only its command's parser.
+"""The command-line parser as it stood before the CLI described its commands as data.
 
-``isocurv.cli`` describes each command once, in ``_COMMANDS``, and
-parses an argv that starts with a command with that command's parser
-alone.  This module keeps the earlier ``_build_parser`` verbatim,
-frozen: the top-level parser and all six subparsers, built on every
-call.  The tests parse a table of argv with it and with ``cli.main``
+``isocurv.cli`` describes each command once, in ``_COMMANDS``, reads a
+well-formed argv from that table and builds its argparse parser from
+it.  This module keeps the earlier ``_build_parser`` verbatim, frozen:
+the top-level parser and all six subparsers, each option written out.
+The tests parse a table of argv with it and with ``cli.main``
 and require the same exit code, the same stdout and stderr bytes, and
 for a valid argv the same parsed values.  Do not change an option here
 to follow a change in the package.
