@@ -27,10 +27,10 @@ from .rng import SplitMix64
 __all__ = ["main", "SIZE_LIMITS"]
 
 #: Inclusive bounds on the size options, checked before any work starts.
-#: The value columns of a ``GridRun`` hold grid² floats,
-#: ``cross-validate`` keeps a value per point and ``ode-check`` one per
-#: step, so every size has a cap; the lower bounds refuse runs that
-#: would check nothing and then report a pass.
+#: The value columns of a ``GridRun`` hold grid² floats and
+#: ``cross-validate`` keeps a value per point; ``ode-check`` keeps no
+#: step, so the ``--steps`` cap bounds run time only.  The lower bounds
+#: refuse runs that would check nothing and then report a pass.
 SIZE_LIMITS = {
     "grid": (2, 1001),
     "count": (1, 10_000),
@@ -218,6 +218,8 @@ def _cmd_cross_validate(args) -> int:
                 f"{args.family} does not expose the factored form needed for cross-validation"
             )
         point_seed = args.seed
+    elif args.param:
+        raise ParameterError("--param needs --family: a random --kind instance takes none")
     else:
         instance = random_instance(SplitMix64(args.seed), args.kind)
         point_seed = args.seed + 1

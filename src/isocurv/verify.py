@@ -382,9 +382,13 @@ def cross_validate(
     Both routes differentiate the same height, assembled differently;
     agreement to near rounding is evidence against algebra slips in
     either.  Type-2 points too close to the regularity zero set are
-    skipped (both routes would only amplify rounding there).
+    skipped (both routes would only amplify rounding there).  A chart
+    or a patch has no factored form: it is a ValueError, raised before
+    any point is drawn.
     """
     _require_finite_nonnegative("cross-validation tolerance", tol)
+    if not isinstance(instance, AffineFactorable):
+        raise ValueError(f"a {type(instance).__name__} has no factored form to cross-validate")
     chart = as_chart(instance)
     type2 = instance.kind == TYPE2
     route = instance.route
@@ -437,19 +441,17 @@ def motion_invariance_check(
 ) -> VerificationReport:
     """K and H before vs after a rigid motion, at matching parameters.
 
-    The surface is taken as a parametric patch, and each grid point
+    A product surface becomes its chart and a chart its patch (see
+    :func:`as_parametric`); on that patch each grid point
     evaluates its coordinate jets once: ``before`` comes from those
     jets, ``after`` from their image under :func:`apply_motion`, which
     are the jets of the moved patch at the same (u, v).
     """
     _require_finite_nonnegative("motion invariance check tolerance", tol)
     if isinstance(surface, AffineFactorable):
-        base = as_parametric(as_chart(surface))
         subject = subject or surface.label
-    elif isinstance(surface, SurfaceChart):
-        base = as_parametric(surface)
-    else:
-        base = surface
+        surface = as_chart(surface)
+    base = as_parametric(surface) if isinstance(surface, SurfaceChart) else surface
     if domain is None:
         domain = base.domain
     deviations = []
@@ -541,26 +543,25 @@ def finite_difference_check(
 
 
 def _rk4(deriv, t0: float, y0: Sequence[float], t1: float, steps: int):
-    """Classic fixed-step fourth-order Runge-Kutta over [t0, t1] in steps >= 1 steps."""
+    """Classic fixed-step fourth-order Runge-Kutta over [t0, t1] in steps >= 1 steps.
+
+    The state is the pair (f, f') from ``y0``, held as two floats, and
+    ``deriv(t, f, df)`` returns (f', f'').  Yields ``(t, f)`` at each
+    node as it is reached, t0 first, and keeps none.
+    """
     h = (t1 - t0) / steps
     t = t0
-    y = tuple(float(v) for v in y0)
-    out = [(t, y)]
+    f, df = float(y0[0]), float(y0[1])
+    yield t, f
     for i in range(steps):
-        k1 = deriv(t, y)
-        y2 = tuple(v + 0.5 * h * k for v, k in zip(y, k1))
-        k2 = deriv(t + 0.5 * h, y2)
-        y3 = tuple(v + 0.5 * h * k for v, k in zip(y, k2))
-        k3 = deriv(t + 0.5 * h, y3)
-        y4 = tuple(v + h * k for v, k in zip(y, k3))
-        k4 = deriv(t + h, y4)
-        y = tuple(
-            v + (h / 6.0) * (a + 2.0 * b + 2.0 * c + d)
-            for v, a, b, c, d in zip(y, k1, k2, k3, k4)
-        )
+        a1, b1 = deriv(t, f, df)
+        a2, b2 = deriv(t + 0.5 * h, f + 0.5 * h * a1, df + 0.5 * h * b1)
+        a3, b3 = deriv(t + 0.5 * h, f + 0.5 * h * a2, df + 0.5 * h * b2)
+        a4, b4 = deriv(t + h, f + h * a3, df + h * b3)
+        f = f + (h / 6.0) * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+        df = df + (h / 6.0) * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
         t = t0 + (i + 1) * h
-        out.append((t, y))
-    return out
+        yield t, f
 
 
 _ODE_DEFAULTS = {
@@ -581,12 +582,13 @@ def ode_crosscheck(
     exponential family, (1+a^2)*f'' + 2*a*c1*f' + c1^2*f = 0.
     ``afs2-cmc``: the slope equation f'' = 2*H0*c1^2*(f')^3 behind the
     constant-H family with a constant first factor.  Initial conditions
-    come from the closed form at the range start.  ``params`` follow a
-    family's rule (``catalog._merged_params``): an unknown name, or a
-    value that is not a finite real number, is a ParameterError naming
-    the ODE and the parameter, raised before any evaluation.  A
-    non-finite gap raises ValueError instead of being skipped, and so
-    does an arithmetic error on the way, naming the ODE.
+    come from the closed form at the range start, and each node is
+    compared as :func:`_rk4` yields it.  ``params`` follow a family's
+    rule (``catalog._merged_params``): an unknown name, or a value that
+    is not a finite real number, is a ParameterError naming the ODE and
+    the parameter, raised before any evaluation.  A non-finite gap
+    raises ValueError instead of being skipped, and so does an
+    arithmetic error on the way, naming the ODE.
     """
     if ode not in _ODE_DEFAULTS:
         known = ", ".join(sorted(_ODE_DEFAULTS))
@@ -608,8 +610,8 @@ def ode_crosscheck(
         closed = minimal_oscillation_profile(c1, a, merged["c2"], merged["c3"])
         denom = 1.0 + a * a
 
-        def deriv(t, y):
-            return (y[1], -(2.0 * a * c1 * y[1] + c1 * c1 * y[0]) / denom)
+        def deriv(t, f, df):
+            return df, -(2.0 * a * c1 * df + c1 * c1 * f) / denom
 
     else:
         H0, c1, c2 = merged["H0"], merged["c1"], merged["c2"]
@@ -623,16 +625,15 @@ def ode_crosscheck(
         closed = cmc_slope_profile(H0, c1, c2, merged["c3"])
         rate = 2.0 * H0 * c1 * c1
 
-        def deriv(t, y):
-            return (y[1], rate * y[1] ** 3)
+        def deriv(t, f, df):
+            return df, rate * df ** 3
 
     try:
         start = jets.eval_profile(closed, t0)
-        path = _rk4(deriv, t0, (start.v, start.dx), t1, steps)
         worst = 0.0
-        for t, y in path:
+        for t, f in _rk4(deriv, t0, (start.v, start.dx), t1, steps):
             exact = jets.eval_profile(closed, t).v
-            gap = abs(y[0] - exact)
+            gap = abs(f - exact)
             if not math.isfinite(gap):
                 raise ValueError(f"{ode} gap at t = {t!r} is not finite: {gap!r}")
             worst = max(worst, gap)
@@ -735,15 +736,10 @@ def probe_instances(
             results.append(ProbeInstance(s.label, -1.0, False, True, False))
             continue
         if kind == "afs2-minimal":
-            stat = _max_deviation(run.H, 0.0)
-            results.append(ProbeInstance(s.label, stat, False, False, stat <= floor))
+            stat, flat = _max_deviation(run.H, 0.0), False
         else:
-            max_abs = _max_deviation(run.K, 0.0)
-            spread = max(run.K) - min(run.K)
-            if max_abs <= floor:
-                results.append(ProbeInstance(s.label, spread, True, False, False))
-            else:
-                results.append(ProbeInstance(s.label, spread, False, False, spread <= floor))
+            stat, flat = max(run.K) - min(run.K), _max_deviation(run.K, 0.0) <= floor
+        results.append(ProbeInstance(s.label, stat, flat, False, not flat and stat <= floor))
     usable = [r.stat for r in results if not (r.degenerate or r.flat)]
     return ProbeReport(
         kind=kind,

@@ -645,6 +645,20 @@ def test_cross_validate_needs_factored_form(capsys):
     assert code == 2 and "factored form" in err, f"exit {code}, stderr {err!r}"
 
 
+def test_cross_validate_refuses_param_without_family(capsys, monkeypatch):
+    # A random --kind instance takes no parameter: --param once went
+    # unread, and the run printed the report of the call without it.
+    def fail(rng, kind):
+        raise AssertionError("an instance was drawn before --param was checked")
+
+    monkeypatch.setattr(cli, "random_instance", fail)
+    code, out, err = run_cli(
+        capsys, "cross-validate", "--kind", "type-2", "--seed", "7", "--param", "zzz=5"
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: --param needs --family: a random --kind instance takes none\n"
+
+
 def test_probe_exits_clean_without_counterexamples(capsys):
     code, out, err = run_cli(
         capsys, "probe", "--kind", "afs2-minimal", "--count", "5", "--seed", "6"

@@ -48,6 +48,7 @@ from isocurv.verify import (
     VerificationReport,
 )
 
+import reference_rk4
 import reference_routes
 
 UNIT = Rect((0.0, 1.0), (0.0, 1.0))
@@ -755,6 +756,22 @@ def test_cross_validate_refuses_a_non_finite_discrepancy():
         cross_validate(poisoned, n_points=40, seed=2)
 
 
+@pytest.mark.parametrize("convert", [lambda chart: chart, as_parametric], ids=["chart", "patch"])
+def test_cross_validate_refuses_a_surface_without_factored_form(monkeypatch, convert):
+    # A chart or a patch once reached instance.kind and raised
+    # AttributeError.  It is refused before any point is drawn.
+    surface = convert(build_family("FS2.K.integral"))
+
+    def fail(seed):
+        raise AssertionError("a point was drawn before the surface was checked")
+
+    monkeypatch.setattr(verify, "SplitMix64", fail)
+    with pytest.raises(ValueError) as info:
+        cross_validate(surface)
+    name = type(surface).__name__
+    assert str(info.value) == f"a {name} has no factored form to cross-validate"
+
+
 def test_cross_validate_excludes_points_whose_profile_raises():
     # log leaves its branch where x <= 0, about half of the draws here.
     logarithmic = AffineFactorable(
@@ -1104,6 +1121,61 @@ def test_ode_crosscheck_refuses_a_non_finite_gap():
     # reported a gap of 0.
     with pytest.raises(ValueError, match="not finite"):
         ode_crosscheck("afs1-minimal", params={"c1": 1e200})
+
+
+def _frozen_rk4(deriv, t0, y0, t1, steps):
+    """``reference_rk4.rk4`` behind ``verify._rk4``'s interface: (t, f) per node."""
+    return [(t, y[0]) for t, y in reference_rk4.rk4(lambda t, y: deriv(t, *y), t0, y0, t1, steps)]
+
+
+def _ode_outcome(ode, params, trange, steps):
+    """``ode_crosscheck``'s error as ``float.hex``, or its ValueError's text."""
+    try:
+        return ode_crosscheck(ode, params, trange, steps).hex()
+    except ValueError as err:
+        return f"ValueError: {err}"
+
+
+def _random_ode_setup(rng, ode):
+    """Random parameters and a range, its bounds negative or not, that pass
+    ``ode_crosscheck``'s set-up checks: no vanishing divisor, a positive radicand."""
+    t0 = rng.uniform(-3.0, 1.0)
+    trange = (t0, t0 + rng.uniform(0.05, 3.0))
+    c1 = rng.choice((-1.0, 1.0)) * rng.uniform(0.2, 3.0)
+    if ode == "afs1-minimal":
+        params = {"c1": c1, "a": rng.choice((-1.0, 1.0)) * rng.uniform(0.1, 3.0)}
+    else:
+        H0 = rng.choice((-1.0, 1.0)) * rng.uniform(0.1, 2.0)
+        q = 4.0 * H0 * c1 * c1
+        params = {"H0": H0, "c1": c1, "c2": max(q * t for t in trange) + rng.uniform(0.01, 2.0)}
+    return {**params, "c3": rng.uniform(-2.0, 2.0)}, trange
+
+
+@pytest.mark.parametrize("ode", ["afs1-minimal", "afs2-cmc"])
+@pytest.mark.parametrize("steps", [1, 2, 7, 50, 1000])
+def test_ode_crosscheck_matches_the_frozen_integrator(monkeypatch, ode, steps):
+    # The two-float integrator must give the generic one's floats: the
+    # same expressions in the same order, on random parameters and
+    # ranges, the default ones first.
+    rng = SplitMix64(steps)
+    setups = [(None, None)] + [_random_ode_setup(rng, ode) for _ in range(6)]
+    got = [_ode_outcome(ode, params, trange, steps) for params, trange in setups]
+    monkeypatch.setattr(verify, "_rk4", _frozen_rk4)
+    want = [_ode_outcome(ode, params, trange, steps) for params, trange in setups]
+    assert got == want, setups
+
+
+def test_rk4_keeps_no_node():
+    # The integrator yields each node and keeps none, so its peak does not
+    # grow with the step count.  A list of the nodes peaked at 3.97 MB.
+    tracemalloc.start()
+    try:
+        for _ in verify._rk4(lambda t, *state: (0.0, 0.0), 0.0, (1.0, 0.0), 1.0, 20_000):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000, f"_rk4 peaked at {peak} B over 20,000 steps"
 
 
 # nonexistence probes ----------------------------------------------------
