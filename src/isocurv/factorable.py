@@ -25,11 +25,12 @@ formulas in the shifted profile arguments:
                  + 2a*f1'*f2' + a^2*f1''*f2) / reg^3
 
 Each formula is written once, in a line kernel: :func:`afs1_line` and
-:func:`afs2_line` apply it along one grid row and fill ``array('d')``
-columns of K, H and the height, or exclude the point with a text.
+:func:`afs2_line` apply it along one grid row and fill that row's lists
+of K, H and the height, or exclude the point with a text.
 :func:`grid_lines` is the one walk of a product grid: it yields each
 row's profile jets to grid sampling, whose :func:`sample_lines` runs
-the kernel of the surface's kind, and to the type-2 build check in
+the kernel of the surface's kind and moves each row's lists into the
+run's ``array('d')`` columns, and to the type-2 build check in
 ``isocurv.catalog``, which runs :func:`regularity`.  The per-point
 route of a kind, :attr:`AffineFactorable.route`, is
 :func:`afs1_curvatures` or :func:`afs2_curvatures`: its kernel on a
@@ -46,7 +47,7 @@ cross-checked numerically (see ``isocurv.verify.cross_validate``).
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterator, MutableSequence, Sequence
+from collections.abc import Callable, Iterator, Sequence
 
 from . import jets
 from .jets import BranchDomainError, Jet1, Jet2, _new
@@ -90,10 +91,11 @@ Profile = "Callable[[Jet1 | Jet2], Jet1 | Jet2]"
 #: The errors that evaluating a surface at a point may raise: a grid walk
 #: excludes the point, and a family build refuses its parameters.
 _EVAL_ERRORS = (AdmissibilityError, BranchDomainError, ZeroDivisionError, OverflowError)
-#: The columns a grid walk fills: K, H and heights, each an ``array('d')``,
-#: and a list of exclusions, in the layout of ``isocurv.verify.GridRun``.
-#: An included point is not stored; the grid and the exclusions give it.
-Columns = "tuple[MutableSequence[float], MutableSequence[float], MutableSequence[float], list]"
+#: The columns a line kernel fills: one row's K, H and heights, each a list,
+#: and the run's list of exclusions, in the layout of ``isocurv.verify.GridRun``.
+#: :func:`sample_lines` moves each row's lists into the run's ``array('d')``
+#: columns.  An included point is not stored; the grid and the exclusions give it.
+Columns = "tuple[list[float], list[float], list[float], list]"
 #: The exclusion text of a point whose K or H is not finite.
 NON_FINITE = "non-finite curvature value"
 
@@ -161,7 +163,9 @@ def afs1_curvatures(
     """
     if s.kind != TYPE1:
         raise ValueError(f"afs1_curvatures needs a {TYPE1} surface, got {s.kind}")
-    return _one_point(afs1_line, s.shear, p[0], (p[1],), j1, (j2,))
+    columns = ([], [], [], [])
+    afs1_line(s.shear, p[0], (p[1],), j1, (j2,), columns)
+    return _one_point(columns)
 
 
 def afs1_line(
@@ -177,9 +181,9 @@ def afs1_line(
     ``j1`` is f1's jet at x, ``j2s`` f2's jets at y + a*x for each y in
     ``ys``; either may be the exclusion text of the error its profile
     raised, and f1's text goes first.  Each point is either included,
-    with K, H and the height w = f1*f2 appended to the first three
-    columns, or excluded as an ``((x, y), text)`` pair: its profile's
-    text, that of an overflowing square, or :data:`NON_FINITE`.  The
+    with K, H and the height w = f1*f2 appended to the row's lists in
+    ``columns``, or excluded as an ``((x, y), text)`` pair: its
+    profile's text, that of an overflowing square, or :data:`NON_FINITE`.  The
     row's f1 floats and the factors (1 + a^2)*f1 and 2a*f1', which the
     left-to-right products form first, are computed once per row.
     """
@@ -223,7 +227,9 @@ def afs2_curvatures(
     """
     if s.kind != TYPE2:
         raise ValueError(f"afs2_curvatures needs a {TYPE2} surface, got {s.kind}")
-    return _one_point(afs2_line, s.shear, p[0], (p[1],), (j1,), (j2,))
+    columns = ([], [], [], [])
+    afs2_line(s.shear, p[0], (p[1],), (j1,), (j2,), columns)
+    return _one_point(columns)
 
 
 def afs2_line(
@@ -283,15 +289,14 @@ def afs2_line(
             excluded.append(((y, z), NON_FINITE))
 
 
-def _one_point(line: Callable[..., None], *args) -> CurvaturePair:
-    """The pair of the one point that ``line(*args, columns)`` handles.
+def _one_point(columns: Columns) -> CurvaturePair:
+    """The pair of the one point that a line kernel has put in ``columns``.
 
     An excluded point raises :class:`AdmissibilityError` with its text,
     whatever error the kernel caught, except a non-finite K or H: that
     gives a NaN pair, which a check refuses rather than skipping it.
     """
-    ks, hs, heights, excluded = columns = ([], [], [], [])
-    line(*args, columns)
+    ks, hs, heights, excluded = columns
     if ks:
         r = _new(CurvaturePair)
         r.K = ks[0]
@@ -305,12 +310,25 @@ def _one_point(line: Callable[..., None], *args) -> CurvaturePair:
 
 
 def sample_lines(
-    s: AffineFactorable, us: Sequence[float], vs: Sequence[float], columns: Columns
+    s: AffineFactorable, us: Sequence[float], vs: Sequence[float], columns: tuple
 ) -> None:
-    """Grid sampling's columns over us x vs: each :func:`grid_lines` row through s's kernel."""
+    """Grid sampling's columns over us x vs: each :func:`grid_lines` row through s's kernel.
+
+    ``columns`` are the run's: ``array('d')`` columns of K, H and
+    heights, and a list of exclusions.  The kernel fills three new lists
+    with a row's K, H and heights, and its exclusions go straight to the
+    run's list, in grid order.  Each row's lists then go into the run's
+    columns with one ``fromlist`` call each, which costs less than a
+    per-point ``append`` to the arrays or an ``extend``.
+    """
     line = afs1_line if s.kind == TYPE1 else afs2_line
+    ks, hs, heights, excluded = columns
     for u, j1, j2s in grid_lines(s, us, vs):
-        line(s.shear, u, vs, j1, j2s, columns)
+        row_k, row_h, row_w = [], [], []
+        line(s.shear, u, vs, j1, j2s, (row_k, row_h, row_w, excluded))
+        ks.fromlist(row_k)
+        hs.fromlist(row_h)
+        heights.fromlist(row_w)
 
 
 def grid_lines(s: AffineFactorable, us: Sequence[float], vs: Sequence[float]) -> Iterator[tuple]:

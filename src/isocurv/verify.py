@@ -250,8 +250,11 @@ def _sample_points(surface, us: Sequence[float], vs: Sequence[float], columns) -
 
     A chart's route (``SurfaceChart.route``) is bound to its height by
     ``partial`` once per grid, so a point costs the route's own call
-    and no other Python frame.  The third column, the heights, is None
-    for a surface that has no graph height, and stays None.
+    and no other Python frame.  As in ``isocurv.factorable.sample_lines``,
+    a grid row's K, H and heights go to three lists, which then go into
+    the ``array('d')`` columns with one ``fromlist`` call each, and the
+    exclusions go straight to the run's list.  The third column, the
+    heights, is None for a surface that has no graph height, and stays None.
     """
     if isinstance(surface, SurfaceChart):
         curvatures = partial(surface.route, surface.height)
@@ -260,6 +263,7 @@ def _sample_points(surface, us: Sequence[float], vs: Sequence[float], columns) -
     ks, hs, heights, excluded = columns
     isfinite = math.isfinite
     for u in us:
+        row_k, row_h, row_w = [], [], []
         for v in vs:
             p = (u, v)
             try:
@@ -269,12 +273,15 @@ def _sample_points(surface, us: Sequence[float], vs: Sequence[float], columns) -
                 continue
             K, H = pair.K, pair.H
             if isfinite(K) and isfinite(H):
-                ks.append(K)
-                hs.append(H)
-                if heights is not None:
-                    heights.append(pair.w)
+                row_k.append(K)
+                row_h.append(H)
+                row_w.append(pair.w)
             else:
                 excluded.append((p, NON_FINITE))
+        ks.fromlist(row_k)
+        hs.fromlist(row_h)
+        if heights is not None:
+            heights.fromlist(row_w)
 
 
 def check_constancy(
@@ -390,6 +397,7 @@ def cross_validate(
     if not isinstance(instance, AffineFactorable):
         raise ValueError(f"a {type(instance).__name__} has no factored form to cross-validate")
     chart = as_chart(instance)
+    chart_route = partial(chart.route, chart.height)
     type2 = instance.kind == TYPE2
     route = instance.route
     rng = SplitMix64(seed)
@@ -406,7 +414,7 @@ def cross_validate(
                 excluded.append((p, f"regularity magnitude below {_CROSS_REG_FLOOR:g}"))
                 continue
             special = route(instance, p, j1, j2)
-            generic = chart.curvatures(p)
+            generic = chart_route(p)
         except _EVAL_ERRORS as err:
             excluded.append((p, str(err)))
             continue

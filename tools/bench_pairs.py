@@ -11,6 +11,10 @@ per tree and workload; ``--digests`` the sha256 of ``isocurv list``, of
 ``verify --grid 41`` on every family and of the 201² FS2.K.integral CSV and
 OBJ exports.  Exits 1 if any run is not correct.
 
+Once ``--out`` is written, one line per series and metric goes to stdout: the
+parent's median with its quartiles, the change's median and the difference,
+the pairs the change won, and whether the claim rule holds (``claim_holds``).
+
 ``--fresh``, with or without ``--workload``, times fresh ``python -S``
 processes, start-up and import included: ``-c pass`` and a ``cli.main`` call per command in ``FRESH``, each
 tree in turn per pair, the parent first in even pairs.  Their wall times go
@@ -112,6 +116,41 @@ def compare(got: dict, better: str) -> dict:
     return row | {"change_wins": wins, "pairs": len(got["parent"])}
 
 
+def claim_holds(row: dict) -> bool:
+    """The claim rule on a ``compare`` row: at least 10 pairs ran, the change won at least
+    9 in 10 of them, a tie counting for neither side, and its median is better than the
+    parent's by more than the distance between the parent's quartiles."""
+    q1, q3 = row["parent_quartiles"]
+    gap = row["change_median"] - row["parent_median"]
+    if row["better"] == "lower":
+        gap = -gap
+    pairs = row["pairs"]
+    return pairs >= 10 and 10 * row["change_wins"] >= 9 * pairs and gap > q3 - q1
+
+
+def verdict(name: str, metric: str, row: dict) -> str:
+    """One line: the parent's median and quartiles, the change's median, the wins and the rule."""
+    p, c = row["parent_median"], row["change_median"]
+    q1, q3 = row["parent_quartiles"]
+    diff = f"{(c - p) / p * 100:+.1f}%" if p else "n/a"
+    holds = "holds" if claim_holds(row) else "does not hold"
+    return (f"{name} {metric}: parent {p:.7g} [{q1:.7g}-{q3:.7g}] -> change {c:.7g} ({diff}), "
+            f"won {row['change_wins']}/{row['pairs']}, claim rule {holds}")
+
+
+def verdicts(doc: dict) -> list[str]:
+    """A ``verdict`` line per series and metric of a BENCH document."""
+    lines = []
+    for s in doc["series"]:
+        if s["summary"] is None:
+            lines.append(f"{s['workload']}: no summary, some runs were not correct")
+        else:
+            lines += [verdict(s["workload"], m, row) for m, row in s["summary"].items()]
+    for name, row in doc.get("fresh", {}).get("series", {}).items():
+        lines.append(verdict(f"fresh {name}", "wall_ms", row))
+    return lines
+
+
 def summary(pairs: list[dict]) -> dict:
     return {name: compare({t: [p[t]["metrics"][name]["value"] for p in pairs] for t in TREES},
                           better) for name, better in METRICS.items()}
@@ -169,6 +208,7 @@ def main(argv=None) -> int:
     if args.fresh:
         doc["fresh"] = fresh_series(trees, args.pairs)
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
+    print("\n".join(verdicts(doc)))
     bad = [f"{r['workload']} seed {r['seed']}" for r in records if not r["correct"]]
     bad += [f"fresh {name} (stdout differs)" for name, row in doc.get("fresh", {}).get(
         "series", {}).items() if not row["equal_stdout"]]
