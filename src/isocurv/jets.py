@@ -55,6 +55,21 @@ factorable surface reads only f, f' and f'' of each profile, so the
 y slots would be computed and dropped.  :func:`eval_field`, and with it
 every chart, keeps Jet2.  Repr, equality and hashing of jets, and of
 every value class above this layer, come from the fields via :class:`Value`.
+
+A :class:`Col1` is a column of Jet1s: the lists (f, f', f'') of one
+profile at many arguments, which :func:`eval_column` seeds.  Each
+operation and elementary function runs as one list comprehension per
+slot, with Jet1's float expression for each element, scalar fast paths
+and operand order included, so element i carries the bits of the Jet1
+at argument i.  A number, Jet1 or Jet2 on either side of a column
+operation is that constant at every element.  An operation that can
+raise checks its whole column first.  Only a column where an element
+fails goes element by element through the Jet1 operation: each failing
+element's error text goes into the evaluation's shared ``excluded`` map
+(the first error per element wins) and NaN into its slots.  NaN raises
+in no jet operation, so every argument is still evaluated once.  A Col1
+has no ``v``: a profile that reads its argument's value raises, and its
+caller evaluates it point by point instead.
 """
 
 from __future__ import annotations
@@ -65,6 +80,7 @@ __all__ = [
     "Value",
     "Jet1",
     "Jet2",
+    "Col1",
     "BranchDomainError",
     "MIN_DIVISOR",
     "TAN_COS_FLOOR",
@@ -74,6 +90,7 @@ __all__ = [
     "compose",
     "eval_field",
     "eval_profile",
+    "eval_column",
     "exp",
     "log",
     "sin",
@@ -441,6 +458,202 @@ class Jet1(_Jet):
         return q
 
 
+# columns ---------------------------------------------------------------
+#
+# Each rule below is Jet1's formula for its operation, written once per
+# slot as a list comprehension over the operands' lists.
+
+#: The errors that a jet operation raises at one point.  A column records
+#: an element's text and puts NaN there, and NaN raises in no operation.
+_ELEMENT_ERRORS = (BranchDomainError, ZeroDivisionError, OverflowError)
+
+
+def _jet1(v: float, dx: float, dxx: float) -> Jet1:
+    j = _new(Jet1)
+    j.v = v
+    j.dx = dx
+    j.dxx = dxx
+    return j
+
+
+def _column(t: Col1, vs: list[float], dxs: list[float], dxxs: list[float]) -> Col1:
+    """A new column of the evaluation that ``t`` belongs to."""
+    r = _new(Col1)
+    r.vs = vs
+    r.dxs = dxs
+    r.dxxs = dxxs
+    r.excluded = t.excluded
+    return r
+
+
+def _operand(x, n: int):
+    """A column's lists, or a jet's or a number's x slots as n-lists; None for anything else.
+
+    A number is the constant jet ``Jet2(float(c))``, as in Jet1's rules.
+    """
+    k = x.__class__
+    if k is Col1:
+        return x.vs, x.dxs, x.dxxs
+    if k is not Jet1:
+        x = _as_jet(x)
+        if x is None:
+            return None
+    return [x.v] * n, [x.dx] * n, [x.dxx] * n
+
+
+def _sum(t: Col1, a: tuple, b: tuple) -> Col1:
+    (av, ax, axx), (bv, bx, bxx) = a, b
+    return _column(
+        t,
+        [u + w for u, w in zip(av, bv)],
+        [u + w for u, w in zip(ax, bx)],
+        [u + w for u, w in zip(axx, bxx)],
+    )
+
+
+def _difference(t: Col1, a: tuple, b: tuple) -> Col1:
+    (av, ax, axx), (bv, bx, bxx) = a, b
+    return _column(
+        t,
+        [u - w for u, w in zip(av, bv)],
+        [u - w for u, w in zip(ax, bx)],
+        [u - w for u, w in zip(axx, bxx)],
+    )
+
+
+def _product(t: Col1, a: tuple, b: tuple) -> Col1:
+    (av, ax, axx), (bv, bx, bxx) = a, b
+    return _column(
+        t,
+        [u * w for u, w in zip(av, bv)],
+        [x * w + u * y for x, w, u, y in zip(ax, bv, av, bx)],
+        [xx * w + 2.0 * x * y + u * yy for xx, w, x, y, u, yy in zip(axx, bv, ax, bx, av, bxx)],
+    )
+
+
+def _quotient(t: Col1, a: tuple, b: tuple) -> Col1:
+    (av, ax, axx), (bv, bx, bxx) = a, b
+    if any(abs(w) < MIN_DIVISOR for w in bv):
+        return _each(Jet1.__truediv__, t, a, b)
+    rs = [1.0 / w for w in bv]
+    d1s = [-r * r for r in rs]
+    rxs = [d1 * y for d1, y in zip(d1s, bx)]
+    # 2.0 * r * r * r * y * y is d2 * bx * bx with d2 = 2.0 * r * r * r.
+    return _column(
+        t,
+        [u * r for u, r in zip(av, rs)],
+        [x * r + u * rx for x, r, u, rx in zip(ax, rs, av, rxs)],
+        [
+            xx * r + 2.0 * x * rx + u * (2.0 * r * r * r * y * y + d1 * yy)
+            for xx, r, x, rx, u, y, d1, yy in zip(axx, rs, ax, rxs, av, bx, d1s, bxx)
+        ],
+    )
+
+
+def _each(op, t: Col1, *operands: tuple) -> Col1:
+    """``op`` on the Jet1s of each element of the operands' slot lists.
+
+    An element where op raises one of :data:`_ELEMENT_ERRORS` gets NaN in
+    every slot and, unless an earlier operation excluded it, the error's
+    text in ``t.excluded``.  Anything else that op raises propagates.
+    """
+    excluded = t.excluded
+    vs, dxs, dxxs = [], [], []
+    nan = math.nan
+    for i, elements in enumerate(zip(*[zip(*slots) for slots in operands])):
+        try:
+            j = op(*[_jet1(*e) for e in elements])
+        except _ELEMENT_ERRORS as err:
+            excluded.setdefault(i, str(err))
+            vs.append(nan)
+            dxs.append(nan)
+            dxxs.append(nan)
+        else:
+            vs.append(j.v)
+            dxs.append(j.dx)
+            dxxs.append(j.dxx)
+    return _column(t, vs, dxs, dxxs)
+
+
+def _plus(t: Col1, c: float) -> Col1:
+    """t + c by Jet1's scalar fast path."""
+    return _column(t, [v + c for v in t.vs], [d + 0.0 for d in t.dxs], [d + 0.0 for d in t.dxxs])
+
+
+def _scaled(t: Col1, c: float) -> Col1:
+    """t * c by Jet1's scalar fast path."""
+    dxs = t.dxs
+    zs = [v * 0.0 for v in t.vs]
+    return _column(
+        t,
+        [v * c for v in t.vs],
+        [d * c + z for d, z in zip(dxs, zs)],
+        [dd * c + 2.0 * d * 0.0 + z for dd, d, z in zip(t.dxxs, dxs, zs)],
+    )
+
+
+def _binary(rule, scalar=None, reflected: bool = False):
+    """A Col1 operator method: ``rule`` on the column and the other operand, in that order.
+
+    ``reflected`` swaps the order, so a jet or a number on the left of a
+    column keeps its place, as Jet2 keeps a Jet1's.  ``scalar``, for + and
+    *, takes a float or int on either side as ``t + c`` and ``t * c``, as
+    Jet1's aliases do.
+    """
+
+    def method(self, other):
+        k = other.__class__
+        if scalar is not None and (k is float or k is int):
+            return scalar(self, float(other))
+        o = _operand(other, len(self.vs))
+        if o is None:
+            return NotImplemented
+        return rule(self, o, self._lists()) if reflected else rule(self, self._lists(), o)
+
+    return method
+
+
+class Col1:
+    """The Jet1s of one profile evaluation at many arguments, one list per slot.
+
+    ``vs``, ``dxs`` and ``dxxs`` hold (f, f', f'') at each argument, and
+    ``excluded`` maps the index of an argument where an operation raised
+    to that error's text; every column of one evaluation shares it.  Each
+    operation computes, element by element, Jet1's float expression for
+    the operands' kinds, so element i carries the bits of the per-point
+    Jet1.  There is no ``v``: a profile that reads its argument's value
+    raises here, and :func:`eval_column`'s caller evaluates point by point.
+    """
+
+    __slots__ = ("vs", "dxs", "dxxs", "excluded")
+
+    def _lists(self) -> tuple[list[float], list[float], list[float]]:
+        return self.vs, self.dxs, self.dxxs
+
+    def jet1s(self) -> list[Jet1]:
+        """Each element as a Jet1, built in place; an excluded one holds NaN."""
+        return list(map(_jet1, self.vs, self.dxs, self.dxxs))
+
+    __add__ = _binary(_sum, _plus)
+    __radd__ = _binary(_sum, _plus, reflected=True)
+    __sub__ = _binary(_difference)
+    __rsub__ = _binary(_difference, reflected=True)
+    __mul__ = _binary(_product, _scaled)
+    __rmul__ = _binary(_product, _scaled, reflected=True)
+    __truediv__ = _binary(_quotient)
+    __rtruediv__ = _binary(_quotient, reflected=True)
+
+    def __neg__(self):
+        return _column(
+            self, [-v for v in self.vs], [-d for d in self.dxs], [-d for d in self.dxxs]
+        )
+
+    def __pow__(self, exponent):
+        if isinstance(exponent, (int, float)) and not isinstance(exponent, bool):
+            return power(self, exponent)
+        return NotImplemented
+
+
 def _reciprocal_derivatives(v: float) -> tuple[float, float, float]:
     """g, g' and g'' of g(f) = 1/f at f = v, for every division form.
 
@@ -498,6 +711,32 @@ def eval_field(field, p1: float, p2: float) -> Jet2:
     return out
 
 
+def eval_column(profile, ts) -> Col1:
+    """Evaluate a one-variable profile at every t in ts at once: a :class:`Col1`.
+
+    The profile gets the column of the seeds ``Jet1(float(t), 1.0)``, so
+    element i carries the bits of ``eval_profile(profile, ts[i])``.  An
+    argument where an operation raises keeps that error's text in the
+    result's ``excluded`` and NaN in its slots.  A profile that returns
+    a jet or a plain number gives that value's x slots at every argument.
+    Any other error, one that the column cannot pin on an argument,
+    propagates: evaluate point by point then.
+    """
+    s = _new(Col1)
+    s.vs = list(map(float, ts))
+    n = len(s.vs)
+    s.dxs = [1.0] * n
+    s.dxxs = [0.0] * n
+    s.excluded = {}
+    out = profile(s)
+    if out.__class__ is Col1:
+        return out
+    lists = _operand(out, n)
+    if lists is None:
+        raise TypeError("profile must return a jet or a real number")
+    return _column(s, *lists)
+
+
 def eval_profile(profile, t: float) -> Jet1:
     """Evaluate a one-variable profile at t: its :class:`Jet1` (f, f', f'').
 
@@ -521,11 +760,12 @@ def eval_profile(profile, t: float) -> Jet1:
 # univariate composition ----------------------------------------------
 
 
-def compose(value: float, d1: float, d2: float, inner: Jet1 | Jet2) -> Jet1 | Jet2:
-    """Chain a univariate function through ``inner``, a Jet2 or a Jet1.
+def compose(value: float, d1: float, d2: float, inner: Jet1 | Jet2 | Col1) -> Jet1 | Jet2 | Col1:
+    """Chain a univariate function through ``inner``, a Jet2, a Jet1 or a Col1.
 
     ``value``, ``d1``, ``d2`` are g(f), g'(f), g''(f) at f = inner.v; the
-    result is the jet of g(f), of the same kind as ``inner``.
+    result is the jet of g(f), of the same kind as ``inner``.  For a
+    column they are lists, one float per element.
     """
     f = inner
     if f.__class__ is Jet2:
@@ -537,6 +777,14 @@ def compose(value: float, d1: float, d2: float, inner: Jet1 | Jet2) -> Jet1 | Je
         r.dxy = d2 * f.dx * f.dy + d1 * f.dxy
         r.dyy = d2 * f.dy * f.dy + d1 * f.dyy
         return r
+    if f.__class__ is Col1:
+        dxs = f.dxs
+        return _column(
+            f,
+            value,
+            [g1 * x for g1, x in zip(d1, dxs)],
+            [g2 * x * x + g1 * xx for g2, x, g1, xx in zip(d2, dxs, d1, f.dxxs)],
+        )
     r = _new(Jet1)
     r.v = value
     r.dx = d1 * f.dx
@@ -547,17 +795,21 @@ def compose(value: float, d1: float, d2: float, inner: Jet1 | Jet2) -> Jet1 | Je
 # elementary functions -------------------------------------------------
 
 
-def exp(a) -> Jet1 | Jet2:
+def exp(a) -> Jet1 | Jet2 | Col1:
     k = a.__class__
     if k is not Jet1 and k is not Jet2:
+        if k is Col1:
+            return _exp_column(a)
         a = _req(a, "exp")
     e = math.exp(a.v)
     return compose(e, e, e, a)
 
 
-def log(a) -> Jet1 | Jet2:
+def log(a) -> Jet1 | Jet2 | Col1:
     k = a.__class__
     if k is not Jet1 and k is not Jet2:
+        if k is Col1:
+            return _log_column(a)
         a = _req(a, "log")
     if a.v <= 0.0:
         raise BranchDomainError("log", a.v, "a positive argument")
@@ -565,9 +817,11 @@ def log(a) -> Jet1 | Jet2:
     return compose(math.log(a.v), r, -r * r, a)
 
 
-def sin(a) -> Jet1 | Jet2:
+def sin(a) -> Jet1 | Jet2 | Col1:
     k = a.__class__
     if k is not Jet1 and k is not Jet2:
+        if k is Col1:
+            return _sin_column(a)
         a = _req(a, "sin")
     try:
         s, c = math.sin(a.v), math.cos(a.v)
@@ -576,9 +830,11 @@ def sin(a) -> Jet1 | Jet2:
     return compose(s, c, -s, a)
 
 
-def cos(a) -> Jet1 | Jet2:
+def cos(a) -> Jet1 | Jet2 | Col1:
     k = a.__class__
     if k is not Jet1 and k is not Jet2:
+        if k is Col1:
+            return _cos_column(a)
         a = _req(a, "cos")
     try:
         s, c = math.sin(a.v), math.cos(a.v)
@@ -587,9 +843,11 @@ def cos(a) -> Jet1 | Jet2:
     return compose(c, -s, -c, a)
 
 
-def tan(a) -> Jet1 | Jet2:
+def tan(a) -> Jet1 | Jet2 | Col1:
     k = a.__class__
     if k is not Jet1 and k is not Jet2:
+        if k is Col1:
+            return _tan_column(a)
         a = _req(a, "tan")
     try:
         c = math.cos(a.v)
@@ -604,9 +862,11 @@ def tan(a) -> Jet1 | Jet2:
     return compose(t, sec2, 2.0 * t * sec2, a)
 
 
-def sqrt(a) -> Jet1 | Jet2:
+def sqrt(a) -> Jet1 | Jet2 | Col1:
     k = a.__class__
     if k is not Jet1 and k is not Jet2:
+        if k is Col1:
+            return _sqrt_column(a)
         a = _req(a, "sqrt")
     if a.v <= 0.0:
         raise BranchDomainError("sqrt", a.v, "a positive argument")
@@ -615,7 +875,7 @@ def sqrt(a) -> Jet1 | Jet2:
     return compose(s, d1, -0.5 * d1 / a.v, a)
 
 
-def power(a, exponent: float) -> Jet1 | Jet2:
+def power(a, exponent: float) -> Jet1 | Jet2 | Col1:
     """a**p for a real exponent p.
 
     Integer exponents work for any base (except a zero base with a negative
@@ -623,6 +883,8 @@ def power(a, exponent: float) -> Jet1 | Jet2:
     """
     k = a.__class__
     if k is not Jet1 and k is not Jet2:
+        if k is Col1:
+            return _power_column(a, exponent)
         a = _req(a, "power")
     p = float(exponent)
     v = a.v
@@ -641,3 +903,99 @@ def power(a, exponent: float) -> Jet1 | Jet2:
     g1 = p * math.pow(v, p - 1.0)
     g2 = p * (p - 1.0) * math.pow(v, p - 2.0)
     return compose(g, g1, g2, a)
+
+
+# elementary functions on columns ----------------------------------------
+#
+# Each checks its whole column first, with the test of the per-point
+# function, or catches the math module's error; only where an element
+# fails does it go element by element through the per-point function.
+
+
+def _exp_column(a: Col1) -> Col1:
+    try:
+        es = [math.exp(v) for v in a.vs]
+    except OverflowError:
+        return _each(exp, a, a._lists())
+    return compose(es, es, es, a)
+
+
+def _log_column(a: Col1) -> Col1:
+    vs = a.vs
+    if any(v <= 0.0 for v in vs):
+        return _each(log, a, a._lists())
+    rs = [1.0 / v for v in vs]
+    return compose([math.log(v) for v in vs], rs, [-r * r for r in rs], a)
+
+
+def _sin_cos(a: Col1) -> tuple[list[float], list[float]] | None:
+    """sin and cos of each element, or None where one is not finite."""
+    try:
+        return [math.sin(v) for v in a.vs], [math.cos(v) for v in a.vs]
+    except ValueError:
+        return None
+
+
+def _sin_column(a: Col1) -> Col1:
+    sc = _sin_cos(a)
+    if sc is None:
+        return _each(sin, a, a._lists())
+    ss, cs = sc
+    return compose(ss, cs, [-s for s in ss], a)
+
+
+def _cos_column(a: Col1) -> Col1:
+    sc = _sin_cos(a)
+    if sc is None:
+        return _each(cos, a, a._lists())
+    ss, cs = sc
+    return compose(cs, [-s for s in ss], [-c for c in cs], a)
+
+
+def _tan_column(a: Col1) -> Col1:
+    vs = a.vs
+    try:
+        cs = [math.cos(v) for v in vs]
+    except ValueError:
+        cs = None
+    if cs is None or any(abs(c) <= TAN_COS_FLOOR for c in cs):
+        return _each(tan, a, a._lists())
+    ts = [math.tan(v) for v in vs]
+    sec2 = [1.0 + t * t for t in ts]
+    return compose(ts, sec2, [2.0 * t * s for t, s in zip(ts, sec2)], a)
+
+
+def _sqrt_column(a: Col1) -> Col1:
+    vs = a.vs
+    if any(v <= 0.0 for v in vs):
+        return _each(sqrt, a, a._lists())
+    ss = [math.sqrt(v) for v in vs]
+    d1s = [0.5 / s for s in ss]
+    return compose(ss, d1s, [-0.5 * d1 / v for d1, v in zip(d1s, vs)], a)
+
+
+def _power_column(a: Col1, exponent: float) -> Col1:
+    p = float(exponent)
+    n = len(a.vs)
+    if p == 0.0:
+        return _column(a, [1.0] * n, [0.0] * n, [0.0] * n)
+    if p == 1.0:
+        return a
+    vs = a.vs
+    each = lambda j: power(j, p)
+    if not p.is_integer():
+        fails = any(v <= 0.0 for v in vs)
+    else:
+        fails = p < 0.0 and 0.0 in vs  # ``in`` compares with ==, so -0.0 is a zero
+    if fails:
+        return _each(each, a, a._lists())
+    # p * (p - 1.0) * pow(...) forms p * (p - 1.0) first.
+    p1, p2, pp = p - 1.0, p - 2.0, p * (p - 1.0)
+    pow = math.pow
+    try:
+        gs = [pow(v, p) for v in vs]
+        g1s = [p * pow(v, p1) for v in vs]
+        g2s = [pp * pow(v, p2) for v in vs]
+    except (OverflowError, ValueError):
+        return _each(each, a, a._lists())
+    return compose(gs, g1s, g2s, a)

@@ -18,8 +18,10 @@ from __future__ import annotations
 
 import math
 import sys
+from collections import deque
 from collections.abc import Callable, Sequence
 from functools import partial
+from itertools import accumulate
 
 from . import jets
 from .jets import Jet2
@@ -295,9 +297,10 @@ def check_constancy(
     """Is the sampled quantity constant (optionally: equal to a target)?
 
     Without a target the deviation is measured against the sample mean.
-    Sums run left to right over the grid order, so the report is
-    deterministic.  Fewer than 4 included samples is an error: a claim
-    of constancy over a grid needs more than a corner's worth of data.
+    Sums run left to right over the grid order, one rounding per
+    addition on every interpreter, so the report is deterministic.
+    Fewer than 4 included samples is an error: a claim of constancy over
+    a grid needs more than a corner's worth of data.
     So is a non-finite sample (``max`` would silently skip a NaN), and so
     is a tolerance that is negative or not finite, which is checked first.
     """
@@ -345,11 +348,21 @@ def _reduce(
     if not all(map(math.isfinite, values)):
         i, v = next((i, v) for i, v in enumerate(values) if not math.isfinite(v))
         raise ValueError(f"{check} got a non-finite sample at index {i}: {v!r}")
-    mean = sum(values) / len(values)
+    mean = _sum_left_to_right(values) / len(values)
     max_dev = _max_deviation(values, mean if center is None else center)
     return VerificationReport(
         max_abs_deviation=max_dev, mean=mean, passed=max_dev <= report["tolerance"], **report
     )
+
+
+def _sum_left_to_right(values: Sequence[float]) -> float:
+    """0.0 + v0 + v1 + ..., one rounding per addition: the bits of ``sum`` up to Python 3.11.
+
+    From 3.12 on, ``sum`` of floats compensates its rounding, which moves
+    a report's mean in its last digits.  ``accumulate`` runs the additions
+    in C, and the deque keeps only the last partial sum.
+    """
+    return deque(accumulate(values, initial=0.0), maxlen=1)[0]
 
 
 def _max_deviation(values: Sequence[float], center: float) -> float:
@@ -402,14 +415,18 @@ def cross_validate(
     route = instance.route
     rng = SplitMix64(seed)
     (u_lo, u_hi), (v_lo, v_hi) = instance.domain.u, instance.domain.v
+    points = [(rng.uniform(u_lo, u_hi), rng.uniform(v_lo, v_hi)) for _ in range(n_points)]
+    # One evaluation of each profile, as a column over all the points,
+    # serves the regularity skip and the specialized route; the chart
+    # never sees it.
+    j1s, j2s = instance.profile_columns(points)
     deviations = []
     excluded = []
-    for _ in range(n_points):
-        p = (rng.uniform(u_lo, u_hi), rng.uniform(v_lo, v_hi))
+    for p, j1, j2 in zip(points, j1s, j2s):
+        if j1.__class__ is str or j2.__class__ is str:
+            excluded.append((p, j1 if j1.__class__ is str else j2))
+            continue
         try:
-            # One evaluation of the profiles serves the regularity skip
-            # and the specialized route; the chart never sees it.
-            j1, j2 = instance.profile_jets(p)
             if type2 and abs(regularity(instance, j1, j2)) < _CROSS_REG_FLOOR:
                 excluded.append((p, f"regularity magnitude below {_CROSS_REG_FLOOR:g}"))
                 continue

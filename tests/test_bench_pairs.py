@@ -71,3 +71,23 @@ def test_a_verdict_line_names_the_medians_the_wins_and_the_rule():
         "fresh pass wall_ms: parent 100 [100-100] -> change 110 (+10.0%), "
         "won 9/10, claim rule holds",
     ]
+
+
+def test_digest_lines_say_whether_the_trees_gave_equal_outputs():
+    run = lambda digest: {"correct": True, "outputs_digest": digest}
+    pairs = [{"seed": 1, "parent": run("a"), "change": run("a")},
+             {"seed": 2, "parent": run("b"), "change": run("c")},
+             {"seed": 3, "parent": {"correct": False}, "change": {"correct": False}}]
+    doc = {"series": [{"workload": "w", "summary": None, "pairs": pairs[:1]},
+                      {"workload": "v", "summary": None, "pairs": pairs}],
+           "byte_identity": {"parent": {"list": "x", "verify": "y"},
+                             "change": {"list": "x", "verify": "z"}}}
+    assert bench_pairs.verdicts(doc) == [
+        "w: no summary, some runs were not correct",
+        "w outputs_digest: equal in all 1 pairs",
+        "v: no summary, some runs were not correct",
+        "v outputs_digest: differs at seeds [2, 3]",
+        "byte_identity differs: ['verify']",
+    ]
+    same = {"parent": {"list": "x"}, "change": {"list": "x"}}
+    assert bench_pairs.identity_verdict(same) == "byte_identity: equal on all 1 entries"

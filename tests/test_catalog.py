@@ -649,9 +649,11 @@ def test_regularity_check_walks_grid_lines(fid, monkeypatch):
     want = [regularity(surface, *surface.profile_jets(p)) for p in surface.domain.grid(9)]
     got = catalog._regularity_grid(surface)
     assert [v.hex() for v in got] == [v.hex() for v in want]
+    # Counts evaluated arguments: a column counts its length.
     calls = []
-    real = jets.eval_profile
-    monkeypatch.setattr(jets, "eval_profile", lambda f, t: calls.append(t) or real(f, t))
+    point, column = jets.eval_profile, jets.eval_column
+    monkeypatch.setattr(jets, "eval_profile", lambda f, t: calls.append(t) or point(f, t))
+    monkeypatch.setattr(jets, "eval_column", lambda f, ts: calls.extend(ts) or column(f, ts))
     build_with_profile(fid)
     center = 2 if get_family(fid).has_derived_constant else 0
     assert len(calls) == (18 if surface.shear == 0.0 else 26) + center

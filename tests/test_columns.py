@@ -1,0 +1,182 @@
+"""Property tests: a profile evaluated on a column of arguments gives each
+argument the bits of its own per-point evaluation, exclusion texts included.
+
+``jets.eval_column`` runs a profile once on a :class:`Col1`; element i of the
+result must carry the (v, dx, dxx) that ``jets.eval_profile`` gives at ts[i],
+or, where that raises, the same error text.  The profiles are draws of the
+random test generator, every factor of the catalog's product families, and
+profiles that mix numbers, Jet1s and Jet2s into each operation on both sides.
+Results are compared as packed doubles, so signed zeros count.  Every route
+runs warm first: CPython's generic and specialized float operations keep
+different NaN operands (see ``test_jet_properties._warm``).
+"""
+
+import math
+import struct
+
+import pytest
+from hypothesis import example, given, seed
+from hypothesis import strategies as st
+
+from isocurv import jets
+from isocurv.catalog import build_family, family_ids
+from isocurv.factorable import (
+    _EVAL_ERRORS,
+    _MIN_COLUMN,
+    AffineFactorable,
+    profile_column,
+    random_profile,
+)
+from isocurv.jets import BranchDomainError, Col1, Jet1, Jet2
+from isocurv.rng import SplitMix64
+
+#: Where an operation raises or overflows: the branch of log, sqrt and
+#: power at 0 and below, a tan pole, exp overflow, divisors below
+#: MIN_DIVISOR, power overflow, the pole of t / (t - 1), infinities, NaN
+#: and both zeros.
+EDGES = (
+    0.0, -0.0, -1.0, math.pi / 2, 800.0, -800.0, 1e-301, -1e-301, 5e-324, 1e-200,
+    1.0, math.inf, -math.inf, math.nan, 0.5, 2.0,
+)
+#: The arguments of the example that must hold every edge at once.
+ALL_EDGES = list(EDGES)
+
+J1 = Jet1(0.75, -0.5, 1.25)
+J2 = Jet2(1.5, 0.25, -0.5, 0.125, 2.0, -1.0)
+
+#: Profiles that put a number, a Jet1 and a Jet2 on each side of each
+#: operation, and that reach every elementary function's branch.
+MIXED = {
+    "1 / t": lambda t: 1.0 / t,
+    "t / (t - 1)": lambda t: t / (t - 1.0),
+    "J2 / t": lambda t: J2 / t,
+    "t / J1": lambda t: t / J1 + J2,
+    "c - t": lambda t: 2.0 - t,
+    "t - J2": lambda t: t - J2,
+    "J1 - t": lambda t: J1 - t,
+    "J1 * t + J2": lambda t: J1 * t + J2,
+    "t * J2 + J1": lambda t: t * J2 + J1,
+    "J2 + t * 3": lambda t: J2 + t * 3,
+    "-t * t / 3": lambda t: -t * t / 3.0,
+    "log": jets.log,
+    "sqrt": jets.sqrt,
+    "tan": jets.tan,
+    "exp(t * t)": lambda t: jets.exp(t * t),
+    "sin * cos": lambda t: jets.sin(t) * jets.cos(t),
+    "log + sqrt(-t)": lambda t: jets.log(t) + jets.sqrt(-t),
+    "constant number": lambda t: 2.0,
+    "constant Jet2": lambda t: jets.const(-3.0),
+    **{f"t ** {p}": (lambda t, _p=p: t ** _p) for p in (0, 1, 2, 3, -1, -3, 0.5, -2.5)},
+}
+
+CATALOG = {
+    f"{fid} f{k}": f
+    for fid in family_ids()
+    if isinstance(surface := build_family(fid), AffineFactorable)
+    for k, f in ((1, surface.factor1), (2, surface.factor2))
+}
+
+profiles = st.one_of(
+    st.sampled_from(sorted(MIXED)).map(lambda k: (k, MIXED[k])),
+    st.sampled_from(sorted(CATALOG)).map(lambda k: (k, CATALOG[k])),
+    st.integers(0, 2**64 - 1).map(lambda s: ("random", random_profile(SplitMix64(s))[0])),
+)
+arguments = st.lists(
+    st.one_of(st.sampled_from(EDGES), st.floats(-4.0, 4.0), st.floats()), min_size=1, max_size=24
+)
+
+
+def _outcome(j) -> bytes | str:
+    return j if j.__class__ is str else struct.pack("<3d", j.v, j.dx, j.dxx)
+
+
+def _per_point(profile, t: float) -> bytes | str:
+    try:
+        return _outcome(jets.eval_profile(profile, t))
+    except _EVAL_ERRORS as err:
+        return str(err)
+
+
+def _columnwise(profile, ts: list[float]) -> list[bytes | str]:
+    column = jets.eval_column(profile, ts)
+    return [
+        column.excluded.get(i) or struct.pack("<3d", v, dx, dxx)
+        for i, (v, dx, dxx) in enumerate(zip(column.vs, column.dxs, column.dxxs))
+    ]
+
+
+def _warm(profile) -> None:
+    """Run both routes on finite arguments until the interpreter has specialized them."""
+    warm = [0.25 + 0.01 * i for i in range(20)]
+    for _ in range(16):
+        jets.eval_column(profile, warm)
+        for t in warm[:2]:
+            _per_point(profile, t)
+
+
+@seed(20240617)
+@example(drawn=("log + sqrt(-t)", MIXED["log + sqrt(-t)"]), ts=ALL_EDGES)
+@example(drawn=("t / (t - 1)", MIXED["t / (t - 1)"]), ts=ALL_EDGES)
+@example(drawn=("t ** -3", MIXED["t ** -3"]), ts=ALL_EDGES)
+@example(drawn=("tan", MIXED["tan"]), ts=ALL_EDGES)
+@example(drawn=("exp(t * t)", MIXED["exp(t * t)"]), ts=ALL_EDGES)
+@given(drawn=profiles, ts=arguments)
+def test_a_column_carries_each_arguments_own_jet_and_text(drawn, ts):
+    name, profile = drawn
+    _warm(profile)
+    want = [_per_point(profile, t) for t in ts]
+    assert _columnwise(profile, ts) == want, f"{name} at {ts!r}"
+
+
+def test_every_edge_argument_is_excluded_with_its_own_text():
+    # The edges reach each way an element can fail, each with the text of
+    # its own evaluation, and NaN raises nowhere: log(nan) and 1 / nan
+    # are NaN jets, not exclusions.
+    texts = {}
+    for name in ("log", "sqrt", "tan", "exp(t * t)", "1 / t", "t ** -3", "t / (t - 1)"):
+        column = jets.eval_column(MIXED[name], ALL_EDGES)
+        texts[name] = {repr(ALL_EDGES[i]): text for i, text in column.excluded.items()}
+        assert "nan" not in texts[name], name
+    assert texts["log"]["-1.0"] == "log evaluated at -1.0: requires a positive argument"
+    assert texts["sqrt"]["-0.0"] == "sqrt evaluated at -0.0: requires a positive argument"
+    assert texts["tan"]["1.5707963267948966"].startswith("tan evaluated at 1.57079")
+    assert texts["tan"]["inf"] == "tan evaluated at inf: requires a finite argument"
+    assert texts["exp(t * t)"]["800.0"] == "math range error"
+    assert texts["1 / t"]["1e-301"] == "jet division by 1e-301: |denominator| < 1e-300"
+    assert texts["t ** -3"]["0.0"] == (
+        "power evaluated at 0.0: requires a nonzero base for negative exponent"
+    )
+    assert texts["t ** -3"]["1e-200"] == "math range error"
+    assert texts["t / (t - 1)"]["1.0"] == "jet division by 0.0: |denominator| < 1e-300"
+
+
+def _reads_value(t):
+    if t.v < 0.0:
+        raise BranchDomainError("reads_value", t.v, "a non-negative argument")
+    return jets.sqrt(t + 1.0)
+
+
+def test_a_profile_that_reads_its_value_is_evaluated_point_by_point():
+    # A column has no v, so the profile raises AttributeError, which names
+    # no argument: the column is evaluated point by point instead, with
+    # today's texts.
+    ts = [0.5, -1.0, 2.0, -0.0, 0.0, -3.0] * 2
+    assert len(ts) >= _MIN_COLUMN
+    with pytest.raises(AttributeError):
+        jets.eval_column(_reads_value, ts)
+    got = [_outcome(j) for j in profile_column(_reads_value, ts)]
+    assert got == [_per_point(_reads_value, t) for t in ts]
+    assert got[1] == "reads_value evaluated at -1.0: requires a non-negative argument"
+    assert got[3].__class__ is bytes and got[5].__class__ is str
+
+
+def test_an_error_that_names_no_argument_propagates_point_by_point():
+    # TypeError is no exclusion: the point-by-point run raises it, as the
+    # per-point route does.
+    def returns_text(t):
+        return "not a jet"
+
+    with pytest.raises(TypeError, match="profile must return a jet or a real number"):
+        jets.eval_column(returns_text, [0.5] * _MIN_COLUMN)
+    with pytest.raises(TypeError, match="profile must return a jet or a real number"):
+        profile_column(returns_text, [0.5] * _MIN_COLUMN)

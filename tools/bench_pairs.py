@@ -8,12 +8,15 @@ Untraced runs go one process at a time; pair i uses seed ``seed-base + i``,
 and the tree that runs first alternates, the parent first.  Records come from
 each tree's ``bench/results/``.  ``--traced`` adds a traced run (seed 1, 1 s)
 per tree and workload; ``--digests`` the sha256 of ``isocurv list``, of
-``verify --grid 41`` on every family and of the 201² FS2.K.integral CSV and
-OBJ exports.  Exits 1 if any run is not correct.
+``verify --grid 41`` on every family, of ``cross-validate --seed 7`` on each
+kind, of ``probe`` on each kind and of the 201² FS2.K.integral CSV and OBJ
+exports.  Exits 1 if any run is not correct.
 
 Once ``--out`` is written, one line per series and metric goes to stdout: the
 parent's median with its quartiles, the change's median and the difference,
 the pairs the change won, and whether the claim rule holds (``claim_holds``).
+A line per series then says whether every pair's two ``outputs_digest`` are
+equal, and with ``--digests`` a line says whether the trees' are.
 
 ``--fresh``, with or without ``--workload``, times fresh ``python -S``
 processes, start-up and import included: ``-c pass`` and a ``cli.main`` call per command in ``FRESH``, each
@@ -52,6 +55,10 @@ def run(*argv):
 sha = lambda data: hashlib.sha256(data).hexdigest()
 out = {"list": sha(run("list")), "verify 41 (all families)": sha(b"".join(
     run("verify", "--family", f, "--grid", "41") for f in catalog.family_ids()))}
+for kind in ("type-1", "type-2"):
+    out[f"cross-validate {kind} seed 7"] = sha(run("cross-validate", "--kind", kind, "--seed", "7"))
+for kind in ("afs2-minimal", "afs2-constant-K"):
+    out[f"probe {kind}"] = sha(run("probe", "--kind", kind))
 os.chdir(tempfile.mkdtemp())
 for fmt in ("csv", "obj"):
     run("grid", "--family", "FS2.K.integral", "--grid", "201", "--format", fmt, "--out", "g")
@@ -138,14 +145,40 @@ def verdict(name: str, metric: str, row: dict) -> str:
             f"won {row['change_wins']}/{row['pairs']}, claim rule {holds}")
 
 
+def outputs_verdict(series: dict) -> str:
+    """Whether each pair of a series gave the two trees the same ``outputs_digest``.
+
+    A run without a digest, one that was not correct, counts as a difference.
+    """
+    pairs = series["pairs"]
+    differ = [p["seed"] for p in pairs
+              if p["parent"].get("outputs_digest") is None
+              or p["parent"].get("outputs_digest") != p["change"].get("outputs_digest")]
+    state = f"equal in all {len(pairs)} pairs" if not differ else f"differs at seeds {differ}"
+    return f"{series['workload']} outputs_digest: {state}"
+
+
+def identity_verdict(identity: dict) -> str:
+    """Whether the two trees' ``--digests`` entries are equal, naming those that differ."""
+    parent, change = identity["parent"], identity["change"]
+    differ = sorted(k for k in parent.keys() | change.keys() if parent.get(k) != change.get(k))
+    if differ:
+        return f"byte_identity differs: {differ}"
+    return f"byte_identity: equal on all {len(parent)} entries"
+
+
 def verdicts(doc: dict) -> list[str]:
-    """A ``verdict`` line per series and metric of a BENCH document."""
+    """A ``verdict`` line per series and metric of a BENCH document, and the digest lines."""
     lines = []
     for s in doc["series"]:
         if s["summary"] is None:
             lines.append(f"{s['workload']}: no summary, some runs were not correct")
         else:
             lines += [verdict(s["workload"], m, row) for m, row in s["summary"].items()]
+        if "pairs" in s:
+            lines.append(outputs_verdict(s))
+    if "byte_identity" in doc:
+        lines.append(identity_verdict(doc["byte_identity"]))
     for name, row in doc.get("fresh", {}).get("series", {}).items():
         lines.append(verdict(f"fresh {name}", "wall_ms", row))
     return lines
