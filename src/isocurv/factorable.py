@@ -403,22 +403,19 @@ def profile_column(profile, ts: Sequence[float]) -> list[Jet1 | str]:
     """The jet of a profile at each t in ts, or the exclusion text of the error it raises there.
 
     One evaluation on a column of arguments (:func:`isocurv.jets.eval_column`)
-    gives each argument the bits and the text of its own evaluation.
-    Fewer than :data:`_MIN_COLUMN` arguments, and a profile that the
-    column cannot carry, one that reads its argument's value, say, or
-    raises an error that names no argument, are evaluated point by point.
+    gives each argument the bits of its own evaluation.  Fewer than
+    :data:`_MIN_COLUMN` arguments, and a column that raises, are evaluated
+    point by point: a profile that the column cannot carry, one that reads
+    its argument's value, say, and one that raises at some argument, where
+    each argument then gets the bits or the text of its own evaluation.
     """
     if len(ts) < _MIN_COLUMN:
         return [_profile_jet(profile, t) for t in ts]
     try:
-        column = jets.eval_column(profile, ts)
+        return jets.eval_column(profile, ts).jet1s()
     except Exception:
         # Not lost: the point-by-point run raises whatever is not an exclusion.
         return [_profile_jet(profile, t) for t in ts]
-    out = column.jet1s()
-    for i, text in column.excluded.items():
-        out[i] = text
-    return out
 
 
 def _profile_jet(profile, t: float) -> Jet1 | str:

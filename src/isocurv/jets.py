@@ -62,14 +62,15 @@ operation and elementary function runs as one list comprehension per
 slot, with Jet1's float expression for each element, scalar fast paths
 and operand order included, so element i carries the bits of the Jet1
 at argument i.  A number, Jet1 or Jet2 on either side of a column
-operation is that constant at every element.  An operation that can
-raise checks its whole column first.  Only a column where an element
-fails goes element by element through the Jet1 operation: each failing
-element's error text goes into the evaluation's shared ``excluded`` map
-(the first error per element wins) and NaN into its slots.  NaN raises
-in no jet operation, so every argument is still evaluated once.  A Col1
-has no ``v``: a profile that reads its argument's value raises, and its
-caller evaluates it point by point instead.
+operation is that constant at every element.  A column evaluation is
+all or nothing: where the per-point function would raise at any
+element, the column function raises, and no element gets a value.
+Only ``+ - *``, ``exp sin cos tan sqrt power`` and :func:`compose` take
+a column, the operations that the catalog's and the random generator's
+profiles use; ``/``, negation, ``**`` and ``log`` raise TypeError on
+one.  A Col1 has no ``v`` either, so a profile that reads its argument's
+value raises.  Where a column raises, its caller evaluates the profile
+point by point instead.
 """
 
 from __future__ import annotations
@@ -463,10 +464,6 @@ class Jet1(_Jet):
 # Each rule below is Jet1's formula for its operation, written once per
 # slot as a list comprehension over the operands' lists.
 
-#: The errors that a jet operation raises at one point.  A column records
-#: an element's text and puts NaN there, and NaN raises in no operation.
-_ELEMENT_ERRORS = (BranchDomainError, ZeroDivisionError, OverflowError)
-
 
 def _jet1(v: float, dx: float, dxx: float) -> Jet1:
     j = _new(Jet1)
@@ -476,13 +473,11 @@ def _jet1(v: float, dx: float, dxx: float) -> Jet1:
     return j
 
 
-def _column(t: Col1, vs: list[float], dxs: list[float], dxxs: list[float]) -> Col1:
-    """A new column of the evaluation that ``t`` belongs to."""
+def _column(vs: list[float], dxs: list[float], dxxs: list[float]) -> Col1:
     r = _new(Col1)
     r.vs = vs
     r.dxs = dxs
     r.dxxs = dxxs
-    r.excluded = t.excluded
     return r
 
 
@@ -501,83 +496,36 @@ def _operand(x, n: int):
     return [x.v] * n, [x.dx] * n, [x.dxx] * n
 
 
-def _sum(t: Col1, a: tuple, b: tuple) -> Col1:
+def _sum(a: tuple, b: tuple) -> Col1:
     (av, ax, axx), (bv, bx, bxx) = a, b
     return _column(
-        t,
         [u + w for u, w in zip(av, bv)],
         [u + w for u, w in zip(ax, bx)],
         [u + w for u, w in zip(axx, bxx)],
     )
 
 
-def _difference(t: Col1, a: tuple, b: tuple) -> Col1:
+def _difference(a: tuple, b: tuple) -> Col1:
     (av, ax, axx), (bv, bx, bxx) = a, b
     return _column(
-        t,
         [u - w for u, w in zip(av, bv)],
         [u - w for u, w in zip(ax, bx)],
         [u - w for u, w in zip(axx, bxx)],
     )
 
 
-def _product(t: Col1, a: tuple, b: tuple) -> Col1:
+def _product(a: tuple, b: tuple) -> Col1:
     (av, ax, axx), (bv, bx, bxx) = a, b
     return _column(
-        t,
         [u * w for u, w in zip(av, bv)],
         [x * w + u * y for x, w, u, y in zip(ax, bv, av, bx)],
         [xx * w + 2.0 * x * y + u * yy for xx, w, x, y, u, yy in zip(axx, bv, ax, bx, av, bxx)],
     )
 
 
-def _quotient(t: Col1, a: tuple, b: tuple) -> Col1:
-    (av, ax, axx), (bv, bx, bxx) = a, b
-    if any(abs(w) < MIN_DIVISOR for w in bv):
-        return _each(Jet1.__truediv__, t, a, b)
-    rs = [1.0 / w for w in bv]
-    d1s = [-r * r for r in rs]
-    rxs = [d1 * y for d1, y in zip(d1s, bx)]
-    # 2.0 * r * r * r * y * y is d2 * bx * bx with d2 = 2.0 * r * r * r.
-    return _column(
-        t,
-        [u * r for u, r in zip(av, rs)],
-        [x * r + u * rx for x, r, u, rx in zip(ax, rs, av, rxs)],
-        [
-            xx * r + 2.0 * x * rx + u * (2.0 * r * r * r * y * y + d1 * yy)
-            for xx, r, x, rx, u, y, d1, yy in zip(axx, rs, ax, rxs, av, bx, d1s, bxx)
-        ],
-    )
-
-
-def _each(op, t: Col1, *operands: tuple) -> Col1:
-    """``op`` on the Jet1s of each element of the operands' slot lists.
-
-    An element where op raises one of :data:`_ELEMENT_ERRORS` gets NaN in
-    every slot and, unless an earlier operation excluded it, the error's
-    text in ``t.excluded``.  Anything else that op raises propagates.
-    """
-    excluded = t.excluded
-    vs, dxs, dxxs = [], [], []
-    nan = math.nan
-    for i, elements in enumerate(zip(*[zip(*slots) for slots in operands])):
-        try:
-            j = op(*[_jet1(*e) for e in elements])
-        except _ELEMENT_ERRORS as err:
-            excluded.setdefault(i, str(err))
-            vs.append(nan)
-            dxs.append(nan)
-            dxxs.append(nan)
-        else:
-            vs.append(j.v)
-            dxs.append(j.dx)
-            dxxs.append(j.dxx)
-    return _column(t, vs, dxs, dxxs)
-
-
 def _plus(t: Col1, c: float) -> Col1:
     """t + c by Jet1's scalar fast path."""
-    return _column(t, [v + c for v in t.vs], [d + 0.0 for d in t.dxs], [d + 0.0 for d in t.dxxs])
+    return _column([v + c for v in t.vs], [d + 0.0 for d in t.dxs], [d + 0.0 for d in t.dxxs])
 
 
 def _scaled(t: Col1, c: float) -> Col1:
@@ -585,7 +533,6 @@ def _scaled(t: Col1, c: float) -> Col1:
     dxs = t.dxs
     zs = [v * 0.0 for v in t.vs]
     return _column(
-        t,
         [v * c for v in t.vs],
         [d * c + z for d, z in zip(dxs, zs)],
         [dd * c + 2.0 * d * 0.0 + z for dd, d, z in zip(t.dxxs, dxs, zs)],
@@ -608,7 +555,7 @@ def _binary(rule, scalar=None, reflected: bool = False):
         o = _operand(other, len(self.vs))
         if o is None:
             return NotImplemented
-        return rule(self, o, self._lists()) if reflected else rule(self, self._lists(), o)
+        return rule(o, self._lists()) if reflected else rule(self._lists(), o)
 
     return method
 
@@ -616,22 +563,21 @@ def _binary(rule, scalar=None, reflected: bool = False):
 class Col1:
     """The Jet1s of one profile evaluation at many arguments, one list per slot.
 
-    ``vs``, ``dxs`` and ``dxxs`` hold (f, f', f'') at each argument, and
-    ``excluded`` maps the index of an argument where an operation raised
-    to that error's text; every column of one evaluation shares it.  Each
+    ``vs``, ``dxs`` and ``dxxs`` hold (f, f', f'') at each argument.  Each
     operation computes, element by element, Jet1's float expression for
     the operands' kinds, so element i carries the bits of the per-point
-    Jet1.  There is no ``v``: a profile that reads its argument's value
-    raises here, and :func:`eval_column`'s caller evaluates point by point.
+    Jet1.  The operations that the module docstring lists take a column;
+    any other raises TypeError, and a profile that reads ``v`` raises
+    AttributeError.
     """
 
-    __slots__ = ("vs", "dxs", "dxxs", "excluded")
+    __slots__ = ("vs", "dxs", "dxxs")
 
     def _lists(self) -> tuple[list[float], list[float], list[float]]:
         return self.vs, self.dxs, self.dxxs
 
     def jet1s(self) -> list[Jet1]:
-        """Each element as a Jet1, built in place; an excluded one holds NaN."""
+        """Each element as a Jet1, built in place."""
         return list(map(_jet1, self.vs, self.dxs, self.dxxs))
 
     __add__ = _binary(_sum, _plus)
@@ -640,18 +586,6 @@ class Col1:
     __rsub__ = _binary(_difference, reflected=True)
     __mul__ = _binary(_product, _scaled)
     __rmul__ = _binary(_product, _scaled, reflected=True)
-    __truediv__ = _binary(_quotient)
-    __rtruediv__ = _binary(_quotient, reflected=True)
-
-    def __neg__(self):
-        return _column(
-            self, [-v for v in self.vs], [-d for d in self.dxs], [-d for d in self.dxxs]
-        )
-
-    def __pow__(self, exponent):
-        if isinstance(exponent, (int, float)) and not isinstance(exponent, bool):
-            return power(self, exponent)
-        return NotImplemented
 
 
 def _reciprocal_derivatives(v: float) -> tuple[float, float, float]:
@@ -715,26 +649,22 @@ def eval_column(profile, ts) -> Col1:
     """Evaluate a one-variable profile at every t in ts at once: a :class:`Col1`.
 
     The profile gets the column of the seeds ``Jet1(float(t), 1.0)``, so
-    element i carries the bits of ``eval_profile(profile, ts[i])``.  An
-    argument where an operation raises keeps that error's text in the
-    result's ``excluded`` and NaN in its slots.  A profile that returns
-    a jet or a plain number gives that value's x slots at every argument.
-    Any other error, one that the column cannot pin on an argument,
-    propagates: evaluate point by point then.
+    element i carries the bits of ``eval_profile(profile, ts[i])``.  A
+    profile that returns a jet or a plain number gives that value's x
+    slots at every argument.  The evaluation is all or nothing: where
+    ``eval_profile`` would raise at any argument, this raises, though
+    not always the same error, and a profile that the column cannot
+    carry raises TypeError.  Evaluate point by point then.
     """
-    s = _new(Col1)
-    s.vs = list(map(float, ts))
-    n = len(s.vs)
-    s.dxs = [1.0] * n
-    s.dxxs = [0.0] * n
-    s.excluded = {}
-    out = profile(s)
+    vs = list(map(float, ts))
+    n = len(vs)
+    out = profile(_column(vs, [1.0] * n, [0.0] * n))
     if out.__class__ is Col1:
         return out
     lists = _operand(out, n)
     if lists is None:
         raise TypeError("profile must return a jet or a real number")
-    return _column(s, *lists)
+    return _column(*lists)
 
 
 def eval_profile(profile, t: float) -> Jet1:
@@ -780,7 +710,6 @@ def compose(value: float, d1: float, d2: float, inner: Jet1 | Jet2 | Col1) -> Je
     if f.__class__ is Col1:
         dxs = f.dxs
         return _column(
-            f,
             value,
             [g1 * x for g1, x in zip(d1, dxs)],
             [g2 * x * x + g1 * xx for g2, x, g1, xx in zip(d2, dxs, d1, f.dxxs)],
@@ -805,11 +734,9 @@ def exp(a) -> Jet1 | Jet2 | Col1:
     return compose(e, e, e, a)
 
 
-def log(a) -> Jet1 | Jet2 | Col1:
+def log(a) -> Jet1 | Jet2:
     k = a.__class__
     if k is not Jet1 and k is not Jet2:
-        if k is Col1:
-            return _log_column(a)
         a = _req(a, "log")
     if a.v <= 0.0:
         raise BranchDomainError("log", a.v, "a positive argument")
@@ -907,59 +834,34 @@ def power(a, exponent: float) -> Jet1 | Jet2 | Col1:
 
 # elementary functions on columns ----------------------------------------
 #
-# Each checks its whole column first, with the test of the per-point
-# function, or catches the math module's error; only where an element
-# fails does it go element by element through the per-point function.
+# tan, sqrt and power keep the domain test of the per-point function and
+# raise its error at the first element that fails it; an error of the
+# math module, such as exp's overflow or sin of an infinity, propagates
+# as it is.  None returns a value where the per-point function would
+# raise at some element.
 
 
 def _exp_column(a: Col1) -> Col1:
-    try:
-        es = [math.exp(v) for v in a.vs]
-    except OverflowError:
-        return _each(exp, a, a._lists())
+    es = [math.exp(v) for v in a.vs]
     return compose(es, es, es, a)
 
 
-def _log_column(a: Col1) -> Col1:
-    vs = a.vs
-    if any(v <= 0.0 for v in vs):
-        return _each(log, a, a._lists())
-    rs = [1.0 / v for v in vs]
-    return compose([math.log(v) for v in vs], rs, [-r * r for r in rs], a)
-
-
-def _sin_cos(a: Col1) -> tuple[list[float], list[float]] | None:
-    """sin and cos of each element, or None where one is not finite."""
-    try:
-        return [math.sin(v) for v in a.vs], [math.cos(v) for v in a.vs]
-    except ValueError:
-        return None
-
-
 def _sin_column(a: Col1) -> Col1:
-    sc = _sin_cos(a)
-    if sc is None:
-        return _each(sin, a, a._lists())
-    ss, cs = sc
-    return compose(ss, cs, [-s for s in ss], a)
+    ss = [math.sin(v) for v in a.vs]
+    return compose(ss, [math.cos(v) for v in a.vs], [-s for s in ss], a)
 
 
 def _cos_column(a: Col1) -> Col1:
-    sc = _sin_cos(a)
-    if sc is None:
-        return _each(cos, a, a._lists())
-    ss, cs = sc
+    ss = [math.sin(v) for v in a.vs]
+    cs = [math.cos(v) for v in a.vs]
     return compose(cs, [-s for s in ss], [-c for c in cs], a)
 
 
 def _tan_column(a: Col1) -> Col1:
     vs = a.vs
-    try:
-        cs = [math.cos(v) for v in vs]
-    except ValueError:
-        cs = None
-    if cs is None or any(abs(c) <= TAN_COS_FLOOR for c in cs):
-        return _each(tan, a, a._lists())
+    poles = [v for v in vs if abs(math.cos(v)) <= TAN_COS_FLOOR]
+    if poles:
+        raise BranchDomainError("tan", poles[0], f"|cos| > {TAN_COS_FLOOR:g} (pole guard)")
     ts = [math.tan(v) for v in vs]
     sec2 = [1.0 + t * t for t in ts]
     return compose(ts, sec2, [2.0 * t * s for t, s in zip(ts, sec2)], a)
@@ -967,8 +869,9 @@ def _tan_column(a: Col1) -> Col1:
 
 def _sqrt_column(a: Col1) -> Col1:
     vs = a.vs
-    if any(v <= 0.0 for v in vs):
-        return _each(sqrt, a, a._lists())
+    low = [v for v in vs if v <= 0.0]
+    if low:
+        raise BranchDomainError("sqrt", low[0], "a positive argument")
     ss = [math.sqrt(v) for v in vs]
     d1s = [0.5 / s for s in ss]
     return compose(ss, d1s, [-0.5 * d1 / v for d1, v in zip(d1s, vs)], a)
@@ -976,26 +879,24 @@ def _sqrt_column(a: Col1) -> Col1:
 
 def _power_column(a: Col1, exponent: float) -> Col1:
     p = float(exponent)
-    n = len(a.vs)
+    vs = a.vs
     if p == 0.0:
-        return _column(a, [1.0] * n, [0.0] * n, [0.0] * n)
+        n = len(vs)
+        return _column([1.0] * n, [0.0] * n, [0.0] * n)
     if p == 1.0:
         return a
-    vs = a.vs
-    each = lambda j: power(j, p)
     if not p.is_integer():
-        fails = any(v <= 0.0 for v in vs)
-    else:
-        fails = p < 0.0 and 0.0 in vs  # ``in`` compares with ==, so -0.0 is a zero
-    if fails:
-        return _each(each, a, a._lists())
+        low = [v for v in vs if v <= 0.0]
+        if low:
+            raise BranchDomainError(
+                "power", low[0], f"a positive base for non-integer exponent {p!r}"
+            )
+    elif p < 0.0 and 0.0 in vs:  # ``in`` compares with ==, so -0.0 is a zero
+        raise BranchDomainError("power", vs[vs.index(0.0)], "a nonzero base for negative exponent")
     # p * (p - 1.0) * pow(...) forms p * (p - 1.0) first.
     p1, p2, pp = p - 1.0, p - 2.0, p * (p - 1.0)
     pow = math.pow
-    try:
-        gs = [pow(v, p) for v in vs]
-        g1s = [p * pow(v, p1) for v in vs]
-        g2s = [pp * pow(v, p2) for v in vs]
-    except (OverflowError, ValueError):
-        return _each(each, a, a._lists())
+    gs = [pow(v, p) for v in vs]
+    g1s = [p * pow(v, p1) for v in vs]
+    g2s = [pp * pow(v, p2) for v in vs]
     return compose(gs, g1s, g2s, a)

@@ -1,14 +1,16 @@
 """Property tests: a profile evaluated on a column of arguments gives each
 argument the bits of its own per-point evaluation, exclusion texts included.
 
-``jets.eval_column`` runs a profile once on a :class:`Col1`; element i of the
-result must carry the (v, dx, dxx) that ``jets.eval_profile`` gives at ts[i],
-or, where that raises, the same error text.  The profiles are draws of the
-random test generator, every factor of the catalog's product families, and
-profiles that mix numbers, Jet1s and Jet2s into each operation on both sides.
-Results are compared as packed doubles, so signed zeros count.  Every route
-runs warm first: CPython's generic and specialized float operations keep
-different NaN operands (see ``test_jet_properties._warm``).
+``jets.eval_column`` runs a profile once on a :class:`Col1`, all or nothing:
+it either raises, or element i of the result carries the (v, dx, dxx) that
+``jets.eval_profile`` gives at ts[i], and it must raise where that raises at
+any argument.  ``profile_column`` then gives each argument its own jet or
+error text.  The profiles are draws of the random test generator, every
+factor of the catalog's product families, and profiles that mix numbers,
+Jet1s and Jet2s into each operation on both sides.  Results are compared as
+packed doubles, so signed zeros count.  Every route runs warm first:
+CPython's generic and specialized float operations keep different NaN
+operands (see ``test_jet_properties._warm``).
 """
 
 import math
@@ -23,11 +25,14 @@ from isocurv.catalog import build_family, family_ids
 from isocurv.factorable import (
     _EVAL_ERRORS,
     _MIN_COLUMN,
+    TYPE1,
+    TYPE2,
     AffineFactorable,
     profile_column,
+    random_instance,
     random_profile,
 )
-from isocurv.jets import BranchDomainError, Col1, Jet1, Jet2
+from isocurv.jets import BranchDomainError, Jet1, Jet2
 from isocurv.rng import SplitMix64
 
 #: Where an operation raises or overflows: the branch of log, sqrt and
@@ -40,12 +45,18 @@ EDGES = (
 )
 #: The arguments of the example that must hold every edge at once.
 ALL_EDGES = list(EDGES)
+#: Edges where tan and power(t, 2.5) reach their branch tests, and the
+#: math module raises at no element: the finite ones and the non-negative ones.
+FINITE_EDGES = [t for t in EDGES if math.isfinite(t)]
+NON_NEGATIVE_EDGES = [t for t in EDGES if t >= 0.0]
 
 J1 = Jet1(0.75, -0.5, 1.25)
 J2 = Jet2(1.5, 0.25, -0.5, 0.125, 2.0, -1.0)
 
 #: Profiles that put a number, a Jet1 and a Jet2 on each side of each
-#: operation, and that reach every elementary function's branch.
+#: operation, and that reach every elementary function's branch.  ``/``,
+#: negation, ``**`` and log take no column, so their profiles raise
+#: TypeError on one; ``power`` reaches the column's own branch tests.
 MIXED = {
     "1 / t": lambda t: 1.0 / t,
     "t / (t - 1)": lambda t: t / (t - 1.0),
@@ -67,6 +78,10 @@ MIXED = {
     "constant number": lambda t: 2.0,
     "constant Jet2": lambda t: jets.const(-3.0),
     **{f"t ** {p}": (lambda t, _p=p: t ** _p) for p in (0, 1, 2, 3, -1, -3, 0.5, -2.5)},
+    **{
+        f"power(t, {p})": (lambda t, _p=p: jets.power(t, _p))
+        for p in (0, 1, 2, 3, -1, -3, 0.5, 2.5, -2.5)
+    },
 }
 
 CATALOG = {
@@ -81,9 +96,15 @@ profiles = st.one_of(
     st.sampled_from(sorted(CATALOG)).map(lambda k: (k, CATALOG[k])),
     st.integers(0, 2**64 - 1).map(lambda s: ("random", random_profile(SplitMix64(s))[0])),
 )
-arguments = st.lists(
-    st.one_of(st.sampled_from(EDGES), st.floats(-4.0, 4.0), st.floats()), min_size=1, max_size=24
-)
+
+
+def arguments(min_size: int):
+    """Lists of min_size to 24 arguments, edges mixed in."""
+    return st.lists(
+        st.one_of(st.sampled_from(EDGES), st.floats(-4.0, 4.0), st.floats()),
+        min_size=min_size,
+        max_size=24,
+    )
 
 
 def _outcome(j) -> bytes | str:
@@ -97,19 +118,11 @@ def _per_point(profile, t: float) -> bytes | str:
         return str(err)
 
 
-def _columnwise(profile, ts: list[float]) -> list[bytes | str]:
-    column = jets.eval_column(profile, ts)
-    return [
-        column.excluded.get(i) or struct.pack("<3d", v, dx, dxx)
-        for i, (v, dx, dxx) in enumerate(zip(column.vs, column.dxs, column.dxxs))
-    ]
-
-
 def _warm(profile) -> None:
     """Run both routes on finite arguments until the interpreter has specialized them."""
     warm = [0.25 + 0.01 * i for i in range(20)]
     for _ in range(16):
-        jets.eval_column(profile, warm)
+        profile_column(profile, warm)
         for t in warm[:2]:
             _per_point(profile, t)
 
@@ -120,22 +133,47 @@ def _warm(profile) -> None:
 @example(drawn=("t ** -3", MIXED["t ** -3"]), ts=ALL_EDGES)
 @example(drawn=("tan", MIXED["tan"]), ts=ALL_EDGES)
 @example(drawn=("exp(t * t)", MIXED["exp(t * t)"]), ts=ALL_EDGES)
-@given(drawn=profiles, ts=arguments)
+@example(drawn=("power(t, -3)", MIXED["power(t, -3)"]), ts=ALL_EDGES)
+@example(drawn=("power(t, 2.5)", MIXED["power(t, 2.5)"]), ts=ALL_EDGES)
+@given(drawn=profiles, ts=arguments(_MIN_COLUMN))
 def test_a_column_carries_each_arguments_own_jet_and_text(drawn, ts):
     name, profile = drawn
     _warm(profile)
     want = [_per_point(profile, t) for t in ts]
-    assert _columnwise(profile, ts) == want, f"{name} at {ts!r}"
+    assert [_outcome(j) for j in profile_column(profile, ts)] == want, f"{name} at {ts!r}"
+
+
+@seed(20240617)
+@example(drawn=("log + sqrt(-t)", MIXED["log + sqrt(-t)"]), ts=ALL_EDGES)
+@example(drawn=("t / (t - 1)", MIXED["t / (t - 1)"]), ts=ALL_EDGES)
+@example(drawn=("t ** -3", MIXED["t ** -3"]), ts=ALL_EDGES)
+@example(drawn=("tan", MIXED["tan"]), ts=ALL_EDGES)
+@example(drawn=("exp(t * t)", MIXED["exp(t * t)"]), ts=ALL_EDGES)
+@example(drawn=("power(t, -3)", MIXED["power(t, -3)"]), ts=ALL_EDGES)
+@example(drawn=("power(t, 2.5)", MIXED["power(t, 2.5)"]), ts=ALL_EDGES)
+@example(drawn=("tan", MIXED["tan"]), ts=FINITE_EDGES)
+@example(drawn=("power(t, 2.5)", MIXED["power(t, 2.5)"]), ts=NON_NEGATIVE_EDGES)
+@given(drawn=profiles, ts=arguments(1))
+def test_a_column_is_every_arguments_own_jet_or_raises(drawn, ts):
+    name, profile = drawn
+    _warm(profile)
+    want = [_per_point(profile, t) for t in ts]
+    try:
+        column = jets.eval_column(profile, ts)
+    except Exception:
+        return
+    assert not any(w.__class__ is str for w in want), f"{name} at {ts!r}: no raise"
+    assert [_outcome(j) for j in column.jet1s()] == want, f"{name} at {ts!r}"
 
 
 def test_every_edge_argument_is_excluded_with_its_own_text():
-    # The edges reach each way an element can fail, each with the text of
+    # The edges reach each way an argument can fail, each with the text of
     # its own evaluation, and NaN raises nowhere: log(nan) and 1 / nan
     # are NaN jets, not exclusions.
     texts = {}
     for name in ("log", "sqrt", "tan", "exp(t * t)", "1 / t", "t ** -3", "t / (t - 1)"):
-        column = jets.eval_column(MIXED[name], ALL_EDGES)
-        texts[name] = {repr(ALL_EDGES[i]): text for i, text in column.excluded.items()}
+        got = profile_column(MIXED[name], ALL_EDGES)
+        texts[name] = {repr(t): j for t, j in zip(ALL_EDGES, got) if j.__class__ is str}
         assert "nan" not in texts[name], name
     assert texts["log"]["-1.0"] == "log evaluated at -1.0: requires a positive argument"
     assert texts["sqrt"]["-0.0"] == "sqrt evaluated at -0.0: requires a positive argument"
@@ -150,6 +188,48 @@ def test_every_edge_argument_is_excluded_with_its_own_text():
     assert texts["t / (t - 1)"]["1.0"] == "jet division by 0.0: |denominator| < 1e-300"
 
 
+@pytest.mark.parametrize(
+    "name, text",
+    [
+        ("sqrt", "sqrt evaluated at 0.0: requires a positive argument"),
+        ("tan", "tan evaluated at 1.5707963267948966: requires |cos| > 1e-08 (pole guard)"),
+        ("power(t, 2.5)", "power evaluated at 0.0: requires a positive base for non-integer "
+         "exponent 2.5"),
+        ("power(t, -3)", "power evaluated at 0.0: requires a nonzero base for negative exponent"),
+    ],
+)
+def test_a_branch_test_raises_at_the_first_argument_that_fails_it(name, text):
+    # On finite arguments the column raises the per-point error of its
+    # first element that fails the domain test, before the math module
+    # sees that element.  Without the test, it could return a value.
+    with pytest.raises(BranchDomainError) as info:
+        jets.eval_column(MIXED[name], FINITE_EDGES)
+    assert str(info.value) == text
+
+
+def _benchmark_surfaces():
+    """The catalog's product families at their defaults and 200 seeded random instances."""
+    for fid in family_ids():
+        surface = build_family(fid)
+        if isinstance(surface, AffineFactorable):
+            yield fid, surface
+    draws = SplitMix64(2024)
+    for kind in (TYPE1, TYPE2):
+        for i in range(100):
+            yield f"random {kind} {i}", random_instance(draws, kind)
+
+
+def test_the_benchmark_profiles_take_the_column_path():
+    # An operation that the column lost would not fail a result: the
+    # profile would be evaluated point by point.  Over the 41x41 grid of
+    # each surface, neither of its profiles may raise on a column.
+    for name, surface in _benchmark_surfaces():
+        u1s, u2s = zip(*map(surface.profile_arguments, surface.domain.grid(41)))
+        for k, (profile, ts) in enumerate(((surface.factor1, u1s), (surface.factor2, u2s)), 1):
+            column = jets.eval_column(profile, ts)
+            assert len(column.vs) == 41 * 41, f"{name} f{k}"
+
+
 def _reads_value(t):
     if t.v < 0.0:
         raise BranchDomainError("reads_value", t.v, "a non-negative argument")
@@ -157,9 +237,8 @@ def _reads_value(t):
 
 
 def test_a_profile_that_reads_its_value_is_evaluated_point_by_point():
-    # A column has no v, so the profile raises AttributeError, which names
-    # no argument: the column is evaluated point by point instead, with
-    # today's texts.
+    # A column has no v, so the profile raises AttributeError: the column
+    # is evaluated point by point instead, with each argument's own text.
     ts = [0.5, -1.0, 2.0, -0.0, 0.0, -3.0] * 2
     assert len(ts) >= _MIN_COLUMN
     with pytest.raises(AttributeError):

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from isocurv import jets, verify
 from isocurv.catalog import ParameterError, build_family, family_ids
 from isocurv.factorable import (
+    _MIN_COLUMN,
     NON_FINITE,
     TYPE1,
     TYPE2,
@@ -503,6 +504,27 @@ def test_sample_grid_evaluates_a_raising_argument_once_per_grid_line(kind):
     for p, reason in run.excluded:
         u1, u2 = surface.profile_arguments(p)
         assert reason == _log_text(u1 if u1 < 0.0 else u2), f"{p}: {reason}"
+    assert _assert_walk_matches_point_loop(surface, n, kind) == len(run.excluded)
+
+
+@pytest.mark.parametrize("kind", [TYPE1, TYPE2])
+def test_a_raising_column_costs_one_column_pass_and_one_point_pass(kind):
+    # sqrt raises on the grid lines whose coordinate is negative, so each
+    # profile's column raises as a whole and is evaluated again point by
+    # point: 2n evaluated arguments per profile, and the per-point texts.
+    n = 11
+    assert n >= _MIN_COLUMN
+    calls = [0, 0]
+    surface = AffineFactorable(
+        kind,
+        _counting(jets.sqrt, calls, 0),
+        _counting(jets.sqrt, calls, 1),
+        0.0,
+        Rect((-1.0, 2.0), (-1.0, 2.0)),
+    )
+    run = sample_grid(surface, n=n)
+    assert calls == [2 * n, 2 * n], f"profile evaluations {calls} on a {n}x{n} grid"
+    assert run.excluded and run.points
     assert _assert_walk_matches_point_loop(surface, n, kind) == len(run.excluded)
 
 
