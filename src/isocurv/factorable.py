@@ -31,7 +31,10 @@ of K, H and the height, or exclude the point with a text.
 row's profile jets to grid sampling, whose :func:`sample_lines` runs
 the kernel of the surface's kind and moves each row's lists into the
 run's ``array('d')`` columns, and to the type-2 build check in
-``isocurv.catalog``, which runs :func:`regularity`.  The per-point
+``isocurv.catalog``, which runs :func:`regularity`.  A grid walk
+evaluates each profile argument as a Jet1; cross-validation alone
+evaluates a profile on a column, one over all its random points
+(:meth:`AffineFactorable.profile_columns`).  The per-point
 route of a kind, :attr:`AffineFactorable.route`, is
 :func:`afs1_curvatures` or :func:`afs2_curvatures`: its kernel on a
 one-point row.  An exclusion raises :class:`AdmissibilityError` with
@@ -97,11 +100,6 @@ _EVAL_ERRORS = (AdmissibilityError, BranchDomainError, ZeroDivisionError, Overfl
 #: :func:`sample_lines` moves each row's lists into the run's ``array('d')``
 #: columns.  An included point is not stored; the grid and the exclusions give it.
 Columns = "tuple[list[float], list[float], list[float], list]"
-#: Shorter columns of profile arguments are evaluated point by point: a
-#: column's fixed cost outweighs what it saves.  On the catalog's and the
-#: random generator's profiles, a column took a median 4.1x the time of
-#: its Jet1s for 1 argument, 1.1x for 8 and 0.77x for 16.
-_MIN_COLUMN = 10
 #: The exclusion text of a point whose K or H is not finite.
 NON_FINITE = "non-finite curvature value"
 
@@ -152,7 +150,9 @@ class AffineFactorable(Record):
 
         The arguments are :meth:`profile_arguments`' floats.  Where a
         profile raises, its list holds the exclusion text instead
-        (:func:`profile_column`).
+        (:func:`profile_column`).  Cross-validation, with its many
+        random points, is the one caller: a grid walk takes a line's
+        jets from :func:`grid_lines`.
         """
         a = self.shear
         if self.kind == TYPE1:
@@ -358,26 +358,27 @@ def grid_lines(s: AffineFactorable, us: Sequence[float], vs: Sequence[float]) ->
     each y in ``vs``) and ``(u, j1s, j2s)`` for type 2 (f1 at u + a*z,
     f2 at z for each z in ``vs``); a profile that raises leaves its
     exclusion text in place of the jet.  f1(x) of type 1 and f2(z) of
-    type 2 are evaluated once per grid line, as one column each, and so
-    is the shifted profile where the shear changes no argument
-    (:func:`_shear_is_inert`); otherwise a :class:`_ShearedJets` looks
-    its jets up by argument.
+    type 2 are evaluated once per grid line, one :func:`_profile_jet`
+    per argument, and so is the shifted profile where the shear changes
+    no argument (:func:`_shear_is_inert`); otherwise a
+    :class:`_ShearedJets` looks its jets up by argument.  No grid walk
+    evaluates a column: on a grid line, one gains nothing measurable.
     """
     a = s.shear
     if s.kind == TYPE1:
         if _shear_is_inert(a, us, vs):
-            j2s = profile_column(s.factor2, vs)
-            for u, j1 in zip(us, profile_column(s.factor1, us)):
-                yield u, j1, j2s
+            j2s = [_profile_jet(s.factor2, v) for v in vs]
+            for u in us:
+                yield u, _profile_jet(s.factor1, u), j2s
         else:
             sheared = _ShearedJets(s.factor2)
-            for u, j1 in zip(us, profile_column(s.factor1, us)):
-                yield u, j1, sheared.line([v + a * u for v in vs])
+            for u in us:
+                yield u, _profile_jet(s.factor1, u), sheared.line([v + a * u for v in vs])
         return
-    j2s = profile_column(s.factor2, vs)
+    j2s = [_profile_jet(s.factor2, v) for v in vs]
     if _shear_is_inert(a, vs, us):
-        for u, j1 in zip(us, profile_column(s.factor1, us)):
-            yield u, [j1] * len(vs), j2s
+        for u in us:
+            yield u, [_profile_jet(s.factor1, u)] * len(vs), j2s
     else:
         sheared = _ShearedJets(s.factor1)
         for u in us:
@@ -403,14 +404,12 @@ def profile_column(profile, ts: Sequence[float]) -> list[Jet1 | str]:
     """The jet of a profile at each t in ts, or the exclusion text of the error it raises there.
 
     One evaluation on a column of arguments (:func:`isocurv.jets.eval_column`)
-    gives each argument the bits of its own evaluation.  Fewer than
-    :data:`_MIN_COLUMN` arguments, and a column that raises, are evaluated
-    point by point: a profile that the column cannot carry, one that reads
-    its argument's value, say, and one that raises at some argument, where
-    each argument then gets the bits or the text of its own evaluation.
+    gives each argument the bits of its own evaluation.  A column that
+    raises is evaluated point by point: a profile that the column cannot
+    carry (one that takes tan, sqrt or power, or reads its argument's
+    value, say) and one that raises at some argument, where each argument
+    then gets the bits or the text of its own evaluation.
     """
-    if len(ts) < _MIN_COLUMN:
-        return [_profile_jet(profile, t) for t in ts]
     try:
         return jets.eval_column(profile, ts).jet1s()
     except Exception:
@@ -440,26 +439,19 @@ class _ShearedJets(dict):
     twice by then, storing stops: the dict holds O(n) jets rather than
     O(n^2).  Otherwise every jet is stored.  The key is u, or (sign of
     u,) for a zero u, because 0.0 == -0.0 as dict keys while a profile
-    may tell them apart.
-
-    The first line, and each line after one that missed at least
-    :data:`_MIN_COLUMN` arguments, evaluates its missing arguments as one
-    column.  After a line that missed fewer, as on the diagonals, each
-    missing argument is evaluated as it is looked up.
+    may tell them apart.  Each missing argument is evaluated as it is
+    looked up.
     """
 
-    __slots__ = ("profile", "lines", "keep", "batch", "misses")
+    __slots__ = ("profile", "lines", "keep")
 
     def __init__(self, profile) -> None:
         super().__init__()
         self.profile = profile
         self.lines = 0
         self.keep = True
-        self.batch = True
-        self.misses = 0
 
     def __missing__(self, key):
-        self.misses += 1
         j = _profile_jet(self.profile, key if key.__class__ is float else math.copysign(0.0, key[0]))
         if self.keep:
             self[key] = j
@@ -468,19 +460,7 @@ class _ShearedJets(dict):
     def line(self, args: list[float]) -> list[Jet1 | str]:
         """The jets at the arguments of one grid line."""
         copysign = math.copysign
-        if self.batch:
-            keys = [u if u else (copysign(1.0, u),) for u in args]
-            missing = {k: u for k, u in zip(keys, args) if k not in self}
-            new = dict(zip(missing, profile_column(self.profile, list(missing.values()))))
-            if self.keep:
-                self.update(new)
-            out = [new[k] if k in new else self[k] for k in keys]
-            misses = len(missing)
-        else:
-            self.misses = 0
-            out = [self[u if u else (copysign(1.0, u),)] for u in args]
-            misses = self.misses
-        self.batch = misses >= _MIN_COLUMN
+        out = [self[u if u else (copysign(1.0, u),)] for u in args]
         self.lines += 1
         if self.lines == 2 and len(self) == 2 * len(args):
             self.keep = False

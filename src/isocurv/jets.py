@@ -65,12 +65,13 @@ at argument i.  A number, Jet1 or Jet2 on either side of a column
 operation is that constant at every element.  A column evaluation is
 all or nothing: where the per-point function would raise at any
 element, the column function raises, and no element gets a value.
-Only ``+ - *``, ``exp sin cos tan sqrt power`` and :func:`compose` take
-a column, the operations that the catalog's and the random generator's
-profiles use; ``/``, negation, ``**`` and ``log`` raise TypeError on
-one.  A Col1 has no ``v`` either, so a profile that reads its argument's
-value raises.  Where a column raises, its caller evaluates the profile
-point by point instead.
+Only ``+ - *``, ``exp sin cos`` and :func:`compose` take a column, the
+operations of the random generator's profiles, which cross-validation
+evaluates over many points at once; ``/``, negation, ``**``, ``log``,
+``tan``, ``sqrt`` and ``power`` raise TypeError on one.  A Col1 has no
+``v`` either, so a profile that reads its argument's value raises.
+Where a column raises, its caller evaluates the profile point by point
+instead.
 """
 
 from __future__ import annotations
@@ -566,9 +567,9 @@ class Col1:
     ``vs``, ``dxs`` and ``dxxs`` hold (f, f', f'') at each argument.  Each
     operation computes, element by element, Jet1's float expression for
     the operands' kinds, so element i carries the bits of the per-point
-    Jet1.  The operations that the module docstring lists take a column;
-    any other raises TypeError, and a profile that reads ``v`` raises
-    AttributeError.
+    Jet1.  Only the operations that the module docstring lists take a
+    column; any other, tan, sqrt and power included, raises TypeError,
+    and a profile that reads ``v`` raises AttributeError.
     """
 
     __slots__ = ("vs", "dxs", "dxxs")
@@ -654,7 +655,8 @@ def eval_column(profile, ts) -> Col1:
     slots at every argument.  The evaluation is all or nothing: where
     ``eval_profile`` would raise at any argument, this raises, though
     not always the same error, and a profile that the column cannot
-    carry raises TypeError.  Evaluate point by point then.
+    carry, one that takes tan, sqrt or power, say, raises TypeError.
+    Evaluate point by point then.
     """
     vs = list(map(float, ts))
     n = len(vs)
@@ -770,11 +772,9 @@ def cos(a) -> Jet1 | Jet2 | Col1:
     return compose(c, -s, -c, a)
 
 
-def tan(a) -> Jet1 | Jet2 | Col1:
+def tan(a) -> Jet1 | Jet2:
     k = a.__class__
     if k is not Jet1 and k is not Jet2:
-        if k is Col1:
-            return _tan_column(a)
         a = _req(a, "tan")
     try:
         c = math.cos(a.v)
@@ -789,11 +789,9 @@ def tan(a) -> Jet1 | Jet2 | Col1:
     return compose(t, sec2, 2.0 * t * sec2, a)
 
 
-def sqrt(a) -> Jet1 | Jet2 | Col1:
+def sqrt(a) -> Jet1 | Jet2:
     k = a.__class__
     if k is not Jet1 and k is not Jet2:
-        if k is Col1:
-            return _sqrt_column(a)
         a = _req(a, "sqrt")
     if a.v <= 0.0:
         raise BranchDomainError("sqrt", a.v, "a positive argument")
@@ -802,7 +800,7 @@ def sqrt(a) -> Jet1 | Jet2 | Col1:
     return compose(s, d1, -0.5 * d1 / a.v, a)
 
 
-def power(a, exponent: float) -> Jet1 | Jet2 | Col1:
+def power(a, exponent: float) -> Jet1 | Jet2:
     """a**p for a real exponent p.
 
     Integer exponents work for any base (except a zero base with a negative
@@ -810,8 +808,6 @@ def power(a, exponent: float) -> Jet1 | Jet2 | Col1:
     """
     k = a.__class__
     if k is not Jet1 and k is not Jet2:
-        if k is Col1:
-            return _power_column(a, exponent)
         a = _req(a, "power")
     p = float(exponent)
     v = a.v
@@ -834,11 +830,10 @@ def power(a, exponent: float) -> Jet1 | Jet2 | Col1:
 
 # elementary functions on columns ----------------------------------------
 #
-# tan, sqrt and power keep the domain test of the per-point function and
-# raise its error at the first element that fails it; an error of the
-# math module, such as exp's overflow or sin of an infinity, propagates
-# as it is.  None returns a value where the per-point function would
-# raise at some element.
+# exp, sin and cos, which the random generator's profiles use, have no
+# domain test; an error of the math module, such as exp's overflow or
+# sin of an infinity, propagates as it is.  tan, sqrt and power take no
+# column: their profiles are evaluated point by point.
 
 
 def _exp_column(a: Col1) -> Col1:
@@ -855,48 +850,3 @@ def _cos_column(a: Col1) -> Col1:
     ss = [math.sin(v) for v in a.vs]
     cs = [math.cos(v) for v in a.vs]
     return compose(cs, [-s for s in ss], [-c for c in cs], a)
-
-
-def _tan_column(a: Col1) -> Col1:
-    vs = a.vs
-    poles = [v for v in vs if abs(math.cos(v)) <= TAN_COS_FLOOR]
-    if poles:
-        raise BranchDomainError("tan", poles[0], f"|cos| > {TAN_COS_FLOOR:g} (pole guard)")
-    ts = [math.tan(v) for v in vs]
-    sec2 = [1.0 + t * t for t in ts]
-    return compose(ts, sec2, [2.0 * t * s for t, s in zip(ts, sec2)], a)
-
-
-def _sqrt_column(a: Col1) -> Col1:
-    vs = a.vs
-    low = [v for v in vs if v <= 0.0]
-    if low:
-        raise BranchDomainError("sqrt", low[0], "a positive argument")
-    ss = [math.sqrt(v) for v in vs]
-    d1s = [0.5 / s for s in ss]
-    return compose(ss, d1s, [-0.5 * d1 / v for d1, v in zip(d1s, vs)], a)
-
-
-def _power_column(a: Col1, exponent: float) -> Col1:
-    p = float(exponent)
-    vs = a.vs
-    if p == 0.0:
-        n = len(vs)
-        return _column([1.0] * n, [0.0] * n, [0.0] * n)
-    if p == 1.0:
-        return a
-    if not p.is_integer():
-        low = [v for v in vs if v <= 0.0]
-        if low:
-            raise BranchDomainError(
-                "power", low[0], f"a positive base for non-integer exponent {p!r}"
-            )
-    elif p < 0.0 and 0.0 in vs:  # ``in`` compares with ==, so -0.0 is a zero
-        raise BranchDomainError("power", vs[vs.index(0.0)], "a nonzero base for negative exponent")
-    # p * (p - 1.0) * pow(...) forms p * (p - 1.0) first.
-    p1, p2, pp = p - 1.0, p - 2.0, p * (p - 1.0)
-    pow = math.pow
-    gs = [pow(v, p) for v in vs]
-    g1s = [p * pow(v, p1) for v in vs]
-    g2s = [pp * pow(v, p2) for v in vs]
-    return compose(gs, g1s, g2s, a)

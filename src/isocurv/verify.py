@@ -302,9 +302,17 @@ def check_constancy(
     Fewer than 4 included samples is an error: a claim of constancy over
     a grid needs more than a corner's worth of data.
     So is a non-finite sample (``max`` would silently skip a NaN), and so
-    is a tolerance that is negative or not finite, which is checked first.
+    are a tolerance that is negative or not finite and a target that is
+    not a finite int or float (a bool is no number here), which are
+    checked first: a NaN target would give a report that cannot be serialized.
     """
     _require_finite_nonnegative("constancy check tolerance", tol)
+    if target is not None and (
+        isinstance(target, bool)
+        or not isinstance(target, (int, float))
+        or not abs(target) <= sys.float_info.max
+    ):
+        raise ValueError(f"constancy check target must be a finite number, got {target!r}")
     if isinstance(samples, GridRun):
         values = samples.values(quantity)
         domain: Rect | None = samples.domain

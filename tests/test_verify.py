@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from isocurv import jets, verify
 from isocurv.catalog import ParameterError, build_family, family_ids
 from isocurv.factorable import (
-    _MIN_COLUMN,
+    _profile_jet,
     NON_FINITE,
     TYPE1,
     TYPE2,
@@ -101,12 +101,10 @@ samples = st.one_of(st.sampled_from(EDGE_SAMPLES), st.floats(allow_nan=False, al
 
 @given(
     values=st.lists(samples, min_size=4, max_size=12),
-    center=st.one_of(st.none(), samples, st.sampled_from((math.inf, -math.inf, math.nan))),
+    center=st.one_of(st.none(), samples),
 )
 # All -0.0 about 0.0: the extremes give -0.0 where abs gives 0.0.
 @example(values=[-0.0] * 4, center=0.0)
-# A NaN target keeps its NaN, so the report refuses to serialize.
-@example(values=[1.0] * 4, center=math.nan)
 def test_max_deviation_from_the_extremes_is_the_max_of_every_deviation(values, center):
     # The deviation comes from max(values) and min(values); it must be the
     # float that the max of every |v - center| gives, sign of zero included.
@@ -116,8 +114,19 @@ def test_max_deviation_from_the_extremes_is_the_max_of_every_deviation(values, c
     assert report.max_abs_deviation.hex() == want.hex(), (values, center)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, True])
+def test_constancy_refuses_a_target_that_is_not_a_finite_number(bad):
+    # A NaN or infinite target gave a failing report that could not be
+    # serialized, and True passed as the target 1 and printed true.  The
+    # target is refused before any sample is read: one sample is too few.
+    for values in ([1.0] * 4, [1.0]):
+        with pytest.raises(ValueError) as info:
+            check_constancy(values, target=bad)
+        assert str(info.value) == f"constancy check target must be a finite number, got {bad!r}"
+
+
 def test_reports_never_serialize_nan():
-    report = check_constancy([1.0, 1.0, 1.0, 1.0], target=float("nan"))
+    report = check_constancy([1.0, 1.0, 1.0, 1.0]).replace(target=float("nan"))
     with pytest.raises(ValueError):
         report.to_json()
     probe = probe_instances("afs2-minimal", draw_nonplanar_type2(1, seed=1), n=5)
@@ -446,8 +455,18 @@ def _counting(profile, counter, slot):
     return counted
 
 
-@pytest.mark.parametrize("fid", ["FS1.K.saddle", "FS2.K.hyperbolic"])
+#: The catalog's plain product families: a = 0, so no argument is sheared.
+_UNSHEARED_PRODUCTS = [
+    fid
+    for fid in family_ids()
+    if isinstance(surface := build_family(fid), AffineFactorable) and surface.shear == 0.0
+]
+
+
+@pytest.mark.parametrize("fid", _UNSHEARED_PRODUCTS)
 def test_sample_grid_evaluates_each_profile_once_per_argument(fid):
+    # One Jet1 per grid argument: a walk that tried a column first would
+    # evaluate a tan, sqrt or power profile twice over.
     surface = build_family(fid)
     assert surface.shear == 0.0
     calls = [0, 0]
@@ -508,12 +527,11 @@ def test_sample_grid_evaluates_a_raising_argument_once_per_grid_line(kind):
 
 
 @pytest.mark.parametrize("kind", [TYPE1, TYPE2])
-def test_a_raising_column_costs_one_column_pass_and_one_point_pass(kind):
-    # sqrt raises on the grid lines whose coordinate is negative, so each
-    # profile's column raises as a whole and is evaluated again point by
-    # point: 2n evaluated arguments per profile, and the per-point texts.
+def test_a_raising_profile_costs_one_point_pass_in_a_grid_walk(kind):
+    # sqrt raises on the grid lines whose coordinate is negative.  A grid
+    # walk evaluates no column, so each profile costs one evaluation per
+    # grid argument, n in all, and gives the per-point texts.
     n = 11
-    assert n >= _MIN_COLUMN
     calls = [0, 0]
     surface = AffineFactorable(
         kind,
@@ -523,7 +541,7 @@ def test_a_raising_column_costs_one_column_pass_and_one_point_pass(kind):
         Rect((-1.0, 2.0), (-1.0, 2.0)),
     )
     run = sample_grid(surface, n=n)
-    assert calls == [2 * n, 2 * n], f"profile evaluations {calls} on a {n}x{n} grid"
+    assert calls == [n, n], f"profile evaluations {calls} on a {n}x{n} grid"
     assert run.excluded and run.points
     assert _assert_walk_matches_point_loop(surface, n, kind) == len(run.excluded)
 
@@ -615,6 +633,57 @@ def test_cross_validate_evaluates_type2_profiles_once_per_point():
     report = cross_validate(inst, n_points=20, seed=3)
     assert report.grid == 20 and not report.excluded_points
     assert calls == [40, 40], f"profile evaluations {calls} for 20 points"
+
+
+def _counting_jet1s(profile, counter, slot):
+    # As _counting, but leaves out the chart route's Jet2 arguments.
+    def counted(t):
+        if t.__class__ is not jets.Jet2:
+            counter[slot] += len(t.vs) if t.__class__ is jets.Col1 else 1
+        return profile(t)
+
+    return counted
+
+
+def _profile_jets_point_by_point(instance, points):
+    # profile_columns with one evaluation per point and profile.
+    args = [instance.profile_arguments(p) for p in points]
+    return (
+        [_profile_jet(instance.factor1, u1) for u1, _ in args],
+        [_profile_jet(instance.factor2, u2) for _, u2 in args],
+    )
+
+
+@pytest.mark.parametrize("kind", [TYPE1, TYPE2])
+def test_cross_validate_evaluates_each_profile_once_as_a_column(kind, monkeypatch):
+    # A random instance's profiles take a column: one pass over the n
+    # points each.  sqrt takes none, so a sqrt x sqrt instance costs a
+    # column pass that raises and a point pass, 2n, and its report is
+    # the one that point-by-point profile jets give.
+    n = 40
+    calls = [0, 0]
+    drawn = random_instance(SplitMix64(11), kind)
+    counted = drawn.replace(
+        factor1=_counting_jet1s(drawn.factor1, calls, 0),
+        factor2=_counting_jet1s(drawn.factor2, calls, 1),
+    )
+    report = cross_validate(counted, n_points=n, seed=5)
+    assert calls == [n, n], f"profile evaluations {calls} for {n} points"
+    assert report == cross_validate(drawn, n_points=n, seed=5)
+
+    calls = [0, 0]
+    surface = AffineFactorable(
+        kind,
+        _counting_jet1s(jets.sqrt, calls, 0),
+        _counting_jet1s(jets.sqrt, calls, 1),
+        0.0,
+        Rect((-1.0, 2.0), (-1.0, 2.0)),
+    )
+    report = cross_validate(surface, n_points=n, seed=5)
+    assert calls == [2 * n, 2 * n], f"profile evaluations {calls} for {n} points"
+    assert report.excluded_points and report.grid
+    monkeypatch.setattr(AffineFactorable, "profile_columns", _profile_jets_point_by_point)
+    assert report.to_json() == cross_validate(surface, n_points=n, seed=5).to_json()
 
 
 # report formatting ------------------------------------------------------

@@ -9,9 +9,10 @@ and the tree that runs first alternates, the parent first.  Records come from
 each tree's ``bench/results/``.  ``--traced`` adds a traced run (seed 1, 1 s)
 per tree and workload; ``--digests`` the sha256 of ``isocurv list``, of
 ``verify --grid 41`` on every family, of ``cross-validate --seed 7`` on each
-kind, of ``probe`` on each kind, of ``verify`` on three grids that
-cross a profile's branch or overflow, and of the 201² FS2.K.integral
-CSV and OBJ exports.  Exits 1 if any run is not correct.
+kind and on three families with a tan, power or sqrt profile, of ``probe``
+on each kind, of ``verify`` on three grids that cross a profile's branch
+or overflow, and of the 201² FS2.K.integral CSV and OBJ exports.  Exits 1
+if any run is not correct.
 
 Once ``--out`` is written, one line per series and metric goes to stdout: the
 parent's median with its quartiles, the change's median and the difference,
@@ -58,9 +59,12 @@ out = {"list": sha(run("list")), "verify 41 (all families)": sha(b"".join(
     run("verify", "--family", f, "--grid", "41") for f in catalog.family_ids()))}
 for kind in ("type-1", "type-2"):
     out[f"cross-validate {kind} seed 7"] = sha(run("cross-validate", "--kind", kind, "--seed", "7"))
+# Families whose tan, power or sqrt profile takes no column: cross-validated point by point.
+for fid in ("FS2.min.tan", "AFS1.flat.pow", "AFS2.cmc.f1const"):
+    out[f"cross-validate {fid} seed 7"] = sha(run("cross-validate", "--family", fid, "--seed", "7"))
 for kind in ("afs2-minimal", "afs2-constant-K"):
     out[f"probe {kind}"] = sha(run("probe", "--kind", kind))
-# Grids that cross a profile's branch or overflow, where columns fall back point by point.
+# Grids that cross a profile's branch or overflow, where points are excluded with their texts.
 for argv in (["FS1.flat.pow", "--param", "c2=3", "--grid", "41", "--domain", "x:-3..0.52,y:-3..0.52"],
              ["AFS2.cmc.sqrt", "--grid", "41", "--domain", "y:-1..1,z:-1..1"],
              ["AFS1.min.osc", "--domain", "x:0..1e308,y:0..1"]):
