@@ -24,23 +24,26 @@ formulas in the shifted profile arguments:
                  + (f1*f2')^2*f2*f1'' + f1*f2''
                  + 2a*f1'*f2' + a^2*f1''*f2) / reg^3
 
-Each formula is written once, in a line kernel: :func:`afs1_line` and
-:func:`afs2_line` apply it along one grid row and fill that row's lists
-of K, H and the height, or exclude the point with a text.
-:func:`grid_lines` is the one walk of a product grid: it yields each
-row's profile jets to grid sampling, whose :func:`sample_lines` runs
-the kernel of the surface's kind and moves each row's lists into the
-run's ``array('d')`` columns, and to the type-2 build check in
-``isocurv.catalog``, which runs :func:`regularity`.  A grid walk
-evaluates each profile argument as a Jet1; cross-validation alone
-evaluates a profile on a column, one over all its random points
-(:meth:`AffineFactorable.profile_columns`).  The per-point
+Each formula is written once, in a kernel: :func:`afs1_line` and
+:func:`afs2_line` apply it at a column of points, given each profile's
+jets there, and fill lists of K, H and the height, or exclude a point,
+by its index, with a text.  A grid row is the case where f1's jet is
+shared by every point.  :func:`grid_lines` is the one walk of a
+product grid: it yields each row's profile jets to grid sampling,
+whose :func:`sample_lines` runs the kernel of the surface's kind and
+moves each row's lists into the run's ``array('d')`` columns, and to
+the type-2 build check in ``isocurv.catalog``, which runs
+:func:`regularity`.  A grid walk evaluates each profile argument as a
+Jet1; cross-validation alone evaluates a profile on a column, one over
+all its random points (:meth:`AffineFactorable.profile_columns`).  The
 route of a kind, :attr:`AffineFactorable.route`, is
 :func:`afs1_curvatures` or :func:`afs2_curvatures`: its kernel on a
-one-point row.  An exclusion raises :class:`AdmissibilityError` with
-its text, and a non-finite K or H gives a NaN pair.  The tests compare
-the kernels bit for bit with the frozen point-by-point formulas in
-``tests/reference_routes.py``.
+column of points, with one entry per point, a pair or its exclusion
+text; a non-finite K or H gives a NaN pair.  Cross-validation runs it
+once per surface, and :meth:`AffineFactorable.curvatures` on a
+one-point column, raising :class:`AdmissibilityError` with an
+exclusion's text.  The tests compare the kernels bit for bit with the
+frozen point-by-point formulas in ``tests/reference_routes.py``.
 
 These specialized routes are deliberately kept separate from the
 generic chart formulas in :mod:`isocurv.geometry` so the two can be
@@ -95,10 +98,11 @@ Profile = "Callable[[Jet1 | Jet2], Jet1 | Jet2]"
 #: The errors that evaluating a surface at a point may raise: a grid walk
 #: excludes the point, and a family build refuses its parameters.
 _EVAL_ERRORS = (AdmissibilityError, BranchDomainError, ZeroDivisionError, OverflowError)
-#: The columns a line kernel fills: one row's K, H and heights, each a list,
-#: and the run's list of exclusions, in the layout of ``isocurv.verify.GridRun``.
-#: :func:`sample_lines` moves each row's lists into the run's ``array('d')``
-#: columns.  An included point is not stored; the grid and the exclusions give it.
+#: The columns a kernel fills, each a list that starts empty: the included
+#: points' K, H and heights, and each excluded point's index and text.
+#: :func:`sample_lines` moves a grid row's lists into the run's columns, in
+#: the layout of ``isocurv.verify.GridRun``, and :func:`_pairs` a route's
+#: into one entry per point.
 Columns = "tuple[list[float], list[float], list[float], list]"
 #: The exclusion text of a point whose K or H is not finite.
 NON_FINITE = "non-finite curvature value"
@@ -162,62 +166,69 @@ class AffineFactorable(Record):
         return profile_column(self.factor1, u1s), profile_column(self.factor2, u2s)
 
     @property
-    def route(self) -> Callable[..., CurvaturePair]:
+    def route(self) -> Callable[..., list]:
         """This kind's closed-form route: :func:`afs1_curvatures` or :func:`afs2_curvatures`."""
         return afs1_curvatures if self.kind == TYPE1 else afs2_curvatures
 
     def curvatures(self, p: tuple[float, float]) -> CurvaturePair:
-        return self.route(self, p, *self.profile_jets(p))
+        """The route at the one point p: its pair, or :class:`AdmissibilityError` with its text."""
+        j1, j2 = self.profile_jets(p)
+        (pair,) = self.route(self, (p,), (j1,), (j2,))
+        if pair.__class__ is str:
+            raise AdmissibilityError(pair)
+        return pair
 
 
 def afs1_curvatures(
-    s: AffineFactorable, p: tuple[float, float], j1: Jet1, j2: Jet1
-) -> CurvaturePair:
-    """Closed-form curvatures of a type-1 surface at p = (x, y).
+    s: AffineFactorable, points: Sequence[tuple[float, float]], j1s: Sequence, j2s: Sequence
+) -> list[CurvaturePair | str]:
+    """Closed-form curvatures of a type-1 surface at each point (x, y) of a column.
 
-    ``j1`` and ``j2`` are the jets of f1 and f2 at the shifted arguments
-    of p, as :meth:`AffineFactorable.profile_jets` evaluates them.  The
-    pair is that of :func:`afs1_line` on the one-point row p (see
-    :func:`_one_point`), and its ``w``, the height f1 * f2, is the float
-    that the :func:`as_chart` height jet carries as its value.
+    ``j1s`` and ``j2s`` are the jets of f1 and f2 at the shifted
+    arguments of each point, as :meth:`AffineFactorable.profile_columns`
+    evaluates them, or a profile's exclusion text.  Each point gets the
+    entry of :func:`afs1_line` there (see :func:`_pairs`); a pair's
+    ``w``, the height f1 * f2, is the value of the :func:`as_chart` height jet.
     """
     if s.kind != TYPE1:
         raise ValueError(f"afs1_curvatures needs a {TYPE1} surface, got {s.kind}")
-    columns = ([], [], [], [])
-    afs1_line(s.shear, p[0], (p[1],), j1, (j2,), columns)
-    return _one_point(columns)
+    return _pairs(afs1_line, s.shear, points, j1s, j2s)
 
 
 def afs1_line(
     a: float,
-    x: float,
-    ys: Sequence[float],
-    j1: Jet1 | str,
+    us: Sequence[float],
+    vs: Sequence[float],
+    j1s: Sequence[Jet1 | str],
     j2s: Sequence[Jet1 | str],
     columns: Columns,
 ) -> None:
-    """The type-1 formulas along the grid row x, into ``columns``.
+    """The type-1 formulas at the points (x, y) = (us[i], vs[i]), into ``columns``.
 
-    ``j1`` is f1's jet at x, ``j2s`` f2's jets at y + a*x for each y in
-    ``ys``; either may be the exclusion text of the error its profile
-    raised, and f1's text goes first.  Each point is either included,
-    with K, H and the height w = f1*f2 appended to the row's lists in
-    ``columns``, or excluded as an ``((x, y), text)`` pair: its
-    profile's text, that of an overflowing square, or :data:`NON_FINITE`.  The
-    row's f1 floats and the factors (1 + a^2)*f1 and 2a*f1', which the
-    left-to-right products form first, are computed once per row.
+    ``j1s`` are f1's jets at x and ``j2s`` f2's jets at y + a*x; either
+    may be the exclusion text of the error its profile raised, and f1's
+    text goes first.  Each point is either included, with K, H and the
+    height w = f1*f2 appended to the lists in ``columns``, which start
+    empty, or excluded as an ``(i, text)`` pair: its profile's text,
+    that of an overflowing square, or :data:`NON_FINITE`.  A grid row
+    is the case where every point shares f1's jet: its floats and the
+    factors (1 + a^2)*f1 and 2a*f1', which the left-to-right products
+    form first, are computed again only where the jet changes.  No
+    type-1 text names a point, so ``us`` and ``vs`` go unread.
     """
-    ks, hs, heights, excluded = columns
-    if j1.__class__ is str:
-        excluded += [((x, y), j1) for y in ys]
-        return
-    f1, d1, dd1 = j1.v, j1.dx, j1.dxx
-    c_dd2 = (1.0 + a * a) * f1
-    c_d2 = 2.0 * a * d1
+    ks, hs, heights, _ = columns
+    aa1, a2 = 1.0 + a * a, 2.0 * a
     isfinite = math.isfinite
-    for y, j2 in zip(ys, j2s):
-        if j2.__class__ is str:
-            excluded.append(((x, y), j2))
+    j1 = text1 = None
+    for jet, j2 in zip(j1s, j2s):
+        if jet is not j1:
+            j1 = jet
+            text1 = jet if jet.__class__ is str else None
+            if text1 is None:
+                f1, d1, dd1 = jet.v, jet.dx, jet.dxx
+                c_dd2, c_d2 = aa1 * f1, a2 * d1
+        if text1 is not None or j2.__class__ is str:
+            _exclude(columns, j2 if text1 is None else text1)
             continue
         f2, d2, dd2 = j2.v, j2.dx, j2.dxx
         try:
@@ -225,64 +236,62 @@ def afs1_line(
             K = w * dd1 * dd2 - (d1 * d2) ** 2
             H = 0.5 * (c_dd2 * dd2 + c_d2 * d2 + dd1 * f2)
         except (ZeroDivisionError, OverflowError) as err:
-            excluded.append(((x, y), str(err)))
+            _exclude(columns, str(err))
             continue
         if isfinite(K) and isfinite(H):
             ks.append(K)
             hs.append(H)
             heights.append(w)
         else:
-            excluded.append(((x, y), NON_FINITE))
+            _exclude(columns, NON_FINITE)
 
 
 def afs2_curvatures(
-    s: AffineFactorable, p: tuple[float, float], j1: Jet1, j2: Jet1
-) -> CurvaturePair:
-    """Closed-form curvatures of a type-2 surface at p = (y, z).
+    s: AffineFactorable, points: Sequence[tuple[float, float]], j1s: Sequence, j2s: Sequence
+) -> list[CurvaturePair | str]:
+    """Closed-form curvatures of a type-2 surface at each point (y, z) of a column.
 
-    :func:`afs2_line` on the one-point row p, read by :func:`_one_point`:
-    a regularity below ADMISSIBILITY_EPS in magnitude raises
-    :class:`AdmissibilityError`.  ``j1``, ``j2`` and ``w`` are as for
-    :func:`afs1_curvatures`; p only names the point in an error text.
+    As :func:`afs1_curvatures`, with :func:`afs2_line`: a point whose
+    regularity is below ADMISSIBILITY_EPS in magnitude gets the
+    :func:`regularity` text, which names the point.
     """
     if s.kind != TYPE2:
         raise ValueError(f"afs2_curvatures needs a {TYPE2} surface, got {s.kind}")
-    columns = ([], [], [], [])
-    afs2_line(s.shear, p[0], (p[1],), (j1,), (j2,), columns)
-    return _one_point(columns)
+    return _pairs(afs2_line, s.shear, points, j1s, j2s)
 
 
 def afs2_line(
     a: float,
-    y: float,
-    zs: Sequence[float],
+    us: Sequence[float],
+    vs: Sequence[float],
     j1s: Sequence[Jet1 | str],
     j2s: Sequence[Jet1 | str],
     columns: Columns,
 ) -> None:
-    """The type-2 formulas along the grid row y, into ``columns``.
+    """The type-2 formulas at the points (y, z) = (us[i], vs[i]), into ``columns``.
 
-    ``j1s`` are f1's jets at y + a*z and ``j2s`` f2's jets at z, for each
-    z in ``zs``; exclusions and ``columns`` are as for :func:`afs1_line`,
-    with the :func:`regularity` text where |reg| < ADMISSIBILITY_EPS.
-    The denominators keep their signs: reg^3 is signed, so H matches the
-    signed graph formula of the x = w(y, z) chart.  Only 2a and a^2,
-    which the products form first, are hoisted, and (f1'*f2')^2 is
-    squared once for both numerators.
+    ``j1s`` are f1's jets at y + a*z and ``j2s`` f2's jets at z;
+    exclusions and ``columns`` are as for :func:`afs1_line`, with the
+    :func:`regularity` text, which names the point, where |reg| <
+    ADMISSIBILITY_EPS.  The denominators keep their signs: reg^3 is
+    signed, so H matches the signed graph formula of the x = w(y, z)
+    chart.  Only 2a and a^2, which the products form first, are
+    hoisted, and (f1'*f2')^2 is squared once for both numerators.
     """
-    ks, hs, heights, excluded = columns
+    ks, hs, heights, _ = columns
     a2, aa = 2.0 * a, a * a
     isfinite = math.isfinite
-    for z, j1, j2 in zip(zs, j1s, j2s):
+    for j1, j2 in zip(j1s, j2s):
         if j1.__class__ is str or j2.__class__ is str:
-            excluded.append(((y, z), j1 if j1.__class__ is str else j2))
+            _exclude(columns, j1 if j1.__class__ is str else j2)
             continue
         f1, d1, dd1 = j1.v, j1.dx, j1.dxx
         f2, d2, dd2 = j2.v, j2.dx, j2.dxx
         try:
             reg = a * d1 * f2 + f1 * d2
             if abs(reg) < ADMISSIBILITY_EPS:
-                excluded.append(((y, z), _irregular(reg, (y, z))))
+                i = len(ks) + len(columns[3])  # the point at hand, as _exclude counts
+                _exclude(columns, _irregular(reg, (us[i], vs[i])))
                 continue
             reg2 = reg * reg
             w = f1 * f2
@@ -299,34 +308,49 @@ def afs2_line(
             K = num_k / (reg2 * reg2)
             H = num_2h / (2.0 * reg2 * reg)
         except (ZeroDivisionError, OverflowError) as err:
-            excluded.append(((y, z), str(err)))
+            _exclude(columns, str(err))
             continue
         if isfinite(K) and isfinite(H):
             ks.append(K)
             hs.append(H)
             heights.append(w)
         else:
-            excluded.append(((y, z), NON_FINITE))
+            _exclude(columns, NON_FINITE)
 
 
-def _one_point(columns: Columns) -> CurvaturePair:
-    """The pair of the one point that a line kernel has put in ``columns``.
+def _exclude(columns: Columns, text: str) -> None:
+    """Exclude a kernel's point at hand as ``(i, text)``, i its index in the kernel's call.
 
-    An excluded point raises :class:`AdmissibilityError` with its text,
-    whatever error the kernel caught, except a non-finite K or H: that
-    gives a NaN pair, which a check refuses rather than skipping it.
+    A kernel's ``columns`` start empty and each point goes to one of
+    them, so the points recorded so far count to the point at hand.
     """
-    ks, hs, heights, excluded = columns
-    if ks:
-        r = _new(CurvaturePair)
-        r.K = ks[0]
-        r.H = hs[0]
-        r.w = heights[0]
-        return r
-    text = excluded[0][1]
-    if text == NON_FINITE:
-        return CurvaturePair(math.nan, math.nan, math.nan)
-    raise AdmissibilityError(text)
+    ks, _, _, excluded = columns
+    excluded.append((len(ks) + len(excluded), text))
+
+
+def _pairs(line, a: float, points, j1s, j2s) -> list[CurvaturePair | str]:
+    """A line kernel's columns at ``points``, one entry per point in order.
+
+    An included point gets its :class:`CurvaturePair`, an excluded one
+    its text, except a non-finite K or H: that gives a NaN pair, which
+    a check refuses rather than skipping it.
+    """
+    columns = ks, hs, heights, excluded = [], [], [], []
+    line(a, [p[0] for p in points], [p[1] for p in points], j1s, j2s, columns)
+    texts = dict(excluded)
+    included = zip(ks, hs, heights)
+    entries = []
+    for i in range(len(points)):
+        text = texts.get(i)
+        if text is None:
+            entry = _new(CurvaturePair)
+            entry.K, entry.H, entry.w = next(included)
+        elif text == NON_FINITE:
+            entry = CurvaturePair(math.nan, math.nan, math.nan)
+        else:
+            entry = text
+        entries.append(entry)
+    return entries
 
 
 def sample_lines(
@@ -335,50 +359,54 @@ def sample_lines(
     """Grid sampling's columns over us x vs: each :func:`grid_lines` row through s's kernel.
 
     ``columns`` are the run's: ``array('d')`` columns of K, H and
-    heights, and a list of exclusions.  The kernel fills three new lists
-    with a row's K, H and heights, and its exclusions go straight to the
-    run's list, in grid order.  Each row's lists then go into the run's
-    columns with one ``fromlist`` call each, which costs less than a
-    per-point ``append`` to the arrays or an ``extend``.
+    heights, and a list of exclusions.  The kernel fills four new lists
+    with a row's K, H, heights and exclusions.  Each row's values then
+    go into the run's columns with one ``fromlist`` call each, which
+    costs less than a per-point ``append`` or an ``extend``, and each
+    exclusion's index becomes its point in the run's list, in grid order.
     """
     line = afs1_line if s.kind == TYPE1 else afs2_line
     ks, hs, heights, excluded = columns
-    for u, j1, j2s in grid_lines(s, us, vs):
-        row_k, row_h, row_w = [], [], []
-        line(s.shear, u, vs, j1, j2s, (row_k, row_h, row_w, excluded))
+    n = len(vs)
+    for u, j1s, j2s in grid_lines(s, us, vs):
+        row = row_k, row_h, row_w, row_x = [], [], [], []
+        line(s.shear, [u] * n, vs, j1s, j2s, row)
         ks.fromlist(row_k)
         hs.fromlist(row_h)
         heights.fromlist(row_w)
+        if row_x:
+            excluded += [((u, vs[i]), text) for i, text in row_x]
 
 
 def grid_lines(s: AffineFactorable, us: Sequence[float], vs: Sequence[float]) -> Iterator[tuple]:
     """Each row u of the grid us x vs with its profile jets, as the line kernels take them.
 
-    Yields ``(u, j1, j2s)`` for type 1 (f1 at x = u, f2 at y + a*x for
-    each y in ``vs``) and ``(u, j1s, j2s)`` for type 2 (f1 at u + a*z,
-    f2 at z for each z in ``vs``); a profile that raises leaves its
-    exclusion text in place of the jet.  f1(x) of type 1 and f2(z) of
-    type 2 are evaluated once per grid line, one :func:`_profile_jet`
-    per argument, and so is the shifted profile where the shear changes
-    no argument (:func:`_shear_is_inert`); otherwise a
-    :class:`_ShearedJets` looks its jets up by argument.  No grid walk
-    evaluates a column: on a grid line, one gains nothing measurable.
+    Yields ``(u, j1s, j2s)``, a jet per point of the row: for type 1,
+    f1's one jet at x = u for every point and f2's at y + a*x for each
+    y in ``vs``; for type 2, f1's at u + a*z and f2's at z for each z in
+    ``vs``.  A profile that raises leaves its exclusion text in place of
+    the jet.  f1(x) of type 1 and f2(z) of type 2 are evaluated once per
+    grid line, one :func:`_profile_jet` per argument, and so is the
+    shifted profile where the shear changes no argument
+    (:func:`_shear_is_inert`); otherwise a :class:`_ShearedJets` looks
+    its jets up by argument.  No grid walk evaluates a column: on a grid
+    line, one gains nothing measurable.
     """
-    a = s.shear
+    a, n = s.shear, len(vs)
     if s.kind == TYPE1:
         if _shear_is_inert(a, us, vs):
             j2s = [_profile_jet(s.factor2, v) for v in vs]
             for u in us:
-                yield u, _profile_jet(s.factor1, u), j2s
+                yield u, [_profile_jet(s.factor1, u)] * n, j2s
         else:
             sheared = _ShearedJets(s.factor2)
             for u in us:
-                yield u, _profile_jet(s.factor1, u), sheared.line([v + a * u for v in vs])
+                yield u, [_profile_jet(s.factor1, u)] * n, sheared.line([v + a * u for v in vs])
         return
     j2s = [_profile_jet(s.factor2, v) for v in vs]
     if _shear_is_inert(a, vs, us):
         for u in us:
-            yield u, [_profile_jet(s.factor1, u)] * len(vs), j2s
+            yield u, [_profile_jet(s.factor1, u)] * n, j2s
     else:
         sheared = _ShearedJets(s.factor1)
         for u in us:
@@ -478,8 +506,9 @@ def _irregular(reg: float, p: tuple[float, float]) -> str:
 def regularity(s: AffineFactorable, j1: Jet1, j2: Jet1) -> float:
     """The type-2 admissibility value a*f1'*f2 + f1*f2' from the profile jets.
 
-    ``j1`` and ``j2`` are as for :func:`afs2_curvatures`, so a caller
-    that goes on to the curvatures evaluates the profiles once.  Type-1
+    ``j1`` and ``j2`` are one point's entries of :func:`afs2_curvatures`'
+    columns, so a caller that goes on to the curvatures evaluates the
+    profiles once.  Type-1
     graphs are admissible everywhere, so asking for their regularity
     value is a usage error.
     """

@@ -411,16 +411,19 @@ def cross_validate(
     agreement to near rounding is evidence against algebra slips in
     either.  Type-2 points too close to the regularity zero set are
     skipped (both routes would only amplify rounding there).  A chart
-    or a patch has no factored form: it is a ValueError, raised before
-    any point is drawn.
+    or a patch has no factored form, and ``n_points`` must be an
+    ``int`` (not a bool): either is a ValueError, raised before any
+    point is drawn.  The chart route runs point by point; the
+    specialized route, :attr:`AffineFactorable.route`, runs once, on
+    the column of all the points.
     """
     _require_finite_nonnegative("cross-validation tolerance", tol)
     if not isinstance(instance, AffineFactorable):
         raise ValueError(f"a {type(instance).__name__} has no factored form to cross-validate")
+    if type(n_points) is not int:
+        raise ValueError(f"n_points must be an integer, got {n_points!r}")
     chart = as_chart(instance)
     chart_route = partial(chart.route, chart.height)
-    type2 = instance.kind == TYPE2
-    route = instance.route
     rng = SplitMix64(seed)
     (u_lo, u_hi), (v_lo, v_hi) = instance.domain.u, instance.domain.v
     points = [(rng.uniform(u_lo, u_hi), rng.uniform(v_lo, v_hi)) for _ in range(n_points)]
@@ -428,17 +431,25 @@ def cross_validate(
     # serves the regularity skip and the specialized route; the chart
     # never sees it.
     j1s, j2s = instance.profile_columns(points)
+    if instance.kind == TYPE2:
+        # A point too near the regularity zero set carries the skip's
+        # text in place of f1's jet, after any profile's text, and the
+        # route hands it back as it does a profile's.
+        floor = f"regularity magnitude below {_CROSS_REG_FLOOR:g}"
+        j1s = [
+            floor
+            if j1.__class__ is not str and j2.__class__ is not str
+            and abs(regularity(instance, j1, j2)) < _CROSS_REG_FLOOR
+            else j1
+            for j1, j2 in zip(j1s, j2s)
+        ]
     deviations = []
     excluded = []
-    for p, j1, j2 in zip(points, j1s, j2s):
-        if j1.__class__ is str or j2.__class__ is str:
-            excluded.append((p, j1 if j1.__class__ is str else j2))
+    for p, special in zip(points, instance.route(instance, points, j1s, j2s)):
+        if special.__class__ is str:
+            excluded.append((p, special))
             continue
         try:
-            if type2 and abs(regularity(instance, j1, j2)) < _CROSS_REG_FLOOR:
-                excluded.append((p, f"regularity magnitude below {_CROSS_REG_FLOOR:g}"))
-                continue
-            special = route(instance, p, j1, j2)
             generic = chart_route(p)
         except _EVAL_ERRORS as err:
             excluded.append((p, str(err)))

@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import functools
 import hashlib
 import io
 import json
@@ -879,8 +880,37 @@ def _through_main(argv):
         raise SystemExit(main(list(argv)))
 
 
+@functools.cache
+def _frozen_parser():
+    """The frozen full parser, built once for all the argv that the tests parse with it."""
+    return reference_cli.build_parser()
+
+
+def _parser_state(obj, seen):
+    """Every attribute of a parser, its actions, groups and subparsers, as a comparable value."""
+    if isinstance(obj, (argparse._ActionsContainer, argparse.Action)):
+        if id(obj) in seen:
+            return seen[id(obj)]
+        seen[id(obj)] = len(seen)
+        return type(obj), {key: _parser_state(value, seen) for key, value in vars(obj).items()}
+    if isinstance(obj, dict):
+        return {key: _parser_state(value, seen) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return type(obj)(_parser_state(value, seen) for value in obj)
+    return obj
+
+
+@pytest.fixture(scope="module", autouse=True)
+def _frozen_parser_stays_as_built():
+    # Sharing one parser is only the same check as building one per argv
+    # if parsing leaves it unchanged.
+    state = _parser_state(_frozen_parser(), {})
+    yield
+    assert _parser_state(_frozen_parser(), {}) == state, "parse_args changed the frozen parser"
+
+
 def _frozen(argv):
-    return reference_cli.build_parser().parse_args(cli._attach_negative_ranges(list(argv)))
+    return _frozen_parser().parse_args(cli._attach_negative_ranges(list(argv)))
 
 
 def _parses_as_the_frozen_parser(argv):

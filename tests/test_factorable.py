@@ -109,7 +109,7 @@ def test_profile_jets_are_the_profiles_at_the_shifted_arguments():
     j1, j2 = s.profile_jets(p)
     assert j1.components() == jets.eval_profile(s.factor1, u1).components()
     assert j2.components() == jets.eval_profile(s.factor2, u2).components()
-    assert s.curvatures(p) == afs2_curvatures(s, p, j1, j2)
+    assert [s.curvatures(p)] == afs2_curvatures(s, [p], [j1], [j2])
 
 
 def test_kind_validation():
@@ -122,9 +122,9 @@ def test_specialized_route_rejects_wrong_kind():
     s2 = _type2(lambda t: t, lambda t: jets.const(1.0), 1.0)
     p = (0.5, 0.5)
     with pytest.raises(ValueError):
-        afs2_curvatures(s1, p, *s1.profile_jets(p))
+        afs2_curvatures(s1, [p], *zip(s1.profile_jets(p)))
     with pytest.raises(ValueError):
-        afs1_curvatures(s2, p, *s2.profile_jets(p))
+        afs1_curvatures(s2, [p], *zip(s2.profile_jets(p)))
 
 
 def test_regularity_is_a_type2_notion():

@@ -22,6 +22,7 @@ from isocurv.factorable import (
     as_chart,
     is_planar,
     random_instance,
+    regularity,
 )
 from isocurv.geometry import (
     AdmissibilityError,
@@ -869,6 +870,103 @@ def test_cross_validate_refuses_a_surface_without_factored_form(monkeypatch, con
         cross_validate(surface)
     name = type(surface).__name__
     assert str(info.value) == f"a {name} has no factored form to cross-validate"
+
+
+def _cross_validate_point_by_point(instance, n_points, seed):
+    """The deviations and exclusions of cross_validate's loop as it ran one point at a time.
+
+    Per point: a profile's text, the regularity skip, the reference
+    route (a non-finite K or H read as NaN), then the chart route.
+    """
+    chart = as_chart(instance)
+    rng = SplitMix64(seed)
+    (u_lo, u_hi), (v_lo, v_hi) = instance.domain.u, instance.domain.v
+    points = [(rng.uniform(u_lo, u_hi), rng.uniform(v_lo, v_hi)) for _ in range(n_points)]
+    route = (reference_routes.afs1_curvatures, reference_routes.afs2_curvatures)[
+        instance.kind == TYPE2]
+    deviations, excluded = [], []
+    for p in points:
+        u1, u2 = instance.profile_arguments(p)
+        j1, j2 = _profile_jet(instance.factor1, u1), _profile_jet(instance.factor2, u2)
+        if j1.__class__ is str or j2.__class__ is str:
+            excluded.append((p, j1 if j1.__class__ is str else j2))
+            continue
+        try:
+            if instance.kind == TYPE2 and abs(regularity(instance, j1, j2)) < 1e-3:
+                excluded.append((p, "regularity magnitude below 0.001"))
+                continue
+            special = route(instance, p, j1, j2)
+            generic = chart.curvatures(p)
+        except (AdmissibilityError, BranchDomainError, ZeroDivisionError, OverflowError) as err:
+            excluded.append((p, str(err)))
+            continue
+        K, H = special.K, special.H
+        if not (math.isfinite(K) and math.isfinite(H)):
+            K = H = math.nan
+        deviations.append(max(
+            unit_relative_difference(K, generic.K), unit_relative_difference(H, generic.H)))
+    return deviations, excluded
+
+
+def _fails_in_a_chart_below(limit):
+    # t / 100, but a chart's Jet2 argument below ``limit`` raises.
+    def profile(t):
+        if t.__class__ is jets.Jet2 and t.v < limit:
+            raise BranchDomainError("chart-only", t.v, f"an argument of at least {limit}")
+        return 0.01 * t
+
+    return profile
+
+
+def _mixed(kind):
+    # Each outcome on one square, each on a share of the draws: a
+    # profile text (log below -0.8; type 2's f1 also leaves exp's range
+    # past 1.08), the regularity skip (type 2), an overflowing square
+    # (exp(4000*t) past 0.9), a NaN K (f1 between 0.5 and 0.7) and a
+    # chart error (f2 below -0.8).
+    def f1(t):
+        nan = math.nan if 0.5 < t.v < 0.7 else 1.0
+        return jets.log(t + 0.8) * nan + jets.exp(4000.0 * (t - 0.9))
+
+    if kind == TYPE1:
+        return AffineFactorable(TYPE1, f1, _fails_in_a_chart_below(-0.8), 0.5,
+                                Rect((-1.0, 1.0), (-1.0, 1.0)))
+    return AffineFactorable(TYPE2, f1, _fails_in_a_chart_below(-0.8), 0.5,
+                            Rect((-1.0, 1.0), (-1.0, 1.0)))
+
+
+@pytest.mark.parametrize("kind", [TYPE1, TYPE2])
+def test_cross_validate_gives_each_point_its_point_by_point_outcome(kind, monkeypatch):
+    instance = _mixed(kind)
+    want_deviations, want_excluded = _cross_validate_point_by_point(instance, 400, 8)
+    seen = {}
+    reduce = verify._reduce
+
+    def recorded(values, center, check, unit, **report):
+        seen.update(values=values, excluded=report["excluded_points"])
+        return reduce(values, center, check, unit, **report)
+
+    monkeypatch.setattr(verify, "_reduce", recorded)
+    with pytest.raises(ValueError, match="non-finite sample"):
+        cross_validate(instance, n_points=400, seed=8)
+    assert seen["excluded"] == tuple(want_excluded)
+    assert [d.hex() for d in seen["values"]] == [d.hex() for d in want_deviations]
+    reasons = {text.split(" ")[0] for _, text in want_excluded}
+    type2 = {"regularity", "math"} if kind == TYPE2 else set()
+    assert reasons == {"log", "(34,", "chart-only"} | type2
+    assert "nan" in {d.hex() for d in want_deviations}
+
+
+@pytest.mark.parametrize("n_points", [1.5, True, 100.0], ids=["fraction", "bool", "float"])
+def test_cross_validate_refuses_a_point_count_that_is_not_an_integer(monkeypatch, n_points):
+    # 1.5 once raised TypeError from range(), and True drew one point.
+    def fail(seed):
+        raise AssertionError("a point was drawn before the point count was checked")
+
+    monkeypatch.setattr(verify, "SplitMix64", fail)
+    with pytest.raises(ValueError) as info:
+        cross_validate(build_family("AFS1.min.osc"), n_points=n_points)
+    assert str(info.value) == f"n_points must be an integer, got {n_points!r}"
 
 
 def test_cross_validate_excludes_points_whose_profile_raises():
