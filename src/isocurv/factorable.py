@@ -30,8 +30,9 @@ jets there, and fill lists of K, H and the height, or exclude a point,
 by its index, with a text.  A grid row is the case where f1's jet is
 shared by every point.  :func:`grid_lines` is the one walk of a
 product grid: it yields each row's profile jets to grid sampling,
-whose :func:`sample_lines` runs the kernel of the surface's kind and
-moves each row's lists into the run's ``array('d')`` columns, and to
+whose :func:`sample_lines` runs the kernel of the surface's kind
+through the row loop that charts share
+(``isocurv.geometry.sample_rows``), and to
 the type-2 build check in ``isocurv.catalog``, which runs
 :func:`regularity`.  A grid walk evaluates each profile argument as a
 Jet1; cross-validation alone evaluates a profile on a column, one over
@@ -42,11 +43,13 @@ column of points, with one entry per point, a pair or its exclusion
 text; a non-finite K or H gives a NaN pair.  Cross-validation runs it
 once per surface, and :meth:`AffineFactorable.curvatures` on a
 one-point column, raising :class:`AdmissibilityError` with an
-exclusion's text.  The tests compare the kernels bit for bit with the
-frozen point-by-point formulas in ``tests/reference_routes.py``.
+exclusion's text, through the adapter that charts share
+(``isocurv.geometry._pairs``).  The tests compare the kernels bit for
+bit with the frozen point-by-point formulas in ``tests/reference_routes.py``.
 
 These specialized routes are deliberately kept separate from the
-generic chart formulas in :mod:`isocurv.geometry` so the two can be
+generic chart formulas in :mod:`isocurv.geometry`, whose kernels take
+columns of points too but see no profile jet, so the two can be
 cross-checked numerically (see ``isocurv.verify.cross_validate``).
 """
 
@@ -56,17 +59,23 @@ import math
 from collections.abc import Callable, Iterator, Sequence
 
 from . import jets
-from .jets import BranchDomainError, Jet1, Jet2, _new
+from .jets import Jet1, Jet2
 from .geometry import (
+    _EVAL_ERRORS,
     ADMISSIBILITY_EPS,
-    AdmissibilityError,
+    NON_FINITE,
+    Columns,
     CurvaturePair,
     Record,
     Rect,
     SurfaceChart,
     X_OVER_YZ,
     Z_OVER_XY,
+    _exclude,
+    _only_pair,
+    _pairs,
     fields,
+    sample_rows,
 )
 from .rng import SplitMix64
 
@@ -95,17 +104,6 @@ TYPE2 = "type-2"
 #: A twice-differentiable function of one variable in jet arithmetic:
 #: :func:`isocurv.jets.eval_profile` calls it on a Jet1, a chart on a Jet2.
 Profile = "Callable[[Jet1 | Jet2], Jet1 | Jet2]"
-#: The errors that evaluating a surface at a point may raise: a grid walk
-#: excludes the point, and a family build refuses its parameters.
-_EVAL_ERRORS = (AdmissibilityError, BranchDomainError, ZeroDivisionError, OverflowError)
-#: The columns a kernel fills, each a list that starts empty: the included
-#: points' K, H and heights, and each excluded point's index and text.
-#: :func:`sample_lines` moves a grid row's lists into the run's columns, in
-#: the layout of ``isocurv.verify.GridRun``, and :func:`_pairs` a route's
-#: into one entry per point.
-Columns = "tuple[list[float], list[float], list[float], list]"
-#: The exclusion text of a point whose K or H is not finite.
-NON_FINITE = "non-finite curvature value"
 
 
 class AffineFactorable(Record):
@@ -173,10 +171,7 @@ class AffineFactorable(Record):
     def curvatures(self, p: tuple[float, float]) -> CurvaturePair:
         """The route at the one point p: its pair, or :class:`AdmissibilityError` with its text."""
         j1, j2 = self.profile_jets(p)
-        (pair,) = self.route(self, (p,), (j1,), (j2,))
-        if pair.__class__ is str:
-            raise AdmissibilityError(pair)
-        return pair
+        return _only_pair(self.route(self, (p,), (j1,), (j2,)))
 
 
 def afs1_curvatures(
@@ -318,64 +313,16 @@ def afs2_line(
             _exclude(columns, NON_FINITE)
 
 
-def _exclude(columns: Columns, text: str) -> None:
-    """Exclude a kernel's point at hand as ``(i, text)``, i its index in the kernel's call.
-
-    A kernel's ``columns`` start empty and each point goes to one of
-    them, so the points recorded so far count to the point at hand.
-    """
-    ks, _, _, excluded = columns
-    excluded.append((len(ks) + len(excluded), text))
-
-
-def _pairs(line, a: float, points, j1s, j2s) -> list[CurvaturePair | str]:
-    """A line kernel's columns at ``points``, one entry per point in order.
-
-    An included point gets its :class:`CurvaturePair`, an excluded one
-    its text, except a non-finite K or H: that gives a NaN pair, which
-    a check refuses rather than skipping it.
-    """
-    columns = ks, hs, heights, excluded = [], [], [], []
-    line(a, [p[0] for p in points], [p[1] for p in points], j1s, j2s, columns)
-    texts = dict(excluded)
-    included = zip(ks, hs, heights)
-    entries = []
-    for i in range(len(points)):
-        text = texts.get(i)
-        if text is None:
-            entry = _new(CurvaturePair)
-            entry.K, entry.H, entry.w = next(included)
-        elif text == NON_FINITE:
-            entry = CurvaturePair(math.nan, math.nan, math.nan)
-        else:
-            entry = text
-        entries.append(entry)
-    return entries
-
-
 def sample_lines(
     s: AffineFactorable, us: Sequence[float], vs: Sequence[float], columns: tuple
 ) -> None:
     """Grid sampling's columns over us x vs: each :func:`grid_lines` row through s's kernel.
 
-    ``columns`` are the run's: ``array('d')`` columns of K, H and
-    heights, and a list of exclusions.  The kernel fills four new lists
-    with a row's K, H, heights and exclusions.  Each row's values then
-    go into the run's columns with one ``fromlist`` call each, which
-    costs less than a per-point ``append`` or an ``extend``, and each
-    exclusion's index becomes its point in the run's list, in grid order.
+    ``columns`` are the run's; :func:`isocurv.geometry.sample_rows` runs
+    the kernel per row and moves each row's lists into them.
     """
     line = afs1_line if s.kind == TYPE1 else afs2_line
-    ks, hs, heights, excluded = columns
-    n = len(vs)
-    for u, j1s, j2s in grid_lines(s, us, vs):
-        row = row_k, row_h, row_w, row_x = [], [], [], []
-        line(s.shear, [u] * n, vs, j1s, j2s, row)
-        ks.fromlist(row_k)
-        hs.fromlist(row_h)
-        heights.fromlist(row_w)
-        if row_x:
-            excluded += [((u, vs[i]), text) for i, text in row_x]
+    sample_rows(line, s.shear, grid_lines(s, us, vs), vs, columns)
 
 
 def grid_lines(s: AffineFactorable, us: Sequence[float], vs: Sequence[float]) -> Iterator[tuple]:

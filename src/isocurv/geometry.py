@@ -28,18 +28,27 @@ The x = w(y, z) mean curvature keeps the signed w_z^3 denominator
 exactly as written above; no orientation normalization is applied, so
 for w_z < 0 it differs in sign from the parametric formula (whose
 sqrt(det g) is positive).
+
+Each graph formula is written once, in a chart's line kernel,
+:func:`monge_z_curvatures` or :func:`monge_x_curvatures`, which takes a
+column of points as the afs kernels of ``isocurv.factorable`` do.  It
+evaluates the height once, on a Jet2 column over all the points, and
+again point by point where the column raises, so a chart's height must
+be pure.  :func:`sample_rows` runs a kernel per grid row, and
+:func:`_pairs` turns its lists into one entry per point.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Iterable, Sequence
 
 from . import jets
-from .jets import Jet2, Value, _new
+from .jets import BranchDomainError, Jet2, Value, _new
 
 __all__ = [
     "ADMISSIBILITY_EPS",
+    "NON_FINITE",
     "AdmissibilityError",
     "CurvaturePair",
     "Record",
@@ -55,6 +64,7 @@ __all__ = [
     "monge_z_curvatures",
     "monge_x_curvatures",
     "parametric_curvatures",
+    "sample_rows",
 ]
 
 #: Admissibility floor: |w_z| (or the planar Jacobian) below this is an error.
@@ -63,9 +73,23 @@ ADMISSIBILITY_EPS = 1e-8
 Z_OVER_XY = "z-over-xy"
 X_OVER_YZ = "x-over-yz"
 
+#: The exclusion text of a point whose K or H is not finite.
+NON_FINITE = "non-finite curvature value"
+#: The columns a line kernel fills, each a list that starts empty: the
+#: included points' K, H and heights, and each excluded point's index and
+#: text.  :func:`sample_rows` moves a grid row's lists into a run's
+#: columns, in the layout of ``isocurv.verify.GridRun``, and :func:`_pairs`
+#: a route's into one entry per point.
+Columns = "tuple[list[float], list[float], list[float], list]"
+
 
 class AdmissibilityError(ValueError):
     """The tangent plane is (numerically) isotropic at the requested point."""
+
+
+#: The errors that evaluating a surface at a point may raise: a grid walk
+#: excludes the point, and a family build refuses its parameters.
+_EVAL_ERRORS = (AdmissibilityError, BranchDomainError, ZeroDivisionError, OverflowError)
 
 
 class CurvaturePair(Value):
@@ -166,8 +190,11 @@ class Rect(Record):
 
         A bound or a step that is not finite is a ValueError: a range
         wider than the largest float has an infinite step, and its grid
-        would leave the rectangle (the step times 0 is NaN).
+        would leave the rectangle (the step times 0 is NaN).  An ``n``
+        that is not an ``int``, a bool included, is a ValueError too.
         """
+        if type(n) is not int:
+            raise ValueError(f"grid needs an integer n, got {n!r}")
         if n < 2:
             raise ValueError("grid needs n >= 2")
         columns = []
@@ -253,7 +280,9 @@ class SurfaceChart(Record):
     """A graph surface: height field over two coordinates.
 
     ``orientation`` is ``"z-over-xy"`` (height z over (x, y)) or
-    ``"x-over-yz"`` (height x over (y, z)).
+    ``"x-over-yz"`` (height x over (y, z)).  The height must be pure, the
+    same float in, the same jet or the same exception out: its kernel
+    may call it on a column of points and then at each point again.
     """
 
     def __init__(self, orientation: str, height: Field, domain: Rect) -> None:
@@ -267,12 +296,13 @@ class SurfaceChart(Record):
         return ("x", "y") if self.orientation == Z_OVER_XY else ("y", "z")
 
     @property
-    def route(self) -> Callable[..., CurvaturePair]:
-        """This orientation's route: :func:`monge_z_curvatures` or :func:`monge_x_curvatures`."""
+    def route(self) -> Callable[..., None]:
+        """This orientation's kernel: :func:`monge_z_curvatures` or :func:`monge_x_curvatures`."""
         return monge_z_curvatures if self.orientation == Z_OVER_XY else monge_x_curvatures
 
     def curvatures(self, p: tuple[float, float]) -> CurvaturePair:
-        return self.route(self.height, p)
+        """The route at the one point p: its pair, or :class:`AdmissibilityError` with its text."""
+        return _only_pair(_pairs(self.route, self.height, (p,)))
 
     def point3d(self, p: tuple[float, float], w: float) -> tuple[float, float, float]:
         """The ambient (x, y, z) point at height w over chart coordinates p.
@@ -309,38 +339,158 @@ class ParametricSurface(Record):
         return parametric_curvatures(self.jets(p), p)
 
 
-def monge_z_curvatures(height: Field, p: tuple[float, float]) -> CurvaturePair:
-    """Curvatures of z = w(x, y) at p = (x, y), with the height w(p)."""
-    j = jets.eval_field(height, p[0], p[1])
-    K = j.dxx * j.dyy - j.dxy * j.dxy
-    H = 0.5 * (j.dxx + j.dyy)
-    r = _new(CurvaturePair)
-    r.K = K
-    r.H = H
-    r.w = j.v
-    return r
+def monge_z_curvatures(
+    height: Field, us: Sequence[float], vs: Sequence[float], columns: Columns
+) -> None:
+    """The z = w(x, y) formulas at the points (x, y) = (us[i], vs[i]), into ``columns``.
 
-
-def monge_x_curvatures(height: Field, p: tuple[float, float]) -> CurvaturePair:
-    """Curvatures of x = w(y, z) at p = (y, z), with w(p).
-
-    Requires |w_z| >= ADMISSIBILITY_EPS.
+    A chart's line kernel, as ``afs1_line`` is a product's: the height is
+    evaluated once for all the points (:func:`_height_slots`), and each
+    point is included, with K, H and w appended to the lists in
+    ``columns``, or excluded as ``(i, text)``: its height's error text,
+    or :data:`NON_FINITE`.
     """
-    j = jets.eval_field(height, p[0], p[1])
-    wy, wz = j.dx, j.dy
-    if abs(wz) < ADMISSIBILITY_EPS:
-        raise AdmissibilityError(
-            f"isotropic tangent plane: |w_z| = {abs(wz):.3g} < {ADMISSIBILITY_EPS:g} at {p!r}"
-        )
-    wyy, wyz, wzz = j.dxx, j.dxy, j.dyy
-    wz2 = wz * wz
-    K = (wyy * wzz - wyz * wyz) / (wz2 * wz2)
-    H = (wz2 * wyy - 2.0 * wy * wz * wyz + (1.0 + wy * wy) * wzz) / (2.0 * wz2 * wz)
-    r = _new(CurvaturePair)
-    r.K = K
-    r.H = H
-    r.w = j.v
-    return r
+    ks, hs, heights, _ = columns
+    isfinite = math.isfinite
+    for j in _height_slots(height, us, vs):
+        if j.__class__ is str:
+            _exclude(columns, j)
+            continue
+        w, _, _, wxx, wxy, wyy = j
+        K = wxx * wyy - wxy * wxy
+        H = 0.5 * (wxx + wyy)
+        if isfinite(K) and isfinite(H):
+            ks.append(K)
+            hs.append(H)
+            heights.append(w)
+        else:
+            _exclude(columns, NON_FINITE)
+
+
+def monge_x_curvatures(
+    height: Field, us: Sequence[float], vs: Sequence[float], columns: Columns
+) -> None:
+    """The x = w(y, z) formulas at the points (y, z) = (us[i], vs[i]), into ``columns``.
+
+    As :func:`monge_z_curvatures`; a point where |w_z| < ADMISSIBILITY_EPS
+    is excluded with the admissibility text, which names the point.
+    """
+    ks, hs, heights, _ = columns
+    isfinite = math.isfinite
+    for j in _height_slots(height, us, vs):
+        if j.__class__ is str:
+            _exclude(columns, j)
+            continue
+        w, wy, wz, wyy, wyz, wzz = j
+        if abs(wz) < ADMISSIBILITY_EPS:
+            i = len(ks) + len(columns[3])  # the point at hand, as _exclude counts
+            _exclude(
+                columns,
+                f"isotropic tangent plane: |w_z| = {abs(wz):.3g} < {ADMISSIBILITY_EPS:g} "
+                f"at {(us[i], vs[i])!r}",
+            )
+            continue
+        wz2 = wz * wz
+        K = (wyy * wzz - wyz * wyz) / (wz2 * wz2)
+        H = (wz2 * wyy - 2.0 * wy * wz * wyz + (1.0 + wy * wy) * wzz) / (2.0 * wz2 * wz)
+        if isfinite(K) and isfinite(H):
+            ks.append(K)
+            hs.append(H)
+            heights.append(w)
+        else:
+            _exclude(columns, NON_FINITE)
+
+
+def _height_slots(height: Field, us: Sequence[float], vs: Sequence[float]) -> Iterable:
+    """The height's six slots (w, w_1, w_2, w_11, w_12, w_22) at each point, or its error's text.
+
+    One Jet2 column over all the points (:func:`isocurv.jets.eval_field_column`)
+    gives each point the bits of its own :func:`isocurv.jets.eval_field`.
+    Where the column raises (a height that divides, reads a value or takes
+    tan, say, or raises at some point), each point is evaluated alone, so
+    the height is called twice and must be pure.
+    """
+    try:
+        c = jets.eval_field_column(height, us, vs)
+    except Exception:
+        # Not lost: the point-by-point run raises whatever is not an exclusion.
+        pass
+    else:
+        return zip(c.vs, c.dxs, c.dys, c.dxxs, c.dxys, c.dyys)
+    slots = []
+    for u, v in zip(us, vs):
+        try:
+            j = jets.eval_field(height, u, v)
+            slots.append((j.v, j.dx, j.dy, j.dxx, j.dxy, j.dyy))
+        except _EVAL_ERRORS as err:
+            slots.append(str(err))
+    return slots
+
+
+def _exclude(columns: Columns, text: str) -> None:
+    """Exclude a kernel's point at hand as ``(i, text)``, i its index in the kernel's call.
+
+    A kernel's ``columns`` start empty and each point goes to one of
+    them, so the points recorded so far count to the point at hand.
+    """
+    ks, _, _, excluded = columns
+    excluded.append((len(ks) + len(excluded), text))
+
+
+def _pairs(line, head, points: Sequence[tuple[float, float]], *tail) -> list[CurvaturePair | str]:
+    """A line kernel's columns at ``points``, one entry per point in order.
+
+    The kernel runs once, as ``line(head, us, vs, *tail, columns)``; the
+    head is a chart's height or an afs kernel's shear.  An included point
+    gets its :class:`CurvaturePair`, an excluded one its text, except a
+    non-finite K or H: that gives a NaN pair, which a check refuses.
+    """
+    columns = ks, hs, heights, excluded = [], [], [], []
+    line(head, [p[0] for p in points], [p[1] for p in points], *tail, columns)
+    texts = dict(excluded)
+    included = zip(ks, hs, heights)
+    entries = []
+    for i in range(len(points)):
+        text = texts.get(i)
+        if text is None:
+            entry = _new(CurvaturePair)
+            entry.K, entry.H, entry.w = next(included)
+        elif text == NON_FINITE:
+            entry = CurvaturePair(math.nan, math.nan, math.nan)
+        else:
+            entry = text
+        entries.append(entry)
+    return entries
+
+
+def _only_pair(entries: list) -> CurvaturePair:
+    """The entry of a one-point column: its pair, or :class:`AdmissibilityError` with its text."""
+    (pair,) = entries
+    if pair.__class__ is str:
+        raise AdmissibilityError(pair)
+    return pair
+
+
+def sample_rows(line, head, rows: Iterable[tuple], vs: Sequence[float], columns: tuple) -> None:
+    """Grid sampling's columns, one grid row at a time through a line kernel.
+
+    Each ``(u, *tail)`` of ``rows`` runs ``line(head, [u] * n, vs, *tail,
+    row)``.  ``columns`` are the run's: ``array('d')`` columns of K, H and heights
+    and a list of exclusions.  Each row's lists go into them with one
+    ``fromlist`` call each, which costs less than a per-point ``append``
+    or an ``extend``, and each exclusion's index becomes its point (u,
+    vs[i]), in grid order.
+    """
+    ks, hs, heights, excluded = columns
+    n = len(vs)
+    for u, *tail in rows:
+        row = row_k, row_h, row_w, row_x = [], [], [], []
+        line(head, [u] * n, vs, *tail, row)
+        ks.fromlist(row_k)
+        hs.fromlist(row_h)
+        heights.fromlist(row_w)
+        if row_x:
+            excluded += [((u, vs[i]), text) for i, text in row_x]
 
 
 def _det3(r0, r1, r2) -> float:

@@ -72,6 +72,14 @@ evaluates over many points at once; ``/``, negation, ``**``, ``log``,
 ``v`` either, so a profile that reads its argument's value raises.
 Where a column raises, its caller evaluates the profile point by point
 instead.
+
+A :class:`Col2` is a Col1 with the y slots: the Jet2s of one field at
+many points, which :func:`eval_field_column` seeds for a chart's
+height.  It takes the same operations with Jet2's float expressions, a
+number or a Jet2 as a constant, and no Jet1 or Col1.  The y slots take
+the x slots' rules, and only w_12 has a rule of its own.  A chart's
+kernel evaluates its height on a Col2 first and point by point where
+that raises, so a height, like a profile, must be pure.
 """
 
 from __future__ import annotations
@@ -83,6 +91,7 @@ __all__ = [
     "Jet1",
     "Jet2",
     "Col1",
+    "Col2",
     "BranchDomainError",
     "MIN_DIVISOR",
     "TAN_COS_FLOOR",
@@ -93,6 +102,7 @@ __all__ = [
     "eval_field",
     "eval_profile",
     "eval_column",
+    "eval_field_column",
     "exp",
     "log",
     "sin",
@@ -462,8 +472,11 @@ class Jet1(_Jet):
 
 # columns ---------------------------------------------------------------
 #
-# Each rule below is Jet1's formula for its operation, written once per
-# slot as a list comprehension over the operands' lists.
+# A column's lists are (v, x, xx) for a Col1 and (v, x, xx, y, yy, xy)
+# for a Col2.  Each rule below is a jet formula for one slot, written
+# once as a list comprehension over the operands' lists: the loop over
+# _axes runs the x and xx rules on the y lists too, and only xy has a
+# rule of its own.
 
 
 def _jet1(v: float, dx: float, dxx: float) -> Jet1:
@@ -474,86 +487,102 @@ def _jet1(v: float, dx: float, dxx: float) -> Jet1:
     return j
 
 
-def _column(vs: list[float], dxs: list[float], dxxs: list[float]) -> Col1:
-    r = _new(Col1)
-    r.vs = vs
-    r.dxs = dxs
-    r.dxxs = dxxs
+def _column(slots: list) -> Col1 | Col2:
+    """A column of the slots' kind: three lists make a Col1, six a Col2."""
+    if len(slots) == 3:
+        r = _new(Col1)
+        r.vs, r.dxs, r.dxxs = slots
+    else:
+        r = _new(Col2)
+        r.vs, r.dxs, r.dxxs, r.dys, r.dyys, r.dxys = slots
     return r
 
 
-def _operand(x, n: int):
-    """A column's lists, or a jet's or a number's x slots as n-lists; None for anything else.
+def _axes(slots) -> range:
+    """Where each coordinate's two lists start: x at 1, and y at 3 in a Col2."""
+    return range(1, len(slots) - 1, 2)
 
-    A number is the constant jet ``Jet2(float(c))``, as in Jet1's rules.
+
+def _operand(x, col):
+    """The other operand of an operation on ``col`` as lists in ``col``'s layout, or None.
+
+    A column of ``col``'s kind gives its lists, and a jet or a number its
+    slots, once per element.  A number is the constant jet
+    ``Jet2(float(c))``, as in the jets' rules.  A Col1 reads a Jet2
+    through its x slots, as a Jet1 does.  A Col2 takes no Jet1, because
+    a Jet2 mixed with a Jet1 gives a Jet1, and no column of the other kind.
     """
-    k = x.__class__
-    if k is Col1:
-        return x.vs, x.dxs, x.dxxs
-    if k is not Jet1:
+    k, kind = x.__class__, col.__class__
+    if k is kind:
+        return x._lists()
+    if k is not Jet1 or kind is Col2:
         x = _as_jet(x)
         if x is None:
             return None
-    return [x.v] * n, [x.dx] * n, [x.dxx] * n
+    slots = (x.v, x.dx, x.dxx) if kind is Col1 else (x.v, x.dx, x.dxx, x.dy, x.dyy, x.dxy)
+    n = len(col.vs)
+    return [[s] * n for s in slots]
 
 
-def _sum(a: tuple, b: tuple) -> Col1:
-    (av, ax, axx), (bv, bx, bxx) = a, b
-    return _column(
-        [u + w for u, w in zip(av, bv)],
-        [u + w for u, w in zip(ax, bx)],
-        [u + w for u, w in zip(axx, bxx)],
-    )
+def _sum(a: tuple, b: tuple) -> Col1 | Col2:
+    return _column([[u + w for u, w in zip(p, q)] for p, q in zip(a, b)])
 
 
-def _difference(a: tuple, b: tuple) -> Col1:
-    (av, ax, axx), (bv, bx, bxx) = a, b
-    return _column(
-        [u - w for u, w in zip(av, bv)],
-        [u - w for u, w in zip(ax, bx)],
-        [u - w for u, w in zip(axx, bxx)],
-    )
+def _difference(a: tuple, b: tuple) -> Col1 | Col2:
+    return _column([[u - w for u, w in zip(p, q)] for p, q in zip(a, b)])
 
 
-def _product(a: tuple, b: tuple) -> Col1:
-    (av, ax, axx), (bv, bx, bxx) = a, b
-    return _column(
-        [u * w for u, w in zip(av, bv)],
-        [x * w + u * y for x, w, u, y in zip(ax, bv, av, bx)],
-        [xx * w + 2.0 * x * y + u * yy for xx, w, x, y, u, yy in zip(axx, bv, ax, bx, av, bxx)],
-    )
+def _product(a: tuple, b: tuple) -> Col1 | Col2:
+    av, bv = a[0], b[0]
+    slots = [[u * w for u, w in zip(av, bv)]]
+    for i in _axes(a):
+        ad, add, bd, bdd = a[i], a[i + 1], b[i], b[i + 1]
+        slots.append([d * w + u * e for d, w, u, e in zip(ad, bv, av, bd)])
+        slots.append(
+            [dd * w + 2.0 * d * e + u * ee for dd, w, d, e, u, ee in zip(add, bv, ad, bd, av, bdd)]
+        )
+    if len(a) == 6:
+        slots.append([
+            xy * w + x * t + y * s + u * q
+            for xy, w, x, t, y, s, u, q in zip(a[5], bv, a[1], b[3], a[3], b[1], av, b[5])
+        ])
+    return _column(slots)
 
 
-def _plus(t: Col1, c: float) -> Col1:
-    """t + c by Jet1's scalar fast path."""
-    return _column([v + c for v in t.vs], [d + 0.0 for d in t.dxs], [d + 0.0 for d in t.dxxs])
+def _plus(t: Col1 | Col2, c: float) -> Col1 | Col2:
+    """t + c by the jets' scalar fast path."""
+    vs, *ds = t._lists()
+    return _column([[v + c for v in vs], *([d + 0.0 for d in s] for s in ds)])
 
 
-def _scaled(t: Col1, c: float) -> Col1:
-    """t * c by Jet1's scalar fast path."""
-    dxs = t.dxs
-    zs = [v * 0.0 for v in t.vs]
-    return _column(
-        [v * c for v in t.vs],
-        [d * c + z for d, z in zip(dxs, zs)],
-        [dd * c + 2.0 * d * 0.0 + z for dd, d, z in zip(t.dxxs, dxs, zs)],
-    )
+def _scaled(t: Col1 | Col2, c: float) -> Col1 | Col2:
+    """t * c by the jets' scalar fast path."""
+    a = t._lists()
+    zs = [v * 0.0 for v in a[0]]
+    slots = [[v * c for v in a[0]]]
+    for i in _axes(a):
+        ds, dds = a[i], a[i + 1]
+        slots.append([d * c + z for d, z in zip(ds, zs)])
+        slots.append([dd * c + 2.0 * d * 0.0 + z for dd, d, z in zip(dds, ds, zs)])
+    if len(a) == 6:
+        slots.append([xy * c + x * 0.0 + y * 0.0 + z for xy, x, y, z in zip(a[5], a[1], a[3], zs)])
+    return _column(slots)
 
 
 def _binary(rule, scalar=None, reflected: bool = False):
-    """A Col1 operator method: ``rule`` on the column and the other operand, in that order.
+    """A column operator method: ``rule`` on the column and the other operand, in that order.
 
     ``reflected`` swaps the order, so a jet or a number on the left of a
     column keeps its place, as Jet2 keeps a Jet1's.  ``scalar``, for + and
     *, takes a float or int on either side as ``t + c`` and ``t * c``, as
-    Jet1's aliases do.
+    the jets' aliases do.
     """
 
     def method(self, other):
         k = other.__class__
         if scalar is not None and (k is float or k is int):
             return scalar(self, float(other))
-        o = _operand(other, len(self.vs))
+        o = _operand(other, self)
         if o is None:
             return NotImplemented
         return rule(o, self._lists()) if reflected else rule(self._lists(), o)
@@ -574,11 +603,11 @@ class Col1:
 
     __slots__ = ("vs", "dxs", "dxxs")
 
-    def _lists(self) -> tuple[list[float], list[float], list[float]]:
+    def _lists(self) -> tuple[list[float], ...]:
         return self.vs, self.dxs, self.dxxs
 
     def jet1s(self) -> list[Jet1]:
-        """Each element as a Jet1, built in place."""
+        """Each element's x slots as a Jet1, built in place."""
         return list(map(_jet1, self.vs, self.dxs, self.dxxs))
 
     __add__ = _binary(_sum, _plus)
@@ -587,6 +616,20 @@ class Col1:
     __rsub__ = _binary(_difference, reflected=True)
     __mul__ = _binary(_product, _scaled)
     __rmul__ = _binary(_product, _scaled, reflected=True)
+
+
+class Col2(Col1):
+    """The Jet2s of one field evaluation at many points: a Col1 with the y slots.
+
+    ``dys``, ``dyys`` and ``dxys`` follow the x slots' lists.  Element i
+    carries the bits of the per-point Jet2, under the operations of a
+    Col1, each with Jet2's float expression.
+    """
+
+    __slots__ = ("dys", "dyys", "dxys")
+
+    def _lists(self) -> tuple[list[float], ...]:
+        return self.vs, self.dxs, self.dxxs, self.dys, self.dyys, self.dxys
 
 
 def _reciprocal_derivatives(v: float) -> tuple[float, float, float]:
@@ -660,13 +703,37 @@ def eval_column(profile, ts) -> Col1:
     """
     vs = list(map(float, ts))
     n = len(vs)
-    out = profile(_column(vs, [1.0] * n, [0.0] * n))
-    if out.__class__ is Col1:
+    return _returned(profile, (_column([vs, [1.0] * n, [0.0] * n]),), "profile")
+
+
+def eval_field_column(field, p1s, p2s) -> Col2:
+    """Evaluate a two-variable field at every point (p1s[i], p2s[i]) at once: a :class:`Col2`.
+
+    The column analogue of :func:`eval_field`: the field gets the columns
+    of the seeds ``coord1(p1s[i])`` and ``coord2(p2s[i])``, so element i
+    carries the bits of ``eval_field(field, p1s[i], p2s[i])``, and a
+    field that returns a Jet2 or a plain number gives that value at every
+    point.  All or nothing, as :func:`eval_column` is: a field that
+    divides, reads a value or takes tan, say, or that raises at any
+    point, raises here, and its caller then evaluates it point by point.
+    """
+    xs, ys = list(map(float, p1s)), list(map(float, p2s))
+    n = len(xs)
+    ones, zeros = [1.0] * n, [0.0] * n
+    x = _column([xs, ones, zeros, zeros, zeros, zeros])
+    y = _column([ys, zeros, zeros, ones, zeros, zeros])
+    return _returned(field, (x, y), "field")
+
+
+def _returned(fn, seeds: tuple, what: str):
+    """``fn`` on the seed columns, its result as a column of the seeds' kind."""
+    out = fn(*seeds)
+    if out.__class__ is seeds[0].__class__:
         return out
-    lists = _operand(out, n)
+    lists = _operand(out, seeds[0])
     if lists is None:
-        raise TypeError("profile must return a jet or a real number")
-    return _column(*lists)
+        raise TypeError(f"{what} must return a jet or a real number")
+    return _column(lists)
 
 
 def eval_profile(profile, t: float) -> Jet1:
@@ -692,8 +759,10 @@ def eval_profile(profile, t: float) -> Jet1:
 # univariate composition ----------------------------------------------
 
 
-def compose(value: float, d1: float, d2: float, inner: Jet1 | Jet2 | Col1) -> Jet1 | Jet2 | Col1:
-    """Chain a univariate function through ``inner``, a Jet2, a Jet1 or a Col1.
+def compose(
+    value: float, d1: float, d2: float, inner: Jet1 | Jet2 | Col1 | Col2
+) -> Jet1 | Jet2 | Col1 | Col2:
+    """Chain a univariate function through ``inner``, a Jet2, a Jet1 or a column.
 
     ``value``, ``d1``, ``d2`` are g(f), g'(f), g''(f) at f = inner.v; the
     result is the jet of g(f), of the same kind as ``inner``.  For a
@@ -709,13 +778,16 @@ def compose(value: float, d1: float, d2: float, inner: Jet1 | Jet2 | Col1) -> Je
         r.dxy = d2 * f.dx * f.dy + d1 * f.dxy
         r.dyy = d2 * f.dy * f.dy + d1 * f.dyy
         return r
-    if f.__class__ is Col1:
-        dxs = f.dxs
-        return _column(
-            value,
-            [g1 * x for g1, x in zip(d1, dxs)],
-            [g2 * x * x + g1 * xx for g2, x, g1, xx in zip(d2, dxs, d1, f.dxxs)],
-        )
+    if f.__class__ is Col1 or f.__class__ is Col2:
+        a = f._lists()
+        slots = [value]
+        for i in _axes(a):
+            ds, dds = a[i], a[i + 1]
+            slots.append([g1 * d for g1, d in zip(d1, ds)])
+            slots.append([g2 * d * d + g1 * dd for g2, d, g1, dd in zip(d2, ds, d1, dds)])
+        if len(a) == 6:
+            slots.append([g2 * x * y + g1 * xy for g2, x, y, g1, xy in zip(d2, a[1], a[3], d1, a[5])])
+        return _column(slots)
     r = _new(Jet1)
     r.v = value
     r.dx = d1 * f.dx
@@ -726,10 +798,10 @@ def compose(value: float, d1: float, d2: float, inner: Jet1 | Jet2 | Col1) -> Je
 # elementary functions -------------------------------------------------
 
 
-def exp(a) -> Jet1 | Jet2 | Col1:
+def exp(a) -> Jet1 | Jet2 | Col1 | Col2:
     k = a.__class__
     if k is not Jet1 and k is not Jet2:
-        if k is Col1:
+        if k is Col1 or k is Col2:
             return _exp_column(a)
         a = _req(a, "exp")
     e = math.exp(a.v)
@@ -746,10 +818,10 @@ def log(a) -> Jet1 | Jet2:
     return compose(math.log(a.v), r, -r * r, a)
 
 
-def sin(a) -> Jet1 | Jet2 | Col1:
+def sin(a) -> Jet1 | Jet2 | Col1 | Col2:
     k = a.__class__
     if k is not Jet1 and k is not Jet2:
-        if k is Col1:
+        if k is Col1 or k is Col2:
             return _sin_column(a)
         a = _req(a, "sin")
     try:
@@ -759,10 +831,10 @@ def sin(a) -> Jet1 | Jet2 | Col1:
     return compose(s, c, -s, a)
 
 
-def cos(a) -> Jet1 | Jet2 | Col1:
+def cos(a) -> Jet1 | Jet2 | Col1 | Col2:
     k = a.__class__
     if k is not Jet1 and k is not Jet2:
-        if k is Col1:
+        if k is Col1 or k is Col2:
             return _cos_column(a)
         a = _req(a, "cos")
     try:
@@ -836,17 +908,17 @@ def power(a, exponent: float) -> Jet1 | Jet2:
 # column: their profiles are evaluated point by point.
 
 
-def _exp_column(a: Col1) -> Col1:
+def _exp_column(a: Col1 | Col2) -> Col1 | Col2:
     es = [math.exp(v) for v in a.vs]
     return compose(es, es, es, a)
 
 
-def _sin_column(a: Col1) -> Col1:
+def _sin_column(a: Col1 | Col2) -> Col1 | Col2:
     ss = [math.sin(v) for v in a.vs]
     return compose(ss, [math.cos(v) for v in a.vs], [-s for s in ss], a)
 
 
-def _cos_column(a: Col1) -> Col1:
+def _cos_column(a: Col1 | Col2) -> Col1 | Col2:
     ss = [math.sin(v) for v in a.vs]
     cs = [math.cos(v) for v in a.vs]
     return compose(cs, [-s for s in ss], [-c for c in cs], a)

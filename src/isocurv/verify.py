@@ -20,25 +20,26 @@ import math
 import sys
 from collections import deque
 from collections.abc import Callable, Sequence
-from functools import partial
 from itertools import accumulate
 
 from . import jets
 from .jets import Jet2
 from .geometry import (
+    _EVAL_ERRORS,
+    NON_FINITE,
     Motion,
     Record,
     Rect,
     SurfaceChart,
+    _pairs,
     apply_motion,
     as_parametric,
     fields,
     parametric_curvatures,
+    sample_rows,
 )
 from .factorable import (
     TYPE2,
-    _EVAL_ERRORS,
-    NON_FINITE,
     AffineFactorable,
     as_chart,
     is_planar,
@@ -224,8 +225,12 @@ def sample_grid(surface, domain: Rect | None = None, n: int = 21, subject: str =
 
     An :class:`AffineFactorable` is walked by grid lines, as its type-2
     build check is: ``isocurv.factorable.sample_lines`` runs the line
-    kernel of its kind per grid row, so its profiles must be pure.  Any
-    other surface is evaluated point by point, by its own route.
+    kernel of its kind per grid row, so its profiles must be pure.  A
+    :class:`SurfaceChart` runs its kernel (``SurfaceChart.route``) per
+    grid row too, through the same row loop
+    (``isocurv.geometry.sample_rows``), evaluating its height once per
+    row, so its height must be pure as well.  A patch is evaluated point
+    by point, by its own route.
 
     K, H and the heights go to ``array('d')`` columns, 8 bytes a value,
     and an included point is not stored (see :class:`GridRun`), so a
@@ -239,33 +244,29 @@ def sample_grid(surface, domain: Rect | None = None, n: int = 21, subject: str =
     # loads with the first grid sampled, not with the package.
     from array import array
 
+    us, vs = domain.coordinates(n)
     graph = isinstance(surface, (AffineFactorable, SurfaceChart))
     columns = (array("d"), array("d"), array("d") if graph else None, [])
-    sample = sample_lines if isinstance(surface, AffineFactorable) else _sample_points
-    sample(surface, *domain.coordinates(n), columns)
+    if isinstance(surface, AffineFactorable):
+        sample_lines(surface, us, vs, columns)
+    elif graph:
+        sample_rows(surface.route, surface.height, zip(us), vs, columns)
+    else:
+        _sample_points(surface, us, vs, columns)
     ks, hs, heights, excluded = columns
     return GridRun(subject, domain, n, ks, hs, heights, tuple(excluded))
 
 
 def _sample_points(surface, us: Sequence[float], vs: Sequence[float], columns) -> None:
-    """sample_grid's columns for a surface that is not a product, point by point.
+    """sample_grid's columns for a patch, point by point, a grid row's K and H at a time.
 
-    A chart's route (``SurfaceChart.route``) is bound to its height by
-    ``partial`` once per grid, so a point costs the route's own call
-    and no other Python frame.  As in ``isocurv.factorable.sample_lines``,
-    a grid row's K, H and heights go to three lists, which then go into
-    the ``array('d')`` columns with one ``fromlist`` call each, and the
-    exclusions go straight to the run's list.  The third column, the
-    heights, is None for a surface that has no graph height, and stays None.
+    A patch has no graph height: the third column stays None.
     """
-    if isinstance(surface, SurfaceChart):
-        curvatures = partial(surface.route, surface.height)
-    else:
-        curvatures = surface.curvatures
-    ks, hs, heights, excluded = columns
+    curvatures = surface.curvatures
+    ks, hs, _, excluded = columns
     isfinite = math.isfinite
     for u in us:
-        row_k, row_h, row_w = [], [], []
+        row_k, row_h = [], []
         for v in vs:
             p = (u, v)
             try:
@@ -277,13 +278,10 @@ def _sample_points(surface, us: Sequence[float], vs: Sequence[float], columns) -
             if isfinite(K) and isfinite(H):
                 row_k.append(K)
                 row_h.append(H)
-                row_w.append(pair.w)
             else:
                 excluded.append((p, NON_FINITE))
         ks.fromlist(row_k)
         hs.fromlist(row_h)
-        if heights is not None:
-            heights.fromlist(row_w)
 
 
 def check_constancy(
@@ -413,9 +411,11 @@ def cross_validate(
     skipped (both routes would only amplify rounding there).  A chart
     or a patch has no factored form, and ``n_points`` must be an
     ``int`` (not a bool): either is a ValueError, raised before any
-    point is drawn.  The chart route runs point by point; the
-    specialized route, :attr:`AffineFactorable.route`, runs once, on
-    the column of all the points.
+    point is drawn.  Each route runs once, on a column of points: the
+    specialized route, :attr:`AffineFactorable.route`, on all of them,
+    and the chart's kernel (``SurfaceChart.route``) on the points that
+    the specialized route did not exclude, so the chart never sees an
+    excluded point.
     """
     _require_finite_nonnegative("cross-validation tolerance", tol)
     if not isinstance(instance, AffineFactorable):
@@ -423,7 +423,6 @@ def cross_validate(
     if type(n_points) is not int:
         raise ValueError(f"n_points must be an integer, got {n_points!r}")
     chart = as_chart(instance)
-    chart_route = partial(chart.route, chart.height)
     rng = SplitMix64(seed)
     (u_lo, u_hi), (v_lo, v_hi) = instance.domain.u, instance.domain.v
     points = [(rng.uniform(u_lo, u_hi), rng.uniform(v_lo, v_hi)) for _ in range(n_points)]
@@ -443,16 +442,18 @@ def cross_validate(
             else j1
             for j1, j2 in zip(j1s, j2s)
         ]
+    specials = instance.route(instance, points, j1s, j2s)
+    kept = [p for p, special in zip(points, specials) if special.__class__ is not str]
+    generics = iter(_pairs(chart.route, chart.height, kept))
     deviations = []
     excluded = []
-    for p, special in zip(points, instance.route(instance, points, j1s, j2s)):
+    for p, special in zip(points, specials):
         if special.__class__ is str:
             excluded.append((p, special))
             continue
-        try:
-            generic = chart_route(p)
-        except _EVAL_ERRORS as err:
-            excluded.append((p, str(err)))
+        generic = next(generics)
+        if generic.__class__ is str:
+            excluded.append((p, generic))
             continue
         dev = max(
             unit_relative_difference(special.K, generic.K),

@@ -7,13 +7,18 @@ it either raises, or element i of the result carries the (v, dx, dxx) that
 any argument.  ``profile_column`` then gives each argument its own jet or
 error text.  The profiles are draws of the random test generator, every
 factor of the catalog's product families, and profiles that mix numbers,
-Jet1s and Jet2s into each operation on both sides.  Results are compared as
+Jet1s and Jet2s into each operation on both sides.  A two-variable field on
+a Jet2 column (``jets.eval_field_column``) must likewise give each point the
+six slots of ``jets.eval_field`` there, or raise: the fields are the charts of
+random instances, which cross-validation evaluates, and fields that mix
+numbers and Jet2s on both sides.  Results are compared as
 packed doubles, so signed zeros count.  Every route runs warm first:
 CPython's generic and specialized float operations keep different NaN
 operands (see ``test_jet_properties._warm``).
 """
 
 import math
+import operator
 import struct
 
 import pytest
@@ -27,10 +32,12 @@ from isocurv.factorable import (
     TYPE1,
     TYPE2,
     AffineFactorable,
+    as_chart,
     profile_column,
     random_instance,
     random_profile,
 )
+from isocurv.geometry import Rect
 from isocurv.jets import BranchDomainError, Jet1, Jet2
 from isocurv.rng import SplitMix64
 
@@ -244,3 +251,139 @@ def test_an_error_that_names_no_argument_propagates_point_by_point():
         jets.eval_column(returns_text, [0.5] * 10)
     with pytest.raises(TypeError, match="profile must return a jet or a real number"):
         profile_column(returns_text, [0.5] * 10)
+
+
+# Jet2 columns -----------------------------------------------------------
+#
+# jets.eval_field_column evaluates a two-variable field once on a pair of
+# Col2 seeds, all or nothing, as eval_column does a profile: element i
+# must carry the six slots that jets.eval_field gives at point i.
+
+#: Fields that put a number and a Jet2 on each side of each column
+#: operation, and reach exp, sin and cos, and through them compose.
+FIELDS = {
+    "x * y": lambda x, y: x * y,
+    "x + y * y": lambda x, y: x + y * y,
+    "x - y": lambda x, y: x - y,
+    "c - x * y": lambda x, y: 2.0 - x * y,
+    "x * y - c": lambda x, y: x * y - 3,
+    "J2 - x": lambda x, y: J2 - x,
+    "y - J2": lambda x, y: y - J2,
+    "J2 * x + y * J2": lambda x, y: J2 * x + y * J2,
+    "J2 + x * 3": lambda x, y: J2 + x * 3,
+    "-2 * y + x": lambda x, y: -2 * y + x,
+    "0.5 + x * y * x": lambda x, y: 0.5 + x * y * x,
+    "exp(x * y)": lambda x, y: jets.exp(x * y),
+    "sin(x) * cos(y)": lambda x, y: jets.sin(x) * jets.cos(y),
+    "cos(x * y) + exp(y) * x": lambda x, y: jets.cos(x * y) + jets.exp(y) * x,
+    "constant number": lambda x, y: 2.0,
+    "constant Jet2": lambda x, y: jets.const(-3.0),
+    "y": lambda x, y: y,
+    # y's slope overflows at a small y while the value stays finite, so
+    # each zero term of the last scalar product (dy * 0.0) counts.
+    "y * 1e308 * 10 * 0.5": lambda x, y: y * 1e308 * 10.0 * 0.5,
+}
+#: Fields that a Jet2 column cannot carry: a caller evaluates them point
+#: by point.  A Jet1 mixed into a field makes a Jet1, which a field may
+#: not return either.
+NO_COLUMN = {
+    "x / y": lambda x, y: x / y,
+    "c / y": lambda x, y: 1.0 / y,
+    "-x": lambda x, y: -x,
+    "x ** 2": lambda x, y: x ** 2,
+    "tan(x)": lambda x, y: jets.tan(x),
+    "log(y)": lambda x, y: jets.log(y),
+    "sqrt(x) * y": lambda x, y: jets.sqrt(x) * y,
+    "power(x, 3)": lambda x, y: jets.power(x, 3),
+    "reads a value": lambda x, y: x * y.v,
+    "mixes a Jet1": lambda x, y: x * J1 + y,
+    "x + True": lambda x, y: x + True,
+}
+
+
+def _random_chart(key: int):
+    kind = (TYPE1, TYPE2)[key % 2]
+    return as_chart(random_instance(SplitMix64(key), kind)).height
+
+
+fields = st.one_of(
+    st.sampled_from(sorted(FIELDS)).map(lambda k: (k, FIELDS[k])),
+    st.integers(0, 2**64 - 1).map(lambda key: (f"random chart {key}", _random_chart(key))),
+)
+coordinates = st.one_of(st.sampled_from(EDGES), st.floats(-4.0, 4.0), st.floats())
+points = st.lists(st.tuples(coordinates, coordinates), min_size=1, max_size=24)
+EDGE_POINTS = [(x, y) for x in (0.0, -0.0, math.inf, -math.inf, math.nan, 800.0, 0.5)
+               for y in (0.0, -0.0, math.inf, math.nan, -800.0, 5e-324, 2.0)]
+
+
+def _field_outcome(field, x: float, y: float) -> bytes | str:
+    try:
+        j = jets.eval_field(field, x, y)
+    except _EVAL_ERRORS as err:
+        return str(err)
+    return struct.pack("<6d", j.v, j.dx, j.dy, j.dxx, j.dxy, j.dyy)
+
+
+def _column_outcomes(column: jets.Col2) -> list[bytes]:
+    pack = struct.Struct("<6d").pack
+    return list(map(pack, column.vs, column.dxs, column.dys, column.dxxs, column.dxys, column.dyys))
+
+
+def _warm_field(field) -> None:
+    """Run both routes on finite points until the interpreter has specialized them."""
+    xs, ys = [0.25 + 0.01 * i for i in range(20)], [0.5 - 0.01 * i for i in range(20)]
+    for _ in range(16):
+        jets.eval_field_column(field, xs, ys)
+        for x, y in zip(xs[:2], ys[:2]):
+            jets.eval_field(field, x, y)
+
+
+@seed(20240617)
+@example(drawn=("exp(x * y)", FIELDS["exp(x * y)"]), pts=[(0.5, 2.0), (800.0, 2.0)])
+@example(drawn=("sin(x) * cos(y)", FIELDS["sin(x) * cos(y)"]), pts=[(math.inf, 0.0), (0.5, 2.0)])
+@example(drawn=("J2 * x + y * J2", FIELDS["J2 * x + y * J2"]), pts=EDGE_POINTS)
+@example(drawn=("c - x * y", FIELDS["c - x * y"]), pts=EDGE_POINTS)
+@example(drawn=("-2 * y + x", FIELDS["-2 * y + x"]), pts=EDGE_POINTS)
+@example(drawn=("y * 1e308 * 10 * 0.5", FIELDS["y * 1e308 * 10 * 0.5"]), pts=EDGE_POINTS)
+@example(drawn=("random chart 7", _random_chart(7)), pts=EDGE_POINTS)
+@example(drawn=("random chart 8", _random_chart(8)), pts=EDGE_POINTS)
+@given(drawn=fields, pts=points)
+def test_a_field_column_is_every_points_own_jet2_or_raises(drawn, pts):
+    name, field = drawn
+    _warm_field(field)
+    want = [_field_outcome(field, x, y) for x, y in pts]
+    try:
+        column = jets.eval_field_column(field, [x for x, _ in pts], [y for _, y in pts])
+    except Exception:
+        assert any(w.__class__ is str for w in want), f"{name} at {pts!r}: raised"
+        return
+    assert column.__class__ is jets.Col2
+    assert _column_outcomes(column) == want, f"{name} at {pts!r}"
+
+
+@pytest.mark.parametrize("seed_", range(20))
+def test_random_chart_heights_take_a_column_with_each_points_bits(seed_):
+    # The charts that cross-validation evaluates, over their own domains
+    # and on both zeros.
+    height = _random_chart(seed_)
+    _warm_field(height)
+    grid = Rect((-0.6, 0.6), (-0.6, 0.6)).grid(9) + [(0.0, -0.0), (-0.0, 0.0), (-0.0, -0.0)]
+    column = jets.eval_field_column(height, [x for x, _ in grid], [y for _, y in grid])
+    assert _column_outcomes(column) == [_field_outcome(height, x, y) for x, y in grid]
+
+
+@pytest.mark.parametrize("name", sorted(NO_COLUMN))
+def test_a_field_column_refuses_what_it_cannot_carry(name):
+    with pytest.raises((TypeError, AttributeError)):
+        jets.eval_field_column(NO_COLUMN[name], [0.5, 1.5], [2.0, 0.25])
+
+
+def test_columns_of_the_two_kinds_do_not_mix():
+    col1 = jets.eval_column(lambda t: t, [0.5, 1.5])
+    col2 = jets.eval_field_column(lambda x, y: x, [0.5, 1.5], [2.0, 0.25])
+    for op in (operator.add, operator.sub, operator.mul):
+        for left, right in ((col1, col2), (col2, col1), (col2, J1), (J1, col2)):
+            with pytest.raises(TypeError):
+                op(left, right)
+    with pytest.raises(AttributeError):
+        col2.v

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from isocurv import jets
+from isocurv import geometry, jets
 from isocurv.catalog import build_family
 from isocurv.factorable import as_chart
 from isocurv.geometry import (
@@ -32,6 +32,12 @@ from isocurv.verify import unit_relative_difference
 
 UNIT = Rect((0.0, 1.0), (0.0, 1.0))
 
+
+def _one_point(kernel, height, p):
+    # A chart kernel at the one point p, through the one-point adapter
+    # of SurfaceChart.curvatures: its pair, or AdmissibilityError.
+    return geometry._only_pair(geometry._pairs(kernel, height, (p,)))
+
 #: The surfaces of acceptance criterion 06, as parametric patches.
 MOTION_PATCHES = {
     fid: as_parametric(as_chart(build_family(fid)))
@@ -46,18 +52,18 @@ MOTION_PATCHES = {
 
 def test_paraboloid_curvatures():
     # w = (x^2 + y^2)/2: w_xx = w_yy = 1, w_xy = 0, so K = 1 and H = 1.
-    pair = monge_z_curvatures(lambda x, y: (x * x + y * y) * 0.5, (0.3, -0.8))
+    pair = _one_point(monge_z_curvatures, lambda x, y: (x * x + y * y) * 0.5, (0.3, -0.8))
     assert (pair.K, pair.H) == (1.0, 1.0), f"paraboloid gave {(pair.K, pair.H)}"
 
 
 def test_plane_curvatures():
-    pair = monge_z_curvatures(lambda x, y: 3.0 * x + 2.0 * y, (5.0, -7.0))
+    pair = _one_point(monge_z_curvatures, lambda x, y: 3.0 * x + 2.0 * y, (5.0, -7.0))
     assert (pair.K, pair.H) == (0.0, 0.0), f"plane gave {(pair.K, pair.H)}"
 
 
 def test_saddle_curvatures():
     # w = x*y: K = -w_xy^2 = -1, H = 0 everywhere.
-    pair = monge_z_curvatures(lambda x, y: x * y, (2.0, 9.0))
+    pair = _one_point(monge_z_curvatures, lambda x, y: x * y, (2.0, 9.0))
     assert (pair.K, pair.H) == (-1.0, 0.0), f"saddle gave {(pair.K, pair.H)}"
 
 
@@ -67,25 +73,25 @@ def test_saddle_curvatures():
 def test_sideways_parabola_curvatures():
     # x = z^2 at (y, z) = (0, 1): w_z = 2, w_zz = 2,
     # K = 0 and H = 2 / (2 * 2^3) = 0.125.
-    pair = monge_x_curvatures(lambda y, z: z * z, (0.0, 1.0))
+    pair = _one_point(monge_x_curvatures, lambda y, z: z * z, (0.0, 1.0))
     assert (pair.K, pair.H) == (0.0, 0.125), f"x = z^2 gave {(pair.K, pair.H)}"
 
 
 def test_sideways_plane_curvatures():
-    pair = monge_x_curvatures(lambda y, z: y + z, (0.4, 0.6))
+    pair = _one_point(monge_x_curvatures, lambda y, z: y + z, (0.4, 0.6))
     assert (pair.K, pair.H) == (0.0, 0.0), f"x = y + z gave {(pair.K, pair.H)}"
 
 
 def test_sideways_ratio_curvatures():
     # x = z/y at (1, 1): w_y = -1, w_z = 1, w_yy = 2, w_yz = -1, w_zz = 0.
     # K = (0 - 1)/1 = -1; H = (2 - 2 + 0)/2 = 0.
-    pair = monge_x_curvatures(lambda y, z: z / y, (1.0, 1.0))
+    pair = _one_point(monge_x_curvatures, lambda y, z: z / y, (1.0, 1.0))
     assert (pair.K, pair.H) == (-1.0, 0.0), f"x = z/y gave {(pair.K, pair.H)}"
 
 
 def test_sideways_chart_needs_nonzero_slope():
     with pytest.raises(AdmissibilityError):
-        monge_x_curvatures(lambda y, z: y * 1.0, (0.5, 0.5))
+        _one_point(monge_x_curvatures, lambda y, z: y * 1.0, (0.5, 0.5))
 
 
 # parametric patches ----------------------------------------------------
@@ -257,8 +263,8 @@ def test_height_scaling_laws():
         def scaled(x, y, c=c):
             return c * w(x, y)
 
-        base = monge_z_curvatures(w, (0.4, 0.7))
-        big = monge_z_curvatures(scaled, (0.4, 0.7))
+        base = _one_point(monge_z_curvatures, w, (0.4, 0.7))
+        big = _one_point(monge_z_curvatures, scaled, (0.4, 0.7))
         assert abs(big.K - c * c * base.K) <= 1e-12 * (1.0 + abs(big.K)), (
             f"K scaling broke for c={c}: {big.K} vs {c * c * base.K}"
         )
@@ -344,7 +350,7 @@ def test_as_parametric_puts_its_coordinates_in_point3d_order():
 
 
 def test_curvature_pairs_compare_without_the_height():
-    pair = monge_z_curvatures(lambda x, y: x * y + 1.0, (2.0, 3.0))
+    pair = _one_point(monge_z_curvatures, lambda x, y: x * y + 1.0, (2.0, 3.0))
     assert (pair.K, pair.H, pair.w) == (-1.0, 0.0, 7.0)
     assert pair == CurvaturePair(-1.0, 0.0) == CurvaturePair(-1.0, 0.0, 8.0)
     r = as_parametric(SurfaceChart(Z_OVER_XY, lambda x, y: x * y + 1.0, UNIT))

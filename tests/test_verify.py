@@ -158,6 +158,23 @@ def test_sample_grid_covers_the_domain():
     assert tuple(run.heights) == tuple(x * y for x, y in run.points)
 
 
+@pytest.mark.parametrize("n", [2.5, 3.0, True], ids=["fraction", "float", "bool"])
+def test_grids_refuse_a_size_that_is_not_an_integer(n):
+    # 2.5 and 3.0 once raised TypeError from range(), and True read
+    # "grid needs n >= 2".
+    surface = build_family("FS2.min.ratio")
+    checks = [
+        lambda: sample_grid(surface, n=n),
+        lambda: sample_grid(as_chart(surface), n=n),
+        lambda: probe_instances("afs2-minimal", [surface], n=n),
+        lambda: motion_invariance_check(surface, Motion(0.3, 0.1, 0.2, 0.4, 0.5, 0.6), n=n),
+    ]
+    for check in checks:
+        with pytest.raises(ValueError) as info:
+            check()
+        assert str(info.value) == f"grid needs an integer n, got {n!r}"
+
+
 def test_sample_grid_records_exclusions_with_reasons():
     # The z slope vanishes along z = 0, so the middle grid line of this
     # sideways chart is inadmissible and must be excluded, not crash.
@@ -448,9 +465,9 @@ def test_grid_heights_are_the_chart_heights_on_every_family():
 
 
 def _counting(profile, counter, slot):
-    # Counts evaluated arguments: a column counts its length.
+    # Counts evaluated arguments: a column, of Jet1s or Jet2s, counts its length.
     def counted(t):
-        counter[slot] += len(t.vs) if t.__class__ is jets.Col1 else 1
+        counter[slot] += len(t.vs) if t.__class__ in (jets.Col1, jets.Col2) else 1
         return profile(t)
 
     return counted
@@ -637,9 +654,9 @@ def test_cross_validate_evaluates_type2_profiles_once_per_point():
 
 
 def _counting_jet1s(profile, counter, slot):
-    # As _counting, but leaves out the chart route's Jet2 arguments.
+    # As _counting, but leaves out the chart route's Jet2s and Jet2 columns.
     def counted(t):
-        if t.__class__ is not jets.Jet2:
+        if t.__class__ is not jets.Jet2 and t.__class__ is not jets.Col2:
             counter[slot] += len(t.vs) if t.__class__ is jets.Col1 else 1
         return profile(t)
 
