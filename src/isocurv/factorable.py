@@ -30,10 +30,9 @@ jets there, and fill lists of K, H and the height, or exclude a point,
 by its index, with a text.  A grid row is the case where f1's jet is
 shared by every point.  :func:`grid_lines` is the one walk of a
 product grid: it yields each row's profile jets to grid sampling,
-whose :func:`sample_lines` runs the kernel of the surface's kind
-through the row loop that charts share
-(``isocurv.geometry.sample_rows``), and to
-the type-2 build check in ``isocurv.catalog``, which runs
+whose :func:`sample_lines` runs the kernel of the surface's kind per
+row and moves the row into the run (``isocurv.geometry._move_row``),
+and to the type-2 build check in ``isocurv.catalog``, which runs
 :func:`regularity`.  A grid walk evaluates each profile argument as a
 Jet1; cross-validation alone evaluates a profile on a column, one over
 all its random points (:meth:`AffineFactorable.profile_columns`).  The
@@ -72,10 +71,10 @@ from .geometry import (
     X_OVER_YZ,
     Z_OVER_XY,
     _exclude,
+    _move_row,
     _only_pair,
     _pairs,
     fields,
-    sample_rows,
 )
 from .rng import SplitMix64
 
@@ -318,11 +317,14 @@ def sample_lines(
 ) -> None:
     """Grid sampling's columns over us x vs: each :func:`grid_lines` row through s's kernel.
 
-    ``columns`` are the run's; :func:`isocurv.geometry.sample_rows` runs
-    the kernel per row and moves each row's lists into them.
+    Each row runs ``line(a, [u] * n, vs, j1s, j2s, row)``, and
+    ``isocurv.geometry._move_row`` moves it into ``columns``, the run's.
     """
     line = afs1_line if s.kind == TYPE1 else afs2_line
-    sample_rows(line, s.shear, grid_lines(s, us, vs), vs, columns)
+    for u, j1s, j2s in grid_lines(s, us, vs):
+        row = [], [], [], []
+        line(s.shear, [u] * len(vs), vs, j1s, j2s, row)
+        _move_row(columns, row, u, vs)
 
 
 def grid_lines(s: AffineFactorable, us: Sequence[float], vs: Sequence[float]) -> Iterator[tuple]:

@@ -34,7 +34,7 @@ Each graph formula is written once, in a chart's line kernel,
 column of points as the afs kernels of ``isocurv.factorable`` do.  It
 evaluates the height once, on a Jet2 column over all the points, and
 again point by point where the column raises, so a chart's height must
-be pure.  :func:`sample_rows` runs a kernel per grid row, and
+be pure.  :func:`sample_rows` runs it per grid row, and
 :func:`_pairs` turns its lists into one entry per point.
 """
 
@@ -77,7 +77,7 @@ X_OVER_YZ = "x-over-yz"
 NON_FINITE = "non-finite curvature value"
 #: The columns a line kernel fills, each a list that starts empty: the
 #: included points' K, H and heights, and each excluded point's index and
-#: text.  :func:`sample_rows` moves a grid row's lists into a run's
+#: text.  :func:`_move_row` moves a grid row's lists into a run's
 #: columns, in the layout of ``isocurv.verify.GridRun``, and :func:`_pairs`
 #: a route's into one entry per point.
 Columns = "tuple[list[float], list[float], list[float], list]"
@@ -471,26 +471,38 @@ def _only_pair(entries: list) -> CurvaturePair:
     return pair
 
 
-def sample_rows(line, head, rows: Iterable[tuple], vs: Sequence[float], columns: tuple) -> None:
-    """Grid sampling's columns, one grid row at a time through a line kernel.
+def sample_rows(line, height, us: Sequence[float], vs: Sequence[float], columns: tuple) -> None:
+    """A chart's grid: ``line(height, [u] * n, vs, row)`` per grid row u, moved into ``columns``."""
+    for u in us:
+        row = [], [], [], []
+        line(height, [u] * len(vs), vs, row)
+        _move_row(columns, row, u, vs)
 
-    Each ``(u, *tail)`` of ``rows`` runs ``line(head, [u] * n, vs, *tail,
-    row)``.  ``columns`` are the run's: ``array('d')`` columns of K, H and heights
-    and a list of exclusions.  Each row's lists go into them with one
-    ``fromlist`` call each, which costs less than a per-point ``append``
-    or an ``extend``, and each exclusion's index becomes its point (u,
-    vs[i]), in grid order.
+
+#: ``struct.Struct(f"{m}d").pack`` for each row length m that :func:`_move_row` has met.
+_PACKERS: dict = {}
+
+
+def _move_row(columns: tuple, row: tuple, u: float, vs: Sequence[float]) -> None:
+    """Move grid row u's lists into a run's columns, the one transfer of every grid walk.
+
+    A value list goes in as its packed native doubles, every bit kept, for
+    less than a ``fromlist``, which converts point by point; an exclusion's
+    index i becomes its point (u, vs[i]).  A patch's heights column is None.
     """
     ks, hs, heights, excluded = columns
-    n = len(vs)
-    for u, *tail in rows:
-        row = row_k, row_h, row_w, row_x = [], [], [], []
-        line(head, [u] * n, vs, *tail, row)
-        ks.fromlist(row_k)
-        hs.fromlist(row_h)
-        heights.fromlist(row_w)
-        if row_x:
-            excluded += [((u, vs[i]), text) for i, text in row_x]
+    row_k, row_h, row_w, row_x = row
+    pack = _PACKERS.get(len(row_k))
+    if pack is None:
+        import struct  # 0.8 ms to load without site, so it loads with the first row
+
+        pack = _PACKERS[len(row_k)] = struct.Struct(f"{len(row_k)}d").pack
+    ks.frombytes(pack(*row_k))
+    hs.frombytes(pack(*row_h))
+    if heights is not None:
+        heights.frombytes(pack(*row_w))
+    if row_x:
+        excluded += [((u, vs[i]), text) for i, text in row_x]
 
 
 def _det3(r0, r1, r2) -> float:

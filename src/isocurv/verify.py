@@ -31,6 +31,7 @@ from .geometry import (
     Record,
     Rect,
     SurfaceChart,
+    _move_row,
     _pairs,
     apply_motion,
     as_parametric,
@@ -227,10 +228,10 @@ def sample_grid(surface, domain: Rect | None = None, n: int = 21, subject: str =
     build check is: ``isocurv.factorable.sample_lines`` runs the line
     kernel of its kind per grid row, so its profiles must be pure.  A
     :class:`SurfaceChart` runs its kernel (``SurfaceChart.route``) per
-    grid row too, through the same row loop
-    (``isocurv.geometry.sample_rows``), evaluating its height once per
-    row, so its height must be pure as well.  A patch is evaluated point
-    by point, by its own route.
+    grid row too, in its own row loop (``isocurv.geometry.sample_rows``),
+    evaluating its height once per row, so its height must be pure as
+    well.  A patch is evaluated point by point, by its own route.  Each
+    walk moves a whole grid row into the run (``isocurv.geometry._move_row``).
 
     K, H and the heights go to ``array('d')`` columns, 8 bytes a value,
     and an included point is not stored (see :class:`GridRun`), so a
@@ -250,7 +251,7 @@ def sample_grid(surface, domain: Rect | None = None, n: int = 21, subject: str =
     if isinstance(surface, AffineFactorable):
         sample_lines(surface, us, vs, columns)
     elif graph:
-        sample_rows(surface.route, surface.height, zip(us), vs, columns)
+        sample_rows(surface.route, surface.height, us, vs, columns)
     else:
         _sample_points(surface, us, vs, columns)
     ks, hs, heights, excluded = columns
@@ -263,25 +264,22 @@ def _sample_points(surface, us: Sequence[float], vs: Sequence[float], columns) -
     A patch has no graph height: the third column stays None.
     """
     curvatures = surface.curvatures
-    ks, hs, _, excluded = columns
     isfinite = math.isfinite
     for u in us:
-        row_k, row_h = [], []
-        for v in vs:
-            p = (u, v)
+        row = row_k, row_h, _, row_x = [], [], None, []
+        for i, v in enumerate(vs):
             try:
-                pair = curvatures(p)
+                pair = curvatures((u, v))
             except _EVAL_ERRORS as err:
-                excluded.append((p, str(err)))
+                row_x.append((i, str(err)))
                 continue
             K, H = pair.K, pair.H
             if isfinite(K) and isfinite(H):
                 row_k.append(K)
                 row_h.append(H)
             else:
-                excluded.append((p, NON_FINITE))
-        ks.fromlist(row_k)
-        hs.fromlist(row_h)
+                row_x.append((i, NON_FINITE))
+        _move_row(columns, row, u, vs)
 
 
 def check_constancy(
@@ -351,10 +349,13 @@ def _reduce(
     """
     if len(values) < 4:
         raise ValueError(f"{check} needs at least 4 {unit}, got {len(values)}")
-    if not all(map(math.isfinite, values)):
-        i, v = next((i, v) for i, v in enumerate(values) if not math.isfinite(v))
-        raise ValueError(f"{check} got a non-finite sample at index {i}: {v!r}")
-    mean = _sum_left_to_right(values) / len(values)
+    # No partial sum past an inf or a NaN is finite, so a finite sum proves every value finite.
+    total = _sum_left_to_right(values)
+    if not math.isfinite(total):
+        for i, v in enumerate(values):
+            if not math.isfinite(v):
+                raise ValueError(f"{check} got a non-finite sample at index {i}: {v!r}")
+    mean = total / len(values)
     max_dev = _max_deviation(values, mean if center is None else center)
     return VerificationReport(
         max_abs_deviation=max_dev, mean=mean, passed=max_dev <= report["tolerance"], **report

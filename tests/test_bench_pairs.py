@@ -1,4 +1,5 @@
-"""The claim rule that ``tools/bench_pairs.py`` prints, on synthetic pairs.
+"""The claim rule that ``tools/bench_pairs.py`` prints, on synthetic pairs,
+and the source digests by which it names the trees of every series.
 
 A change may claim a gain on a metric only when at least 10 alternating
 pairs ran, it won at least 9 in 10 of them, a tie counting for neither
@@ -7,6 +8,7 @@ interquartile range.
 """
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -91,3 +93,43 @@ def test_digest_lines_say_whether_the_trees_gave_equal_outputs():
     ]
     same = {"parent": {"list": "x"}, "change": {"list": "x"}}
     assert bench_pairs.identity_verdict(same) == "byte_identity: equal on all 1 entries"
+
+
+def _tree(root: Path, files: dict) -> Path:
+    package = root / "src" / "isocurv"
+    package.mkdir(parents=True)
+    for name, text in files.items():
+        (package / name).write_text(text)
+    return root
+
+
+def test_the_source_digest_names_a_tree_by_its_package_sources(tmp_path):
+    # A scratch copy has no commit, so each series names its trees by
+    # their src/isocurv/*.py, in name order, whatever order they were made.
+    files = {"b.py": "B = 2\n", "a.py": "A = 1\n"}
+    digest = bench_pairs.source_digest(_tree(tmp_path / "one", files))
+    same = _tree(tmp_path / "two", dict(reversed(files.items())) | {"notes.txt": "not a source"})
+    assert bench_pairs.source_digest(same) == digest
+    others = ({"b.py": "B = 3\n", "a.py": "A = 1\n"},  # a changed byte
+              {"c.py": "B = 2\n", "a.py": "A = 1\n"},  # a renamed module
+              {"a.py": "A = 1\nB = 2\n"})  # the same bytes in one module
+    for i, other in enumerate(others):
+        assert bench_pairs.source_digest(_tree(tmp_path / f"other{i}", other)) != digest, other
+
+
+def test_every_series_records_both_trees_source_digests(tmp_path, monkeypatch):
+    # Two runs of one pair, with bench/run.py replaced by a record of the tree.
+    parent = _tree(tmp_path / "parent", {"a.py": "A = 1\n"})
+    change = _tree(tmp_path / "change", {"a.py": "A = 2\n"})
+    metrics = {name: {"value": 1.0} for name in bench_pairs.METRICS}
+    monkeypatch.setattr(bench_pairs, "bench", lambda tree, *args: {
+        "correct": True, "metrics": metrics, "outputs_digest": "x"})
+    monkeypatch.setattr(bench_pairs, "fresh_series", lambda trees, pairs: {"series": {}})
+    out = tmp_path / "BENCH.json"
+    argv = ["--parent", str(parent), "--change", str(change), "--pairs", "1", "--out", str(out)]
+    assert bench_pairs.main([*argv, "--workload", "all", "--fresh"]) == 0
+    doc = json.loads(out.read_text())
+    want = {"parent": bench_pairs.source_digest(parent), "change": bench_pairs.source_digest(change)}
+    assert want["parent"] != want["change"]
+    assert [s["source_digests"] for s in doc["series"]] == [want] * len(bench_pairs.WORKLOADS)
+    assert doc["fresh"]["source_digests"] == want

@@ -2,10 +2,13 @@
 
 ``sample_grid`` keeps K, H and the heights in ``array('d')`` columns.
 Its walks put a grid row's values in lists first, and move each list
-into its column with one ``fromlist`` call, which costs less than an
-``append`` per point.  These tests run every walk with an array whose
-``append`` raises, so a walk that appends point by point fails, and
-require each run to equal the run with the plain array, bit for bit.
+into its column as the bytes of its packed native doubles, which costs
+less than a ``fromlist`` or an ``append`` per point.  These tests run
+every walk with an array whose ``append`` raises, so a walk that appends
+point by point fails, and require each run to equal the run with the
+plain array, bit for bit.  They also require every column to hold the
+bits that the per-point route gives at the run's points, on grids whose
+rows have many lengths, an empty row included.
 """
 
 import array
@@ -67,3 +70,38 @@ def test_grid_walks_move_whole_rows_into_the_columns(monkeypatch, name):
         assert len(plain.K) == n * (n - 1)
     else:
         assert not plain.excluded and len(plain.K) == n * n
+
+
+#: Grids whose rows are cut short by exclusions, empty rows included.
+CUT_GRIDS = {
+    # 1,645 of 1,681 points are excluded: rows of 0 or 6 points.
+    "FS1.flat.pow c2=3 41": lambda: (
+        build_family("FS1.flat.pow", c2=3.0), Rect((-3.0, 0.52), (-3.0, 0.52)), 41),
+    # Every row beyond x = 0 overflows and is empty.
+    "AFS1.min.osc x:0..1e308": lambda: (
+        build_family("AFS1.min.osc"), Rect((0.0, 1e308), (0.0, 1.0)), 21),
+    # The sheared sqrt's branch cuts each row at its own place: 33 lengths from 0 to 40.
+    "AFS2.cmc.sqrt y:-1..1,z:-1..1 41": lambda: (
+        build_family("AFS2.cmc.sqrt"), Rect((-1.0, 1.0), (-1.0, 1.0)), 41),
+}
+
+
+#: Every surface above on its default 9 x 9 grid, and the cut grids.
+GRIDS = {name: lambda make=make: (make(), None, 9) for name, make in SURFACES.items()} | CUT_GRIDS
+
+
+@pytest.mark.parametrize("name", GRIDS)
+def test_packed_rows_carry_the_bits_of_the_per_point_route(name):
+    surface, domain, n = GRIDS[name]()
+    run = sample_grid(surface, domain, n)
+    pairs = [surface.curvatures(p) for p in run.points]
+    assert run.K.tobytes() == array.array("d", [q.K for q in pairs]).tobytes()
+    assert run.H.tobytes() == array.array("d", [q.H for q in pairs]).tobytes()
+    if run.heights is None:
+        assert isinstance(surface, ParametricSurface)
+    else:
+        assert run.heights.tobytes() == array.array("d", [q.w for q in pairs]).tobytes()
+    if name in CUT_GRIDS:
+        us, vs = run.domain.coordinates(n)
+        lengths = {sum(p[0] == u for p in run.points) for u in us}
+        assert 0 in lengths and len(lengths) > 1, lengths

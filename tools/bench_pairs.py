@@ -14,6 +14,9 @@ on each kind, of ``verify`` on three grids that cross a profile's branch
 or overflow, and of the 201² FS2.K.integral CSV and OBJ exports.  Exits 1
 if any run is not correct.
 
+Every series records ``source_digests``, each tree's ``source_digest``: a
+scratch copy has no commit of its own, so this names the tree that ran.
+
 Once ``--out`` is written, one line per series and metric goes to stdout: the
 parent's median with its quartiles, the change's median and the difference,
 the pairs the change won, and whether the claim rule holds (``claim_holds``).
@@ -83,6 +86,14 @@ FRESH = {
     "cross-validate type-2 seed 7": ["cross-validate", "--kind", "type-2", "--seed", "7"],
 }
 FRESH_CODE = "import sys; sys.path.insert(0, 'src'); from isocurv.cli import main; sys.exit(main(ARGV))"
+
+
+def source_digest(tree: Path) -> str:
+    """sha256 over the tree's ``src/isocurv/*.py`` in name order, each file's name and bytes."""
+    sha = hashlib.sha256()
+    for path in sorted((tree / "src" / "isocurv").glob("*.py")):
+        sha.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")
+    return sha.hexdigest()
 
 
 def fresh(tree: Path, argv: list[str] | None) -> tuple[float, str]:
@@ -223,6 +234,7 @@ def main(argv=None) -> int:
     doc = json.loads(args.out.read_text()) if args.append else {
         "description": args.note, "series": [],
         "command": "python3 bench/run.py --workload W --seed S --seconds N --trace 0"}
+    sources = {t: source_digest(tree) for t, tree in trees.items()}
     records = []
     for w in WORKLOADS if args.workload == "all" else (args.workload,) if args.workload else ():
         pairs = []
@@ -236,7 +248,7 @@ def main(argv=None) -> int:
             records += [pair[t] for t in TREES]
         ok = all(p[t]["correct"] for p in pairs for t in TREES)
         doc["series"].append({
-            "workload": w, "seconds": args.seconds,
+            "workload": w, "seconds": args.seconds, "source_digests": sources,
             "summary": summary(pairs) if ok else None,
             "max_failed_ratio": max(p[t].get("failed_ratio", 1.0) for p in pairs for t in TREES),
             "pairs": pairs})
@@ -249,7 +261,7 @@ def main(argv=None) -> int:
             [sys.executable, "-I", "-c", DIGESTS], cwd=tree, check=True, capture_output=True,
             text=True).stdout) for t, tree in trees.items()}
     if args.fresh:
-        doc["fresh"] = fresh_series(trees, args.pairs)
+        doc["fresh"] = fresh_series(trees, args.pairs) | {"source_digests": sources}
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
     print("\n".join(verdicts(doc)))
     bad = [f"{r['workload']} seed {r['seed']}" for r in records if not r["correct"]]
