@@ -33,9 +33,12 @@ product grid: it yields each row's profile jets to grid sampling,
 whose :func:`sample_lines` runs the kernel of the surface's kind per
 row and moves the row into the run (``isocurv.geometry._move_row``),
 and to the type-2 build check in ``isocurv.catalog``, which runs
-:func:`regularity`.  A grid walk evaluates each profile argument as a
-Jet1; cross-validation alone evaluates a profile on a column, one over
-all its random points (:meth:`AffineFactorable.profile_columns`).  The
+:func:`regularity`.  A grid walk evaluates each unsheared argument as a
+Jet1, once per grid line, and a sheared one either from a memo, where
+the arguments repeat, or on columns of whole grid lines, about
+:data:`_BLOCK` arguments each (:func:`_sheared_lines`);
+cross-validation evaluates a profile on one column over all its random
+points (:meth:`AffineFactorable.profile_columns`).  The
 route of a kind, :attr:`AffineFactorable.route`, is
 :func:`afs1_curvatures` or :func:`afs2_curvatures`: its kernel on a
 column of points, with one entry per point, a pair or its exclusion
@@ -56,6 +59,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Iterator, Sequence
+from itertools import chain, islice
 
 from . import jets
 from .jets import Jet1, Jet2
@@ -337,9 +341,8 @@ def grid_lines(s: AffineFactorable, us: Sequence[float], vs: Sequence[float]) ->
     the jet.  f1(x) of type 1 and f2(z) of type 2 are evaluated once per
     grid line, one :func:`_profile_jet` per argument, and so is the
     shifted profile where the shear changes no argument
-    (:func:`_shear_is_inert`); otherwise a :class:`_ShearedJets` looks
-    its jets up by argument.  No grid walk evaluates a column: on a grid
-    line, one gains nothing measurable.
+    (:func:`_shear_is_inert`); otherwise :func:`_sheared_lines` gives
+    its jets, line by line, from a memo or from bounded column blocks.
     """
     a, n = s.shear, len(vs)
     if s.kind == TYPE1:
@@ -348,18 +351,50 @@ def grid_lines(s: AffineFactorable, us: Sequence[float], vs: Sequence[float]) ->
             for u in us:
                 yield u, [_profile_jet(s.factor1, u)] * n, j2s
         else:
-            sheared = _ShearedJets(s.factor2)
-            for u in us:
-                yield u, [_profile_jet(s.factor1, u)] * n, sheared.line([v + a * u for v in vs])
+            sheared = _sheared_lines(s.factor2, ([v + a * u for v in vs] for u in us), n)
+            for u, j2s in zip(us, sheared):
+                yield u, [_profile_jet(s.factor1, u)] * n, j2s
         return
     j2s = [_profile_jet(s.factor2, v) for v in vs]
     if _shear_is_inert(a, vs, us):
         for u in us:
             yield u, [_profile_jet(s.factor1, u)] * n, j2s
     else:
-        sheared = _ShearedJets(s.factor1)
-        for u in us:
-            yield u, sheared.line([u + a * v for v in vs]), j2s
+        sheared = _sheared_lines(s.factor1, ([u + a * v for v in vs] for u in us), n)
+        for u, j1s in zip(us, sheared):
+            yield u, j1s, j2s
+
+
+#: About how many arguments one column block of :func:`_sheared_lines` holds.
+_BLOCK = 1024
+
+
+def _sheared_lines(profile, lines: Iterator[list[float]], n: int) -> Iterator[list]:
+    """A sheared profile's jets (or exclusion texts) at each grid line's n arguments, in order.
+
+    The first two lines choose, before anything is evaluated.  If an
+    argument repeats among them, keyed as :class:`_ShearedJets` keys it,
+    as with a = 1 on a square grid, the memo serves every line.  If none
+    does, as with a random shear, no argument is likely to come up again,
+    and the lines go through :func:`profile_column` in blocks of whole
+    lines, about :data:`_BLOCK` arguments each: the memory stays O(n +
+    _BLOCK), where a column over the whole grid would take O(n^2).  Each
+    argument gets the bits or the text of its own evaluation either way.
+    """
+    head = list(islice(lines, 2))
+    lines = chain(head, lines)
+    copysign = math.copysign
+    keys = [u if u else (copysign(1.0, u),) for args in head for u in args]
+    if len(set(keys)) < len(keys):
+        memo = _ShearedJets(profile)
+        for args in lines:
+            yield memo.line(args)
+        return
+    per_block = max(1, _BLOCK // max(1, n))
+    while block := list(islice(lines, per_block)):
+        column = profile_column(profile, [u for args in block for u in args])
+        for i in range(len(block)):
+            yield column[i * n : (i + 1) * n]
 
 
 def _shear_is_inert(a: float, ts: list[float], cs: list[float]) -> bool:
@@ -409,39 +444,29 @@ def _profile_jet(profile, t: float) -> Jet1 | str:
 class _ShearedJets(dict):
     """A sheared profile's jets (or exclusion texts) by argument, for one grid walk.
 
-    A sheared argument such as y + a*x can take a new value at every one
-    of the n^2 points, where storing its jets saves nothing; with a = 1
-    on a square grid it repeats along diagonals.  So the jets of the
-    first two grid lines are stored, and if no argument has come up
-    twice by then, storing stops: the dict holds O(n) jets rather than
-    O(n^2).  Otherwise every jet is stored.  The key is u, or (sign of
-    u,) for a zero u, because 0.0 == -0.0 as dict keys while a profile
-    may tell them apart.  Each missing argument is evaluated as it is
-    looked up.
+    :func:`_sheared_lines` uses it where the arguments repeat, as they do
+    along the diagonals of a square grid with a = 1, and it stores every
+    jet.  The key is u, or (sign of u,) for a zero u, because 0.0 ==
+    -0.0 as dict keys while a profile may tell them apart.  Each missing
+    argument is evaluated as it is looked up.
     """
 
-    __slots__ = ("profile", "lines", "keep")
+    __slots__ = ("profile",)
 
     def __init__(self, profile) -> None:
         super().__init__()
         self.profile = profile
-        self.lines = 0
-        self.keep = True
 
     def __missing__(self, key):
-        j = _profile_jet(self.profile, key if key.__class__ is float else math.copysign(0.0, key[0]))
-        if self.keep:
-            self[key] = j
+        j = self[key] = _profile_jet(
+            self.profile, key if key.__class__ is float else math.copysign(0.0, key[0])
+        )
         return j
 
     def line(self, args: list[float]) -> list[Jet1 | str]:
         """The jets at the arguments of one grid line."""
         copysign = math.copysign
-        out = [self[u if u else (copysign(1.0, u),)] for u in args]
-        self.lines += 1
-        if self.lines == 2 and len(self) == 2 * len(args):
-            self.keep = False
-        return out
+        return [self[u if u else (copysign(1.0, u),)] for u in args]
 
 
 def _irregular(reg: float, p: tuple[float, float]) -> str:

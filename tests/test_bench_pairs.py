@@ -1,5 +1,6 @@
 """The claim rule that ``tools/bench_pairs.py`` prints, on synthetic pairs,
-and the source digests by which it names the trees of every series.
+the source digests by which it names the trees of every series, and
+``--append``, which keeps each earlier entry next to the new one.
 
 A change may claim a gain on a metric only when at least 10 alternating
 pairs ran, it won at least 9 in 10 of them, a tie counting for neither
@@ -132,4 +133,36 @@ def test_every_series_records_both_trees_source_digests(tmp_path, monkeypatch):
     want = {"parent": bench_pairs.source_digest(parent), "change": bench_pairs.source_digest(change)}
     assert want["parent"] != want["change"]
     assert [s["source_digests"] for s in doc["series"]] == [want] * len(bench_pairs.WORKLOADS)
-    assert doc["fresh"]["source_digests"] == want
+    assert [entry["source_digests"] for entry in doc["fresh"]] == [want]
+
+
+def test_append_keeps_every_earlier_entry_next_to_the_new_one(tmp_path, monkeypatch, capsys):
+    # The parent against the change, then the anchor against it, into one file.
+    change = _tree(tmp_path / "change", {"a.py": "A = 3\n"})
+    parents = [_tree(tmp_path / name, {"a.py": f"A = {i}\n"})
+               for i, name in enumerate(("parent", "anchor"))]
+    metrics = {name: {"value": 1.0} for name in bench_pairs.METRICS}
+    monkeypatch.setattr(bench_pairs, "bench", lambda tree, *args: {
+        "correct": True, "metrics": metrics, "outputs_digest": str(tree)})
+    monkeypatch.setattr(bench_pairs, "byte_identity", lambda trees: {
+        t: {"list": "x"} for t in trees})
+    row = bench_pairs.compare({"parent": STEADY, "change": STEADY}, "lower")
+    monkeypatch.setattr(bench_pairs, "fresh_series", lambda trees, pairs: {
+        "series": {"pass": row | {"equal_stdout": True}}})
+    out = tmp_path / "BENCH.json"
+    for parent in parents:
+        argv = ["--parent", str(parent), "--change", str(change), "--pairs", "1",
+                "--out", str(out), "--append", "--workload", "catalog-audit", "--traced",
+                "--digests", "--fresh"]
+        assert bench_pairs.main(argv) == 0
+    doc = json.loads(out.read_text())
+    want = [{"parent": bench_pairs.source_digest(p), "change": bench_pairs.source_digest(change)}
+            for p in parents]
+    assert [s["source_digests"] for s in doc["series"]] == want
+    for key in ("traced", "byte_identity", "fresh"):
+        assert [entry["source_digests"] for entry in doc[key]] == want, key
+    assert [entry["catalog-audit"]["parent"]["outputs_digest"] for entry in doc["traced"]] == [
+        str(p) for p in parents]
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines if line.startswith("fresh ")][-2:] == [
+        f"fresh pass (parent {w['parent'][:8]}) wall_ms" for w in want]

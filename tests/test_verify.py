@@ -14,12 +14,14 @@ from hypothesis import strategies as st
 from isocurv import jets, verify
 from isocurv.catalog import ParameterError, build_family, family_ids
 from isocurv.factorable import (
+    _BLOCK,
     _profile_jet,
     NON_FINITE,
     TYPE1,
     TYPE2,
     AffineFactorable,
     as_chart,
+    grid_lines,
     is_planar,
     random_instance,
     regularity,
@@ -571,8 +573,8 @@ def test_sample_grid_evaluates_a_raising_argument_once_per_grid_line(kind):
 @pytest.mark.parametrize("kind", [TYPE1, TYPE2])
 def test_a_raising_profile_costs_one_point_pass_in_a_grid_walk(kind):
     # sqrt raises on the grid lines whose coordinate is negative.  A grid
-    # walk evaluates no column, so each profile costs one evaluation per
-    # grid argument, n in all, and gives the per-point texts.
+    # walk without a shear evaluates no column, so each profile costs one
+    # evaluation per grid argument, n in all, and gives the per-point texts.
     n = 11
     calls = [0, 0]
     surface = AffineFactorable(
@@ -658,6 +660,128 @@ def test_sample_grid_keeps_signed_zeros_apart(kind, a):
         _assert_walk_matches_point_loop(surface, 5, f"{kind} a={a!r} over {domain}")
     if a == 0.0:
         assert seen == {1.0, -1.0}, f"zeros seen: {seen}"
+
+
+def _tally(profile, tally):
+    # Counts [columns, their arguments, single points] of the Jet1 evaluations.
+    def counted(t):
+        if t.__class__ is jets.Col1:
+            tally[0] += 1
+            tally[1] += len(t.vs)
+        else:
+            tally[2] += 1
+        return profile(t)
+
+    return counted
+
+
+def _tallied(kind, sheared, fixed, a, domain):
+    """A surface whose sheared profile is ``sheared``, with a tally of each profile's evaluations."""
+    tallies = [0, 0, 0], [0, 0, 0]
+    f1, f2 = (fixed, sheared) if kind == TYPE1 else (sheared, fixed)
+    surface = AffineFactorable(kind, f1, f2, a, domain)
+    counted = surface.replace(factor1=_tally(f1, tallies[0]), factor2=_tally(f2, tallies[1]))
+    return surface, counted, tallies[::-1] if kind == TYPE1 else tallies
+
+
+def _blocks(n: int) -> int:
+    """The column blocks of whole grid lines, about _BLOCK arguments each, over n lines."""
+    per_block = max(1, _BLOCK // n)
+    return -(-n // per_block)
+
+
+#: Profiles of the random generator's kinds, which a column carries.
+_COLUMN_PROFILES = {
+    "exp": lambda t: jets.exp(0.8 * t),
+    "sin": lambda t: jets.sin(1.1 * t) + 2.0,
+    "poly": lambda t: (0.3 * t - 0.5) * t + 2.0,
+}
+
+
+@pytest.mark.parametrize("n", [2, 11, 37, 41])
+@pytest.mark.parametrize("a", [0.37, -1.3])
+@pytest.mark.parametrize("kind", [TYPE1, TYPE2])
+@pytest.mark.parametrize("name", sorted(_COLUMN_PROFILES))
+def test_a_generic_shear_evaluates_each_argument_once_in_column_blocks(name, kind, a, n):
+    # No sheared argument of the first two grid lines repeats under
+    # these shears, so the grid lines go through columns of whole lines,
+    # about _BLOCK arguments each; at n = 37 and 41 a block ends
+    # mid-grid.  Each sheared argument is evaluated once, on a column,
+    # and the unsheared profile once per grid line, as a Jet1.
+    fixed = _COLUMN_PROFILES["exp" if name == "sin" else "sin"]
+    square = Rect((-0.5, 0.5), (-0.5, 0.5))
+    surface, counted, (sheared, unsheared) = _tallied(
+        kind, _COLUMN_PROFILES[name], fixed, a, square
+    )
+    run = sample_grid(counted, n=n)
+    assert sheared == [_blocks(n), n * n, 0], f"sheared evaluations {sheared}"
+    assert unsheared == [0, 0, n], f"unsheared evaluations {unsheared}"
+    assert run == sample_grid(surface, n=n)
+    _assert_walk_matches_point_loop(surface, n, f"{name} {kind} a={a} n={n}")
+
+
+@pytest.mark.parametrize("a", [0.37, -1.3])
+@pytest.mark.parametrize("kind", [TYPE1, TYPE2])
+@pytest.mark.parametrize(
+    "profile",
+    [jets.log, jets.sqrt, lambda t: jets.exp(800.0 * t)],
+    ids=["log", "sqrt", "exp-overflow"],
+)
+def test_a_block_that_raises_is_evaluated_point_by_point(profile, kind, a):
+    # log and sqrt raise where a sheared argument is negative, and on any
+    # column; exp(800*t) takes a column, and overflows where t > 0.89.
+    # Each raises on part of the grid, so a block that raises costs one
+    # failed column, and its arguments then get their own Jet1 or text.
+    n = 37
+    domain = Rect((-1.0, 2.0), (-1.0, 2.0))
+    surface, counted, (sheared, _) = _tallied(kind, profile, jets.exp, a, domain)
+    run = sample_grid(counted, n=n)
+    assert sheared[:2] == [_blocks(n), n * n] and 0 < sheared[2] <= n * n, sheared
+    assert run.excluded and run.points
+    assert run == sample_grid(surface, n=n)
+    _assert_walk_matches_point_loop(surface, n, f"{kind} a={a}")
+
+
+@pytest.mark.parametrize("a", [0.37, -1.3])
+@pytest.mark.parametrize("kind", [TYPE1, TYPE2])
+def test_a_column_block_keeps_a_signed_zero(kind, a):
+    # A reversed interval from -0.0 starts at -0.0, so the first sheared
+    # argument is -0.0 + a*(-0.0): -0.0 for a > 0 and 0.0 for a < 0.
+    # sin keeps that sign in its value, and with it in the height.
+    zeros = []
+
+    def sine(t):
+        if t.__class__ is jets.Col1:
+            zeros.extend(math.copysign(1.0, v) for v in t.vs if v == 0.0)
+        return jets.sin(t)
+
+    n = 11
+    domain = Rect((-0.0, -1.0), (-0.0, -1.0))
+    surface, counted, (sheared, _) = _tallied(kind, sine, jets.exp, a, domain)
+    run = sample_grid(counted, n=n)
+    assert sheared == [_blocks(n), n * n, 0], sheared
+    assert zeros == [-math.copysign(1.0, a)], zeros
+    assert run == sample_grid(surface, n=n)
+    _assert_walk_matches_point_loop(surface, n, f"{kind} a={a}")
+
+
+def test_a_generic_shear_walks_a_401_grid_in_bounded_memory():
+    # Blocks of about _BLOCK arguments keep the walk at O(n + _BLOCK)
+    # jets: about 0.45 MB here, where a column over the whole grid would
+    # hold 401^2 arguments, more than 10 MB.
+    n = 401
+    surface = build_family("AFS2.flat.exp", a=0.37)
+    tally = [0, 0, 0]
+    counted = surface.replace(factor1=_tally(surface.factor1, tally))
+    us, vs = surface.domain.coordinates(n)
+    tracemalloc.start()
+    try:
+        rows = sum(1 for _ in grid_lines(counted, us, vs))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows == n and tally == [_blocks(n), n * n, 0], tally
+    assert peak < 2_000_000, f"a {n}x{n} grid walk peaked at {peak} B"
 
 
 def test_cross_validate_evaluates_type2_profiles_once_per_point():

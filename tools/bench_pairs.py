@@ -11,17 +11,22 @@ per tree and workload; ``--digests`` the sha256 of ``isocurv list``, of
 ``verify --grid 41`` on every family, of ``cross-validate --seed 7`` on each
 kind and on three families with a tan, power or sqrt profile, of ``probe``
 on each kind, of ``verify`` on three grids that cross a profile's branch
-or overflow, and of the 201² FS2.K.integral CSV and OBJ exports.  Exits 1
-if any run is not correct.
+or overflow and on two under a shear that repeats no argument, and of the
+201² FS2.K.integral CSV and OBJ exports.  Exits 1 if any run is not correct.
 
 Every series records ``source_digests``, each tree's ``source_digest``: a
 scratch copy has no commit of its own, so this names the tree that ran.
+``--append`` adds to the ``--out`` file, or starts it: its series, and its
+``traced``, ``byte_identity`` and ``fresh`` entries, each with its
+``source_digests``, go next to the earlier ones, which it keeps.  So the
+anchor's runs against the change and the parent's share one file.
 
 Once ``--out`` is written, one line per series and metric goes to stdout: the
 parent's median with its quartiles, the change's median and the difference,
 the pairs the change won, and whether the claim rule holds (``claim_holds``).
 A line per series then says whether every pair's two ``outputs_digest`` are
-equal, and with ``--digests`` a line says whether the trees' are.
+equal, a line per ``--digests`` entry whether the trees' are, and a line per
+fresh series gives its verdict.
 
 ``--fresh``, with or without ``--workload``, times fresh ``python -S``
 processes, start-up and import included: ``-c pass`` and a ``cli.main`` call per command in ``FRESH``, each
@@ -70,7 +75,10 @@ for kind in ("afs2-minimal", "afs2-constant-K"):
 # Grids that cross a profile's branch or overflow, where points are excluded with their texts.
 for argv in (["FS1.flat.pow", "--param", "c2=3", "--grid", "41", "--domain", "x:-3..0.52,y:-3..0.52"],
              ["AFS2.cmc.sqrt", "--grid", "41", "--domain", "y:-1..1,z:-1..1"],
-             ["AFS1.min.osc", "--domain", "x:0..1e308,y:0..1"]):
+             ["AFS1.min.osc", "--domain", "x:0..1e308,y:0..1"],
+             # a = 0.37 repeats no sheared argument: column blocks, then sqrt's point fallback.
+             ["AFS2.flat.exp", "--param", "a=0.37", "--grid", "41"],
+             ["AFS2.cmc.sqrt", "--param", "a=0.37", "--grid", "41"]):
     out[" ".join(["verify", *argv])] = sha(run("verify", "--family", *argv))
 os.chdir(tempfile.mkdtemp())
 for fmt in ("csv", "obj"):
@@ -94,6 +102,13 @@ def source_digest(tree: Path) -> str:
     for path in sorted((tree / "src" / "isocurv").glob("*.py")):
         sha.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")
     return sha.hexdigest()
+
+
+def byte_identity(trees: dict) -> dict:
+    """The ``DIGESTS`` of each tree, from a fresh ``python -I`` process in it."""
+    return {t: json.loads(subprocess.run(
+        [sys.executable, "-I", "-c", DIGESTS], cwd=tree, check=True, capture_output=True,
+        text=True).stdout) for t, tree in trees.items()}
 
 
 def fresh(tree: Path, argv: list[str] | None) -> tuple[float, str]:
@@ -188,6 +203,21 @@ def identity_verdict(identity: dict) -> str:
     return f"byte_identity: equal on all {len(parent)} entries"
 
 
+def entries(doc: dict, key: str) -> list[dict]:
+    """The ``traced``, ``byte_identity`` or ``fresh`` entries of a BENCH document, oldest first.
+
+    A document written before ``--append`` kept them holds one entry, not a list.
+    """
+    entry = doc.get(key)
+    return [] if entry is None else entry if isinstance(entry, list) else [entry]
+
+
+def _trees(entry: dict) -> str:
+    """`` (parent <digest>)``: which parent an entry compared, where it records that."""
+    digests = entry.get("source_digests")
+    return f" (parent {digests['parent'][:8]})" if digests else ""
+
+
 def verdicts(doc: dict) -> list[str]:
     """A ``verdict`` line per series and metric of a BENCH document, and the digest lines."""
     lines = []
@@ -198,10 +228,11 @@ def verdicts(doc: dict) -> list[str]:
             lines += [verdict(s["workload"], m, row) for m, row in s["summary"].items()]
         if "pairs" in s:
             lines.append(outputs_verdict(s))
-    if "byte_identity" in doc:
-        lines.append(identity_verdict(doc["byte_identity"]))
-    for name, row in doc.get("fresh", {}).get("series", {}).items():
-        lines.append(verdict(f"fresh {name}", "wall_ms", row))
+    for identity in entries(doc, "byte_identity"):
+        lines.append(identity_verdict(identity) + _trees(identity))
+    for entry in entries(doc, "fresh"):
+        for name, row in entry["series"].items():
+            lines.append(verdict(f"fresh {name}{_trees(entry)}", "wall_ms", row))
     return lines
 
 
@@ -231,11 +262,11 @@ def main(argv=None) -> int:
     if not all(compileall.compile_dir(tree / sub, quiet=1)
                for tree in trees.values() for sub in ("src", "bench")):
         return 1
-    doc = json.loads(args.out.read_text()) if args.append else {
+    doc = json.loads(args.out.read_text()) if args.append and args.out.is_file() else {
         "description": args.note, "series": [],
         "command": "python3 bench/run.py --workload W --seed S --seconds N --trace 0"}
     sources = {t: source_digest(tree) for t, tree in trees.items()}
-    records = []
+    records, added = [], {}
     for w in WORKLOADS if args.workload == "all" else (args.workload,) if args.workload else ():
         pairs = []
         for i in range(args.pairs):
@@ -254,18 +285,18 @@ def main(argv=None) -> int:
             "pairs": pairs})
         if args.traced:
             traced = {t: bench(trees[t], w, 1, 1, 1) for t in TREES}
-            doc.setdefault("traced", {})[w] = traced
+            added.setdefault("traced", {})[w] = traced
             records += traced.values()
     if args.digests:
-        doc["byte_identity"] = {t: json.loads(subprocess.run(
-            [sys.executable, "-I", "-c", DIGESTS], cwd=tree, check=True, capture_output=True,
-            text=True).stdout) for t, tree in trees.items()}
+        added["byte_identity"] = byte_identity(trees)
     if args.fresh:
-        doc["fresh"] = fresh_series(trees, args.pairs) | {"source_digests": sources}
+        added["fresh"] = fresh_series(trees, args.pairs)
+    for key, entry in added.items():
+        doc[key] = entries(doc, key) + [entry | {"source_digests": sources}]
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
     print("\n".join(verdicts(doc)))
     bad = [f"{r['workload']} seed {r['seed']}" for r in records if not r["correct"]]
-    bad += [f"fresh {name} (stdout differs)" for name, row in doc.get("fresh", {}).get(
+    bad += [f"fresh {name} (stdout differs)" for name, row in added.get("fresh", {}).get(
         "series", {}).items() if not row["equal_stdout"]]
     if bad:
         print(f"error: runs not correct: {', '.join(bad)}", file=sys.stderr)
