@@ -29,19 +29,21 @@ exactly as written above; no orientation normalization is applied, so
 for w_z < 0 it differs in sign from the parametric formula (whose
 sqrt(det g) is positive).
 
-Each graph formula is written once, in a chart's line kernel,
-:func:`monge_z_curvatures` or :func:`monge_x_curvatures`, which takes a
-column of points as the afs kernels of ``isocurv.factorable`` do.  It
-evaluates the height once, on a Jet2 column over all the points, and
-again point by point where the column raises, so a chart's height must
-be pure.  :func:`sample_rows` runs it per grid row, and
-:func:`_pairs` turns its lists into one entry per point.
+Each formula is written once, in a line kernel that takes a column of
+points as the afs kernels of ``isocurv.factorable`` do: a chart's
+:func:`monge_z_curvatures` or :func:`monge_x_curvatures`, and a patch's
+:func:`parametric_curvatures`.  The height, or a patch's coordinates, is
+evaluated once, on a Jet2 column over all the points, and again point by
+point where a column raises, so it must be pure.  :func:`sample_rows`
+runs a chart's kernel per grid row, and :func:`_pairs` turns a kernel's
+lists into one entry per point.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Callable, Iterable, Sequence
+from itertools import zip_longest
 
 from . import jets
 from .jets import BranchDomainError, Jet2, Value, _new
@@ -257,9 +259,9 @@ class Motion(Record):
 def apply_motion(m: Motion, p: tuple) -> tuple:
     """Apply an isotropic motion to a point (x, y, z).
 
-    ``p`` may hold floats or jets: the motion is affine, so applied to a
-    patch's coordinate jets (:meth:`ParametricSurface.jets`) it gives
-    the exact jets of the moved patch.
+    ``p`` may hold floats, jets or Jet2 columns: the motion is affine, so
+    applied to a patch's coordinate jets or columns it gives the exact
+    jets of the moved patch, with only ``+``, ``-`` and scalar ``*``.
     """
     x, y, z = p
     ct, st = math.cos(m.angle), math.sin(m.angle)
@@ -335,8 +337,27 @@ class ParametricSurface(Record):
             jets.eval_field(self.z, u, v),
         )
 
+    def coordinates(self, us: Sequence[float], vs: Sequence[float]) -> tuple | list:
+        """The coordinates at the points (us[i], vs[i]), the ``r`` of :func:`parametric_curvatures`.
+
+        A Jet2 column of each, or where one raises, each point's :meth:`jets`
+        or its first error's text; so, as a chart's height, they must be pure.
+        """
+        try:
+            return tuple(jets.eval_field_column(f, us, vs) for f in (self.x, self.y, self.z))
+        except Exception:
+            pass  # Not lost: the point-by-point run raises whatever is not an exclusion.
+        entries = []
+        for p in zip(us, vs):
+            try:
+                entries.append(self.jets(p))
+            except _EVAL_ERRORS as err:
+                entries.append(str(err))
+        return entries
+
     def curvatures(self, p: tuple[float, float]) -> CurvaturePair:
-        return parametric_curvatures(self.jets(p), p)
+        """The kernel at the one point p: its pair, or :class:`AdmissibilityError` with its text."""
+        return _only_pair(_pairs(parametric_curvatures, self.coordinates((p[0],), (p[1],)), (p,)))
 
 
 def monge_z_curvatures(
@@ -448,7 +469,7 @@ def _pairs(line, head, points: Sequence[tuple[float, float]], *tail) -> list[Cur
     columns = ks, hs, heights, excluded = [], [], [], []
     line(head, [p[0] for p in points], [p[1] for p in points], *tail, columns)
     texts = dict(excluded)
-    included = zip(ks, hs, heights)
+    included = zip_longest(ks, hs, heights)  # a patch's heights stay empty
     entries = []
     for i in range(len(points)):
         text = texts.get(i)
@@ -505,52 +526,57 @@ def _move_row(columns: tuple, row: tuple, u: float, vs: Sequence[float]) -> None
         excluded += [((u, vs[i]), text) for i, text in row_x]
 
 
-def _det3(r0, r1, r2) -> float:
-    return (
-        r0[0] * (r1[1] * r2[2] - r1[2] * r2[1])
-        - r0[1] * (r1[0] * r2[2] - r1[2] * r2[0])
-        + r0[2] * (r1[0] * r2[1] - r1[1] * r2[0])
-    )
+def parametric_curvatures(r, us: Sequence[float], vs: Sequence[float], columns: Columns) -> None:
+    """The patch formulas at the parameters (us[i], vs[i]), into ``columns``' K and H lists.
 
-
-def parametric_curvatures(r: tuple[Jet2, Jet2, Jet2], p: tuple[float, float]) -> CurvaturePair:
-    """Curvatures of a patch from its coordinate jets r = (x, y, z) at p.
-
-    ``r`` is what :meth:`ParametricSurface.jets` returns at parameters
-    p = (u, v), or its image under :func:`apply_motion`; ``p`` only
-    names the point in the error text.  The first fundamental form comes
-    from the planar (x, y) projection only; the second form divides the
-    mixed determinants det(r_ij, r_u, r_v) by sqrt(det g).  Requires
-    |x_u*y_v - x_v*y_u| >= ADMISSIBILITY_EPS.
+    The patch's line kernel: ``r`` is :meth:`ParametricSurface.coordinates`
+    at those points or its image under :func:`apply_motion`.  A point is
+    excluded as a chart's is (its error's text or :data:`NON_FINITE`), or
+    with a text naming it where |x_u*y_v - x_v*y_u| < ADMISSIBILITY_EPS.
+    g is the first form of the planar (x, y) projection; h_ij is
+    det(r_ij, r_u, r_v) / sqrt(det g), expanded along r_ij, so the three
+    share their minors.
     """
-    jx, jy, jz = r
-
-    jac = jx.dx * jy.dy - jx.dy * jy.dx
-    if abs(jac) < ADMISSIBILITY_EPS:
-        raise AdmissibilityError(
-            f"planar projection degenerates: |x_u*y_v - x_v*y_u| = "
-            f"{abs(jac):.3g} < {ADMISSIBILITY_EPS:g} at {p!r}"
-        )
-
-    g11 = jx.dx * jx.dx + jy.dx * jy.dx
-    g12 = jx.dx * jx.dy + jy.dx * jy.dy
-    g22 = jx.dy * jx.dy + jy.dy * jy.dy
-    det_g = g11 * g22 - g12 * g12
-    sq = math.sqrt(det_g)
-
-    ru = (jx.dx, jy.dx, jz.dx)
-    rv = (jx.dy, jy.dy, jz.dy)
-    h11 = _det3((jx.dxx, jy.dxx, jz.dxx), ru, rv) / sq
-    h12 = _det3((jx.dxy, jy.dxy, jz.dxy), ru, rv) / sq
-    h22 = _det3((jx.dyy, jy.dyy, jz.dyy), ru, rv) / sq
-
-    K = (h11 * h22 - h12 * h12) / det_g
-    H = (g11 * h22 - 2.0 * g12 * h12 + g22 * h11) / (2.0 * det_g)
-    pair = _new(CurvaturePair)
-    pair.K = K
-    pair.H = H
-    pair.w = None
-    return pair
+    ks, hs, _, _ = columns
+    if r.__class__ is tuple:
+        x, y, z = r
+        r = zip(x.dxs, x.dys, x.dxxs, x.dxys, x.dyys, y.dxs, y.dys, y.dxxs, y.dxys, y.dyys,
+                z.dxs, z.dys, z.dxxs, z.dxys, z.dyys)
+    else:
+        r = [e if e.__class__ is str else [s for j in e for s in (j.dx, j.dy, j.dxx, j.dxy, j.dyy)]
+             for e in r]
+    isfinite, sqrt = math.isfinite, math.sqrt
+    for s in r:
+        if s.__class__ is str:
+            _exclude(columns, s)
+            continue
+        xu, xv, xuu, xuv, xvv, yu, yv, yuu, yuv, yvv, zu, zv, zuu, zuv, zvv = s
+        jac = xu * yv - xv * yu
+        if abs(jac) < ADMISSIBILITY_EPS:
+            i = len(ks) + len(columns[3])  # the point at hand, as _exclude counts
+            _exclude(columns, f"planar projection degenerates: |x_u*y_v - x_v*y_u| = "
+                     f"{abs(jac):.3g} < {ADMISSIBILITY_EPS:g} at {(us[i], vs[i])!r}")
+            continue
+        g11 = xu * xu + yu * yu
+        g12 = xu * xv + yu * yv
+        g22 = xv * xv + yv * yv
+        det_g = g11 * g22 - g12 * g12
+        sq = sqrt(det_g)
+        minor_x, minor_y = yu * zv - zu * yv, xu * zv - zu * xv  # r_ij[2]'s minor is jac
+        try:
+            h11 = (xuu * minor_x - yuu * minor_y + zuu * jac) / sq
+        except ZeroDivisionError as err:  # det g rounded to 0 past the floor
+            _exclude(columns, str(err))
+            continue
+        h12 = (xuv * minor_x - yuv * minor_y + zuv * jac) / sq
+        h22 = (xvv * minor_x - yvv * minor_y + zvv * jac) / sq
+        K = (h11 * h22 - h12 * h12) / det_g
+        H = (g11 * h22 - 2.0 * g12 * h12 + g22 * h11) / (2.0 * det_g)
+        if isfinite(K) and isfinite(H):
+            ks.append(K)
+            hs.append(H)
+        else:
+            _exclude(columns, NON_FINITE)
 
 
 def as_parametric(chart: SurfaceChart) -> ParametricSurface:

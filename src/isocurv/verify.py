@@ -3,11 +3,12 @@
 The checks in this module never trust a single evaluation route.
 Constancy is measured over whole grids; the specialized product-surface
 formulas are compared against the generic chart route on random points;
-jets are compared against central finite differences; the closed-form
-profiles are compared against a Runge-Kutta integration of their
-defining equations; and the nonexistence claims for type-2 surfaces
-(no nonplanar minimal ones, no nonflat constant-K ones) are probed
-with randomized counterexample searches.
+jets are compared against central finite differences; a patch's K and
+H are compared with its image's under an isotropic motion; the
+closed-form profiles are compared against a Runge-Kutta integration of
+their defining equations; and the nonexistence claims for type-2
+surfaces (no nonplanar minimal ones, no nonflat constant-K ones) are
+probed with randomized counterexample searches.
 
 Every report serializes to JSON with a fixed key order, json's bytes
 written without json for a report's own values (see ``_dumps``), so
@@ -26,7 +27,6 @@ from . import jets
 from .jets import Jet2
 from .geometry import (
     _EVAL_ERRORS,
-    NON_FINITE,
     Motion,
     Record,
     Rect,
@@ -230,8 +230,9 @@ def sample_grid(surface, domain: Rect | None = None, n: int = 21, subject: str =
     :class:`SurfaceChart` runs its kernel (``SurfaceChart.route``) per
     grid row too, in its own row loop (``isocurv.geometry.sample_rows``),
     evaluating its height once per row, so its height must be pure as
-    well.  A patch is evaluated point by point, by its own route.  Each
-    walk moves a whole grid row into the run (``isocurv.geometry._move_row``).
+    well.  A patch runs its kernel, ``isocurv.geometry.parametric_curvatures``,
+    per grid row on its coordinates there.  Each walk moves a whole grid
+    row into the run (``isocurv.geometry._move_row``).
 
     K, H and the heights go to ``array('d')`` columns, 8 bytes a value,
     and an included point is not stored (see :class:`GridRun`), so a
@@ -253,33 +254,12 @@ def sample_grid(surface, domain: Rect | None = None, n: int = 21, subject: str =
     elif graph:
         sample_rows(surface.route, surface.height, us, vs, columns)
     else:
-        _sample_points(surface, us, vs, columns)
+        for u in us:
+            row, row_us = ([], [], [], []), [u] * len(vs)
+            parametric_curvatures(surface.coordinates(row_us, vs), row_us, vs, row)
+            _move_row(columns, row, u, vs)
     ks, hs, heights, excluded = columns
     return GridRun(subject, domain, n, ks, hs, heights, tuple(excluded))
-
-
-def _sample_points(surface, us: Sequence[float], vs: Sequence[float], columns) -> None:
-    """sample_grid's columns for a patch, point by point, a grid row's K and H at a time.
-
-    A patch has no graph height: the third column stays None.
-    """
-    curvatures = surface.curvatures
-    isfinite = math.isfinite
-    for u in us:
-        row = row_k, row_h, _, row_x = [], [], None, []
-        for i, v in enumerate(vs):
-            try:
-                pair = curvatures((u, v))
-            except _EVAL_ERRORS as err:
-                row_x.append((i, str(err)))
-                continue
-            K, H = pair.K, pair.H
-            if isfinite(K) and isfinite(H):
-                row_k.append(K)
-                row_h.append(H)
-            else:
-                row_x.append((i, NON_FINITE))
-        _move_row(columns, row, u, vs)
 
 
 def check_constancy(
@@ -485,30 +465,38 @@ def motion_invariance_check(
     tol: float = 1e-9,
     subject: str = "",
 ) -> VerificationReport:
-    """K and H before vs after a rigid motion, at matching parameters.
+    """K and H before vs after an isotropic motion, at matching parameters.
 
     A product surface becomes its chart and a chart its patch (see
-    :func:`as_parametric`); on that patch each grid point
-    evaluates its coordinate jets once: ``before`` comes from those
-    jets, ``after`` from their image under :func:`apply_motion`, which
-    are the jets of the moved patch at the same (u, v).
+    :func:`as_parametric`), whose coordinates are evaluated once over the
+    grid.  :func:`apply_motion` moves them, a column or a point's jets at
+    a time, into the jets of the moved patch at the same (u, v), and the
+    patch kernel :func:`parametric_curvatures` runs once on each side.  A
+    point excluded on either side keeps the base side's text first.  A K
+    or H that is not finite on either side gives a NaN deviation, which is
+    refused, as are, before any evaluation, a bad tolerance and a motion
+    parameter that is not finite.
     """
     _require_finite_nonnegative("motion invariance check tolerance", tol)
+    for name in Motion.__slots__:
+        if not math.isfinite(value := getattr(motion, name)):
+            raise ValueError(f"motion parameter {name} must be finite, got {value!r}")
     if isinstance(surface, AffineFactorable):
         subject = subject or surface.label
         surface = as_chart(surface)
     base = as_parametric(surface) if isinstance(surface, SurfaceChart) else surface
     if domain is None:
         domain = base.domain
-    deviations = []
-    excluded = []
-    for p in domain.grid(n):
-        try:
-            r = base.jets(p)
-            before = parametric_curvatures(r, p)
-            after = parametric_curvatures(apply_motion(motion, r), p)
-        except _EVAL_ERRORS as err:
-            excluded.append((p, str(err)))
+    points = domain.grid(n)
+    r = base.coordinates([p[0] for p in points], [p[1] for p in points])
+    moved = apply_motion(motion, r) if r.__class__ is tuple else [
+        e if e.__class__ is str else apply_motion(motion, e) for e in r]
+    deviations, excluded = [], []
+    for p, before, after in zip(
+        points, _pairs(parametric_curvatures, r, points), _pairs(parametric_curvatures, moved, points)
+    ):
+        if before.__class__ is str or after.__class__ is str:
+            excluded.append((p, before if before.__class__ is str else after))
             continue
         deviations.append(max(abs(before.K - after.K), abs(before.H - after.H)))
     return _reduce(

@@ -34,8 +34,9 @@ UNIT = Rect((0.0, 1.0), (0.0, 1.0))
 
 
 def _one_point(kernel, height, p):
-    # A chart kernel at the one point p, through the one-point adapter
-    # of SurfaceChart.curvatures: its pair, or AdmissibilityError.
+    # A line kernel at the one point p, through the one-point adapter of
+    # both curvatures methods: its pair, or AdmissibilityError.  The
+    # patch kernel takes a point's jets as a one-entry list, [r].
     return geometry._only_pair(geometry._pairs(kernel, height, (p,)))
 
 #: The surfaces of acceptance criterion 06, as parametric patches.
@@ -199,8 +200,8 @@ def test_motion_preserves_curvatures_of_saddle():
     base = as_parametric(SurfaceChart(Z_OVER_XY, lambda x, y: x * y, UNIT))
     for p in UNIT.grid(5):
         r = base.jets(p)
-        before = parametric_curvatures(r, p)
-        after = parametric_curvatures(apply_motion(m, r), p)
+        before = _one_point(parametric_curvatures, [r], p)
+        after = _one_point(parametric_curvatures, [apply_motion(m, r)], p)
         assert abs(before.K - after.K) <= 1e-9, f"K drifted at {p}: {before} {after}"
         assert abs(before.H - after.H) <= 1e-9, f"H drifted at {p}: {before} {after}"
 
@@ -212,8 +213,8 @@ def test_pure_translation_is_exact():
     )
     for p in ((0.0, 0.0), (0.5, 0.25), (1.0, 1.0)):
         r = base.jets(p)
-        before = parametric_curvatures(r, p)
-        after = parametric_curvatures(apply_motion(m, r), p)
+        before = _one_point(parametric_curvatures, [r], p)
+        after = _one_point(parametric_curvatures, [apply_motion(m, r)], p)
         assert (before.K, before.H) == (after.K, after.H), (
             f"translation changed curvature at {p}"
         )
@@ -241,8 +242,8 @@ def test_random_motions_preserve_curvatures(fid, m, s, t):
     inner = base.domain.shrunk(0.1)
     p = (inner.u[0] + s * (inner.u[1] - inner.u[0]), inner.v[0] + t * (inner.v[1] - inner.v[0]))
     r = base.jets(p)
-    before = parametric_curvatures(r, p)
-    after = parametric_curvatures(apply_motion(m, r), p)
+    before = _one_point(parametric_curvatures, [r], p)
+    after = _one_point(parametric_curvatures, [apply_motion(m, r)], p)
     for name in ("K", "H"):
         a, b = getattr(before, name), getattr(after, name)
         assert unit_relative_difference(a, b) <= 1e-9, (

@@ -1207,6 +1207,34 @@ def test_motion_invariance_refuses_a_non_finite_drift():
         motion_invariance_check(chart, motion, n=11)
 
 
+def test_motion_invariance_refuses_an_infinite_H():
+    # K = 0 and H = inf at every point: dK is 0.0 and dH is inf - inf,
+    # NaN, which max(0.0, nan) dropped, so the check passed with 0.0.
+    patch = ParametricSurface(
+        lambda u, v: u, lambda u, v: 1e-7 * v, lambda u, v: 1e300 * v * v,
+        Rect((0.1, 1.0), (0.1, 1.0)),
+    )
+    pair = patch.curvatures((0.5, 0.5))
+    assert math.isnan(pair.K) and math.isnan(pair.H)
+    with pytest.raises(ValueError, match=r"non-finite sample at index 0: nan"):
+        motion_invariance_check(patch, Motion(angle=0.7, tx=1.0), n=5)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["angle", "tx", "ty", "tz", "shear_x", "shear_y"])
+def test_motion_check_refuses_a_motion_parameter_that_is_not_finite(name, bad):
+    # Motion(tx=nan) moved only the coordinates' values, which K and H
+    # never read, so it passed with 0.0; Motion(angle=inf) raised a bare
+    # "math domain error" from math.cos.  Refused before any evaluation.
+    surface = random_instance(SplitMix64(5), TYPE1)
+    calls = [0]
+    counted = surface.replace(factor1=_counting(surface.factor1, calls, 0))
+    with pytest.raises(ValueError) as info:
+        motion_invariance_check(counted, Motion(**{name: bad}), n=11)
+    assert str(info.value) == f"motion parameter {name} must be finite, got {bad!r}"
+    assert calls == [0]
+
+
 def test_motion_check_excludes_heights_past_the_integral_profile():
     # z_end = 2.67 at the default parameters; the inversion's ValueError
     # escaped the check.

@@ -11,8 +11,11 @@ per tree and workload; ``--digests`` the sha256 of ``isocurv list``, of
 ``verify --grid 41`` on every family, of ``cross-validate --seed 7`` on each
 kind and on three families with a tan, power or sqrt profile, of ``probe``
 on each kind, of ``verify`` on three grids that cross a profile's branch
-or overflow and on two under a shear that repeats no argument, and of the
-201² FS2.K.integral CSV and OBJ exports.  Exits 1 if any run is not correct.
+or overflow and on two under a shear that repeats no argument, of the
+motion reports at n = 11 (every family under 3 seeded motions and 20
+random instances of each kind), of two patch grids (one on columns, one
+point by point), and of the 201² FS2.K.integral CSV and OBJ exports.
+Exits 1 if any run is not correct.
 
 Every series records ``source_digests``, each tree's ``source_digest``: a
 scratch copy has no commit of its own, so this names the tree that ran.
@@ -80,6 +83,30 @@ for argv in (["FS1.flat.pow", "--param", "c2=3", "--grid", "41", "--domain", "x:
              ["AFS2.flat.exp", "--param", "a=0.37", "--grid", "41"],
              ["AFS2.cmc.sqrt", "--param", "a=0.37", "--grid", "41"]):
     out[" ".join(["verify", *argv])] = sha(run("verify", "--family", *argv))
+# Motion checks at n = 11: every family under 3 seeded motions, and 20 random instances of each
+# kind; each report's JSON, or its refusal's text.
+import math
+from isocurv import factorable, geometry, verify
+from isocurv.rng import SplitMix64
+BOUNDS = ((0.0, 2.0 * math.pi), (-2.0, 2.0), (-2.0, 2.0), (-2.0, 2.0), (-1.0, 1.0), (-1.0, 1.0))
+motion = lambda rng: geometry.Motion(*[rng.uniform(lo, hi) for lo, hi in BOUNDS])
+def checked(surface, m):
+    try:
+        return verify.motion_invariance_check(surface, m, n=11).to_json().encode()
+    except ValueError as err:
+        return f"refused: {err}".encode()
+motions = [motion(SplitMix64(606 + k)) for k in range(3)]
+reports = [checked(catalog.build_family(f), m) for f in catalog.family_ids() for m in motions]
+for kind in ("type-1", "type-2"):
+    rng = SplitMix64(707)
+    reports += [checked(factorable.random_instance(rng, kind), motion(rng)) for _ in range(20)]
+out["motion 11 (families x 3 motions, 20 random instances of each kind)"] = sha(b"\n".join(reports))
+# Patch grids: AFS1.min.osc's coordinates take columns; AFS2.cmc.sqrt's go point by point,
+# over a domain where sqrt's branch excludes points.
+patch = lambda fid: geometry.as_parametric(factorable.as_chart(catalog.build_family(fid)))
+runs = [verify.sample_grid(patch("AFS1.min.osc"), n=41),
+        verify.sample_grid(patch("AFS2.cmc.sqrt"), geometry.Rect((-1.0, 1.0), (-1.0, 1.0)), n=41)]
+out["sample_grid 41 patches"] = sha(repr(runs).encode())
 os.chdir(tempfile.mkdtemp())
 for fmt in ("csv", "obj"):
     run("grid", "--family", "FS2.K.integral", "--grid", "201", "--format", fmt, "--out", "g")
