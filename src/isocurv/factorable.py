@@ -208,11 +208,13 @@ def afs1_line(
     text goes first.  Each point is either included, with K, H and the
     height w = f1*f2 appended to the lists in ``columns``, which start
     empty, or excluded as an ``(i, text)`` pair: its profile's text,
-    that of an overflowing square, or :data:`NON_FINITE`.  A grid row
-    is the case where every point shares f1's jet: its floats and the
-    factors (1 + a^2)*f1 and 2a*f1', which the left-to-right products
-    form first, are computed again only where the jet changes.  No
-    type-1 text names a point, so ``us`` and ``vs`` go unread.
+    or :data:`NON_FINITE`, which is also what a square that overflows
+    gives.  A square is one product, x * x, correctly rounded; every
+    other product runs left to right.  A grid row is the case where
+    every point shares f1's jet: its floats and the factors
+    (1 + a^2)*f1 and 2a*f1', which the left-to-right products form
+    first, are computed again only where the jet changes.  No type-1
+    text names a point, so ``us`` and ``vs`` go unread.
     """
     ks, hs, heights, _ = columns
     aa1, a2 = 1.0 + a * a, 2.0 * a
@@ -229,13 +231,10 @@ def afs1_line(
             _exclude(columns, j2 if text1 is None else text1)
             continue
         f2, d2, dd2 = j2.v, j2.dx, j2.dxx
-        try:
-            w = f1 * f2
-            K = w * dd1 * dd2 - (d1 * d2) ** 2
-            H = 0.5 * (c_dd2 * dd2 + c_d2 * d2 + dd1 * f2)
-        except (ZeroDivisionError, OverflowError) as err:
-            _exclude(columns, str(err))
-            continue
+        w = f1 * f2
+        d12 = d1 * d2
+        K = w * dd1 * dd2 - d12 * d12
+        H = 0.5 * (c_dd2 * dd2 + c_d2 * d2 + dd1 * f2)
         if isfinite(K) and isfinite(H):
             ks.append(K)
             hs.append(H)
@@ -275,6 +274,8 @@ def afs2_line(
     signed, so H matches the signed graph formula of the x = w(y, z)
     chart.  Only 2a and a^2, which the products form first, are
     hoisted, and (f1'*f2')^2 is squared once for both numerators.
+    Float ``*`` and ``/`` raise nothing here: |reg| >= ADMISSIBILITY_EPS
+    keeps reg^4 above 1e-32, so no denominator rounds to 0.
     """
     ks, hs, heights, _ = columns
     a2, aa = 2.0 * a, a * a
@@ -285,29 +286,25 @@ def afs2_line(
             continue
         f1, d1, dd1 = j1.v, j1.dx, j1.dxx
         f2, d2, dd2 = j2.v, j2.dx, j2.dxx
-        try:
-            reg = a * d1 * f2 + f1 * d2
-            if abs(reg) < ADMISSIBILITY_EPS:
-                i = len(ks) + len(columns[3])  # the point at hand, as _exclude counts
-                _exclude(columns, _irregular(reg, (us[i], vs[i])))
-                continue
-            reg2 = reg * reg
-            w = f1 * f2
-            d12 = (d1 * d2) ** 2
-            num_k = w * dd1 * dd2 - d12
-            num_2h = (
-                (d1 * f2) ** 2 * f1 * dd2
-                - 2.0 * d12 * f1 * f2
-                + (f1 * d2) ** 2 * f2 * dd1
-                + f1 * dd2
-                + a2 * d1 * d2
-                + aa * dd1 * f2
-            )
-            K = num_k / (reg2 * reg2)
-            H = num_2h / (2.0 * reg2 * reg)
-        except (ZeroDivisionError, OverflowError) as err:
-            _exclude(columns, str(err))
+        f1d2 = f1 * d2
+        reg = a * d1 * f2 + f1d2
+        if abs(reg) < ADMISSIBILITY_EPS:
+            i = len(ks) + len(columns[3])  # the point at hand, as _exclude counts
+            _exclude(columns, _irregular(reg, (us[i], vs[i])))
             continue
+        reg2 = reg * reg
+        w = f1 * f2
+        d12, d1f2 = d1 * d2, d1 * f2
+        sq12 = d12 * d12
+        K = (w * dd1 * dd2 - sq12) / (reg2 * reg2)
+        H = (
+            d1f2 * d1f2 * f1 * dd2
+            - 2.0 * sq12 * f1 * f2
+            + f1d2 * f1d2 * f2 * dd1
+            + f1 * dd2
+            + a2 * d1 * d2
+            + aa * dd1 * f2
+        ) / (2.0 * reg2 * reg)
         if isfinite(K) and isfinite(H):
             ks.append(K)
             hs.append(H)

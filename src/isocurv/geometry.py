@@ -262,7 +262,12 @@ def apply_motion(m: Motion, p: tuple) -> tuple:
     ``p`` may hold floats, jets or Jet2 columns: the motion is affine, so
     applied to a patch's coordinate jets or columns it gives the exact
     jets of the moved patch, with only ``+``, ``-`` and scalar ``*``.
+    Either shape of :meth:`ParametricSurface.coordinates` moves: a list,
+    its point-by-point form, gives a list with each point's jets moved
+    and each text kept.
     """
+    if p.__class__ is list:
+        return [e if e.__class__ is str else apply_motion(m, e) for e in p]
     x, y, z = p
     ct, st = math.cos(m.angle), math.sin(m.angle)
     return (

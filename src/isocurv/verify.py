@@ -469,8 +469,8 @@ def motion_invariance_check(
 
     A product surface becomes its chart and a chart its patch (see
     :func:`as_parametric`), whose coordinates are evaluated once over the
-    grid.  :func:`apply_motion` moves them, a column or a point's jets at
-    a time, into the jets of the moved patch at the same (u, v), and the
+    grid.  :func:`apply_motion` moves them, columns or each point's jets,
+    into the jets of the moved patch at the same (u, v), and the
     patch kernel :func:`parametric_curvatures` runs once on each side.  A
     point excluded on either side keeps the base side's text first.  A K
     or H that is not finite on either side gives a NaN deviation, which is
@@ -489,8 +489,7 @@ def motion_invariance_check(
         domain = base.domain
     points = domain.grid(n)
     r = base.coordinates([p[0] for p in points], [p[1] for p in points])
-    moved = apply_motion(motion, r) if r.__class__ is tuple else [
-        e if e.__class__ is str else apply_motion(motion, e) for e in r]
+    moved = apply_motion(motion, r)
     deviations, excluded = [], []
     for p, before, after in zip(
         points, _pairs(parametric_curvatures, r, points), _pairs(parametric_curvatures, moved, points)

@@ -6,12 +6,15 @@ kernels ``afs1_line`` and ``afs2_line``; ``afs1_curvatures`` and
 keeps the earlier per-point routes verbatim, frozen, as the reference
 the tests compare the kernels with bit for bit: an included point must
 carry the same K, H and w, and an excluded one the same text.  Do not
-change a formula here to follow a change in the package.
+change a formula here to follow a change in the package.  The one
+deliberate edit since: each square is one product, x * x, which is
+correctly rounded, where it was float ``** 2``, libm's pow, which is
+not always; every other product keeps its order.
 
 The reference differs from the package in what it gives for a point it
 cannot evaluate: it raises ``AdmissibilityError`` for a regularity
-below the floor and ``OverflowError`` where a square overflows, and it
-returns a non-finite K or H as computed.
+below the floor, and it returns a non-finite K or H as computed, a
+square that overflows included.
 """
 
 from isocurv.factorable import TYPE1, TYPE2, AffineFactorable
@@ -35,7 +38,8 @@ def afs1_curvatures(
     f1, d1, dd1 = j1.v, j1.dx, j1.dxx
     f2, d2, dd2 = j2.v, j2.dx, j2.dxx
     a = s.shear
-    K = f1 * f2 * dd1 * dd2 - (d1 * d2) ** 2
+    d12 = d1 * d2
+    K = f1 * f2 * dd1 * dd2 - d12 * d12
     H = 0.5 * ((1.0 + a * a) * f1 * dd2 + 2.0 * a * d1 * d2 + dd1 * f2)
     return CurvaturePair(K, H, f1 * f2)
 
@@ -60,11 +64,12 @@ def afs2_curvatures(
     if abs(reg) < ADMISSIBILITY_EPS:
         raise AdmissibilityError(_irregular(reg, p))
     reg2 = reg * reg
-    num_k = f1 * f2 * dd1 * dd2 - (d1 * d2) ** 2
+    d12, d1f2, f1d2 = d1 * d2, d1 * f2, f1 * d2
+    num_k = f1 * f2 * dd1 * dd2 - d12 * d12
     num_2h = (
-        (d1 * f2) ** 2 * f1 * dd2
-        - 2.0 * (d1 * d2) ** 2 * f1 * f2
-        + (f1 * d2) ** 2 * f2 * dd1
+        d1f2 * d1f2 * f1 * dd2
+        - 2.0 * (d12 * d12) * f1 * f2
+        + f1d2 * f1d2 * f2 * dd1
         + f1 * dd2
         + 2.0 * a * d1 * d2
         + a * a * dd1 * f2

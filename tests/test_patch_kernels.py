@@ -291,12 +291,30 @@ def test_the_column_path_gives_the_bits_of_the_point_path():
     assert _coordinates(fast, points).__class__ is tuple
     assert _coordinates(slow, points).__class__ is list
     for r in (_coordinates(fast, points), _coordinates(slow, points)):
-        for moved in (r, apply_motion(MOTION, r) if r.__class__ is tuple else [
-                apply_motion(MOTION, e) for e in r]):
+        for moved in (r, apply_motion(MOTION, r)):
             got = [_outcome(e) for e in _pairs(parametric_curvatures, moved, points)]
             assert all(g.__class__ is bytes for g in got)
     fast_moved = _pairs(parametric_curvatures, apply_motion(MOTION, _coordinates(fast, points)),
                         points)
-    slow_moved = _pairs(parametric_curvatures, [
-        apply_motion(MOTION, e) for e in _coordinates(slow, points)], points)
+    slow_moved = _pairs(parametric_curvatures, apply_motion(MOTION, _coordinates(slow, points)),
+                        points)
     assert [_outcome(e) for e in fast_moved] == [_outcome(e) for e in slow_moved]
+
+
+def test_apply_motion_moves_the_point_by_point_coordinates_and_keeps_their_texts():
+    # sqrt leaves its branch where u + v < 0, and takes no column: the
+    # coordinates come point by point, each point's jets or its text.
+    patch = ParametricSurface(
+        lambda u, v: u, lambda u, v: v, lambda u, v: jets.sqrt(u + v + 0.25), BOX)
+    points = BOX.grid(5)
+    r = _coordinates(patch, points)
+    assert r.__class__ is list
+    texts = [e for e in r if e.__class__ is str]
+    assert texts and len(texts) < len(r)
+    moved = apply_motion(MOTION, r)
+    assert moved.__class__ is list and len(moved) == len(r)
+    for e, got in zip(r, moved):
+        if e.__class__ is str:
+            assert got is e
+        else:
+            assert got == apply_motion(MOTION, e)

@@ -17,8 +17,9 @@ k != m keeps the degrees of the terms apart, so a term of the wrong
 degree in a kernel breaks the relation.  A point is skipped where one
 run includes it and the other does not (a value crossed a fixed floor)
 or where a compared value is subnormal; skips are counted and must be
-few.  So must the points set apart because a kernel's float ``** 2``
-rounded a scaled square differently (see :func:`_pow_rounds_apart`).
+few.  Every other point must match: the kernels square by one product,
+x * x, which is correctly rounded and so scales exactly, where libm's
+``pow`` need not.
 
 Reflections are exact too, since negation is.  Mirroring a product's
 chart in one coordinate, with the shear negated, gives a product of the
@@ -40,7 +41,7 @@ import math
 import struct
 import sys
 
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from isocurv.catalog import build_family, family_ids
@@ -109,56 +110,28 @@ def _bits(x: float) -> int:
     return struct.unpack("<q", struct.pack("<d", x))[0]
 
 
-def _pow_rounds_apart(s: AffineFactorable, p: tuple[float, float]) -> bool:
-    """Does a square that s's kernel takes with ``** 2`` at p differ from x * x?
-
-    Float ``** 2`` is libm's pow, which is not always correctly
-    rounded: pow(x, 2) can be the neighbour of x * x, and for 2^j * x it
-    need not be the same neighbour.  So a scaled point can differ in its
-    last bits where the relation itself holds.  Such points are counted
-    apart; a mismatch anywhere else fails.
-    """
-    j1, j2 = s.profile_jets(p)
-    squared = [j1.dx * j2.dx]
-    if s.kind == TYPE2:
-        squared += [j1.dx * j2.v, j1.v * j2.dx]
-    return any(x**2 != x * x for x in squared)
-
-
 def _compare(s: AffineFactorable, k: int, m: int, n: int) -> dict:
-    """Counts of compared, skipped and pow-rounded points for s and its image.
+    """Counts of compared and skipped points for s and its image.
 
     A compared point whose K or H differs from the scaled value in any
-    bit fails, unless :func:`_pow_rounds_apart` holds in either run.
+    bit fails.
     """
     t = _image(s, k, m)
     base, image = _by_index(sample_grid(s, n=n)), _by_index(sample_grid(t, n=n))
     k_scale, h_scale = math.ldexp(1.0, 2 * m - 4 * k), math.ldexp(1.0, m - 2 * k)
-    counts = {"compared": 0, "skipped": len(base.keys() ^ image.keys()), "pow": 0}
+    counts = {"compared": 0, "skipped": len(base.keys() ^ image.keys())}
     for i in sorted(base.keys() & image.keys()):
-        (p, K, H), (q, K2, H2) = base[i], image[i]
+        (p, K, H), (_, K2, H2) = base[i], image[i]
         want = (K * k_scale, H * h_scale)
         if not all(map(_normal, (K, H, K2, H2, *want))):
             counts["skipped"] += 1
-        elif (_bits(K2), _bits(H2)) == (_bits(want[0]), _bits(want[1])):
-            counts["compared"] += 1
         else:
-            assert _pow_rounds_apart(s, p) or _pow_rounds_apart(t, q), (
+            assert (_bits(K2), _bits(H2)) == (_bits(want[0]), _bits(want[1])), (
                 f"{s.label} at {p!r}, k={k} m={m}: K {K!r} -> {K2!r} (want {want[0]!r}), "
                 f"H {H!r} -> {H2!r} (want {want[1]!r})"
             )
-            counts["pow"] += 1
+            counts["compared"] += 1
     return counts
-
-
-def _require_few(counts: dict) -> None:
-    """At most 1 point in 20 skipped, and at most 1 in 10 set apart by pow's rounding.
-
-    On random 7^2 instances pow's rounding sets apart about 1 point in
-    5,000, and at most 2 in one instance.
-    """
-    assert 20 * counts["skipped"] <= counts["compared"], counts
-    assert 10 * counts["pow"] <= counts["compared"], counts
 
 
 @settings(max_examples=10, deadline=None)
@@ -166,21 +139,25 @@ def _require_few(counts: dict) -> None:
 def test_every_product_family_scales_exactly(k, m):
     assume(k != m)
     assert len(PRODUCTS) == 29
-    counts = {"compared": 0, "skipped": 0, "pow": 0}
+    counts = {"compared": 0, "skipped": 0}
     for s in PRODUCTS:
         for key, value in _compare(s, k, m, 9).items():
             counts[key] += value
-    # No family skips a point or rounds a square apart for any k and m in [-6, 6].
-    assert counts["skipped"] == counts["pow"] == 0, counts
+    # No family skips a point for any k and m in [-6, 6].
+    assert counts["skipped"] == 0, counts
 
 
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 2**64 - 1), kind=st.sampled_from((TYPE1, TYPE2)), k=exponents, m=exponents
 )
+# A kernel that squared with float ** 2 set 7 of this draw's 49 points apart.
+@example(seed=7125, kind=TYPE2, k=0, m=-6)
 def test_random_instances_scale_exactly(seed, kind, k, m):
     assume(k != m)
-    _require_few(_compare(random_instance(SplitMix64(seed), kind), k, m, 7))
+    counts = _compare(random_instance(SplitMix64(seed), kind), k, m, 7)
+    # At most 1 point in 20 skipped, since a value may cross a fixed floor.
+    assert 20 * counts["skipped"] <= counts["compared"], counts
 
 
 def _mirror(s: AffineFactorable, axis: int) -> AffineFactorable:

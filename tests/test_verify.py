@@ -426,51 +426,64 @@ def test_sample_grid_stays_bounded_under_a_generic_shear():
     _assert_walk_matches_point_loop(surface, n, "AFS1.K.saddle a=0.7317")
 
 
-@pytest.mark.parametrize("a", [0.0, 0.5])
-@pytest.mark.parametrize("kind", [TYPE1, TYPE2])
-def test_sample_grid_excludes_an_overflowing_square_as_the_route_does(kind, a):
+def _steep(t):
     # f = 1 + 1e-100*sin(1e200*t^2) stays near 1 while f' = 2e100*t*cos(...)
     # reaches 1e100: f1'*f2' is finite and its square overflows, but the
     # other squares of the routes, (f1'*f2)^2 and (f1*f2')^2, do not.
-    # Float ** raises OverflowError there, where x * x would give inf and
-    # a "non-finite" exclusion instead, so the line kernels must square
-    # as the per-point routes do.
-    def steep(t):
-        return 1e-100 * jets.sin(1e200 * t * t) + 1.0
-
-    surface = AffineFactorable(kind, steep, steep, a, Rect((-1.0, 1.0), (-1.0, 1.0)))
-    run = sample_grid(surface, n=5)
-    reasons = {reason.partition(" = ")[0] for _, reason in run.excluded}
-    assert "(34, 'Numerical result out of range')" in reasons, reasons
-    assert "non-finite curvature value" in reasons, reasons
-    if kind == TYPE2:
-        assert "type-2 regularity |a*f1'*f2 + f1*f2'|" in reasons, reasons
-    _assert_walk_matches_point_loop(surface, 5, f"{kind} a={a}")
-
-
-OVERFLOW = "(34, 'Numerical result out of range')"
-
-
-def _steep(t):
-    # The profile of the test above: f1'*f2' is finite and its square overflows.
     return 1e-100 * jets.sin(1e200 * t * t) + 1.0
+
+
+def _overflowing_squares(surface, points):
+    """The points where f1'*f2' is finite and its square, x * x, is not."""
+    found = []
+    for p in points:
+        u1, u2 = surface.profile_arguments(p)
+        j1, j2 = _profile_jet(surface.factor1, u1), _profile_jet(surface.factor2, u2)
+        if j1.__class__ is str or j2.__class__ is str:
+            continue
+        d12 = j1.dx * j2.dx
+        if math.isfinite(d12) and not math.isfinite(d12 * d12):
+            found.append(p)
+    return found
 
 
 @pytest.mark.parametrize("a", [0.0, 0.5])
 @pytest.mark.parametrize("kind", [TYPE1, TYPE2])
-def test_curvatures_raise_an_overflowing_square_as_an_admissibility_error(kind, a):
-    # The reference route lets the OverflowError of float ** through; the
-    # package's route is the line kernel on one point, which records the
-    # error's text, and raises it as an AdmissibilityError.
+def test_sample_grid_excludes_an_overflowing_square_as_non_finite(kind, a):
+    # A square is x * x, which gives inf where it overflows: K is not
+    # finite, and the point takes the exclusion of every non-finite value.
     surface = AffineFactorable(kind, _steep, _steep, a, Rect((-1.0, 1.0), (-1.0, 1.0)))
-    overflowing = [p for p, reason in sample_grid(surface, n=5).excluded if reason == OVERFLOW]
+    run = sample_grid(surface, n=5)
+    overflowing = _overflowing_squares(surface, surface.domain.grid(5))
+    assert overflowing
+    texts = dict(run.excluded)
+    for p in overflowing:
+        assert texts.get(p) == NON_FINITE, (p, texts.get(p))
+    assert not set(overflowing) & set(run.points)
+    reasons = {reason.partition(" = ")[0] for _, reason in run.excluded}
+    if kind == TYPE2:
+        assert reasons == {NON_FINITE, "type-2 regularity |a*f1'*f2 + f1*f2'|"}, reasons
+    else:
+        assert reasons == {NON_FINITE}, reasons
+    _assert_walk_matches_point_loop(surface, 5, f"{kind} a={a}")
+
+
+@pytest.mark.parametrize("a", [0.0, 0.5])
+@pytest.mark.parametrize("kind", [TYPE1, TYPE2])
+def test_curvatures_give_an_overflowing_square_a_nan_pair_that_cross_validate_refuses(kind, a):
+    # The reference route computes the inf square and a K that is not
+    # finite; the package's route, the line kernel on one point, gives
+    # the NaN pair, and cross-validation refuses the NaN deviation.
+    surface = AffineFactorable(kind, _steep, _steep, a, Rect((-1.0, 1.0), (-1.0, 1.0)))
+    overflowing = _overflowing_squares(surface, surface.domain.grid(5))
     assert overflowing
     for p in overflowing:
-        with pytest.raises(OverflowError):
-            reference_routes.curvatures(surface, p)
-        with pytest.raises(AdmissibilityError) as info:
-            surface.curvatures(p)
-        assert str(info.value) == OVERFLOW
+        assert not math.isfinite(reference_routes.curvatures(surface, p).K)
+        pair = surface.curvatures(p)
+        assert all(map(math.isnan, (pair.K, pair.H, pair.w))), (p, pair)
+    _assert_overflowing_squares_keep_nan(surface, *_cross_validate_point_by_point(surface, 20, 3))
+    with pytest.raises(ValueError, match="non-finite sample"):
+        cross_validate(surface, n_points=20, seed=3)
 
 
 def _same_bits(got: tuple, want: list) -> bool:
@@ -1038,7 +1051,7 @@ def test_cross_validate_refuses_a_surface_without_factored_form(monkeypatch, con
 
 
 def _cross_validate_point_by_point(instance, n_points, seed):
-    """The deviations and exclusions of cross_validate's loop as it ran one point at a time.
+    """The deviations, exclusions and deviations' points of cross_validate's loop, point by point.
 
     Per point: a profile's text, the regularity skip, the reference
     route (a non-finite K or H read as NaN), then the chart route.
@@ -1049,7 +1062,7 @@ def _cross_validate_point_by_point(instance, n_points, seed):
     points = [(rng.uniform(u_lo, u_hi), rng.uniform(v_lo, v_hi)) for _ in range(n_points)]
     route = (reference_routes.afs1_curvatures, reference_routes.afs2_curvatures)[
         instance.kind == TYPE2]
-    deviations, excluded = [], []
+    deviations, excluded, kept = [], [], []
     for p in points:
         u1, u2 = instance.profile_arguments(p)
         j1, j2 = _profile_jet(instance.factor1, u1), _profile_jet(instance.factor2, u2)
@@ -1070,7 +1083,15 @@ def _cross_validate_point_by_point(instance, n_points, seed):
             K = H = math.nan
         deviations.append(max(
             unit_relative_difference(K, generic.K), unit_relative_difference(H, generic.H)))
-    return deviations, excluded
+        kept.append(p)
+    return deviations, excluded, kept
+
+
+def _assert_overflowing_squares_keep_nan(instance, deviations, excluded, kept):
+    """Some drawn point's square overflows, and each such point is kept with a NaN deviation."""
+    deviation = dict(zip(kept, deviations))
+    overflowing = _overflowing_squares(instance, kept + [p for p, _ in excluded])
+    assert overflowing and all(math.isnan(deviation.get(p, 0.0)) for p in overflowing)
 
 
 def _fails_in_a_chart_below(limit):
@@ -1087,8 +1108,9 @@ def _mixed(kind):
     # Each outcome on one square, each on a share of the draws: a
     # profile text (log below -0.8; type 2's f1 also leaves exp's range
     # past 1.08), the regularity skip (type 2), an overflowing square
-    # (exp(4000*t) past 0.9), a NaN K (f1 between 0.5 and 0.7) and a
-    # chart error (f2 below -0.8).
+    # (exp(4000*t) past 0.9), which gives a NaN pair as a non-finite K
+    # does, a NaN K (f1 between 0.5 and 0.7) and a chart error (f2 below
+    # -0.8).
     def f1(t):
         nan = math.nan if 0.5 < t.v < 0.7 else 1.0
         return jets.log(t + 0.8) * nan + jets.exp(4000.0 * (t - 0.9))
@@ -1103,7 +1125,7 @@ def _mixed(kind):
 @pytest.mark.parametrize("kind", [TYPE1, TYPE2])
 def test_cross_validate_gives_each_point_its_point_by_point_outcome(kind, monkeypatch):
     instance = _mixed(kind)
-    want_deviations, want_excluded = _cross_validate_point_by_point(instance, 400, 8)
+    want_deviations, want_excluded, kept = _cross_validate_point_by_point(instance, 400, 8)
     seen = {}
     reduce = verify._reduce
 
@@ -1118,7 +1140,8 @@ def test_cross_validate_gives_each_point_its_point_by_point_outcome(kind, monkey
     assert [d.hex() for d in seen["values"]] == [d.hex() for d in want_deviations]
     reasons = {text.split(" ")[0] for _, text in want_excluded}
     type2 = {"regularity", "math"} if kind == TYPE2 else set()
-    assert reasons == {"log", "(34,", "chart-only"} | type2
+    assert reasons == {"log", "chart-only"} | type2
+    _assert_overflowing_squares_keep_nan(instance, want_deviations, want_excluded, kept)
     assert "nan" in {d.hex() for d in want_deviations}
 
 
